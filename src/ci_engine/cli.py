@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import diagrams, fileformat, fstheory, nogo, optheory
+from . import diagrams, fileformat, fstheory, nogo, optheory, substoch
 from .errors import EngineError, ParseError
 
 EXIT_OK = 0
@@ -258,9 +258,8 @@ def _cmd_verify_axioms(args):
 
 
 def _membership_record(corr):
-    """Run the local-polytope test, rationalizing float tables first."""
-    target = corr if corr.is_exact else nogo.rationalize(corr)
-    verdict = nogo.fs_compatible(target, target.scenario)
+    """Run the local-polytope test; fs_compatible rationalizes float tables."""
+    verdict = nogo.fs_compatible(corr, corr.scenario)
     rec = {"exact_input": corr.is_exact}
     if isinstance(verdict, nogo.Member):
         rec["verdict"] = "member"
@@ -355,14 +354,7 @@ def _cmd_rep_check(args):
         p_op = optheory.predict_closed(d_op, pm)
         p_im = fstheory.predict(image)
         tol = Fraction(0) if pm.backend == "classical" else Fraction(1, 10**9)
-        gap = max(
-            (
-                abs(p_op.entries[r][c] - p_im.entries[r][c])
-                for r in range(len(p_op.cod))
-                for c in range(len(p_op.dom))
-            ),
-            default=Fraction(0),
-        )
+        gap = substoch.max_gap(p_op, p_im)
         passed = gap <= tol
         records.append(
             {

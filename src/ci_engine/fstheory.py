@@ -33,6 +33,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from . import funcdyn, substoch, tensornet
+from .caps import enumeration_cap
 from .diagrams import (
     CAUSAL,
     INFERENTIAL,
@@ -58,6 +59,7 @@ from .errors import (
     TypeMismatch,
     ValidationError,
 )
+from .tensornet import Scaled
 
 
 # ---------------------------------------------------------------------------
@@ -204,47 +206,31 @@ def effect_box(pi, name=None):
 
 
 def generator_tensor(box):
-    """Exact semantics of one generator, output axes first then inputs."""
+    """Exact semantics of one generator as a Scaled tensor, output axes first then inputs."""
     p = box.payload
     if isinstance(p, GenKnowledge):
         dom = bundle_carrier(p.in_systems)
         cod = bundle_carrier(p.out_systems)
-        out_sizes = tuple(t.size for t in p.out_systems)
-        in_sizes = tuple(t.size for t in p.in_systems)
+        n_in, n_out = len(dom), len(cod)
         count = funcdyn.homset_size(dom, cod)
-        arr = np.zeros(out_sizes + (count,) + in_sizes, dtype=object)
-        for h in range(count):
-            f = funcdyn.hom_unindex(h, dom, cod)
-            for flat, x in enumerate(dom):
-                out_idx = (
-                    tuple(int(v) for v in np.unravel_index(cod.index(f(x)), out_sizes))
-                    if out_sizes
-                    else ()
-                )
-                in_idx = (
-                    tuple(int(v) for v in np.unravel_index(flat, in_sizes))
-                    if in_sizes
-                    else ()
-                )
-                arr[out_idx + (h,) + in_idx] = 1
-        return arr
+        cells = n_out * count * n_in
+        if cells > enumeration_cap():
+            raise CapExceeded(f"generator tensor of {cells} cells exceeds the cap")
+        # hom code h sends input x to its base-n_out digit x, most significant first
+        h, x = np.indices((count, n_in))
+        arr = np.zeros((n_out, count, n_in), dtype=np.int64)
+        arr[h // n_out ** (n_in - 1 - x) % n_out, h, x] = 1
+        return Scaled(arr.reshape(tuple(t.size for t in box.outs + box.ins)))
     if isinstance(p, GenPropGain):
         n = p.system.size
-        arr = np.zeros((n, n, n), dtype=object)
-        for x in range(n):
-            arr[x, x, x] = 1
-        return arr
+        arr = np.zeros((n, n, n), dtype=np.int64)
+        arr[np.arange(n), np.arange(n), np.arange(n)] = 1
+        return Scaled(arr)
     if isinstance(p, GenIgnore):
-        return np.ones(p.system.size, dtype=object)
+        return Scaled(np.ones(p.system.size, dtype=np.int64))
     if isinstance(p, GenEmbedded):
-        s = p.matrix
-        out_sizes = tuple(t.size for t in box.outs)
-        in_sizes = tuple(t.size for t in box.ins)
-        arr = np.empty((len(s.cod), len(s.dom)), dtype=object)
-        for r in range(len(s.cod)):
-            for c in range(len(s.dom)):
-                arr[r, c] = s.entries[r][c]
-        return arr.reshape(out_sizes + in_sizes)
+        sizes = tuple(t.size for t in box.outs + box.ins)
+        return p.matrix.grid.reshape(sizes)
     raise TypeMismatch(f"box {box.name!r} carries no realist semantics")
 
 
@@ -263,8 +249,7 @@ def _bundled_matrix(d, tensor_fn):
     arr = arr.transpose(out_order + [n_out + k for k in in_order])
     cod = bundle_carrier(tuple(d.output_types[k] for k in out_order))
     dom = bundle_carrier(tuple(d.input_types[k] for k in in_order))
-    grid = arr.reshape(len(cod), len(dom))
-    return substoch.SubstochMap(dom, cod, tuple(tuple(row) for row in grid))
+    return substoch.SubstochMap(dom, cod, arr.reshape(len(cod), len(dom)))
 
 
 def denote(d):
@@ -397,16 +382,8 @@ def quotient_normal_form(d):
     """
     s = denote(d)
     sigma, weights = substoch.factorize(s)
-    n = len(s.dom)
-    pi = substoch.SubstochMap(
-        s.dom,
-        s.dom,
-        tuple(
-            tuple(weights[c] if r == c else Fraction(0) for c in range(n))
-            for r in range(n)
-        ),
-    )
-    return sigma, pi
+    w = tensornet.scaled(weights, (len(weights),))
+    return sigma, substoch.SubstochMap(s.dom, s.dom, Scaled(np.diag(w.num), w.den))
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +535,9 @@ def _random_substoch(rng, dom, cod):
     for _ in dom:
         raw = [rng.randint(0, 9) for _ in cod]
         total = sum(raw)
-        if total == 0:
-            cols.append([Fraction(0)] * len(cod))
-            continue
-        den = total if rng.random() < 0.5 else total + rng.randint(1, 5)
-        cols.append([Fraction(v, den) for v in raw])
-    rows = tuple(
-        tuple(cols[c][r] for c in range(len(dom))) for r in range(len(cod))
-    )
-    return substoch.SubstochMap(dom, cod, rows)
+        den = total if total == 0 or rng.random() < 0.5 else total + rng.randint(1, 5)
+        cols.append([Fraction(v, den or 1) for v in raw])
+    return substoch.SubstochMap(dom, cod, tuple(zip(*cols)))
 
 
 def _axiom_identity_embedding(mc, seed=20260814):
@@ -647,30 +618,26 @@ def _axiom_repeat_learning(mc):
     return True, f"{mc} sizes"
 
 
-def _axiom_parallel_learning(mc):
+def _axiom_fuses(mc, generator):
+    """The generator on a pair of systems equals it on the fused system."""
     count = 0
     for na, nb in iproduct(_sizes(mc), repeat=2):
         a, b = causal_system(_carrier(na)), causal_system(_carrier(nb))
-        lhs = denote(compose_parallel(from_box(prop_gain(a)), from_box(prop_gain(b))))
+        lhs = denote(compose_parallel(from_box(generator(a)), from_box(generator(b))))
         fused = causal_system(product_carrier(a.carrier, b.carrier))
-        rhs = denote(from_box(prop_gain(fused)))
+        rhs = denote(from_box(generator(fused)))
         if lhs.entries != rhs.entries:
             return False, f"failed at carrier sizes {(na, nb)}"
         count += 1
     return True, f"{count} size pairs"
+
+
+def _axiom_parallel_learning(mc):
+    return _axiom_fuses(mc, prop_gain)
 
 
 def _axiom_ignore_splits(mc):
-    count = 0
-    for na, nb in iproduct(_sizes(mc), repeat=2):
-        a, b = causal_system(_carrier(na)), causal_system(_carrier(nb))
-        lhs = denote(compose_parallel(from_box(ignore(a)), from_box(ignore(b))))
-        fused = causal_system(product_carrier(a.carrier, b.carrier))
-        rhs = denote(from_box(ignore(fused)))
-        if lhs.entries != rhs.entries:
-            return False, f"failed at carrier sizes {(na, nb)}"
-        count += 1
-    return True, f"{count} size pairs"
+    return _axiom_fuses(mc, ignore)
 
 
 def _axiom_ignorability(mc):
@@ -1031,14 +998,7 @@ def is_leibnizian(rep, pairs, predict_op=None, tol=0):
             pa, pb = predict_op(a), predict_op(b)
             if pa.dom != pb.dom or pa.cod != pb.cod:
                 raise PairNotEquivalent("witness pair has mismatched signatures")
-            gap = max(
-                (
-                    abs(pa.entries[r][c] - pb.entries[r][c])
-                    for r in range(len(pa.cod))
-                    for c in range(len(pa.dom))
-                ),
-                default=Fraction(0),
-            )
+            gap = substoch.max_gap(pa, pb)
             if gap > tol:
                 raise PairNotEquivalent(
                     f"witness pair differs operationally by {float(gap):.3g}"

@@ -28,7 +28,13 @@ from .errors import (
     WeightError,
     WrongScenario,
 )
-from .exactlp import cone_extreme_rays, feasible_nonneg, nullspace, polytope_vertices
+from .exactlp import (
+    cone_extreme_rays,
+    feasible_nonneg,
+    nullspace,
+    polytope_vertices,
+    verify_certificate,
+)
 from .fstheory import bundle_carrier, embedded, ignore, prop_gain, state_box
 from .funcdyn import Fn, copy_fn
 from .optheory import (
@@ -1105,7 +1111,7 @@ def simplex_embed(frag, lambda_max=16):
                     si += 2
         status, payload = feasible_nonneg(rows, rhs)
         if status == "infeasible":
-            return None, payload
+            return None, (rows, rhs, payload)
         return dict(zip(cols, payload[: len(cols)])), None
 
     # exact rows first even for float fragments: when the snapped data is
@@ -1117,7 +1123,10 @@ def simplex_embed(frag, lambda_max=16):
         use_slack = True
         sigma, witness = solve(all_idx, True)
     if sigma is None:
-        return Infeasible(lambda_max, tuple(witness))
+        rows, rhs, y = witness
+        if not verify_certificate(rows, rhs, y):
+            raise EngineError("infeasibility witness failed re-verification")
+        return Infeasible(lambda_max, tuple(y))
 
     def support(sig):
         mass = {}

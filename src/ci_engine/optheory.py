@@ -23,7 +23,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from . import fstheory, substoch
+from . import fstheory, substoch, tensornet
 from .diagrams import (
     CAUSAL,
     Abstract,
@@ -325,31 +325,11 @@ def _classical_tensor(pm):
     def tensor(box):
         p = box.payload
         if isinstance(p, OpKnowledge):
-            out_sizes = tuple(t.size for t in p.out_systems)
-            in_sizes = tuple(t.size for t in p.in_systems)
-            arr = np.zeros(out_sizes + (len(p.alphabet),) + in_sizes, dtype=object)
-            for k, nm in enumerate(p.alphabet):
-                ch = pm.decl(nm).channel
-                grid = np.empty((len(ch.cod), len(ch.dom)), dtype=object)
-                for r in range(len(ch.cod)):
-                    for c in range(len(ch.dom)):
-                        grid[r, c] = ch.entries[r][c]
-                idx = (
-                    (slice(None),) * len(out_sizes)
-                    + (k,)
-                    + (slice(None),) * len(in_sizes)
-                )
-                arr[idx] = grid.reshape(out_sizes + in_sizes)
-            return arr
+            grids = [pm.decl(nm).channel.grid for nm in p.alphabet]
+            return tensornet.stack(grids, 1).reshape(tuple(t.size for t in box.outs + box.ins))
         if isinstance(p, OpProc):
-            ch = pm.decl(p.name).channel
-            out_sizes = tuple(t.size for t in box.outs)
-            in_sizes = tuple(t.size for t in box.ins)
-            grid = np.empty((len(ch.cod), len(ch.dom)), dtype=object)
-            for r in range(len(ch.cod)):
-                for c in range(len(ch.dom)):
-                    grid[r, c] = ch.entries[r][c]
-            return grid.reshape(out_sizes + in_sizes)
+            sizes = tuple(t.size for t in box.outs + box.ins)
+            return pm.decl(p.name).channel.grid.reshape(sizes)
         return fstheory.generator_tensor(box)
 
     return tensor
@@ -403,17 +383,8 @@ def _quantum_tensor(pm):
     def tensor(box):
         p = box.payload
         if isinstance(p, OpKnowledge):
-            out_axes = tuple(_port_axis(t) for t in p.out_systems)
-            in_axes = tuple(_port_axis(t) for t in p.in_systems)
-            arr = np.zeros(out_axes + (len(p.alphabet),) + in_axes, dtype=complex)
-            for k, nm in enumerate(p.alphabet):
-                idx = (
-                    (slice(None),) * len(out_axes)
-                    + (k,)
-                    + (slice(None),) * len(in_axes)
-                )
-                arr[idx] = _proc_tensor(pm.decl(nm))
-            return arr
+            tensors = [_proc_tensor(pm.decl(nm)) for nm in p.alphabet]
+            return np.stack(tensors, axis=len(p.out_systems))
         if isinstance(p, OpProc):
             return _proc_tensor(pm.decl(p.name))
         if isinstance(p, GenPropGain):
@@ -446,19 +417,24 @@ def _wire_size(t):
     return t.size
 
 
-def _substoch_from_floats(dom, cod, grid):
-    """Dyadic rationalization of a float probability grid, 1e-9 slack."""
+def _float_prob(v):
+    if abs(v.imag if isinstance(v, complex) else 0.0) > _EQUIV_TOL:
+        raise ValidationError(f"non-real probability {v!r}")
+    x = v.real if isinstance(v, complex) else float(v)
+    if x < -_EQUIV_TOL or x > 1 + _EQUIV_TOL:
+        raise ValidationError(f"probability {x} outside [0, 1]")
+    return Fraction(min(max(x, 0.0), 1.0))
+
+
+def _substoch_from_probs(dom, cod, grid, exact=False):
+    """Probability grid to a map, columns renormalized within 1e-9 slack.
+
+    Exact grids stay exact; float grids are rationalized dyadically.
+    """
     cols = []
     for c in range(len(dom)):
-        col = []
-        for r in range(len(cod)):
-            v = grid[r][c]
-            if abs(v.imag if isinstance(v, complex) else 0.0) > _EQUIV_TOL:
-                raise ValidationError(f"non-real probability {v!r}")
-            x = v.real if isinstance(v, complex) else float(v)
-            if x < -_EQUIV_TOL or x > 1 + _EQUIV_TOL:
-                raise ValidationError(f"probability {x} outside [0, 1]")
-            col.append(Fraction(min(max(x, 0.0), 1.0)))
+        col = [grid[r][c] for r in range(len(cod))]
+        col = [Fraction(v) for v in col] if exact else [_float_prob(v) for v in col]
         total = sum(col)
         if total > 1 + Fraction(1, 10**9):
             raise ValidationError(f"column {c} sums to {float(total)} > 1")
@@ -496,7 +472,7 @@ def predict_closed(d, pm):
     cod = bundle_carrier(d.output_types)
     dom = bundle_carrier(d.input_types)
     grid = np.asarray(arr, dtype=complex).reshape(len(cod), len(dom))
-    return _substoch_from_floats(dom, cod, grid)
+    return _substoch_from_probs(dom, cod, grid)
 
 
 def op_equivalent(d1, d2, pm):
@@ -506,15 +482,7 @@ def op_equivalent(d1, d2, pm):
     p1, p2 = predict_closed(d1, pm), predict_closed(d2, pm)
     if pm.backend == "classical":
         return p1 == p2
-    gap = max(
-        (
-            abs(p1.entries[r][c] - p2.entries[r][c])
-            for r in range(len(p1.cod))
-            for c in range(len(p1.dom))
-        ),
-        default=Fraction(0),
-    )
-    return float(gap) <= _EQUIV_TOL
+    return float(substoch.max_gap(p1, p2)) <= _EQUIV_TOL
 
 
 def _unfold(label, k):
@@ -575,30 +543,10 @@ def reconstruct(table):
     Exact probes stay exact; float probes go through the usual dyadic
     rationalization.
     """
-    if all(
+    exact = all(
         isinstance(v, (Fraction, int)) for row in table.probs for v in row
-    ):
-        cols = []
-        for c in range(len(table.dom)):
-            col = [Fraction(row[c]) for row in table.probs]
-            total = sum(col)
-            if total > 1 + Fraction(1, 10**9):
-                raise ValidationError(
-                    f"probe column {c} sums to {float(total)} > 1"
-                )
-            if total > 1:
-                col = [v / total for v in col]
-            cols.append(col)
-        rows = tuple(
-            tuple(cols[c][r] for c in range(len(table.dom)))
-            for r in range(len(table.cod))
-        )
-        return substoch.SubstochMap(table.dom, table.cod, rows)
-    return _substoch_from_floats(
-        table.dom,
-        table.cod,
-        tuple(tuple(v for v in row) for row in table.probs),
     )
+    return _substoch_from_probs(table.dom, table.cod, table.probs, exact)
 
 
 def quotient_representative(d, pm):

@@ -12,8 +12,11 @@ Everything here is exact; no floats and no tolerances.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from . import funcdyn
+import numpy as np
+
+from . import funcdyn, tensornet
 from .caps import enumeration_cap
 from .diagrams import STAR, product_carrier
 from .errors import (
@@ -23,6 +26,7 @@ from .errors import (
     TypeMismatch,
     WeightError,
 )
+from .tensornet import Scaled
 
 BOOL = ("y", "n")
 
@@ -40,32 +44,67 @@ def _frac(value):
     raise TypeMismatch(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class SubstochMap:
-    """A |cod| x |dom| matrix of exact rationals with column sums <= 1."""
+    """A |cod| x |dom| matrix of exact rationals with column sums <= 1.
 
-    dom: tuple
-    cod: tuple
-    entries: tuple
+    Stored as a reduced scaled grid: integer numerators ``num`` of shape
+    (|cod|, |dom|) over the Python-int denominator ``den``, with no factor
+    common to all of them.  ``entries`` is the same matrix as rows of
+    Fractions, built on first use.  ``entries`` given to the constructor
+    may be rows of exact rationals or a ``tensornet.Scaled`` grid.
+    """
 
-    def __post_init__(self):
-        dom = tuple(self.dom)
-        cod = tuple(self.cod)
-        rows = tuple(tuple(_frac(v) for v in row) for row in self.entries)
-        if len(rows) != len(cod) or any(len(r) != len(dom) for r in rows):
-            raise DimensionMismatch("entry grid must be |cod| x |dom|")
-        for c in range(len(dom)):
-            total = _ZERO
-            for r in range(len(cod)):
-                v = rows[r][c]
-                if v < 0 or v > 1:
-                    raise WeightError(f"entry {v} outside [0, 1]")
-                total += v
-            if total > 1:
-                raise WeightError(f"column {c} sums to {total} > 1")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, dom, cod, entries):
+        dom, cod = tuple(dom), tuple(cod)
+        shape = (len(cod), len(dom))
+        if isinstance(entries, Scaled):
+            if entries.shape != shape:
+                raise DimensionMismatch("entry grid must be |cod| x |dom|")
+            num, den = entries.reduced()
+        else:
+            rows = tuple(tuple(_frac(v) for v in row) for row in entries)
+            if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+                raise DimensionMismatch("entry grid must be |cod| x |dom|")
+            self.__dict__["entries"] = rows
+            num, den = tensornet.scaled([v for row in rows for v in row], shape)
+        num = num.view()
+        num.flags.writeable = False
+        self.__dict__.update(dom=dom, cod=cod, num=num, den=den)
+        low = min(self.num.ravel().tolist(), default=0)
+        if low < 0:
+            raise WeightError(f"entry {Fraction(low, self.den)} outside [0, 1]")
+        for c, total in enumerate(self._column_totals()):
+            if total > self.den:
+                raise WeightError(f"column {c} sums to {Fraction(total, self.den)} > 1")
+
+    @cached_property
+    def entries(self):
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num.tolist())
+
+    @property
+    def grid(self):
+        return Scaled(self.num, self.den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SubstochMap is immutable; cannot set {name!r}")
+
+    def _key(self):
+        return (self.dom, self.cod, self.den, tuple(self.num.ravel().tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, SubstochMap) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"SubstochMap(dom={self.dom!r}, cod={self.cod!r}, entries={self.entries!r})"
+
+    def _column_totals(self):
+        # summed as Python ints, which cannot overflow; on the small grids
+        # that dominate, this beats numpy reductions and their call overhead
+        flat = self.num.ravel().tolist()
+        return [sum(flat[c :: len(self.dom)]) for c in range(len(self.dom))]
 
     def at(self, row, col):
         return self.entries[row][col]
@@ -74,63 +113,41 @@ class SubstochMap:
         return self.entries[self.cod.index(out_label)][self.dom.index(in_label)]
 
     def column_sums(self):
-        return tuple(
-            sum((row[c] for row in self.entries), _ZERO)
-            for c in range(len(self.dom))
-        )
+        return tuple(Fraction(t, self.den) for t in self._column_totals())
 
     def is_stochastic(self):
-        return all(s == 1 for s in self.column_sums())
+        return all(t == self.den for t in self._column_totals())
 
     def is_deterministic(self):
-        return all(v in (_ZERO, _ONE) for row in self.entries for v in row)
+        # in lowest terms every entry is an integer exactly when den is 1,
+        # and integer entries of a substochastic map are 0 or 1
+        return self.den == 1
 
 
-def matrix(dom, cod, rows):
-    return SubstochMap(tuple(dom), tuple(cod), rows)
+def max_gap(m, n):
+    """Largest entrywise |m - n| over equally shaped maps, exactly."""
+    diff = tensornet.times(m.num, n.den) - tensornet.times(n.num, m.den)
+    return Fraction(int(np.abs(diff).max()) if diff.size else 0, m.den * n.den)
 
 
 def identity_map(carrier):
     carrier = tuple(carrier)
-    n = len(carrier)
-    rows = tuple(
-        tuple(_ONE if r == c else _ZERO for c in range(n)) for r in range(n)
-    )
-    return SubstochMap(carrier, carrier, rows)
+    return SubstochMap(carrier, carrier, tensornet.scaled_eye(len(carrier)))
 
 
 def compose_seq(m, n):
     """m after n: exact matrix product."""
     if n.cod != m.dom:
         raise DimensionMismatch("compose_seq needs cod(n) = dom(m)")
-    rows = []
-    for r in range(len(m.cod)):
-        row = []
-        for c in range(len(n.dom)):
-            acc = _ZERO
-            for k in range(len(m.dom)):
-                a = m.entries[r][k]
-                b = n.entries[k][c]
-                if a and b:
-                    acc += a * b
-            row.append(acc)
-        rows.append(tuple(row))
-    return SubstochMap(n.dom, m.cod, tuple(rows))
+    return SubstochMap(n.dom, m.cod, tensornet.tensordot(m.grid, n.grid, ([1], [0])))
 
 
 def compose_par(m, n):
     """Kronecker product over row-major product carriers."""
     dom = product_carrier(m.dom, n.dom)
     cod = product_carrier(m.cod, n.cod)
-    rows = []
-    for rm in range(len(m.cod)):
-        for rn in range(len(n.cod)):
-            row = []
-            for cm in range(len(m.dom)):
-                for cn in range(len(n.dom)):
-                    row.append(m.entries[rm][cm] * n.entries[rn][cn])
-            rows.append(tuple(row))
-    return SubstochMap(dom, cod, tuple(rows))
+    grid = tensornet.tensordot(m.grid, n.grid, 0).transpose((0, 2, 1, 3))
+    return SubstochMap(dom, cod, grid.reshape(len(cod), len(dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +246,9 @@ def convex_mix(weights, maps):
     for m in maps[1:]:
         if m.dom != first.dom or m.cod != first.cod:
             raise DimensionMismatch("mixed maps must share dom and cod")
-    rows = tuple(
-        tuple(
-            sum((w * m.entries[r][c] for w, m in zip(weights, maps)), _ZERO)
-            for c in range(len(first.dom))
-        )
-        for r in range(len(first.cod))
-    )
-    return SubstochMap(first.dom, first.cod, rows)
+    grids = tensornet.stack([m.grid for m in maps], 0)
+    w = tensornet.scaled(weights, (len(weights),))
+    return SubstochMap(first.dom, first.cod, tensornet.tensordot(w, grids, ([0], [0])))
 
 
 def factorize(s):
@@ -248,14 +260,11 @@ def factorize(s):
     """
     sums = s.column_sums()
     n_out = len(s.cod)
-    uniform = Fraction(1, n_out)
-    cols = []
-    for c, w in enumerate(sums):
-        if w == 0:
-            cols.append((uniform,) * n_out)
-        else:
-            cols.append(tuple(s.entries[r][c] / w for r in range(n_out)))
-    rows = tuple(tuple(cols[c][r] for c in range(len(s.dom))) for r in range(n_out))
+    cols = [
+        [Fraction(1, n_out)] * n_out if w == 0 else [row[c] / w for row in s.entries]
+        for c, w in enumerate(sums)
+    ]
+    rows = tuple(tuple(col[r] for col in cols) for r in range(n_out))
     return SubstochMap(s.dom, s.cod, rows), sums
 
 
@@ -398,10 +407,7 @@ def question_matrix(pi):
 def _question_to_proposition(m):
     if m.cod != BOOL or not m.is_deterministic() or not m.is_stochastic():
         raise TypeMismatch("matrix is not a propositional question")
-    mask = 0
-    for c in range(len(m.dom)):
-        if m.entries[0][c] == 1:
-            mask |= 1 << c
+    mask = sum(1 << int(c) for c in np.flatnonzero(m.num[0]))
     return Proposition(m.dom, mask)
 
 
@@ -510,11 +516,11 @@ def product_partial(f, g):
 
 def from_partial_fn(f):
     """Matrix representative: entry (y, x) is 1 exactly when f(x) = y."""
-    rows = tuple(
-        tuple(_ONE if f.table[c] == y else _ZERO for c in range(len(f.dom)))
-        for y in f.cod
-    )
-    return SubstochMap(f.dom, f.cod, rows)
+    row_of = {y: r for r, y in enumerate(f.cod)}
+    cols = [c for c, y in enumerate(f.table) if y is not None]
+    num = np.zeros((len(f.cod), len(f.dom)), dtype=np.int64)
+    num[[row_of[f.table[c]] for c in cols], cols] = 1
+    return SubstochMap(f.dom, f.cod, Scaled(num))
 
 
 def from_fn(f):

@@ -5,38 +5,116 @@ tensor whose axes follow the box's ports, outputs first then inputs.
 Contracting the network yields a single tensor with one axis per open
 boundary port, outputs first then inputs, each side in boundary order.
 
-The contraction is dtype-agnostic: exact semantics pass object arrays of
-Fractions, the quantum backend passes complex arrays.  Wires that run
-straight from a boundary input to a boundary output are materialized as
-identity tensors so that the result always has the full set of boundary
-axes.
+Exact tensors are ``Scaled`` pairs: integer numerators over one positive
+Python-int denominator.  Each pairwise step multiplies numerators with
+int64 matmul and denominators as Python ints, then divides out common
+factors; when max|a| * max|b| * (shared axis size) reaches 2^62 the step
+runs on object-dtype Python ints instead, so no value ever wraps.  Float
+and complex arrays (the quantum backend) contract with ``np.tensordot``.
+Wires that run straight from a boundary input to a boundary output are
+materialized as identity tensors so that the result always has the full
+set of boundary axes.
 """
 
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DimensionMismatch
 
+_INT64_SAFE = 1 << 62
 
-def _object_eye(n):
-    m = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+
+def _maxabs(num):
+    return int(np.maximum.reduce(np.abs(num), axis=None, initial=0))
+
+
+def times(num, k):
+    """``num * k`` for a Python int ``k``, in Python ints where int64 could wrap."""
+    if num.dtype != object and max(_maxabs(num), 1) * k >= _INT64_SAFE:
+        num = num.astype(object)
+    return num * k
+
+
+class Scaled(NamedTuple):
+    """An exact tensor: integer numerators ``num`` over the denominator ``den``."""
+
+    num: np.ndarray
+    den: int = 1
+
+    @property
+    def shape(self):
+        return self.num.shape
+
+    @property
+    def size(self):
+        return self.num.size
+
+    def transpose(self, axes):
+        return Scaled(self.num.transpose(axes), self.den)
+
+    def reshape(self, *shape):
+        return Scaled(self.num.reshape(*shape), self.den)
+
+    def reduced(self):
+        """Lowest terms, stored as int64 whenever every numerator allows."""
+        num, den = self.num, self.den
+        if den != 1:
+            g = math.gcd(int(np.gcd.reduce(num, axis=None)) if num.size else 0, den)
+            if g != 1:
+                num, den = np.asarray(num // g, dtype=num.dtype), den // g
+        if num.dtype == object and _maxabs(num) < _INT64_SAFE:
+            num = num.astype(np.int64)
+        return Scaled(num, den)
+
+
+def scaled(fractions, shape):
+    """A Scaled tensor of ``shape``, in lowest terms, from a flat sequence of Fractions."""
+    den = math.lcm(*(v.denominator for v in fractions))
+    nums = [v.numerator * (den // v.denominator) for v in fractions]
+    dtype = np.int64 if max(map(abs, nums), default=0) < _INT64_SAFE else object
+    return Scaled(np.array(nums, dtype=dtype).reshape(shape), den)
+
+
+def scaled_eye(n):
+    return Scaled(np.eye(n, dtype=np.int64))
+
+
+def stack(tensors, axis):
+    """Stack equally shaped Scaled tensors over their common denominator."""
+    den = math.lcm(*(t.den for t in tensors))
+    return Scaled(np.stack([times(t.num, den // t.den) for t in tensors], axis), den)
+
+
+def tensordot(a, b, axes):
+    """Overflow-checked tensordot of Scaled tensors; ``axes`` is 0 or two axis lists."""
+    # transpose, reshape and one matmul: tensordot's arithmetic at a third of its call cost
+    ia, ib = axes if axes else ((), ())
+    fa = [k for k in range(a.num.ndim) if k not in ia]
+    fb = [k for k in range(b.num.ndim) if k not in ib]
+    cut = math.prod(a.shape[k] for k in ia)
+    dtype = np.int64 if _maxabs(a.num) * _maxabs(b.num) * cut < _INT64_SAFE else object
+    x = a.num.astype(dtype, copy=False).transpose(fa + list(ia))
+    y = b.num.astype(dtype, copy=False).transpose(list(ib) + fb)
+    out = x.shape[: len(fa)] + y.shape[len(ib) :]
+    num = x.reshape(math.prod(out[: len(fa)]), cut) @ y.reshape(cut, math.prod(out[len(fa) :]))
+    return Scaled(num.reshape(out), a.den * b.den).reduced()
 
 
 def contract(diagram, box_tensor, wire_size, eye=None, cap=None):
     """Contract ``diagram`` to one tensor.
 
-    ``box_tensor(box)`` must return an array with axes ordered as the
-    box's output ports followed by its input ports; ``wire_size(t)``
-    gives the axis length for a wire of type ``t``.  ``eye(n)`` builds
-    the pass-through identity (object-dtype exact by default).
+    ``box_tensor(box)`` must return a Scaled tensor or an ndarray with
+    axes ordered as the box's output ports followed by its input ports;
+    ``wire_size(t)`` gives the axis length for a wire of type ``t``.
+    ``eye(n)`` builds the pass-through identity: Scaled by default, an
+    ndarray factory such as ``np.eye`` for float or complex networks.
     """
     if eye is None:
-        eye = _object_eye
+        eye = scaled_eye
     if cap is None:
         cap = enumeration_cap()
     fresh = itertools.count().__next__
@@ -64,7 +142,9 @@ def contract(diagram, box_tensor, wire_size, eye=None, cap=None):
         else:
             box_in_label[(dst[1], dst[2])] = label
     for b, box in enumerate(diagram.boxes):
-        arr = np.asarray(box_tensor(box))
+        arr = box_tensor(box)
+        if not isinstance(arr, Scaled):
+            arr = np.asarray(arr)
         expected = tuple(wire_size(t) for t in box.outs + box.ins)
         if arr.shape != expected:
             raise DimensionMismatch(
@@ -99,19 +179,21 @@ def contract(diagram, box_tensor, wire_size, eye=None, cap=None):
         aj, lj = nodes[j]
         if shared:
             common = sorted(shared)
-            merged = np.tensordot(
-                ai, aj, axes=([li.index(s) for s in common], [lj.index(s) for s in common])
-            )
+            axes = ([li.index(s) for s in common], [lj.index(s) for s in common])
             labels = [s for s in li if s not in shared] + [s for s in lj if s not in shared]
         else:
-            merged = np.tensordot(ai, aj, axes=0)
+            axes = 0
             labels = li + lj
+        if isinstance(ai, Scaled):
+            merged = tensordot(ai, aj, axes)
+        else:
+            merged = np.tensordot(ai, aj, axes=axes)
         nodes[j] = nodes[-1]
         nodes.pop()
         nodes[i] = [merged, labels]
 
     if not nodes:
-        arr, labels = np.asarray(1, dtype=object), []
+        arr, labels = eye(1).reshape(()), []
     else:
         arr, labels = nodes[0]
     want = [open_out[k] for k in range(n_out)] + [open_in[k] for k in range(n_in)]

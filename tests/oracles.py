@@ -303,3 +303,79 @@ def lp_feasible_float(a_rows, b, tol=1e-8):
         method="highs",
     )
     return bool(res.success and np.max(np.abs(a @ res.x - np.asarray(b, float))) < tol)
+
+
+# ---------------------------------------------------------------------------
+# Tensor-network contraction on Fractions
+
+
+def _fraction_eye(n):
+    m = np.full((n, n), Fraction(0), dtype=object)
+    for i in range(n):
+        m[i, i] = Fraction(1)
+    return m
+
+
+def contract_fractions(diagram, box_tensor, wire_size):
+    """Contract a diagram with object-dtype Fraction tensordot.
+
+    The reference for the engine's scaled-integer contraction: the same
+    greedy pairwise order, but every entry is a Fraction.  ``diagram``
+    needs ``wires``, ``boxes`` (with ``ins`` and ``outs``),
+    ``input_types`` and ``output_types``; ``box_tensor(box)`` returns an
+    object array of Fractions with output axes first.  The result has
+    output boundary axes first, then input axes, each in boundary order.
+    """
+    labels = itertools.count()
+    open_in = [None] * len(diagram.input_types)
+    open_out = [None] * len(diagram.output_types)
+    out_label = {}
+    in_label = {}
+    nodes = []
+    for src, dst in diagram.wires:
+        if src[0] == "in" and dst[0] == "out":
+            a, b = next(labels), next(labels)
+            open_out[dst[1]] = a
+            open_in[src[1]] = b
+            nodes.append([_fraction_eye(wire_size(diagram.input_types[src[1]])), [a, b]])
+            continue
+        lab = next(labels)
+        if src[0] == "in":
+            open_in[src[1]] = lab
+        else:
+            out_label[(src[1], src[2])] = lab
+        if dst[0] == "out":
+            open_out[dst[1]] = lab
+        else:
+            in_label[(dst[1], dst[2])] = lab
+    for b, box in enumerate(diagram.boxes):
+        names = [out_label[(b, j)] for j in range(len(box.outs))]
+        names += [in_label[(b, i)] for i in range(len(box.ins))]
+        nodes.append([np.asarray(box_tensor(box), dtype=object), names])
+    while len(nodes) > 1:
+        best = None
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                (ai, li), (aj, lj) = nodes[i], nodes[j]
+                shared = set(li) & set(lj)
+                cut = 1
+                for k, lab in enumerate(li):
+                    if lab in shared:
+                        cut *= ai.shape[k]
+                score = (0 if shared else 1, (ai.size // cut) * (aj.size // cut))
+                if best is None or score < best[0]:
+                    best = (score, i, j, shared)
+        _, i, j, shared = best
+        (ai, li), (aj, lj) = nodes[i], nodes[j]
+        common = sorted(shared)
+        merged = np.tensordot(
+            ai, aj, axes=([li.index(s) for s in common], [lj.index(s) for s in common])
+        )
+        names = [s for s in li if s not in shared] + [s for s in lj if s not in shared]
+        nodes[j] = nodes[-1]
+        nodes.pop()
+        nodes[i] = [merged, names]
+    if not nodes:
+        return np.full((), Fraction(1), dtype=object)
+    arr, names = nodes[0]
+    return arr.transpose([names.index(lab) for lab in open_out + open_in])

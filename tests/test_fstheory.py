@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ci_engine import diagrams, fstheory, funcdyn, optheory, substoch
@@ -16,6 +17,7 @@ from ci_engine.diagrams import (
     inferential_system,
 )
 from ci_engine.errors import (
+    CapExceeded,
     MissingXi,
     NotCausallyClosed,
     PairNotEquivalent,
@@ -366,3 +368,17 @@ def test_rep_image_carriers():
     pm, bit = _coin_model()
     rep = _coin_rep(pm, bit)
     assert rep.image(bit).carrier == (0, 1)
+
+
+def test_knowledge_tensor_cap_is_checked_before_allocation(monkeypatch):
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    bit = causal_system((0, 1))
+    kb = knowledge_box((bit, bit, bit), (bit,))  # 256 hom codes: within the cap
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("tensor allocated before the cap check")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    monkeypatch.setattr(np, "indices", no_allocation)
+    with pytest.raises(CapExceeded):
+        fstheory.generator_tensor(kb)  # 2 x 256 x 8 = 4096 cells

@@ -10,6 +10,7 @@ from ci_engine.errors import (
     CapExceeded,
     ConfigError,
     DimensionMismatch,
+    EngineError,
     ValidationError,
     WrongScenario,
 )
@@ -428,3 +429,12 @@ def test_single_state_fragment_is_trivially_feasible():
     res = simplex_embed(frag, lambda_max=1)
     assert isinstance(res, Feasible)
     assert res.size == 1
+
+
+def test_bogus_infeasibility_witness_is_not_returned(monkeypatch):
+    def bogus(rows, rhs):
+        return "infeasible", [F(0)] * len(rows)
+
+    monkeypatch.setattr(nogo, "feasible_nonneg", bogus)
+    with pytest.raises(EngineError, match="witness"):
+        simplex_embed(classical_bit_fragment(), lambda_max=4)
