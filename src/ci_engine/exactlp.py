@@ -1,14 +1,19 @@
 """Exact rational linear programming and small linear algebra.
 
-The feasibility solver is a dense Phase-I simplex over Fraction with
-Bland's anti-cycling rule, so every verdict is exact: a feasible point
-comes back as rationals, and an infeasible system comes back with a
+One elimination routine; vertices by homogenization over one
+equality-aware ray enumerator.  The Phase-I simplex, linear solves,
+ranks and nullspaces all pivot with ``_pivot``.  The simplex runs over
+Fraction with Bland's anti-cycling rule, so every verdict is exact: a
+feasible point comes back as rationals, an infeasible system with a
 Farkas certificate that callers can re-verify by direct arithmetic.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb, gcd, lcm
 
-from .errors import Degenerate, DimensionMismatch
+from .caps import enumeration_cap
+from .errors import CapExceeded, Degenerate, DimensionMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -19,6 +24,37 @@ def _as_matrix(rows):
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatch("ragged matrix")
     return out
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), _ZERO)
+
+
+def _pivot(rows, r, c):
+    """Scale row ``r`` to 1 at column ``c`` and clear column ``c`` in every other row."""
+    inv = _ONE / rows[r][c]
+    pivot = rows[r] = [v * inv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            factor = row[c]
+            rows[i] = [v - factor * p for v, p in zip(row, pivot)]
+
+
+def _rref(rows, ncols):
+    """Reduce ``rows`` in place to reduced row echelon form over the first
+    ``ncols`` columns; returns the pivot columns, pivot rows on top in order."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        _pivot(rows, r, c)
+        pivots.append(c)
+    return pivots
 
 
 def feasible_nonneg(a_rows, b):
@@ -35,87 +71,43 @@ def feasible_nonneg(a_rows, b):
     if len(b) != m:
         raise DimensionMismatch("rhs length must match the row count")
 
-    flip = []
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
-            flip.append(-_ONE)
-        else:
-            flip.append(_ONE)
-
-    # Tableau columns: n originals, m artificials, then the rhs.
-    width = n + m + 1
-    tab = []
-    for i in range(m):
-        row = a[i] + [_ZERO] * m + [b[i]]
-        row[n + i] = _ONE
-        tab.append(row)
-    basis = [n + i for i in range(m)]
-
-    # Phase-I objective row: reduced costs for minimizing the artificials.
-    obj = [_ZERO] * width
-    for i in range(m):
-        for j in range(width):
-            obj[j] += tab[i][j]
+    # Tableau columns: n originals, m artificials, then the rhs.  Rows with
+    # a negative rhs are negated first; the last row is the Phase-I
+    # objective: reduced costs for minimizing the artificials.
+    flip = [-_ONE if v < 0 else _ONE for v in b]
+    tab = [
+        [f * v for v in row] + [_ONE if k == i else _ZERO for k in range(m)] + [f * v]
+        for i, (row, v, f) in enumerate(zip(a, b, flip))
+    ]
+    obj = [sum((row[j] for row in tab), _ZERO) for j in range(n + m + 1)]
     for i in range(m):
         obj[n + i] -= _ONE
-
-    def pivot(row, col):
-        inv = _ONE / tab[row][col]
-        tab[row] = [v * inv for v in tab[row]]
-        for r in range(m):
-            if r != row and tab[r][col]:
-                factor = tab[r][col]
-                tab[r] = [v - factor * p for v, p in zip(tab[r], tab[row])]
-        if obj[col]:
-            factor = obj[col]
-            for j in range(width):
-                obj[j] -= factor * tab[row][j]
-        basis[row] = col
+    tab.append(obj)
+    basis = [n + i for i in range(m)]
 
     while True:
-        entering = None
-        for j in range(n + m):
-            if obj[j] > 0:
-                entering = j
-                break
+        entering = next((j for j in range(n + m) if tab[m][j] > 0), None)
         if entering is None:
             break
-        leaving = None
-        best = None
-        for i in range(m):
-            coef = tab[i][entering]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
+        rows = [i for i in range(m) if tab[i][entering] > 0]
+        if not rows:
             raise Degenerate("phase-I objective unbounded; invariant broken")
-        pivot(leaving, entering)
+        # ratio test, ties to the smallest basic variable
+        leaving = min(rows, key=lambda i: (tab[i][-1] / tab[i][entering], basis[i]))
+        _pivot(tab, leaving, entering)
+        basis[leaving] = entering
 
+    obj = tab[m]
     if obj[-1] > 0:
         # y = c_B B^{-1}; the artificial block of the objective row is y - 1.
         y = [(obj[n + i] + _ONE) * flip[i] for i in range(m)]
         return "infeasible", y
 
-    # Drive leftover artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if tab[i][j] != 0:
-                    pivot(i, j)
-                    break
-
+    # Artificials still basic sit at zero, so x reads off the basis as is.
     x = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = tab[i][-1]
     return "feasible", x
 
 
@@ -124,15 +116,9 @@ def verify_certificate(a_rows, b, y):
     a = _as_matrix(a_rows)
     b = [Fraction(v) for v in b]
     y = [Fraction(v) for v in y]
-    n = len(a[0]) if a else 0
-    for j in range(n):
-        if sum((y[i] * a[i][j] for i in range(len(a))), _ZERO) > 0:
-            return False
-    return sum((yi * bi for yi, bi in zip(y, b)), _ZERO) > 0
-
-
-# ---------------------------------------------------------------------------
-# Rational Gaussian elimination helpers
+    if not len(y) == len(b) == len(a):
+        return False
+    return all(_dot(y, col) <= 0 for col in zip(*a)) and _dot(y, b) > 0
 
 
 def solve_linear(a_rows, b):
@@ -141,192 +127,101 @@ def solve_linear(a_rows, b):
     Free variables are set to zero.
     """
     a = _as_matrix(a_rows)
-    b = [Fraction(v) for v in b]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [a[i] + [b[i]] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = _ONE / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
+    if len(b) != len(a):
+        raise DimensionMismatch("rhs length must match the row count")
+    n = len(a[0]) if a else 0
+    aug = [row + [Fraction(v)] for row, v in zip(a, b)]
+    pivots = _rref(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     x = [_ZERO] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
+    for row, c in zip(aug, pivots):
+        x[c] = row[n]
     return x
 
 
 def matrix_rank(a_rows):
     a = _as_matrix(a_rows)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        sel = None
-        for r in range(rank, m):
-            if a[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rank], a[sel] = a[sel], a[rank]
-        inv = _ONE / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+    return len(_rref(a, len(a[0]) if a else 0))
 
 
 def nullspace(a_rows):
     """A basis of the right nullspace, as rational row vectors."""
     a = _as_matrix(a_rows)
-    m = len(a)
-    if m == 0:
+    if not a:
         return []
     n = len(a[0])
-    aug = [row[:] for row in a]
-    pivots = {}
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = _ONE / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[row])]
-        pivots[col] = row
-        row += 1
-        if row == m:
-            break
+    pivots = _rref(a, n)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [_ZERO] * n
         vec[fc] = _ONE
-        for col, r in pivots.items():
-            vec[col] = -aug[r][fc]
+        for row, c in zip(a, pivots):
+            vec[c] = -row[fc]
         basis.append(vec)
     return basis
 
 
 def polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
-    """Vertices of ``{x : Eq x = b, Ineq x <= c}`` by basis enumeration.
+    """Vertices of ``{x : Eq x = b, Ineq x <= c}``.
 
-    Exhaustive over tight-constraint subsets, so intended for the small
-    polytopes that arise from fragments (dimension at most ~6).
+    Homogenizes to the cone ``{(x, t) : c t - Ineq x >= 0, t >= 0,
+    Eq x - b t = 0}`` and keeps its extreme rays with ``t > 0``, divided
+    by ``t``.  Exhaustive, so intended for the small polytopes that arise
+    from fragments (dimension at most ~6).
     """
-    from itertools import combinations
-
     eq_rows = _as_matrix(eq_rows)
     ineq_rows = _as_matrix(ineq_rows)
-    eq_rhs = [Fraction(v) for v in eq_rhs]
-    ineq_rhs = [Fraction(v) for v in ineq_rhs]
-    if ineq_rows:
-        n = len(ineq_rows[0])
-    elif eq_rows:
-        n = len(eq_rows[0])
-    else:
+    if not (ineq_rows or eq_rows):
         return []
-    base_rank = matrix_rank(eq_rows) if eq_rows else 0
-    need = n - base_rank
-    seen = set()
-    vertices = []
-    for subset in combinations(range(len(ineq_rows)), need):
-        rows = eq_rows + [ineq_rows[i] for i in subset]
-        rhs = eq_rhs + [ineq_rhs[i] for i in subset]
-        if matrix_rank(rows) != n:
-            continue
-        x = solve_linear(rows, rhs)
-        if x is None:
-            continue
-        ok = True
-        for row, c in zip(ineq_rows, ineq_rhs):
-            if sum((r * v for r, v in zip(row, x)), _ZERO) > c:
-                ok = False
-                break
-        if ok:
-            key = tuple(x)
-            if key not in seen:
-                seen.add(key)
-                vertices.append(x)
-    return vertices
+    n = len((ineq_rows or eq_rows)[0])
+    cone = [[-v for v in row] + [Fraction(c)] for row, c in zip(ineq_rows, ineq_rhs)]
+    cone.append([_ZERO] * n + [_ONE])
+    eqs = [row + [-Fraction(v)] for row, v in zip(eq_rows, eq_rhs)]
+    return [
+        [v / ray[n] for v in ray[:n]]
+        for ray in cone_extreme_rays(cone, eqs)
+        if ray[n] > 0
+    ]
 
 
-def cone_extreme_rays(ineq_rows):
-    """Extreme rays of ``{x : A x >= 0}`` for a pointed cone.
+def cone_extreme_rays(ineq_rows, eq_rows=()):
+    """Extreme rays of ``{x : A x >= 0, E x = 0}`` for a pointed cone.
 
-    Enumerates maximal tight subsets leaving a one-dimensional kernel;
-    each surviving direction is scaled so its first nonzero entry is
-    positive with denominator-free integer entries.
+    The equalities are solved first: with a nullspace basis ``B`` of
+    ``E``, ``x = y B`` and the search runs over ``y`` in ``k = len(B)``
+    dimensions.  Every subset of ``k - 1`` inequalities with a
+    one-dimensional kernel gives a candidate direction, kept when it
+    satisfies all inequalities.  The number of subsets is checked
+    against the enumeration cap before any is tried.  Each ray comes
+    back once, as a primitive integer vector, in the order first found.
     """
-    from itertools import combinations
-    from math import gcd
-
     a = _as_matrix(ineq_rows)
     if not a:
         return []
     n = len(a[0])
-    m = len(a)
-    rays = []
-    seen = set()
-    for subset in combinations(range(m), n - 1):
-        rows = [a[i] for i in subset]
-        if matrix_rank(rows) != n - 1:
-            continue
-        # with no rows picked (n == 1) the kernel is the whole line
-        kernel = nullspace(rows) if rows else [[_ONE]]
+    eq_rows = _as_matrix(eq_rows)
+    identity = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    basis = nullspace(eq_rows) if eq_rows else identity
+    k = len(basis)
+    if k == 0:
+        return []
+    reduced = [[_dot(row, vec) for vec in basis] for row in a]
+    tries = comb(len(reduced), k - 1)
+    if tries > enumeration_cap():
+        raise CapExceeded(f"ray enumeration over {tries} subsets exceeds the cap")
+    rays = {}  # primitive ray -> None, in the order first found
+    for subset in combinations(range(len(reduced)), k - 1):
+        # with no rows picked (k == 1) the kernel is the whole line
+        kernel = nullspace([reduced[i] for i in subset]) if subset else [[_ONE]]
         if len(kernel) != 1:
             continue
-        direction = kernel[0]
-        for candidate in (direction, [-v for v in direction]):
-            vals = [
-                sum((r * v for r, v in zip(row, candidate)), _ZERO) for row in a
-            ]
-            if all(v >= 0 for v in vals):
-                tight = [row for row, v in zip(a, vals) if v == 0]
-                if matrix_rank(tight) != n - 1:
-                    continue
-                denom = 1
-                for v in candidate:
-                    denom = denom * v.denominator // gcd(denom, v.denominator)
-                ints = [int(v * denom) for v in candidate]
-                g = 0
-                for v in ints:
-                    g = gcd(g, abs(v))
-                ints = [v // g for v in ints]
-                key = tuple(ints)
-                if key not in seen:
-                    seen.add(key)
-                    rays.append([Fraction(v) for v in ints])
+        for y in (kernel[0], [-v for v in kernel[0]]):
+            if all(_dot(row, y) >= 0 for row in reduced):
+                x = [_dot(y, col) for col in zip(*basis)]
+                den = lcm(*(v.denominator for v in x))
+                ints = [int(v * den) for v in x]
+                g = gcd(*ints)
+                rays[tuple(v // g for v in ints)] = None
                 break
-    return rays
+    return [[Fraction(v) for v in key] for key in rays]

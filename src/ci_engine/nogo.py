@@ -12,7 +12,6 @@ re-verifies by direct arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
 
 import numpy as np
 
@@ -301,12 +300,8 @@ def local_vertices(s):
     """All deterministic-strategy correlations of the scenario.
 
     Bell: a = f(x), b = g(y).  Instrumental: a = f(x), b = g(a).
-    Prepare-measure: a = f(x), b = g(x, y).  Triangle: with deterministic
-    latents every strategy collapses to a point mass on one outcome
-    triple, so the hull is the whole simplex; that is a coarse outer
-    relaxation of the triangle's realizable set (which is constrained by
-    latent independence and is not a polytope), kept for uniformity.
-    Duplicate tables are returned once.
+    Prepare-measure: a = f(x), b = g(x, y).  Duplicate tables are
+    returned once.
     """
     cap = enumeration_cap()
     if isinstance(s, Bell):
@@ -351,13 +346,7 @@ def local_vertices(s):
                 seen.setdefault(v.table, v)
         return tuple(seen.values())
     if isinstance(s, Triangle):
-        count = s.n_a * s.n_b * s.n_c
-        if count > cap:
-            raise CapExceeded(f"{count} deterministic strategies exceed the cap")
-        return tuple(
-            _vertex(s, lambda o, c, point=point: o == point)
-            for point in s.outcomes()
-        )
+        raise WrongScenario("triangle compatibility is not a polytope membership")
     raise WrongScenario(f"unknown scenario {type(s).__name__}")
 
 
@@ -1036,7 +1025,6 @@ def simplex_embed(frag, lambda_max=16):
         raise CapExceeded("lambda_max tops out at 16")
     if frag.dim > 16:
         raise CapExceeded("fragment dimension tops out at 16")
-    cap = enumeration_cap()
     exact = frag.is_exact
     states = [_ratvec(v) for v in frag.states]
     effects_all = [_ratvec(frag.unit)] + [_ratvec(e) for e in frag.effects]
@@ -1061,26 +1049,12 @@ def simplex_embed(frag, lambda_max=16):
         row[k] = -_ONE
         ineq_rows.append(list(row))
         ineq_rhs.append(_ZERO)
-    from .exactlp import matrix_rank
-
-    need = ne - matrix_rank(eq_rows)
-    if need >= 0 and comb(len(ineq_rows), max(need, 0)) > cap:
-        raise CapExceeded("response polytope enumeration exceeds the cap")
     candidates = polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs)
 
     # Distribution candidates: nonnegative value vectors on the listed
     # states consistent with some linear functional.
-    cone_rows = []
-    for k in range(ns):
-        row = [_ZERO] * ns
-        row[k] = _ONE
-        cone_rows.append(row)
-    for dep in _dependences(states):
-        cone_rows.append(list(dep))
-        cone_rows.append([-x for x in dep])
-    if comb(len(cone_rows), max(ns - 1, 0)) > cap:
-        raise CapExceeded("distribution cone enumeration exceeds the cap")
-    rays = cone_extreme_rays(cone_rows)
+    cone_rows = [[_ONE if j == k else _ZERO for j in range(ns)] for k in range(ns)]
+    rays = cone_extreme_rays(cone_rows, _dependences(states))
 
     targets = [[_dot(e, w) for w in states] for e in effects_all]
 

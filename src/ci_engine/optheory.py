@@ -387,26 +387,12 @@ def _quantum_tensor(pm):
             return np.stack(tensors, axis=len(p.out_systems))
         if isinstance(p, OpProc):
             return _proc_tensor(pm.decl(p.name))
-        if isinstance(p, GenPropGain):
-            n = p.system.size
-            arr = np.zeros((n, n, n), dtype=complex)
-            for x in range(n):
-                arr[x, x, x] = 1.0
-            return arr
-        if isinstance(p, GenIgnore):
-            if _is_quantum(p.system):
-                d = _qdim(p.system)
-                return np.eye(d, dtype=complex).reshape(d * d)
-            return np.ones(p.system.size, dtype=complex)
-        if isinstance(p, GenEmbedded):
-            s = p.matrix
-            out_sizes = tuple(t.size for t in box.outs)
-            in_sizes = tuple(t.size for t in box.ins)
-            grid = np.array(
-                [[complex(v) for v in row] for row in s.entries], dtype=complex
-            )
-            return grid.reshape(out_sizes + in_sizes)
-        raise TypeMismatch(f"box {box.name!r} has no operational semantics")
+        if isinstance(p, GenIgnore) and _is_quantum(p.system):
+            d = _qdim(p.system)
+            return np.eye(d, dtype=complex).reshape(d * d)
+        t = fstheory.generator_tensor(box)
+        vals = [complex(Fraction(v, t.den)) for v in t.num.ravel().tolist()]
+        return np.array(vals, dtype=complex).reshape(t.shape)
 
     return tensor
 

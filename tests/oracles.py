@@ -9,6 +9,7 @@ exact routines use Fraction arithmetic directly.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 from scipy.optimize import linprog
@@ -114,6 +115,93 @@ def cone_rays_float(gen_rows, nonneg_dim, eq_rows=(), tol=1e-9):
                 x = x / np.sum(x)
                 if not any(np.max(np.abs(x - r)) < 1e-7 for r in rays):
                     rays.append(x)
+    return rays
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan copy of ``rows`` over Fractions: (reduced rows, pivot columns)."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        a[r] = [v / a[r][col] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def _primitive(vec):
+    den = 1
+    for v in vec:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return tuple(v // g for v in ints)
+
+
+def polytope_vertices_exact(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
+    """Vertices of {x: Ex = f, Gx <= h} by exact basis enumeration.
+
+    Every subset of inequalities that completes the equalities to full
+    rank is solved; feasible solutions are kept, first found first.
+    """
+    n = len(ineq_rows[0]) if ineq_rows else len(eq_rows[0])
+    need = n - (len(_fraction_rref(eq_rows)[1]) if eq_rows else 0)
+    verts = []
+    for subset in itertools.combinations(range(len(ineq_rows)), need):
+        rows = list(eq_rows) + [ineq_rows[i] for i in subset]
+        rhs = list(eq_rhs) + [ineq_rhs[i] for i in subset]
+        aug, pivots = _fraction_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+        if pivots != list(range(n)):  # rank short of n, or inconsistent
+            continue
+        x = [aug[k][n] for k in range(n)]
+        if all(
+            sum(Fraction(g) * v for g, v in zip(row, x)) <= c
+            for row, c in zip(ineq_rows, ineq_rhs)
+        ) and x not in verts:
+            verts.append(x)
+    return verts
+
+
+def cone_extreme_rays_exact(ineq_rows):
+    """Extreme rays of the pointed cone {x: Ax >= 0} by exact subset search.
+
+    Each subset of n - 1 rows with a one-dimensional kernel gives a
+    direction, kept with the sign that satisfies every row.  Rays are
+    primitive integer tuples, first found first.
+    """
+    n = len(ineq_rows[0])
+    rays = []
+    for subset in itertools.combinations(range(len(ineq_rows)), n - 1):
+        if subset:
+            red, pivots = _fraction_rref([ineq_rows[i] for i in subset])
+            if len(pivots) != n - 1:
+                continue
+            free = next(c for c in range(n) if c not in pivots)
+            direction = [Fraction(0)] * n
+            direction[free] = Fraction(1)
+            for row, c in zip(red, pivots):
+                direction[c] = -row[free]
+        else:
+            direction = [Fraction(1)]
+        for cand in (direction, [-v for v in direction]):
+            if all(
+                sum(Fraction(a) * v for a, v in zip(row, cand)) >= 0
+                for row in ineq_rows
+            ):
+                key = _primitive(cand)
+                if key not in rays:
+                    rays.append(key)
+                break
     return rays
 
 

@@ -4,7 +4,7 @@ import io
 from fractions import Fraction
 from pathlib import Path
 
-from ci_engine import cli, fileformat
+from ci_engine import cli, fileformat, nogo
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -358,3 +358,16 @@ def test_chsh_fixed_settings_demo_evaluates():
     assert rec["backend"] == "quantum"
     total = sum(sum(row) for row in rec["entries"])
     assert abs(float(total) - 1) < 1e-9
+
+
+def test_bell_check_on_a_triangle_table_is_an_error(tmp_path):
+    s = nogo.Triangle(2, 2, 2)
+    ghz = [[F(1, 2) if o in ((0, 0, 0), (1, 1, 1)) else F(0) for o in s.outcomes()]]
+    path = tmp_path / "ghz.correlation"
+    path.write_text(fileformat.dump_correlation(nogo.Correlation(s, ghz)))
+    for extra in ((), ("--expect", "nonmember")):
+        code, out, err = run(
+            "bell-check", "--scenario", "triangle:2,2,2", "--corr", str(path), *extra
+        )
+        assert code == 2 and out == ""
+        assert "WrongScenario: triangle compatibility is not a polytope membership" in err

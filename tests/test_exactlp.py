@@ -1,12 +1,16 @@
 """Exact rational linear algebra and Phase-I feasibility."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ci_engine.errors import DimensionMismatch
+from ci_engine import exactlp, nogo
+from ci_engine.errors import CapExceeded, DimensionMismatch
 from ci_engine.exactlp import (
     cone_extreme_rays,
     feasible_nonneg,
@@ -18,7 +22,11 @@ from ci_engine.exactlp import (
 )
 
 from conftest import SEED
-from oracles import lp_feasible_float
+from oracles import (
+    cone_extreme_rays_exact,
+    lp_feasible_float,
+    polytope_vertices_exact,
+)
 
 F = Fraction
 
@@ -78,6 +86,16 @@ def test_infeasible_by_farkas_construction():
 def test_rhs_length_checked():
     with pytest.raises(DimensionMismatch):
         feasible_nonneg([[F(1)]], [F(1), F(2)])
+
+
+def test_solve_and_certificate_check_lengths():
+    a = [[F(1), F(0)], [F(0), F(1)]]
+    with pytest.raises(DimensionMismatch):
+        solve_linear(a, [F(1)])
+    # y = (-1, 0): y . A = (-1, 0) <= 0 and y . b = 1 > 0
+    b = [F(-1), F(0)]
+    assert verify_certificate(a, b, [F(-1), F(0)])
+    assert not verify_certificate(a, b, [F(-1)])
 
 
 def test_solve_linear_on_random_solvable_systems():
@@ -175,3 +193,111 @@ def test_halfplane_cone_rays():
         top = max(v for v in r)
         normed.add(tuple(v / top for v in r))
     assert normed == {(F(1), F(0)), (F(1), F(1))}
+
+
+def _int_rows(rng, m, n, lo=-3, hi=3):
+    return [[F(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m)]
+
+
+def _keys(vectors):
+    return {tuple(F(v) for v in vec) for vec in vectors}
+
+
+def _split(eqs):
+    return [row for eq in eqs for row in (eq, [-v for v in eq])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.booleans())
+def test_vertices_match_the_subset_reference(seed, with_eqs):
+    # random rows through an integer point x0 plus a box around it: the
+    # polytope is bounded and nonempty, often degenerate
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    x0 = [rng.randint(-1, 1) for _ in range(n)]
+    ineq = _int_rows(rng, rng.randint(0, 4), n)
+    rhs = [sum(r * v for r, v in zip(row, x0)) + rng.randint(0, 2) for row in ineq]
+    for j in range(n):
+        for sign in (1, -1):
+            row = [F(0)] * n
+            row[j] = F(sign)
+            ineq.append(row)
+            rhs.append(sign * x0[j] + rng.randint(0, 2))
+    eq = _int_rows(rng, rng.randint(1, n), n) if with_eqs else []
+    eq_rhs = [sum(r * v for r, v in zip(row, x0)) for row in eq]
+    got = polytope_vertices(eq, eq_rhs, ineq, rhs)
+    assert len(_keys(got)) == len(got)
+    assert _keys(got) == _keys(polytope_vertices_exact(eq, eq_rhs, ineq, rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.booleans())
+def test_rays_match_the_subset_reference(seed, with_eqs):
+    # every row is oriented to hold at an integer point x0 and every
+    # equality is made orthogonal to it, so x0 lies in the cone
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    x0 = [rng.randint(-2, 2) for _ in range(n)]
+    assume(any(x0))
+    norm = sum(v * v for v in x0)
+    eqs = []
+    for row in _int_rows(rng, rng.randint(1, n - 1) if with_eqs and n > 1 else 0, n):
+        along = sum(r * v for r, v in zip(row, x0))
+        eqs.append([norm * r - along * v for r, v in zip(row, x0)])
+    rows = []
+    for row in _int_rows(rng, rng.randint(n, n + 3), n):
+        rows.append(row if sum(r * v for r, v in zip(row, x0)) >= 0 else [-r for r in row])
+    assume(matrix_rank(rows + eqs) == n)  # pointed
+    got = cone_extreme_rays(rows, eqs)
+    assert got
+    assert all(all(v.denominator == 1 for v in ray) for ray in got)
+    assert len(_keys(got)) == len(got)
+    split = rows + _split(eqs)
+    assert _keys(got) == _keys(cone_extreme_rays(split))
+    assert _keys(got) == _keys(cone_extreme_rays_exact(split))
+
+
+@pytest.mark.parametrize(
+    "frag",
+    [nogo.classical_bit_fragment, nogo.qubit_stabilizer_fragment, nogo.hexagon_fragment],
+)
+def test_equalities_give_the_rays_of_their_row_pairs(frag):
+    # the distribution cone of simplex embedding: nonnegative values on
+    # the states that respect every linear dependence among them
+    states = frag().states
+    ns = len(states)
+    eqs = nullspace([[w[k] for w in states] for k in range(len(states[0]))])
+    rows = [[F(int(j == k)) for j in range(ns)] for k in range(ns)]
+    got = cone_extreme_rays(rows, eqs)
+    assert _keys(got) == _keys(cone_extreme_rays(rows + _split(eqs)))
+
+
+def test_ray_cap_counts_the_subsets_actually_tried(monkeypatch):
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    tried = []
+
+    def counting(pool, r):
+        for subset in itertools.combinations(pool, r):
+            tried.append(subset)
+            yield subset
+
+    monkeypatch.setattr(exactlp, "combinations", counting)
+    # 6 coordinates tied in 3 pairs leave a 3-dimensional space, so 14
+    # rows need C(14, 2) = 91 subsets; as 20 split rows they would need
+    # C(20, 5) = 15504, over the cap
+    eqs = [[F(0)] * 6 for _ in range(3)]
+    for p in range(3):
+        eqs[p][2 * p], eqs[p][2 * p + 1] = F(1), F(-1)
+    rows = [[F(int(j == k)) for j in range(6)] for k in range(6)]
+    rows += [[F(int(j in (k, (k + 3) % 6))) for j in range(6)] for k in range(8)]
+    assert len(cone_extreme_rays(rows, eqs)) == 3
+    assert len(tried) == 91
+    tried.clear()
+    with pytest.raises(CapExceeded):
+        cone_extreme_rays(rows + _split(eqs))
+    assert tried == []
+    # without equalities: 20 rows in 4 dimensions need C(20, 3) = 1140
+    rng = random.Random(SEED + 5)
+    with pytest.raises(CapExceeded):
+        cone_extreme_rays(_int_rows(rng, 20, 4))
+    assert tried == []

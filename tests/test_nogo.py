@@ -438,3 +438,20 @@ def test_bogus_infeasibility_witness_is_not_returned(monkeypatch):
     monkeypatch.setattr(nogo, "feasible_nonneg", bogus)
     with pytest.raises(EngineError, match="witness"):
         simplex_embed(classical_bit_fragment(), lambda_max=4)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [((0, 0, 0), (1, 1, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))],
+    ids=["ghz", "w"],
+)
+def test_triangle_tables_get_no_membership_verdict(support):
+    # GHZ and W are both incompatible with the triangle; the engine has
+    # no exact test for it and must not answer Member
+    s = Triangle(2, 2, 2)
+    w = F(1, len(support))
+    corr = Correlation(s, [[w if o in support else F(0) for o in s.outcomes()]])
+    with pytest.raises(WrongScenario, match="not a polytope membership"):
+        fs_compatible(corr, s)
+    with pytest.raises(WrongScenario):
+        local_vertices(s)
