@@ -109,37 +109,29 @@ def _load_diagram_file(path):
     return fileformat.load_diagram(_read(path))
 
 
-_SCENARIO_ARITY = {"bell": 4, "instrumental": 3, "prepare-measure": 4}
+def _scenario_form(cls):
+    latent = "[,latent]" if hasattr(cls, "latent_card") else ""
+    return f"{cls.tag}:{','.join(cls.card_names())}{latent}"
+
+
+_SCENARIO_HELP = ", ".join(["chsh"] + [_scenario_form(c) for c in nogo.SCENARIOS.values()])
 
 
 def _parse_scenario(text):
-    """Scenario specs: ``chsh`` or ``<type>:<card,card,...>``."""
+    """Scenario specs: ``chsh`` or ``<tag>:<cards>``, cards in file order."""
     if text == "chsh":
         return nogo.chsh_scenario()
-    name, sep, rest = text.partition(":")
-    if not sep:
-        raise CliError(f"unknown scenario {text!r}; try chsh or bell:2,2,2,2")
+    tag, _, rest = text.partition(":")
+    cls = nogo.SCENARIOS.get(tag)
+    if cls is None:
+        raise CliError(f"unknown scenario {text!r}; try {_SCENARIO_HELP}")
     try:
         cards = [int(c) for c in rest.split(",")]
     except ValueError:
         raise CliError(f"scenario cards must be integers: {rest!r}") from None
-    if name == "triangle":
-        if len(cards) == 3:
-            return nogo.Triangle(*cards)
-        if len(cards) == 4:
-            return nogo.Triangle(cards[0], cards[1], cards[2], cards[3])
-        raise CliError("triangle takes 3 cards plus an optional latent card")
-    if name not in _SCENARIO_ARITY:
-        raise CliError(f"unknown scenario type {name!r}")
-    if len(cards) != _SCENARIO_ARITY[name]:
-        raise CliError(
-            f"{name} takes {_SCENARIO_ARITY[name]} cards, got {len(cards)}"
-        )
-    cls = {
-        "bell": nogo.Bell,
-        "instrumental": nogo.Instrumental,
-        "prepare-measure": nogo.PrepareMeasure,
-    }[name]
+    n = len(cls.card_names())
+    if len(cards) != n and not (len(cards) == n + 1 and hasattr(cls, "latent_card")):
+        raise CliError(f"{text!r} does not match {_scenario_form(cls)}")
     return cls(*cards)
 
 
@@ -454,7 +446,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_verify_axioms)
 
     p = sub.add_parser("bell-check", parents=[common], help="local-polytope membership of a table")
-    p.add_argument("--scenario", help="chsh, bell:2,2,2,2, instrumental:..., triangle:...")
+    p.add_argument("--scenario", help=_SCENARIO_HELP)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corr", help="correlation file")
     group.add_argument("--quantum", help="model file; the table comes from its template")

@@ -907,48 +907,32 @@ def dump_model(pm):
 # ---------------------------------------------------------------------------
 # Scenarios and correlations
 
-_SCENARIO_TYPES = {
-    "bell": nogo.Bell,
-    "instrumental": nogo.Instrumental,
-    "prepare-measure": nogo.PrepareMeasure,
-    "triangle": nogo.Triangle,
-}
-
-
 def _load_scenario(ctx, rec):
     ctx.rec(
         rec, "a scenario", allowed=("type", "cards", "latent"), required=("type", "cards")
     )
     tag = rec["type"]
-    if tag not in _SCENARIO_TYPES:
+    cls = nogo.SCENARIOS.get(tag) if isinstance(tag, str) else None
+    if cls is None:
         ctx.fail(rec, f"unknown scenario type {tag!r}")
     cards = [ctx.nat(v, rec, "each card") for v in ctx.arr(rec["cards"], "cards")]
-    if tag == "triangle":
-        latent = ctx.nat(rec.get("latent", 2), rec, "latent")
-        cards = cards + [latent]
-    elif "latent" in rec:
-        ctx.fail(rec, "latent is for triangle scenarios only")
-    cls = _SCENARIO_TYPES[tag]
-    try:
-        return cls(*cards)
-    except TypeError:
-        ctx.fail(rec, f"wrong number of cards for {tag!r}")
+    names = cls.card_names()
+    if len(cards) != len(names):
+        ctx.fail(rec, f"{tag} takes the cards [{', '.join(names)}], got {len(cards)}")
+    if "latent" in rec:
+        if not hasattr(cls, "latent_card"):
+            ctx.fail(rec, f"{tag} scenarios have no latent card")
+        cards.append(ctx.nat(rec["latent"], rec, "latent"))
+    return cls(*cards)
 
 
 def scenario_value(s):
-    if isinstance(s, nogo.Bell):
-        return {"type": "bell", "cards": [s.n_x, s.n_y, s.n_a, s.n_b]}
-    if isinstance(s, nogo.Instrumental):
-        return {"type": "instrumental", "cards": [s.n_x, s.n_a, s.n_b]}
-    if isinstance(s, nogo.PrepareMeasure):
-        return {"type": "prepare-measure", "cards": [s.n_x, s.n_a, s.n_y, s.n_b]}
-    if isinstance(s, nogo.Triangle):
-        return {
-            "type": "triangle",
-            "cards": [s.n_a, s.n_b, s.n_c],
-            "latent": s.latent_card,
-        }
-    raise ConfigError(f"{type(s).__name__} scenarios have no file form")
+    if type(s) not in nogo.SCENARIOS.values():
+        raise ConfigError(f"{type(s).__name__} scenarios have no file form")
+    value = {"type": s.tag, "cards": list(s.cards)}
+    if hasattr(s, "latent_card"):
+        value["latent"] = s.latent_card
+    return value
 
 
 def load_correlation(text):

@@ -9,7 +9,8 @@ decomposition LP.  Every positive or negative verdict carries data that
 re-verifies by direct arithmetic.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -57,17 +58,72 @@ _PAIRING_SLACK = Fraction(1, 10**7)
 # Scenarios
 
 
-def _check_cards(outcomes, settings):
-    for n in outcomes:
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError("outcome cardinalities must be at least 2")
-    for n in settings:
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError("setting cardinalities must be at least 1")
+SCENARIOS = {}  # file tag -> scenario class, in declaration order
 
 
-class _ScenarioOps:
-    """Shared context/outcome enumeration, row-major in declared order."""
+def _dag_nodes(dag):
+    """Split a scenario DAG into (setting, observed, latent) node names.
+
+    Observed nodes are the DAG's keys, in order; latent nodes are the
+    parents named ``L...``; every other parent is a setting node.
+    Settings and latents are sorted by name.
+    """
+    exogenous = {p for ps in dag.values() for p in ps} - set(dag)
+    latent = tuple(sorted(p for p in exogenous if p.startswith("L")))
+    return tuple(sorted(exogenous - set(latent))), tuple(dag), latent
+
+
+class _Scenario:
+    """A causal scenario, declared once by its cards, file tag and DAG.
+
+    Each kind is a frozen dataclass whose fields are its cards:
+    ``n_<node>`` for each setting and observed node, in the order of the
+    file's ``cards`` list, then optionally ``latent_card``, the
+    cardinality of every latent node.  The class keywords ``tag`` (the
+    file and CLI name) and ``dag`` (each observed node's parents, parents
+    before children) complete the declaration.  Setting and outcome
+    cards, their validation, the file form and the CLI spec all derive
+    from it.  Contexts and outcomes enumerate row-major in declared order.
+    """
+
+    def __init_subclass__(cls, tag, dag, **kwargs):
+        super().__init_subclass__(**kwargs)
+        settings, observed, _ = _dag_nodes(dag)
+        cls.tag = tag
+        cls._dag = dag
+        cls._setting_fields = tuple(f"n_{n.lower()}" for n in settings)
+        cls._outcome_fields = tuple(f"n_{n.lower()}" for n in observed)
+        SCENARIOS[tag] = cls
+
+    def __post_init__(self):
+        for what, cards, least in (
+            ("outcome cardinalities", self.outcome_cards, 2),
+            ("setting cardinalities", self.setting_cards, 1),
+            ("latent cardinality", (getattr(self, "latent_card", 1),), 1),
+        ):
+            if any(not isinstance(n, int) or n < least for n in cards):
+                raise ConfigError(f"{what} must be at least {least}")
+
+    @classmethod
+    def card_names(cls):
+        """Node letters of the ``n_<node>`` fields, in constructor order."""
+        return tuple(f.name[2:] for f in fields(cls) if f.name.startswith("n_"))
+
+    @property
+    def cards(self):
+        """The ``n_<node>`` cards in constructor order: the file's list."""
+        return tuple(getattr(self, "n_" + n) for n in self.card_names())
+
+    @property
+    def setting_cards(self):
+        return tuple(getattr(self, f) for f in self._setting_fields)
+
+    @property
+    def outcome_cards(self):
+        return tuple(getattr(self, f) for f in self._outcome_fields)
+
+    def dag(self):
+        return dict(self._dag)
 
     def contexts(self):
         return tuple(iproduct(*(range(n) for n in self.setting_cards)))
@@ -77,7 +133,7 @@ class _ScenarioOps:
 
 
 @dataclass(frozen=True)
-class Bell(_ScenarioOps):
+class Bell(_Scenario, tag="bell", dag={"A": ("X", "L"), "B": ("Y", "L")}):
     """Two wings with independent settings and one common cause."""
 
     n_x: int = 2
@@ -85,46 +141,20 @@ class Bell(_ScenarioOps):
     n_a: int = 2
     n_b: int = 2
 
-    def __post_init__(self):
-        _check_cards((self.n_a, self.n_b), (self.n_x, self.n_y))
-
-    @property
-    def setting_cards(self):
-        return (self.n_x, self.n_y)
-
-    @property
-    def outcome_cards(self):
-        return (self.n_a, self.n_b)
-
-    def dag(self):
-        return {"A": ("X", "L"), "B": ("Y", "L")}
-
 
 @dataclass(frozen=True)
-class Instrumental(_ScenarioOps):
+class Instrumental(_Scenario, tag="instrumental", dag={"A": ("X", "L"), "B": ("A", "L")}):
     """One setting; the first outcome feeds the second node."""
 
     n_x: int = 2
     n_a: int = 2
     n_b: int = 2
 
-    def __post_init__(self):
-        _check_cards((self.n_a, self.n_b), (self.n_x,))
-
-    @property
-    def setting_cards(self):
-        return (self.n_x,)
-
-    @property
-    def outcome_cards(self):
-        return (self.n_a, self.n_b)
-
-    def dag(self):
-        return {"A": ("X", "L"), "B": ("A", "L")}
-
 
 @dataclass(frozen=True)
-class PrepareMeasure(_ScenarioOps):
+class PrepareMeasure(
+    _Scenario, tag="prepare-measure", dag={"A": ("X", "L"), "B": ("X", "Y", "L")}
+):
     """Preparation setting x feeds both nodes; y only the second."""
 
     n_x: int = 2
@@ -132,23 +162,13 @@ class PrepareMeasure(_ScenarioOps):
     n_y: int = 2
     n_b: int = 2
 
-    def __post_init__(self):
-        _check_cards((self.n_a, self.n_b), (self.n_x, self.n_y))
-
-    @property
-    def setting_cards(self):
-        return (self.n_x, self.n_y)
-
-    @property
-    def outcome_cards(self):
-        return (self.n_a, self.n_b)
-
-    def dag(self):
-        return {"A": ("X", "L"), "B": ("X", "Y", "L")}
-
 
 @dataclass(frozen=True)
-class Triangle(_ScenarioOps):
+class Triangle(
+    _Scenario,
+    tag="triangle",
+    dag={"A": ("L_CA", "L_AB"), "B": ("L_AB", "L_BC"), "C": ("L_BC", "L_CA")},
+):
     """Three observed nodes on a cycle of pairwise independent causes."""
 
     n_a: int = 2
@@ -156,33 +176,9 @@ class Triangle(_ScenarioOps):
     n_c: int = 2
     latent_card: int = 2
 
-    def __post_init__(self):
-        _check_cards((self.n_a, self.n_b, self.n_c), ())
-        if not isinstance(self.latent_card, int) or self.latent_card < 1:
-            raise ConfigError("latent cardinality must be at least 1")
-
-    @property
-    def setting_cards(self):
-        return ()
-
-    @property
-    def outcome_cards(self):
-        return (self.n_a, self.n_b, self.n_c)
-
-    def dag(self):
-        return {
-            "A": ("L_CA", "L_AB"),
-            "B": ("L_AB", "L_BC"),
-            "C": ("L_BC", "L_CA"),
-        }
-
 
 def chsh_scenario():
     return Bell(2, 2, 2, 2)
-
-
-_SETTING_NODES = ("X", "Y")
-_OBSERVED_NODES = ("A", "B", "C")
 
 
 # ---------------------------------------------------------------------------
@@ -290,64 +286,51 @@ def pr_box():
 # Deterministic strategies
 
 
-def _vertex(scenario, predicate):
-    return tabulate(
-        scenario, lambda o, c: _ONE if predicate(o, c) else _ZERO
-    )
-
-
 def local_vertices(s):
     """All deterministic-strategy correlations of the scenario.
 
-    Bell: a = f(x), b = g(y).  Instrumental: a = f(x), b = g(a).
-    Prepare-measure: a = f(x), b = g(x, y).  Duplicate tables are
-    returned once.
+    A classical explanation of a DAG with one latent cause mixes
+    deterministic responses: each observed node is a function of its
+    non-latent parents (settings and earlier observed nodes), applied in
+    DAG order.  A response is a table over its parents' joint values,
+    row-major in parent order, and strategies run with the first
+    observed node's table outermost.  Duplicate tables are returned
+    once, in first-seen order.  With more than one latent node, as in
+    the triangle, the compatible set is not a polytope (Wolfe, Spekkens
+    and Fritz 2019), so such a DAG raises WrongScenario.
     """
-    cap = enumeration_cap()
-    if isinstance(s, Bell):
-        count = s.n_a**s.n_x * s.n_b**s.n_y
-        if count > cap:
-            raise CapExceeded(f"{count} deterministic strategies exceed the cap")
-        verts = []
-        for f in iproduct(range(s.n_a), repeat=s.n_x):
-            for g in iproduct(range(s.n_b), repeat=s.n_y):
-                verts.append(
-                    _vertex(
-                        s,
-                        lambda o, c, f=f, g=g: o == (f[c[0]], g[c[1]]),
-                    )
-                )
-        return tuple(verts)
-    if isinstance(s, Instrumental):
-        count = s.n_a**s.n_x * s.n_b**s.n_a
-        if count > cap:
-            raise CapExceeded(f"{count} deterministic strategies exceed the cap")
-        seen = {}
-        for f in iproduct(range(s.n_a), repeat=s.n_x):
-            for g in iproduct(range(s.n_b), repeat=s.n_a):
-                v = _vertex(
-                    s,
-                    lambda o, c, f=f, g=g: o == (f[c[0]], g[f[c[0]]]),
-                )
-                seen.setdefault(v.table, v)
-        return tuple(seen.values())
-    if isinstance(s, PrepareMeasure):
-        count = s.n_a**s.n_x * s.n_b ** (s.n_x * s.n_y)
-        if count > cap:
-            raise CapExceeded(f"{count} deterministic strategies exceed the cap")
-        seen = {}
-        for f in iproduct(range(s.n_a), repeat=s.n_x):
-            for g in iproduct(range(s.n_b), repeat=s.n_x * s.n_y):
-                v = _vertex(
-                    s,
-                    lambda o, c, f=f, g=g: o
-                    == (f[c[0]], g[c[0] * s.n_y + c[1]]),
-                )
-                seen.setdefault(v.table, v)
-        return tuple(seen.values())
-    if isinstance(s, Triangle):
+    dag = s.dag()
+    settings, observed, latent = _dag_nodes(dag)
+    if len(latent) > 1:
         raise WrongScenario("triangle compatibility is not a polytope membership")
-    raise WrongScenario(f"unknown scenario {type(s).__name__}")
+    card = dict(zip(settings + observed, s.setting_cards + s.outcome_cards))
+    parents = [tuple(p for p in dag[n] if p not in latent) for n in observed]
+    sizes = [math.prod(card[p] for p in ps) for ps in parents]
+    count = math.prod(card[n] ** k for n, k in zip(observed, sizes))
+    if count > enumeration_cap():
+        raise CapExceeded(f"{count} deterministic strategies exceed the cap")
+    n_out = len(s.outcomes())
+    units = [tuple(int(i == k) for i in range(n_out)) for k in range(n_out)]
+    contexts = s.contexts()
+    seen = {}
+    for responses in iproduct(
+        *(iproduct(range(card[n]), repeat=k) for n, k in zip(observed, sizes))
+    ):
+        hits = []
+        for ctx in contexts:
+            value = dict(zip(settings, ctx))
+            hit = 0
+            for n, ps, response in zip(observed, parents, responses):
+                i = 0
+                for p in ps:
+                    i = i * card[p] + value[p]
+                value[n] = response[i]
+                hit = hit * card[n] + value[n]
+            hits.append(hit)
+        hits = tuple(hits)
+        if hits not in seen:
+            seen[hits] = Correlation(s, tuple(units[k] for k in hits))
+    return tuple(seen.values())
 
 
 def strategy_diagram(s, responses, latents):
@@ -361,23 +344,15 @@ def strategy_diagram(s, responses, latents):
     combinatorially.
     """
     dag = s.dag()
-    observed = [n for n in _OBSERVED_NODES if n in dag]
-    setting_names = _SETTING_NODES[: len(s.setting_cards)]
-    latent_names = sorted(
-        {p for ps in dag.values() for p in ps if p.startswith("L")}
-    )
+    setting_names, observed, latent_names = _dag_nodes(dag)
     if set(responses) != set(observed):
         raise ConfigError("one response per observed node")
     if set(latents) != set(latent_names):
         raise ConfigError("one weight tuple per latent node")
 
-    systems = {}
-    for name, card in zip(setting_names, s.setting_cards):
-        systems[name] = inferential_system(tuple(range(card)))
-    for name, card in zip(observed, s.outcome_cards):
-        systems[name] = inferential_system(tuple(range(card)))
-    for name in latent_names:
-        systems[name] = inferential_system(tuple(range(len(latents[name]))))
+    cards = dict(zip(setting_names + observed, s.setting_cards + s.outcome_cards))
+    cards.update((name, len(latents[name])) for name in latent_names)
+    systems = {name: inferential_system(tuple(range(n))) for name, n in cards.items()}
 
     boxes = []
     producer = {}
@@ -533,7 +508,7 @@ def fs_compatible(corr, s):
 def chsh_value(corr):
     """E00 + E01 + E10 - E11 with E_xy = sum of (-1)^(a xor b) P(ab|xy)."""
     s = corr.scenario
-    if not isinstance(s, Bell) or (s.n_x, s.n_y, s.n_a, s.n_b) != (2, 2, 2, 2):
+    if s != chsh_scenario():
         raise WrongScenario("CHSH needs the (2,2,2,2) Bell scenario")
     total = 0
     for ci, (x, y) in enumerate(s.contexts()):
@@ -557,24 +532,17 @@ def no_signalling_check(corr):
     if len(s.setting_cards) != 2:
         return True
     tol = 0 if corr.is_exact else _FLOAT_TOL
-    n1, n2 = s.setting_cards
-    o1, o2 = s.outcome_cards
-    for a in range(o1):
-        for x in range(n1):
-            vals = [
-                sum(corr.value((a, b), (x, y)) for b in range(o2))
-                for y in range(n2)
-            ]
-            if max(vals) - min(vals) > tol:
-                return False
-    for b in range(o2):
-        for y in range(n2):
-            vals = [
-                sum(corr.value((a, b), (x, y)) for a in range(o1))
-                for x in range(n1)
-            ]
-            if max(vals) - min(vals) > tol:
-                return False
+    for w in (0, 1):
+        marginals = {}
+        for ctx, row in zip(s.contexts(), corr.table):
+            for out, p in zip(s.outcomes(), row):
+                key = (ctx[w], out[w], ctx[1 - w])
+                marginals[key] = marginals.get(key, 0) + p
+        spread = {}
+        for (x, a, _), v in marginals.items():
+            spread.setdefault((x, a), []).append(v)
+        if any(max(vs) - min(vs) > tol for vs in spread.values()):
+            return False
     return True
 
 
@@ -827,15 +795,9 @@ def verdict_bundle(state, measurements, s):
     ):
         raise ConfigError("measurement settings must be nonempty")
     corr = quantum_correlations(state, measurements, s)
-    is_chsh = isinstance(s, Bell) and (s.n_x, s.n_y, s.n_a, s.n_b) == (
-        2,
-        2,
-        2,
-        2,
-    )
     return VerdictBundle(
         corr,
-        chsh_value(corr) if is_chsh else None,
+        chsh_value(corr) if s == chsh_scenario() else None,
         fs_compatible(corr, s),
         no_signalling_check(corr),
     )

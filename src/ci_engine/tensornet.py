@@ -104,7 +104,7 @@ def tensordot(a, b, axes):
     return Scaled(num.reshape(out), a.den * b.den).reduced()
 
 
-def contract(diagram, box_tensor, wire_size, eye=None, cap=None):
+def contract(diagram, box_tensor, wire_size, eye=None):
     """Contract ``diagram`` to one tensor.
 
     ``box_tensor(box)`` must return a Scaled tensor or an ndarray with
@@ -112,11 +112,11 @@ def contract(diagram, box_tensor, wire_size, eye=None, cap=None):
     ``wire_size(t)`` gives the axis length for a wire of type ``t``.
     ``eye(n)`` builds the pass-through identity: Scaled by default, an
     ndarray factory such as ``np.eye`` for float or complex networks.
+    No pairwise step may produce more than ``enumeration_cap()`` cells.
     """
     if eye is None:
         eye = scaled_eye
-    if cap is None:
-        cap = enumeration_cap()
+    cap = enumeration_cap()
     fresh = itertools.count().__next__
     n_in = len(diagram.input_types)
     n_out = len(diagram.output_types)

@@ -291,6 +291,56 @@ def deterministic_bell_tables(n_x, n_y, n_a, n_b):
     return tables
 
 
+def _strategy_table(setting_cards, outcome_cards, hit):
+    contexts = list(itertools.product(*(range(n) for n in setting_cards)))
+    outcomes = list(itertools.product(*(range(n) for n in outcome_cards)))
+    return tuple(
+        tuple(Fraction(1 if hit(o, c) else 0) for o in outcomes) for c in contexts
+    )
+
+
+def _first_seen(tables):
+    return tuple(dict.fromkeys(tables))
+
+
+def bell_vertex_tables(n_x, n_y, n_a, n_b):
+    """Bell local vertices in enumeration order: a = f(x), b = g(y),
+    f outermost, each response a tuple over its setting values."""
+    return tuple(
+        _strategy_table(
+            (n_x, n_y), (n_a, n_b), lambda o, c, f=f, g=g: o == (f[c[0]], g[c[1]])
+        )
+        for f in itertools.product(range(n_a), repeat=n_x)
+        for g in itertools.product(range(n_b), repeat=n_y)
+    )
+
+
+def instrumental_vertex_tables(n_x, n_a, n_b):
+    """Instrumental local vertices: a = f(x), b = g(a), duplicates
+    dropped in first-seen order."""
+    return _first_seen(
+        _strategy_table(
+            (n_x,), (n_a, n_b), lambda o, c, f=f, g=g: o == (f[c[0]], g[f[c[0]]])
+        )
+        for f in itertools.product(range(n_a), repeat=n_x)
+        for g in itertools.product(range(n_b), repeat=n_a)
+    )
+
+
+def prepare_measure_vertex_tables(n_x, n_a, n_y, n_b):
+    """Prepare-measure local vertices: a = f(x), b = g(x, y) with g
+    indexed row-major, duplicates dropped in first-seen order."""
+    return _first_seen(
+        _strategy_table(
+            (n_x, n_y),
+            (n_a, n_b),
+            lambda o, c, f=f, g=g: o == (f[c[0]], g[c[0] * n_y + c[1]]),
+        )
+        for f in itertools.product(range(n_a), repeat=n_x)
+        for g in itertools.product(range(n_b), repeat=n_x * n_y)
+    )
+
+
 def chsh_of_table(table, exact=False):
     """E(0,0) + E(0,1) + E(1,0) - E(1,1) for a 4x4 two-bit table."""
     zero = Fraction(0) if exact else 0.0

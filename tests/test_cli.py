@@ -4,6 +4,8 @@ import io
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from ci_engine import cli, fileformat, nogo
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -248,6 +250,31 @@ def test_scenario_spec_spellings_agree():
     r1 = records(out1)[0]
     r2 = records(out2)[0]
     assert r1["verdict"] == r2["verdict"] == "nonmember"
+
+
+def test_scenario_help_lists_every_kind(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "300")
+    assert cli.run(["bell-check", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    for form in (
+        "chsh",
+        "bell:x,y,a,b",
+        "instrumental:x,a,b",
+        "prepare-measure:x,a,y,b",
+        "triangle:a,b,c[,latent]",
+    ):
+        assert form in help_text
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["bell:2,2", "instrumental:2,2,2,2", "prepare-measure:2,2,2,2,2", "triangle:2,2", "nope:2"],
+)
+def test_malformed_scenario_spec_exits_two(spec):
+    code, out, err = run(
+        "bell-check", "--scenario", spec, "--corr", str(DATA / "pr_box.correlation")
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_simplex_embed_bit_fragment():

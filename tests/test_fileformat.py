@@ -1,12 +1,13 @@
 """Text format: lexing, parsing, canonical writes, round trips."""
 
+import io
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ci_engine import fileformat, fstheory, nogo, optheory, substoch
+from ci_engine import cli, fileformat, fstheory, nogo, optheory, substoch
 from ci_engine.diagrams import diagrams_equal
 from ci_engine.errors import ConfigError, ParseError
 from ci_engine.fileformat import (
@@ -223,6 +224,44 @@ def test_correlation_round_trip_exact_and_float():
     for r in range(4):
         for c in range(4):
             assert back.table[r][c] == fl.table[r][c]
+
+
+def _uniform_correlation_text(scenario_record, s):
+    n = len(s.outcomes())
+    row = "[" + " ".join([f"1/{n}"] * n) + "]"
+    rows = " ".join([row] * len(s.contexts()))
+    return (
+        "ci-engine/1 correlation\n\n{\n"
+        f"  scenario: {scenario_record}\n  table: [{rows}]\n}}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "record, misread",
+    [
+        ("{type: bell, cards: []}", nogo.Bell(2, 2, 2, 2)),
+        ("{type: bell, cards: [2, 2]}", nogo.Bell(2, 2, 2, 2)),
+        ("{type: triangle, cards: [2, 2], latent: 3}", nogo.Triangle(2, 2, 3)),
+        ("{type: bell, cards: [2, 2, 2, 2], latent: 2}", nogo.Bell(2, 2, 2, 2)),
+    ],
+    ids=["no-cards", "short", "triangle-shift", "latent-on-bell"],
+)
+def test_a_wrong_card_count_is_a_parse_error(tmp_path, record, misread):
+    # each table fits the scenario the defaults would fill in, so only
+    # the card count can reject the file
+    text = _uniform_correlation_text(record, misread)
+    with pytest.raises(ParseError) as err:
+        load_correlation(text)
+    assert err.value.line == 4
+    path = tmp_path / "short.correlation"
+    path.write_text(text)
+    assert cli.run(["bell-check", "--corr", str(path)], out=io.StringIO(), err=io.StringIO()) == 2
+
+
+def test_a_scenario_type_must_be_a_name():
+    text = _uniform_correlation_text("{type: [bell], cards: [2, 2, 2, 2]}", nogo.Bell())
+    with pytest.raises(ParseError, match="unknown scenario type"):
+        load_correlation(text)
 
 
 def test_fragment_round_trip():

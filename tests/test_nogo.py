@@ -1,9 +1,13 @@
 """Causal scenarios, local polytopes, quantum tables, simplex embedding."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ci_engine import nogo, substoch
 from ci_engine.errors import (
@@ -47,6 +51,7 @@ from ci_engine.nogo import (
     verdict_bundle,
 )
 
+import oracles
 from conftest import SEED, rand_quantum_bell
 from oracles import (
     born_bell_table,
@@ -146,6 +151,55 @@ def test_instrumental_vertices_are_deterministic():
     assert len({v.table for v in verts}) == len(verts)
     for v in verts:
         assert all(x in (0, 1) for row in v.table for x in row)
+
+
+def test_prepare_measure_vertex_count():
+    # a = f(x) and b = g(x, y): 2^2 * 2^4 strategies; the table shows
+    # g only at the x that was prepared, so none of them coincide
+    verts = local_vertices(PrepareMeasure(2, 2, 2, 2))
+    assert len(verts) == (2**2) * (2**4)
+    assert len({v.table for v in verts}) == len(verts)
+    assert len(local_vertices(PrepareMeasure(3, 2, 1, 2))) == (2**3) * (2**3)
+
+
+def test_strategy_count_is_capped_before_any_table_is_built(monkeypatch):
+    # prepare-measure: 2^2 responses for a = f(x), 2^(2*4) for b = g(x, y)
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    with monkeypatch.context() as m:
+        m.setattr(nogo, "Correlation", None)
+        with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
+            local_vertices(PrepareMeasure(2, 2, 4, 2))
+    assert len(local_vertices(PrepareMeasure(2, 2, 3, 2))) == 2**2 * 2**6
+
+
+_VERTEX_REFERENCES = {
+    Bell: oracles.bell_vertex_tables,
+    Instrumental: oracles.instrumental_vertex_tables,
+    PrepareMeasure: oracles.prepare_measure_vertex_tables,
+}
+
+
+@st.composite
+def _small_scenarios(draw):
+    kind = draw(st.sampled_from(list(_VERTEX_REFERENCES)))
+    cards = [
+        draw(st.integers(1, 3) if f.name in ("n_x", "n_y") else st.integers(2, 3))
+        for f in dataclasses.fields(kind)
+    ]
+    return kind(*cards)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios())
+@example(Bell(3, 3, 2, 2))
+@example(Bell(1, 2, 3, 2))
+@example(Instrumental(3, 3, 2))
+@example(PrepareMeasure(3, 2, 2, 2))
+def test_local_vertices_match_the_per_kind_enumerators(s):
+    # vertex order is load-bearing: Member.weights index into it
+    assume(math.prod(s.setting_cards) <= 4)
+    want = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+    assert tuple(v.table for v in local_vertices(s)) == want
 
 
 def test_strategy_diagram_reproduces_the_table():

@@ -129,20 +129,19 @@ def test_shape_mismatch_is_reported():
         tensornet.contract(d, lambda b: bad, _sizes, eye=np.eye)
 
 
-def test_cap_limits_intermediate_size():
-    boxes = []
-    wires = []
-    outs = []
-    for k in range(4):
-        boxes.append(Box(f"v{k}", (), (SYS3,), None))
-        wires.append((("box", k, 0), ("out", k)))
-        outs.append(SYS3)
-    d = _net(boxes, wires, outs=outs)
+def _product_network(k):
+    boxes = [Box(f"v{i}", (), (SYS3,), None) for i in range(k)]
+    wires = [(("box", i, 0), ("out", i)) for i in range(k)]
+    return _net(boxes, wires, outs=[SYS3] * k)
+
+
+def test_cap_limits_intermediate_size(monkeypatch):
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
     v = np.ones(3)
     with pytest.raises(CapExceeded):
-        tensornet.contract(d, lambda b: v, _sizes, eye=np.eye, cap=10)
-    got = tensornet.contract(d, lambda b: v, _sizes, eye=np.eye, cap=100)
-    assert got.shape == (3, 3, 3, 3)
+        tensornet.contract(_product_network(7), lambda b: v, _sizes, eye=np.eye)
+    got = tensornet.contract(_product_network(6), lambda b: v, _sizes, eye=np.eye)
+    assert got.shape == (3,) * 6
 
 
 # ---------------------------------------------------------------------------
