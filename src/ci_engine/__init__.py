@@ -6,13 +6,12 @@ semantics.  On top of the diagram layer sit normal forms, an axiom
 battery, realist representations, and no-go checks: Bell local-polytope
 membership by exact LP and simplex-embedding feasibility for theory
 fragments.  Artifacts read and write a shared textual format, and the
-``ci-engine`` entry point exposes the whole pipeline on the command
-line.
+``ci-engine`` entry point (``ci_engine.cli``, which the package does
+not import) exposes the whole pipeline on the command line.
 """
 
 from . import (
     caps,
-    cli,
     diagrams,
     errors,
     exactlp,
@@ -123,7 +122,6 @@ from .optheory import (
     predict_closed,
     procedure_box,
     procedure_diagram,
-    quotient_representative,
 )
 from .substoch import (
     KnowledgeState,

@@ -216,7 +216,7 @@ def _cmd_qnf(args):
             "weights": [pi.entries[k][k] for k in range(len(pi.dom))],
         }
     else:
-        m = optheory.quotient_representative(d, pm)
+        m = optheory.predict_closed(d, pm)
         rec = {
             "cmd": "qnf",
             "file": args.diagram,

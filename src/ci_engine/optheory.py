@@ -536,7 +536,7 @@ def reconstruct(table):
 
 
 def quotient_representative(d, pm):
-    """The canonical member of the diagram's equivalence class."""
+    """Alias of ``predict_closed``, unexported; ``perfbench/tracing.py`` wraps it."""
     return predict_closed(d, pm)
 
 

@@ -118,6 +118,15 @@ def cone_rays_float(gen_rows, nonneg_dim, eq_rows=(), tol=1e-9):
     return rays
 
 
+def _fraction_pivot(a, r, col):
+    """Scale row ``r`` of the Fraction rows to 1 at ``col`` and clear ``col`` elsewhere."""
+    a[r] = [v / a[r][col] for v in a[r]]
+    for i in range(len(a)):
+        if i != r and a[i][col] != 0:
+            f = a[i][col]
+            a[i] = [v - f * p for v, p in zip(a[i], a[r])]
+
+
 def _fraction_rref(rows):
     """Gauss-Jordan copy of ``rows`` over Fractions: (reduced rows, pivot columns)."""
     a = [[Fraction(v) for v in row] for row in rows]
@@ -128,13 +137,47 @@ def _fraction_rref(rows):
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        a[r] = [v / a[r][col] for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
+        _fraction_pivot(a, r, col)
         pivots.append(col)
     return a, pivots
+
+
+def feasible_nonneg_fraction(a_rows, b):
+    """Phase-I simplex for ``A x = b, x >= 0`` on a dense Fraction tableau.
+
+    Artificial basis, Bland's rule, ratio-test ties to the smallest basic
+    variable.  Returns ``("feasible", x)`` or ``("infeasible", y)`` with
+    the Farkas vector read off the objective row, so the engine's pivot
+    path can be compared vector for vector, not only by its verdict.
+    """
+    a = [[Fraction(v) for v in row] for row in a_rows]
+    b = [Fraction(v) for v in b]
+    m, n = len(a), len(a[0]) if a else 0
+    flip = [-1 if v < 0 else 1 for v in b]
+    tab = [
+        [f * v for v in row] + [Fraction(int(k == i)) for k in range(m)] + [f * v]
+        for i, (row, v, f) in enumerate(zip(a, b, flip))
+    ]
+    obj = [sum((row[j] for row in tab), Fraction(0)) for j in range(n + m + 1)]
+    for i in range(m):
+        obj[n + i] -= 1
+    tab.append(obj)
+    basis = [n + i for i in range(m)]
+    while True:
+        entering = next((j for j in range(n + m) if tab[m][j] > 0), None)
+        if entering is None:
+            break
+        rows = [i for i in range(m) if tab[i][entering] > 0]
+        leaving = min(rows, key=lambda i: (tab[i][-1] / tab[i][entering], basis[i]))
+        _fraction_pivot(tab, leaving, entering)
+        basis[leaving] = entering
+    if tab[m][-1] > 0:
+        return "infeasible", [(tab[m][n + i] + 1) * flip[i] for i in range(m)]
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = tab[i][-1]
+    return "feasible", x
 
 
 def _primitive(vec):

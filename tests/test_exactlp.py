@@ -24,6 +24,7 @@ from ci_engine.exactlp import (
 from conftest import SEED
 from oracles import (
     cone_extreme_rays_exact,
+    feasible_nonneg_fraction,
     lp_feasible_float,
     polytope_vertices_exact,
 )
@@ -51,6 +52,8 @@ def test_feasible_by_construction():
         for i in range(m):
             assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
         assert lp_feasible_float(a, b)
+    # no rows and no columns: the empty point
+    assert feasible_nonneg([], []) == ("feasible", [])
 
 
 def test_infeasible_by_farkas_construction():
@@ -81,6 +84,8 @@ def test_infeasible_by_farkas_construction():
         assert not lp_feasible_float(a, b)
         found += 1
     assert found >= 20
+    # a row with no columns cannot reach rhs 1: y = (1) separates
+    assert feasible_nonneg([[]], [1]) == ("infeasible", [1])
 
 
 def test_rhs_length_checked():
@@ -96,6 +101,8 @@ def test_solve_and_certificate_check_lengths():
     b = [F(-1), F(0)]
     assert verify_certificate(a, b, [F(-1), F(0)])
     assert not verify_certificate(a, b, [F(-1)])
+    assert not verify_certificate(a, b, [F(-1), F(0), F(0)])
+    assert not verify_certificate([], [], [])
 
 
 def test_solve_linear_on_random_solvable_systems():
@@ -136,6 +143,7 @@ def test_nullspace_vectors_annihilate():
         for v in basis:
             for i in range(m):
                 assert sum(a[i][j] * v[j] for j in range(n)) == 0
+    assert nullspace([[F(0), F(0)], [F(0), F(0)]]) == [[1, 0], [0, 1]]
 
 
 def test_unit_square_vertices():
@@ -193,6 +201,42 @@ def test_halfplane_cone_rays():
         top = max(v for v in r)
         normed.add(tuple(v / top for v in r))
     assert normed == {(F(1), F(0)), (F(1), F(1))}
+
+
+# pairwise coprime, each above 2**63, so scaled rows leave int64
+_BIG_DENOMINATORS = (3**40, 5**28, 7**23, 11**19)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30), st.booleans(), st.booleans())
+def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction):
+    # the same status and the same x or Farkas y as the Fraction tableau,
+    # not only a certificate that checks out: this pins Bland's entering
+    # columns and the ratio-test ties
+    rng = random.Random(seed)
+    dens = (1, 2, 3) + (_BIG_DENOMINATORS if big else ())
+
+    def entry(lo=-4):
+        return F(rng.randint(lo, 4), rng.choice(dens))
+
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    if by_construction:
+        x0 = [entry(0) for _ in range(n)]
+        b = [sum(r * v for r, v in zip(row, x0)) for row in a]
+    else:
+        b = [entry() for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        # a redundant row: a combination of two rows, rhs included
+        i, j, k = rng.randrange(len(a)), rng.randrange(len(a)), entry()
+        a.append([u + k * v for u, v in zip(a[i], a[j])])
+        b.append(b[i] + k * b[j])
+    got = feasible_nonneg(a, b)
+    assert got == feasible_nonneg_fraction(a, b)
+    if by_construction:
+        assert got[0] == "feasible"
+    if got[0] == "infeasible":
+        assert verify_certificate(a, b, got[1])
 
 
 def _int_rows(rng, m, n, lo=-3, hi=3):
