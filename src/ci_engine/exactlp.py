@@ -20,10 +20,16 @@ from .caps import enumeration_cap
 from .errors import CapExceeded, Degenerate, DimensionMismatch
 from .tensornet import scaled
 
+_EXACT = (int, Fraction)
+
 
 def _ints(rows):
-    """The rows of numbers as Python-int rows over one positive denominator."""
-    rows = [[Fraction(v) for v in row] for row in rows]
+    """The rows of numbers as Python-int rows over one positive denominator.
+
+    Python ints and Fractions are read as they are; anything else (bools,
+    floats, numpy scalars) goes through ``Fraction(v)`` first.
+    """
+    rows = [[v if type(v) in _EXACT else Fraction(v) for v in row] for row in rows]
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise DimensionMismatch("ragged matrix")

@@ -286,18 +286,11 @@ def pr_box():
 # Deterministic strategies
 
 
-def local_vertices(s):
-    """All deterministic-strategy correlations of the scenario.
-
-    A classical explanation of a DAG with one latent cause mixes
-    deterministic responses: each observed node is a function of its
-    non-latent parents (settings and earlier observed nodes), applied in
-    DAG order.  A response is a table over its parents' joint values,
-    row-major in parent order, and strategies run with the first
-    observed node's table outermost.  Duplicate tables are returned
-    once, in first-seen order.  With more than one latent node, as in
-    the triangle, the compatible set is not a polytope (Wolfe, Spekkens
-    and Fritz 2019), so such a DAG raises WrongScenario.
+def _vertex_hits(s):
+    """The strategies of ``local_vertices``, in its order, each as the
+    tuple of its outcome index (into ``s.outcomes()``) in each context of
+    ``s.contexts()``.  The strategy count is checked against the cap
+    before any strategy is enumerated.
     """
     dag = s.dag()
     settings, observed, latent = _dag_nodes(dag)
@@ -309,8 +302,6 @@ def local_vertices(s):
     count = math.prod(card[n] ** k for n, k in zip(observed, sizes))
     if count > enumeration_cap():
         raise CapExceeded(f"{count} deterministic strategies exceed the cap")
-    n_out = len(s.outcomes())
-    units = [tuple(int(i == k) for i in range(n_out)) for k in range(n_out)]
     contexts = s.contexts()
     seen = {}
     for responses in iproduct(
@@ -327,10 +318,31 @@ def local_vertices(s):
                 value[n] = response[i]
                 hit = hit * card[n] + value[n]
             hits.append(hit)
-        hits = tuple(hits)
-        if hits not in seen:
-            seen[hits] = Correlation(s, tuple(units[k] for k in hits))
-    return tuple(seen.values())
+        seen[tuple(hits)] = None
+    return tuple(seen)
+
+
+def local_vertices(s):
+    """All deterministic-strategy correlations of the scenario.
+
+    A classical explanation of a DAG with one latent cause mixes
+    deterministic responses: each observed node is a function of its
+    non-latent parents (settings and earlier observed nodes), applied in
+    DAG order.  A response is a table over its parents' joint values,
+    row-major in parent order, and strategies run with the first
+    observed node's table outermost.  A strategy's table is the 0/1
+    incidence of the (context, outcome) cells it hits, one per context;
+    duplicate tables are returned once, in first-seen order.  These are
+    the columns of the membership LP of ``fs_compatible``, in this
+    order, and ``Member.weights`` index them.  With more than one latent
+    node, as in the triangle, the compatible set is not a polytope
+    (Wolfe, Spekkens and Fritz 2019), so such a DAG raises WrongScenario.
+    """
+    n_out = len(s.outcomes())
+    units = [tuple(int(i == k) for i in range(n_out)) for k in range(n_out)]
+    return tuple(
+        Correlation(s, tuple(units[k] for k in hits)) for hits in _vertex_hits(s)
+    )
 
 
 def strategy_diagram(s, responses, latents):
@@ -472,33 +484,40 @@ def _dot(u, v):
 def fs_compatible(corr, s):
     """Exact membership of the table in the local polytope.
 
-    Float tables are rationalized first; the certificate records the
-    exact table actually tested.  Both verdicts are re-verified by
-    direct arithmetic before being returned.
+    The LP's columns are the strategies of ``local_vertices``, in that
+    order, each as the 0/1 incidence of the (context, outcome) cells it
+    hits (one per context, row-major as ``as_vector``), plus an all-ones
+    row for the total weight.  Float tables are rationalized first; the
+    certificate records the exact table actually tested.  Both verdicts
+    are re-verified by direct arithmetic before being returned: a
+    member's nonzero weights are recombined cell by cell, and a facet's
+    bound is its largest sum over any strategy's cells.
     """
     if corr.scenario != s:
         raise WrongScenario("correlation was built for another scenario")
     target = rationalize(corr)
-    verts = local_vertices(s)
-    vecs = [v.as_vector() for v in verts]
+    n_out = len(s.outcomes())
+    cells = [[ci * n_out + k for ci, k in enumerate(hits)] for hits in _vertex_hits(s)]
     q = target.as_vector()
     m = len(q)
-    a_rows = [[vec[i] for vec in vecs] for i in range(m)]
-    a_rows.append([_ONE] * len(vecs))
-    b = list(q) + [_ONE]
-    status, payload = feasible_nonneg(a_rows, b)
+    a_rows = [[0] * len(cells) for _ in range(m)]
+    for j, cs in enumerate(cells):
+        for i in cs:
+            a_rows[i][j] = 1
+    a_rows.append([1] * len(cells))
+    status, payload = feasible_nonneg(a_rows, [*q, 1])
     if status == "feasible":
         w = tuple(payload)
-        recombined = [
-            sum((wi * vec[i] for wi, vec in zip(w, vecs)), _ZERO)
-            for i in range(m)
-        ]
+        recombined = [_ZERO] * m
+        for wi, cs in zip(w, cells):
+            if wi:
+                for i in cs:
+                    recombined[i] += wi
         if recombined != list(q) or sum(w) != 1 or any(wi < 0 for wi in w):
             raise EngineError("membership weights failed re-verification")
         return Member(w, target)
-    y = payload
-    facet = tuple(y[:m])
-    bound = max(_dot(facet, vec) for vec in vecs)
+    facet = tuple(payload[:m])
+    bound = max(sum((facet[i] for i in cs), _ZERO) for cs in cells)
     violation = _dot(facet, q) - bound
     if violation <= 0:
         raise EngineError("separating facet failed re-verification")

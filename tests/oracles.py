@@ -384,6 +384,40 @@ def prepare_measure_vertex_tables(n_x, n_a, n_y, n_b):
     )
 
 
+def fs_compatible_fraction(table, vertex_tables):
+    """Local-polytope membership of an exact table on Fraction vertex vectors.
+
+    The membership LP built from whole vertex tables: one column per
+    vertex (flattened row-major), one row per cell plus the all-ones row,
+    solved by ``feasible_nonneg_fraction`` and re-verified by full Fraction
+    dot products.  Returns ``("member", weights)`` or ``("nonmember",
+    facet, bound, violation)``.
+    """
+    vecs = [[Fraction(v) for row in vert for v in row] for vert in vertex_tables]
+    q = [Fraction(v) for row in table for v in row]
+    m = len(q)
+    a_rows = [[vec[i] for vec in vecs] for i in range(m)]
+    a_rows.append([Fraction(1)] * len(vecs))
+    status, payload = feasible_nonneg_fraction(a_rows, q + [Fraction(1)])
+    if status == "feasible":
+        w = tuple(payload)
+        recombined = [
+            sum((wi * vec[i] for wi, vec in zip(w, vecs)), Fraction(0))
+            for i in range(m)
+        ]
+        assert recombined == q and sum(w) == 1 and all(wi >= 0 for wi in w)
+        return "member", w
+    facet = tuple(payload[:m])
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+    bound = max(dot(facet, vec) for vec in vecs)
+    violation = dot(facet, q) - bound
+    assert violation > 0
+    return "nonmember", facet, bound, violation
+
+
 def chsh_of_table(table, exact=False):
     """E(0,0) + E(0,1) + E(1,0) - E(1,1) for a 4x4 two-bit table."""
     zero = Fraction(0) if exact else 0.0

@@ -239,6 +239,51 @@ def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction)
         assert verify_certificate(a, b, got[1])
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_int_and_fraction_entries_give_equal_results(seed):
+    # Python ints and Fractions are read as they are; the same rational
+    # rows give the same results whichever of the two holds each entry
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+
+    def vec(k):
+        return [F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(k)]
+
+    a, b, y = [vec(n) for _ in range(m)], vec(m), vec(m)
+
+    def as_ints(v):
+        return int(v) if v.denominator == 1 else v
+
+    def mixed(v):
+        return as_ints(v) if rng.random() < 0.5 else v
+
+    forms = [
+        (a, b, y),
+        *(
+            ([[f(v) for v in row] for row in a], [f(v) for v in b], [f(v) for v in y])
+            for f in (as_ints, mixed)
+        ),
+    ]
+    want = [feasible_nonneg(a, b), solve_linear(a, b), verify_certificate(a, b, y)]
+    for fa, fb, fy in forms:
+        assert [
+            feasible_nonneg(fa, fb),
+            solve_linear(fa, fb),
+            verify_certificate(fa, fb, fy),
+        ] == want
+
+
+def test_bool_float_and_numpy_entries_convert_through_fraction():
+    rows, rhs = [[True, 0.5], [False, np.int64(2)]], [0.25, True]
+    exact, exact_rhs = [[F(1), F(1, 2)], [F(0), F(2)]], [F(1, 4), F(1)]
+    for fn in (feasible_nonneg, solve_linear):
+        assert fn(rows, rhs) == fn(exact, exact_rhs)
+    assert verify_certificate([[True]], [-1.0], [-1.0])
+    # a float is read as its binary value, not as the decimal it prints as
+    assert solve_linear([[0.1]], [1]) == [1 / F(0.1)] != [F(10)]
+
 def _int_rows(rng, m, n, lo=-3, hi=3):
     return [[F(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m)]
 

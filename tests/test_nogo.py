@@ -4,12 +4,14 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ci_engine import nogo, substoch
+from ci_engine.exactlp import nullspace
 from ci_engine.errors import (
     CapExceeded,
     ConfigError,
@@ -172,6 +174,30 @@ def test_strategy_count_is_capped_before_any_table_is_built(monkeypatch):
     assert len(local_vertices(PrepareMeasure(2, 2, 3, 2))) == 2**2 * 2**6
 
 
+
+def test_membership_checks_the_strategy_cap_before_the_lp(monkeypatch):
+    s = PrepareMeasure(2, 2, 4, 2)
+    n_out = len(s.outcomes())
+    corr = Correlation(s, [[F(1, n_out)] * n_out for _ in s.contexts()])
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+
+    def no_lp(rows, rhs):
+        raise AssertionError("the LP ran although the strategies exceed the cap")
+
+    # only the response enumerators call product with ``repeat``
+    enumerators = []
+
+    def recording(*args, **kwargs):
+        if "repeat" in kwargs:
+            enumerators.append(kwargs)
+        return iproduct(*args, **kwargs)
+
+    monkeypatch.setattr(nogo, "feasible_nonneg", no_lp)
+    monkeypatch.setattr(nogo, "iproduct", recording)
+    with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
+        fs_compatible(corr, s)
+    assert enumerators == []
+
 _VERTEX_REFERENCES = {
     Bell: oracles.bell_vertex_tables,
     Instrumental: oracles.instrumental_vertex_tables,
@@ -296,6 +322,121 @@ def test_pr_box_is_rejected_with_a_separating_facet():
     )
     assert not ok
 
+
+
+_MEMBERSHIP_SCENARIOS = (
+    Bell(2, 2, 2, 2),
+    Bell(2, 3, 2, 2),
+    Instrumental(2, 2, 2),
+    PrepareMeasure(2, 2, 2, 2),
+)
+
+
+def _pr_block_table(s):
+    """A PR box on outcomes 0 and 1 of both nodes, settings folded onto
+    it by parity, the first setting as x and the last as y."""
+    return tuple(
+        tuple(
+            F(1, 2) if max(o) < 2 and (o[0] ^ o[1]) == (c[0] % 2) & (c[-1] % 2) else F(0)
+            for o in s.outcomes()
+        )
+        for c in s.contexts()
+    )
+
+
+@st.composite
+def _exact_tables(draw):
+    """A scenario and an exact table: a local mixture, a local mixture
+    with a PR block mixed in, or arbitrary normalized rows."""
+    s = draw(st.sampled_from(_MEMBERSHIP_SCENARIOS))
+    n_out = len(s.outcomes())
+    kind = draw(st.sampled_from(["local", "pr-block", "rows"]))
+    if kind == "rows":
+        cell = st.integers(0, 4)
+        rows = [
+            draw(st.lists(cell, min_size=n_out, max_size=n_out).filter(any))
+            for _ in s.contexts()
+        ]
+        return s, tuple(tuple(F(v, sum(row)) for v in row) for row in rows)
+    verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+    picks = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(picks), max_size=len(picks)))
+    if kind == "pr-block":
+        picks.append(_pr_block_table(s))
+        weights.append(draw(st.integers(1, 30)))
+    total = sum(weights)
+    return s, tuple(
+        tuple(
+            sum((F(w, total) * t[r][c] for w, t in zip(weights, picks)), F(0))
+            for c in range(n_out)
+        )
+        for r in range(len(s.contexts()))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_tables())
+@example((chsh_scenario(), pr_box().table))
+@example((Instrumental(2, 2, 2), _pr_block_table(Instrumental(2, 2, 2))))
+def test_membership_matches_the_fraction_vertex_path(case):
+    # the same verdict and the same certificate as the LP over whole
+    # Fraction vertex tables, solved by the Fraction reference simplex
+    s, table = case
+    got = fs_compatible(Correlation(s, table), s)
+    want = oracles.fs_compatible_fraction(
+        table, _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+    )
+    if want[0] == "member":
+        assert isinstance(got, Member)
+        assert got.weights == want[1]
+    else:
+        assert isinstance(got, NonMember)
+        assert (got.facet, got.bound, got.violation) == want[1:]
+
+
+def _negative_weights():
+    # the uniform table is the uniform mixture of the 16 vertices; an
+    # affine dependence among them pushes one weight below zero while
+    # the weights still sum to 1 and recombine to the table
+    vecs = [v.as_vector() for v in local_vertices(chsh_scenario())]
+    rows = [[vec[i] for vec in vecs] for i in range(16)] + [[1] * 16]
+    dep = nullspace(rows)[0]
+    top = max(range(16), key=lambda i: abs(dep[i]))
+    t = -F(1, 8) / dep[top]
+    w = [F(1, 16) + t * d for d in dep]
+    assert sum(w) == 1 and min(w) < 0
+    assert all(sum(wi * vec[i] for wi, vec in zip(w, vecs)) == F(1, 4) for i in range(16))
+    return w
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [lambda: [F(1)] + [F(0)] * 15, _negative_weights],
+    ids=["wrong-table", "negative"],
+)
+def test_bogus_membership_weights_are_not_returned(monkeypatch, weights):
+    s = chsh_scenario()
+    uniform = Correlation(s, [[F(1, 4)] * 4 for _ in s.contexts()])
+    w = weights()
+    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("feasible", w))
+    with pytest.raises(EngineError, match="membership weights failed re-verification"):
+        fs_compatible(uniform, s)
+
+
+def test_bogus_separating_facet_is_not_returned(monkeypatch):
+    s = chsh_scenario()
+    vertex = local_vertices(s)[0]
+    for corr, facet in (
+        (pr_box(), [F(0)] * 16),
+        # a valid inequality that the vertex meets with equality
+        (vertex, list(vertex.as_vector())),
+        # one that the vertex satisfies strictly
+        (vertex, [-v for v in vertex.as_vector()]),
+    ):
+        y = facet + [F(0)]
+        monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs, y=y: ("infeasible", y))
+        with pytest.raises(EngineError, match="separating facet failed re-verification"):
+            fs_compatible(corr, s)
 
 def test_chsh_values():
     assert chsh_value(pr_box()) == 4
