@@ -468,13 +468,17 @@ def _build_parser():
     return parser
 
 
+# Built once per process; help text is still formatted when printed, so
+# it follows the terminal width of the moment.
+_PARSER = _build_parser()
+
+
 def run(argv, out=None, err=None):
     """Dispatch one invocation; returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()

@@ -9,6 +9,13 @@ entries as ``[re, im]`` pairs.  The serializer emits one canonical
 layout, so serialize after parse is the identity on canonical files and
 rationals are never printed as floats.
 
+Numbers are written in ASCII digits.  Strings take the escapes ``\\"``,
+``\\\\``, ``\\n``, ``\\t`` and ``\\uXXXX`` with exactly four hex digits.
+A float literal too large to be finite, such as ``1e400``, is refused,
+as the writer refuses non-finite floats.  Records and arrays nest at
+most 100 deep.  A file that breaks any of these rules is a
+``ParseError`` with a line and column.
+
 Kinds and their top-level fields:
 
 ``diagram``
@@ -35,6 +42,8 @@ Kinds and their top-level fields:
     diagram bodies used as equivalence witnesses.
 """
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +54,6 @@ from .diagrams import (
     CAUSAL,
     Diagram,
     INFERENTIAL,
-    SystemType,
     causal_system,
     inferential_system,
     quantum_system,
@@ -55,201 +63,131 @@ from .errors import ConfigError, ParseError
 FORMAT_HEADER = "ci-engine/1"
 KINDS = ("diagram", "model", "correlation", "fragment", "rep", "pairs")
 
-_PUNCT = "{}[]:,"
-_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_WORD_BODY = _WORD_START | set("0123456789+-")
+_MAX_DEPTH = 100
+_WORD = r"[A-Za-z_][A-Za-z0-9_+-]*"
+_TOKEN = re.compile(
+    rf"""
+    (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<punct>[{{}}\[\]:,])
+  | (?P<word>{_WORD})
+  | (?P<num>-?[0-9]+(?:/[0-9]*|(?P<float>(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)))
+  | (?P<str>"(?:[^"\\\n]|\\(?:["\\nt]|u[0-9a-fA-F]{{4}}))*(?P<close>"?))
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+_BAREWORD = re.compile(_WORD)
+_ESCAPE = re.compile(r"\\(?:u(....)|(.))")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", '"': '\\"', "\\": "\\\\"}
+_BOOLS = {"true": True, "false": False}
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+def _unescape(m):
+    hexpart, esc = m.groups()
+    return _ESCAPES[esc] if hexpart is None else chr(int(hexpart, 16))
 
 
-def _tokenize(text, first_line):
+def _scan(text, first_line):
+    """Tokens of ``text`` as (kind, value, line, col), ending with ``eof``.
+
+    Columns count characters from the last newline, starting at 1.
+    """
     tokens = []
-    line, col = first_line, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = first_line, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        col = m.start() - line_start + 1
+        lexeme = m.group()
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            parts = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated string", start_line, start_col)
-                    esc = text[i + 1]
-                    if esc == "u":
-                        hexpart = text[i + 2 : i + 6]
-                        if len(hexpart) < 4:
-                            raise ParseError("bad unicode escape", line, col)
-                        try:
-                            parts.append(chr(int(hexpart, 16)))
-                        except ValueError:
-                            raise ParseError("bad unicode escape", line, col) from None
-                        i += 6
-                        col += 6
-                        continue
-                    if esc not in _ESCAPES:
-                        raise ParseError(f"bad escape '\\{esc}'", line, col)
-                    parts.append(_ESCAPES[esc])
-                    i += 2
-                    col += 2
-                    continue
-                parts.append(c)
-                i += 1
-                col += 1
-            tokens.append(_Token("str", "".join(parts), start_line, start_col))
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1 if ch == "-" else i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("expected digits after '/'", line, col)
-                num, den = int(text[i:j]), int(text[j + 1 : k])
-                if den == 0:
-                    raise ParseError("zero denominator", start_line, start_col)
-                tokens.append(_Token("num", Fraction(num, den), start_line, start_col))
-                col += k - i
-                i = k
-                continue
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
-            value = float(lexeme) if is_float else int(lexeme)
-            tokens.append(_Token("num", value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _WORD_START:
-            j = i
-            while j < n and text[j] in _WORD_BODY:
-                j += 1
-            word = text[i:j]
-            if word == "true":
-                tokens.append(_Token("bool", True, start_line, start_col))
-            elif word == "false":
-                tokens.append(_Token("bool", False, start_line, start_col))
+            line_start = m.end()
+        elif kind == "punct":
+            tokens.append((lexeme, lexeme, line, col))
+        elif kind == "word":
+            if lexeme in _BOOLS:
+                tokens.append(("bool", _BOOLS[lexeme], line, col))
             else:
-                tokens.append(_Token("word", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
+                tokens.append(("word", lexeme, line, col))
+        elif kind == "num":
+            num, slash, den = lexeme.partition("/")
+            if slash and not den:
+                raise ParseError("expected digits after '/'", line, col)
+            is_float = m.group("float")
+            try:
+                if slash:
+                    value = Fraction(int(num), int(den))
+                else:
+                    value = float(num) if is_float else int(num)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", line, col) from None
+            except ValueError:  # more digits than int() converts
+                raise ParseError("number out of range", line, col) from None
+            if is_float and math.isinf(value):
+                raise ParseError("number out of range", line, col)
+            tokens.append(("num", value, line, col))
+        elif kind == "str":
+            if not m.group("close"):
+                # the match stops at the end of the text, at a newline or
+                # at the backslash of a bad escape
+                rest = text[m.end() : m.end() + 2]
+                if rest in ("", "\\") or rest[0] == "\n":
+                    raise ParseError("unterminated string", line, col)
+                col += m.end() - m.start()
+                if rest == "\\u":
+                    raise ParseError("bad unicode escape", line, col)
+                raise ParseError(f"bad escape '{rest}'", line, col)
+            body = lexeme[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            tokens.append(("str", body, line, col))
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+    tokens.append(("eof", None, line, len(text) - line_start + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.locs = {}
+def _parse(tokens, pos, locs, depth=0):
+    """The value that starts at ``tokens[pos]``, and the position after it.
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, tok, msg):
-        raise ParseError(msg, tok.line, tok.col)
-
-    def value(self):
-        tok = self.take()
-        if tok.kind in ("num", "bool", "str", "word"):
-            return tok.value
-        if tok.kind == "{":
-            out = {}
-            self.locs[id(out)] = (tok.line, tok.col)
-            while True:
-                nxt = self.peek()
-                if nxt.kind == "}":
-                    self.take()
-                    return out
-                if nxt.kind == "eof":
-                    self.fail(tok, "unclosed '{'")
-                key_tok = self.take()
-                if key_tok.kind not in ("word", "str"):
-                    self.fail(key_tok, "expected a field name")
-                if self.peek().kind != ":":
-                    self.fail(self.peek(), "expected ':' after field name")
-                self.take()
-                if key_tok.value in out:
-                    self.fail(key_tok, f"duplicate field {key_tok.value!r}")
-                out[key_tok.value] = self.value()
-                if self.peek().kind == ",":
-                    self.take()
-            raise AssertionError
-        if tok.kind == "[":
-            out = []
-            self.locs[id(out)] = (tok.line, tok.col)
-            while True:
-                nxt = self.peek()
-                if nxt.kind == "]":
-                    self.take()
-                    return out
-                if nxt.kind == "eof":
-                    self.fail(tok, "unclosed '['")
-                out.append(self.value())
-                if self.peek().kind == ",":
-                    self.take()
-            raise AssertionError
-        self.fail(tok, f"unexpected {tok.kind!r}")
+    Records and arrays are entered in ``locs`` by id, with the position
+    of their opening bracket.
+    """
+    kind, value, line, col = tokens[pos]
+    pos += 1
+    if kind in ("num", "bool", "str", "word"):
+        return value, pos
+    if kind not in ("{", "["):
+        raise ParseError(f"unexpected {kind!r}", line, col)
+    if depth == _MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {_MAX_DEPTH}", line, col)
+    is_rec = kind == "{"
+    close = "}" if is_rec else "]"
+    out = {} if is_rec else []
+    locs[id(out)] = (line, col)
+    while True:
+        next_kind, key, key_line, key_col = tokens[pos]
+        if next_kind == close:
+            return out, pos + 1
+        if next_kind == "eof":
+            raise ParseError(f"unclosed {kind!r}", line, col)
+        if is_rec:
+            if next_kind not in ("word", "str"):
+                raise ParseError("expected a field name", key_line, key_col)
+            colon, _, colon_line, colon_col = tokens[pos + 1]
+            if colon != ":":
+                raise ParseError("expected ':' after field name", colon_line, colon_col)
+            if key in out:
+                raise ParseError(f"duplicate field {key!r}", key_line, key_col)
+            out[key], pos = _parse(tokens, pos + 2, locs, depth + 1)
+        else:
+            item, pos = _parse(tokens, pos, locs, depth + 1)
+            out.append(item)
+        if tokens[pos][0] == ",":
+            pos += 1
 
 
 def _split_header(text):
@@ -273,27 +211,21 @@ def _split_header(text):
 def loads(text):
     """Parse a full file into (kind, value, location map)."""
     kind, body, first_line = _split_header(text)
-    parser = _Parser(_tokenize(body, first_line))
-    value = parser.value()
-    tail = parser.peek()
-    if tail.kind != "eof":
-        parser.fail(tail, "content after the top-level value")
-    return kind, value, parser.locs
+    tokens = _scan(body, first_line)
+    locs = {}
+    value, pos = _parse(tokens, 0, locs)
+    tail, _, line, col = tokens[pos]
+    if tail != "eof":
+        raise ParseError("content after the top-level value", line, col)
+    return kind, value, locs
 
 
 # ---------------------------------------------------------------------------
 # Canonical writer
 
-_BARE_SAFE = _WORD_BODY
-
 
 def _is_bareword(s):
-    return (
-        s != ""
-        and s not in ("true", "false")
-        and s[0] in _WORD_START
-        and all(c in _BARE_SAFE for c in s)
-    )
+    return s not in _BOOLS and _BAREWORD.fullmatch(s) is not None
 
 
 def _scalar_text(v):
@@ -365,20 +297,19 @@ class _Ctx:
     def __init__(self, locs):
         self.locs = locs
 
-    def where(self, obj):
-        return self.locs.get(id(obj), (None, None))
-
     def fail(self, obj, msg):
-        line, col = self.where(obj)
+        line, col = self.locs.get(id(obj), (None, None))
         raise ParseError(msg, line, col)
 
-    def rec(self, v, what, allowed, required):
+    def rec(self, v, what, allowed, required=None):
+        """``v`` as a record with only ``allowed`` fields, all of
+        ``required`` (by default all of ``allowed``) among them."""
         if not isinstance(v, dict):
             self.fail(v, f"{what} must be a record")
         for key in v:
             if key not in allowed:
                 self.fail(v, f"{what} has no field {key!r}")
-        for key in required:
+        for key in allowed if required is None else required:
             if key not in v:
                 self.fail(v, f"{what} needs the field {key!r}")
         return v
@@ -399,9 +330,22 @@ class _Ctx:
         return v
 
 
-def _label(v):
+def _open(text, kind, what, allowed, required=None):
+    """Parse a file that must be of ``kind`` and hold a ``what`` record
+    with the given fields; returns (ctx, record)."""
+    file_kind, value, locs = loads(text)
+    ctx = _Ctx(locs)
+    if file_kind != kind:
+        ctx.fail(value, f"expected a {kind} file, got {file_kind!r}")
+    return ctx, ctx.rec(value, what, allowed, required)
+
+
+def _label(ctx, v):
+    """A carrier label; arrays become tuples, records are refused."""
+    if isinstance(v, dict):
+        ctx.fail(v, "a label cannot be a record")
     if isinstance(v, list):
-        return tuple(_label(x) for x in v)
+        return tuple(_label(ctx, x) for x in v)
     return v
 
 
@@ -412,37 +356,21 @@ def label_value(lab):
     return lab
 
 
-def _exact_matrix(ctx, rows, what):
-    out = []
-    for row in ctx.arr(rows, what):
-        cells = []
-        for cell in ctx.arr(row, f"each row of {what}"):
-            if isinstance(cell, bool) or not isinstance(cell, (int, Fraction)):
-                ctx.fail(row, f"{what} entries must be rationals")
-            cells.append(Fraction(cell))
-        out.append(tuple(cells))
-    return tuple(out)
+def _numbers(ctx, v, what, exact=False, matrix=True):
+    """The numbers of array ``v``, or of each of its rows if ``matrix``,
+    as tuples.  ``exact`` takes rationals only and returns Fractions."""
+    kinds = (int, Fraction) if exact else (int, float, Fraction)
 
+    def row(arr, arr_what):
+        for cell in ctx.arr(arr, arr_what):
+            if isinstance(cell, bool) or not isinstance(cell, kinds):
+                noun = "rationals" if exact else "numbers"
+                ctx.fail(arr, f"{what} entries must be {noun}")
+        return tuple(map(Fraction, arr)) if exact else tuple(arr)
 
-def _number_matrix(ctx, rows, what):
-    out = []
-    for row in ctx.arr(rows, what):
-        cells = []
-        for cell in ctx.arr(row, f"each row of {what}"):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float, Fraction)):
-                ctx.fail(row, f"{what} entries must be numbers")
-            cells.append(cell)
-        out.append(tuple(cells))
-    return tuple(out)
-
-
-def _number_vector(ctx, arr, what):
-    cells = []
-    for cell in ctx.arr(arr, what):
-        if isinstance(cell, bool) or not isinstance(cell, (int, float, Fraction)):
-            ctx.fail(arr, f"{what} entries must be numbers")
-        cells.append(cell)
-    return tuple(cells)
+    if not matrix:
+        return row(v, what)
+    return tuple(row(r, f"each row of {what}") for r in ctx.arr(v, what))
 
 
 def _complex_matrix(ctx, rows, what):
@@ -457,13 +385,19 @@ def _complex_matrix(ctx, rows, what):
                     for p in cell
                 ):
                     ctx.fail(cell, f"{what} complex entries are [re, im] pairs")
-                cells.append(complex(float(cell[0]), float(cell[1])))
+                re_part, im_part = cell
             elif isinstance(cell, (int, float, Fraction)) and not isinstance(
                 cell, bool
             ):
-                cells.append(complex(float(cell), 0.0))
+                re_part, im_part = cell, 0
             else:
                 ctx.fail(row, f"{what} entries must be numbers or [re, im]")
+            try:
+                cells.append(complex(float(re_part), float(im_part)))
+            except OverflowError:
+                ctx.fail(row, f"{what} entries must fit in a float")
+        if out and len(cells) != len(out[0]):
+            ctx.fail(row, f"the rows of {what} differ in length")
         out.append(cells)
     return out
 
@@ -473,7 +407,7 @@ def _complex_value(z):
 
 
 # ---------------------------------------------------------------------------
-# System declarations
+# System and procedure declarations
 
 
 def _load_systems(ctx, arr):
@@ -497,7 +431,7 @@ def _load_systems(ctx, arr):
             continue
         if "dim" in rec:
             ctx.fail(rec, "dim is for quantum systems only")
-        carrier = tuple(_label(v) for v in ctx.arr(rec.get("carrier"), "carrier"))
+        carrier = _label(ctx, ctx.arr(rec.get("carrier"), "carrier"))
         if kind == "causal":
             classical = rec.get("classical", True)
             if not isinstance(classical, bool):
@@ -558,18 +492,17 @@ class _Namer:
         return [_system_value(name, t) for t, name in self.by_type.items()]
 
 
+def _system(ctx, env, v, owner, what):
+    name = ctx.text(v, owner, what)
+    if name not in env:
+        ctx.fail(owner, f"undeclared system {name!r}")
+    return env[name]
+
+
 def _system_names(ctx, env, arr, what):
-    out = []
-    for name in ctx.arr(arr, what):
-        label = ctx.text(name, arr, f"each entry of {what}")
-        if label not in env:
-            ctx.fail(arr, f"undeclared system {label!r}")
-        out.append(env[label])
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Procedures
+    return tuple(
+        _system(ctx, env, v, arr, f"each entry of {what}") for v in ctx.arr(arr, what)
+    )
 
 
 def _load_procedures(ctx, arr, env):
@@ -587,7 +520,7 @@ def _load_procedures(ctx, arr, env):
         if ("entries" in rec) == ("kraus" in rec):
             ctx.fail(rec, "a procedure has either entries or kraus")
         if "entries" in rec:
-            entries = _exact_matrix(ctx, rec["entries"], "entries")
+            entries = _numbers(ctx, rec["entries"], "entries", exact=True)
             channel = substoch.SubstochMap(
                 fstheory.bundle_carrier(ins),
                 fstheory.bundle_carrier(outs),
@@ -596,15 +529,10 @@ def _load_procedures(ctx, arr, env):
         else:
             table = {}
             for branch in ctx.arr(rec["kraus"], "kraus"):
-                ctx.rec(
-                    branch,
-                    "a kraus branch",
-                    allowed=("out", "in", "mats"),
-                    required=("out", "in", "mats"),
-                )
+                ctx.rec(branch, "a kraus branch", allowed=("out", "in", "mats"))
                 key = (
-                    tuple(_label(v) for v in ctx.arr(branch["out"], "out")),
-                    tuple(_label(v) for v in ctx.arr(branch["in"], "in")),
+                    _label(ctx, ctx.arr(branch["out"], "out")),
+                    _label(ctx, ctx.arr(branch["in"], "in")),
                 )
                 if key in table:
                     ctx.fail(branch, "duplicate kraus branch")
@@ -615,6 +543,15 @@ def _load_procedures(ctx, arr, env):
             channel = optheory.QuantumProcess(table)
         decls.append(optheory.ProcedureDecl(name, ins, outs, channel))
     return decls
+
+
+def _load_decls(ctx, rec):
+    """The systems of ``rec`` by name, and the prediction map of its
+    procedures (None when it declares none)."""
+    env = _load_systems(ctx, rec.get("systems", []))
+    if "procedures" not in rec:
+        return env, None
+    return env, optheory.PredictionMap(_load_procedures(ctx, rec["procedures"], env))
 
 
 def _procedure_value(decl, namer):
@@ -643,9 +580,30 @@ def _procedure_value(decl, namer):
     return rec
 
 
+def _declared(diagrams, pm, body):
+    """A file value: ``systems``, then ``procedures`` if ``pm`` is given,
+    then the fields ``body(namer)`` returns.
+
+    Systems are named in order of first use: the boundaries of
+    ``diagrams``, then the procedure signatures, then the body.
+    """
+    if pm is None and any(_needs_pm(d) for d in diagrams):
+        raise ConfigError("serializing procedure boxes needs the prediction map")
+    namer = _Namer()
+    for d in diagrams:
+        for t in d.input_types + d.output_types:
+            namer.name(t)
+    value = {}
+    if pm is not None:
+        value["procedures"] = [_procedure_value(decl, namer) for decl in pm.decls]
+    value.update(body(namer))
+    return {"systems": namer.declarations(), **value}
+
+
 # ---------------------------------------------------------------------------
 # Diagram bodies
 
+_BODY_FIELDS = ("boxes", "wires", "inputs", "outputs")
 _BOX_FIELDS = {
     "knowledge": ("ins", "outs"),
     "learn": ("system",),
@@ -666,65 +624,45 @@ def _load_box(ctx, rec, env, pm):
         required=("id", "gen"),
     )
     box_id = ctx.text(rec["id"], rec, "box id")
-    gen = rec["gen"]
+    gen = ctx.text(rec["gen"], rec, "box generator")
     if gen not in _BOX_FIELDS:
         ctx.fail(rec, f"unknown generator {gen!r}")
-    for field in _BOX_FIELDS[gen]:
-        if field not in rec:
-            ctx.fail(rec, f"a {gen} box needs the field {field!r}")
-    for field in set(rec) - {"id", "name", "gen"}:
-        if field not in _BOX_FIELDS[gen]:
-            ctx.fail(rec, f"a {gen} box has no field {field!r}")
+    fields = _BOX_FIELDS[gen]
+    ctx.rec(rec, f"a {gen} box", ("id", "name", "gen") + fields, ("id", "gen") + fields)
     name = rec.get("name", box_id)
     if not isinstance(name, str):
         ctx.fail(rec, "box name must be a string")
-    if gen == "knowledge":
-        box = fstheory.knowledge_box(
-            _system_names(ctx, env, rec["ins"], "box inputs"),
-            _system_names(ctx, env, rec["outs"], "box outputs"),
-            name=name,
-        )
-    elif gen == "learn":
-        (system,) = _system_names(ctx, env, [rec["system"]], "box system")
-        box = fstheory.prop_gain(system, name=name)
-    elif gen == "ignore":
-        (system,) = _system_names(ctx, env, [rec["system"]], "box system")
-        box = fstheory.ignore(system, name=name)
-    elif gen == "embedded":
+    if gen in ("learn", "ignore", "state", "effect"):
+        system = _system(ctx, env, rec["system"], rec, "box system")
+    if gen in ("knowledge", "embedded", "proc-knowledge"):
         ins = _system_names(ctx, env, rec["ins"], "box inputs")
         outs = _system_names(ctx, env, rec["outs"], "box outputs")
-        entries = _exact_matrix(ctx, rec["entries"], "entries")
+    if gen in ("proc-knowledge", "proc") and pm is None:
+        ctx.fail(rec, "procedure boxes need a procedures section")
+    if gen == "knowledge":
+        return box_id, fstheory.knowledge_box(ins, outs, name=name)
+    if gen == "learn":
+        return box_id, fstheory.prop_gain(system, name=name)
+    if gen == "ignore":
+        return box_id, fstheory.ignore(system, name=name)
+    if gen == "embedded":
+        entries = _numbers(ctx, rec["entries"], "entries", exact=True)
         matrix = substoch.SubstochMap(
             fstheory.bundle_carrier(ins), fstheory.bundle_carrier(outs), entries
         )
-        box = fstheory.embedded(matrix, ins, outs, name=name)
-    elif gen == "state":
-        (system,) = _system_names(ctx, env, [rec["system"]], "box system")
-        weights = _number_vector(ctx, rec["weights"], "weights")
+        return box_id, fstheory.embedded(matrix, ins, outs, name=name)
+    if gen == "state":
+        weights = _numbers(ctx, rec["weights"], "weights", matrix=False)
         sigma = substoch.KnowledgeState(system.carrier, weights)
-        box = fstheory.state_box(sigma, name=name)
-    elif gen == "effect":
-        (system,) = _system_names(ctx, env, [rec["system"]], "box system")
-        members = [_label(v) for v in ctx.arr(rec["members"], "members")]
-        box = fstheory.effect_box(
-            substoch.proposition(system.carrier, members), name=name
-        )
-    elif gen == "proc-knowledge":
-        if pm is None:
-            ctx.fail(rec, "procedure boxes need a procedures section")
-        box = optheory.op_knowledge_box(
-            pm,
-            _system_names(ctx, env, rec["ins"], "box inputs"),
-            _system_names(ctx, env, rec["outs"], "box outputs"),
-            name=name,
-        )
-    else:
-        if pm is None:
-            ctx.fail(rec, "procedure boxes need a procedures section")
-        box = optheory.procedure_box(
-            pm, ctx.text(rec["proc"], rec, "procedure reference"), box_name=name
-        )
-    return box_id, box
+        return box_id, fstheory.state_box(sigma, name=name)
+    if gen == "effect":
+        members = _label(ctx, ctx.arr(rec["members"], "members"))
+        prop = substoch.proposition(system.carrier, members)
+        return box_id, fstheory.effect_box(prop, name=name)
+    if gen == "proc-knowledge":
+        return box_id, optheory.op_knowledge_box(pm, ins, outs, name=name)
+    proc = ctx.text(rec["proc"], rec, "procedure reference")
+    return box_id, optheory.procedure_box(pm, proc, box_name=name)
 
 
 def _load_endpoint(ctx, end, index_of):
@@ -745,11 +683,7 @@ def _load_endpoint(ctx, end, index_of):
     ctx.fail(end, f"unknown endpoint tag {tag!r}")
 
 
-def _load_body(ctx, rec, env, pm, what="diagram", allow_decls=False):
-    allowed = ("boxes", "wires", "inputs", "outputs")
-    if allow_decls:
-        allowed += ("systems", "procedures")
-    ctx.rec(rec, what, allowed=allowed, required=("boxes", "wires", "inputs", "outputs"))
+def _load_body(ctx, rec, env, pm):
     boxes = []
     index_of = {}
     for box_rec in ctx.arr(rec["boxes"], "boxes"):
@@ -776,15 +710,11 @@ def _load_body(ctx, rec, env, pm, what="diagram", allow_decls=False):
 
 def load_diagram(text):
     """Parse a diagram file into (Diagram, PredictionMap or None)."""
-    kind, value, locs = loads(text)
-    ctx = _Ctx(locs)
-    if kind != "diagram":
-        ctx.fail(value, f"expected a diagram file, got {kind!r}")
-    env = _load_systems(ctx, value.get("systems", []))
-    pm = None
-    if "procedures" in value:
-        pm = optheory.PredictionMap(_load_procedures(ctx, value["procedures"], env))
-    return _load_body(ctx, value, env, pm, allow_decls=True), pm
+    ctx, value = _open(
+        text, "diagram", "diagram", ("systems", "procedures") + _BODY_FIELDS, _BODY_FIELDS
+    )
+    env, pm = _load_decls(ctx, value)
+    return _load_body(ctx, value, env, pm), pm
 
 
 def parse_diagram(path):
@@ -832,7 +762,8 @@ def _endpoint_value(end, ids):
     return [end[0], end[1]]
 
 
-def _body_value(d, namer, ids):
+def _body_value(d, namer):
+    ids = [f"b{i}" for i in range(len(d.boxes))]
     boxes = [_box_value(box, ids[i], namer) for i, box in enumerate(d.boxes)]
     wires = [
         [_endpoint_value(src, ids), _endpoint_value(dst, ids)]
@@ -853,31 +784,14 @@ def _needs_pm(d):
     )
 
 
-def _diagram_value(d, pm):
-    namer = _Namer()
-    for t in d.input_types + d.output_types:
-        namer.name(t)
-    procedures = None
-    if pm is not None:
-        procedures = [_procedure_value(decl, namer) for decl in pm.decls]
-    ids = [f"b{i}" for i in range(len(d.boxes))]
-    body = _body_value(d, namer, ids)
-    value = {"systems": namer.declarations()}
-    if procedures is not None:
-        value["procedures"] = procedures
-    value.update(body)
-    return value
-
-
 def serialize_diagram(d, pm=None):
     """Canonical file bytes for a diagram.
 
     Diagrams holding procedure boxes need the prediction map so the
     file can carry the procedure declarations they resolve against.
     """
-    if pm is None and _needs_pm(d):
-        raise ConfigError("serializing procedure boxes needs the prediction map")
-    return dumps("diagram", _diagram_value(d, pm)).encode("utf-8")
+    value = _declared([d], pm, lambda namer: _body_value(d, namer))
+    return dumps("diagram", value).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -886,22 +800,15 @@ def serialize_diagram(d, pm=None):
 
 def load_model(text):
     """Parse a model file into a prediction map."""
-    kind, value, locs = loads(text)
-    ctx = _Ctx(locs)
-    if kind != "model":
-        ctx.fail(value, f"expected a model file, got {kind!r}")
-    ctx.rec(
-        value, "a model", allowed=("systems", "procedures"), required=("procedures",)
+    ctx, value = _open(
+        text, "model", "a model", ("systems", "procedures"), required=("procedures",)
     )
-    env = _load_systems(ctx, value.get("systems", []))
-    return optheory.PredictionMap(_load_procedures(ctx, value["procedures"], env))
+    return _load_decls(ctx, value)[1]
 
 
 def dump_model(pm):
     """Canonical file text for a prediction map."""
-    namer = _Namer()
-    procedures = [_procedure_value(decl, namer) for decl in pm.decls]
-    return dumps("model", {"systems": namer.declarations(), "procedures": procedures})
+    return dumps("model", _declared((), pm, lambda namer: {}))
 
 
 # ---------------------------------------------------------------------------
@@ -937,16 +844,9 @@ def scenario_value(s):
 
 def load_correlation(text):
     """Parse a correlation file."""
-    kind, value, locs = loads(text)
-    ctx = _Ctx(locs)
-    if kind != "correlation":
-        ctx.fail(value, f"expected a correlation file, got {kind!r}")
-    ctx.rec(
-        value, "a correlation", allowed=("scenario", "table"), required=("scenario", "table")
-    )
+    ctx, value = _open(text, "correlation", "a correlation", ("scenario", "table"))
     scenario = _load_scenario(ctx, value["scenario"])
-    table = _number_matrix(ctx, value["table"], "table")
-    return nogo.Correlation(scenario, table)
+    return nogo.Correlation(scenario, _numbers(ctx, value["table"], "table"))
 
 
 def dump_correlation(corr):
@@ -966,20 +866,12 @@ def dump_correlation(corr):
 
 def load_fragment(text):
     """Parse a fragment file."""
-    kind, value, locs = loads(text)
-    ctx = _Ctx(locs)
-    if kind != "fragment":
-        ctx.fail(value, f"expected a fragment file, got {kind!r}")
-    ctx.rec(
-        value,
-        "a fragment",
-        allowed=("states", "effects", "unit"),
-        required=("states", "effects", "unit"),
+    ctx, value = _open(text, "fragment", "a fragment", ("states", "effects", "unit"))
+    return nogo.GPTFragment(
+        _numbers(ctx, value["states"], "states"),
+        _numbers(ctx, value["effects"], "effects"),
+        _numbers(ctx, value["unit"], "unit", matrix=False),
     )
-    states = _number_matrix(ctx, value["states"], "states")
-    effects = _number_matrix(ctx, value["effects"], "effects")
-    unit = _number_vector(ctx, value["unit"], "unit")
-    return nogo.GPTFragment(states, effects, unit)
 
 
 def dump_fragment(frag):
@@ -1000,24 +892,17 @@ def dump_fragment(frag):
 
 def load_rep(text, pm):
     """Parse a representation file against a diagram's prediction map."""
-    kind, value, locs = loads(text)
-    ctx = _Ctx(locs)
-    if kind != "rep":
-        ctx.fail(value, f"expected a rep file, got {kind!r}")
-    ctx.rec(
-        value,
-        "a representation",
-        allowed=("systems", "ontic", "xi"),
-        required=("ontic", "xi"),
+    ctx, value = _open(
+        text, "rep", "a representation", ("systems", "ontic", "xi"), required=("ontic", "xi")
     )
     env = _load_systems(ctx, value.get("systems", []))
     ontic = {}
     for rec in ctx.arr(value["ontic"], "ontic"):
-        ctx.rec(rec, "an ontic entry", allowed=("system", "carrier"), required=("system", "carrier"))
-        (system,) = _system_names(ctx, env, [rec["system"]], "ontic system")
+        ctx.rec(rec, "an ontic entry", allowed=("system", "carrier"))
+        system = _system(ctx, env, rec["system"], rec, "ontic system")
         if system in ontic:
             ctx.fail(rec, "duplicate ontic entry")
-        ontic[system] = tuple(_label(v) for v in ctx.arr(rec["carrier"], "carrier"))
+        ontic[system] = _label(ctx, ctx.arr(rec["carrier"], "carrier"))
 
     def image_carrier(rec, t):
         if t in ontic:
@@ -1028,7 +913,7 @@ def load_rep(text, pm):
 
     xi = {}
     for rec in ctx.arr(value["xi"], "xi"):
-        ctx.rec(rec, "a xi entry", allowed=("ins", "outs", "entries"), required=("ins", "outs", "entries"))
+        ctx.rec(rec, "a xi entry", allowed=("ins", "outs", "entries"))
         ins = _system_names(ctx, env, rec["ins"], "xi inputs")
         outs = _system_names(ctx, env, rec["outs"], "xi outputs")
         if (ins, outs) in xi:
@@ -1044,7 +929,7 @@ def load_rep(text, pm):
         cod = fstheory.bundle_carrier(
             tuple(causal_system(image_carrier(rec, t)) for t in outs)
         )
-        entries = _exact_matrix(ctx, rec["entries"], "xi entries")
+        entries = _numbers(ctx, rec["entries"], "xi entries", exact=True)
         xi[(ins, outs)] = substoch.SubstochMap(
             alphabet, funcdyn.hom_carrier(dom, cod), entries
         )
@@ -1053,21 +938,23 @@ def load_rep(text, pm):
 
 def dump_rep(rep, pm):
     """Canonical file text for a representation."""
-    namer = _Namer()
-    ontic = [
-        {"system": namer.name(t), "carrier": [label_value(lab) for lab in carrier]}
-        for t, carrier in rep.ontic.items()
-    ]
-    xi = []
-    for (ins, outs), m in rep.xi.items():
-        xi.append(
+
+    def body(namer):
+        ontic = [
+            {"system": namer.name(t), "carrier": [label_value(lab) for lab in carrier]}
+            for t, carrier in rep.ontic.items()
+        ]
+        xi = [
             {
                 "ins": [namer.name(t) for t in ins],
                 "outs": [namer.name(t) for t in outs],
                 "entries": [list(row) for row in m.entries],
             }
-        )
-    return dumps("rep", {"systems": namer.declarations(), "ontic": ontic, "xi": xi})
+            for (ins, outs), m in rep.xi.items()
+        ]
+        return {"ontic": ontic, "xi": xi}
+
+    return dumps("rep", _declared((), None, body))
 
 
 # ---------------------------------------------------------------------------
@@ -1076,53 +963,31 @@ def dump_rep(rep, pm):
 
 def load_pairs(text):
     """Parse a pairs file into ((left, right), ...) diagram pairs."""
-    kind, value, locs = loads(text)
-    ctx = _Ctx(locs)
-    if kind != "pairs":
-        ctx.fail(value, f"expected a pairs file, got {kind!r}")
-    ctx.rec(
-        value,
-        "a pairs file",
-        allowed=("systems", "procedures", "pairs"),
-        required=("pairs",),
+    ctx, value = _open(
+        text, "pairs", "a pairs file", ("systems", "procedures", "pairs"), required=("pairs",)
     )
-    env = _load_systems(ctx, value.get("systems", []))
-    pm = None
-    if "procedures" in value:
-        pm = optheory.PredictionMap(_load_procedures(ctx, value["procedures"], env))
+    env, pm = _load_decls(ctx, value)
     pairs = []
     for rec in ctx.arr(value["pairs"], "pairs"):
-        ctx.rec(rec, "a pair", allowed=("left", "right"), required=("left", "right"))
-        left = _load_body(ctx, rec["left"], env, pm, what="the left diagram")
-        right = _load_body(ctx, rec["right"], env, pm, what="the right diagram")
-        pairs.append((left, right))
+        ctx.rec(rec, "a pair", allowed=("left", "right"))
+        pairs.append(
+            tuple(
+                _load_body(ctx, ctx.rec(rec[side], f"the {side} diagram", _BODY_FIELDS), env, pm)
+                for side in ("left", "right")
+            )
+        )
     return tuple(pairs), pm
 
 
 def dump_pairs(pairs, pm=None):
     """Canonical file text for witness pairs."""
-    if pm is None and any(_needs_pm(d) for a, b in pairs for d in (a, b)):
-        raise ConfigError("serializing procedure boxes needs the prediction map")
-    namer = _Namer()
-    for a, b in pairs:
-        for d in (a, b):
-            for t in d.input_types + d.output_types:
-                namer.name(t)
-    procedures = None
-    if pm is not None:
-        procedures = [_procedure_value(decl, namer) for decl in pm.decls]
-    body = []
-    for a, b in pairs:
-        ids_a = [f"b{i}" for i in range(len(a.boxes))]
-        ids_b = [f"b{i}" for i in range(len(b.boxes))]
-        body.append(
-            {
-                "left": _body_value(a, namer, ids_a),
-                "right": _body_value(b, namer, ids_b),
-            }
-        )
-    value = {"systems": namer.declarations()}
-    if procedures is not None:
-        value["procedures"] = procedures
-    value["pairs"] = body
-    return dumps("pairs", value)
+
+    def body(namer):
+        return {
+            "pairs": [
+                {"left": _body_value(a, namer), "right": _body_value(b, namer)}
+                for a, b in pairs
+            ]
+        }
+
+    return dumps("pairs", _declared([d for pair in pairs for d in pair], pm, body))

@@ -594,3 +594,153 @@ def contract_fractions(diagram, box_tensor, wire_size):
         return np.full((), Fraction(1), dtype=object)
     arr, names = nodes[0]
     return arr.transpose([names.index(lab) for lab in open_out + open_in])
+
+
+# ---------------------------------------------------------------------------
+# The ci-engine/1 scanner, written as a character loop
+
+
+class ReferenceParseError(Exception):
+    """A syntax error of ``tokenize_reference``: message, line, column."""
+
+    def __init__(self, message, line, column):
+        super().__init__(message, line, column)
+        self.message = message
+        self.line = line
+        self.column = column
+
+
+_REF_PUNCT = "{}[]:,"
+_REF_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REF_WORD_BODY = _REF_WORD_START | set("0123456789+-")
+_REF_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+
+def tokenize_reference(text, first_line):
+    """Tokens of a ``ci-engine/1`` body as (kind, value, line, col) tuples.
+
+    A character-by-character scanner, kept as the reference for the
+    engine's regular-expression scanner.  It differs from the engine on
+    purpose in three places: it lets ``str.isdigit`` digits that are not
+    ASCII through (where ``int`` may then raise), it does not advance
+    the column inside a comment, and it reads the four characters after
+    ``\\u`` with ``int(..., 16)``, which accepts signs, spaces and
+    underscores.  Float literals that overflow come back as inf.
+    """
+    tokens = []
+    line, col = first_line, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch in _REF_PUNCT:
+            tokens.append((ch, ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            i += 1
+            col += 1
+            parts = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    raise ReferenceParseError("unterminated string", start_line, start_col)
+                c = text[i]
+                if c == '"':
+                    i += 1
+                    col += 1
+                    break
+                if c == "\\":
+                    if i + 1 >= n:
+                        raise ReferenceParseError("unterminated string", start_line, start_col)
+                    esc = text[i + 1]
+                    if esc == "u":
+                        hexpart = text[i + 2 : i + 6]
+                        if len(hexpart) < 4:
+                            raise ReferenceParseError("bad unicode escape", line, col)
+                        try:
+                            parts.append(chr(int(hexpart, 16)))
+                        except ValueError:
+                            raise ReferenceParseError("bad unicode escape", line, col) from None
+                        i += 6
+                        col += 6
+                        continue
+                    if esc not in _REF_ESCAPES:
+                        raise ReferenceParseError(f"bad escape '\\{esc}'", line, col)
+                    parts.append(_REF_ESCAPES[esc])
+                    i += 2
+                    col += 2
+                    continue
+                parts.append(c)
+                i += 1
+                col += 1
+            tokens.append(("str", "".join(parts), start_line, start_col))
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1 if ch == "-" else i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                if k == j + 1:
+                    raise ReferenceParseError("expected digits after '/'", line, col)
+                num, den = int(text[i:j]), int(text[j + 1 : k])
+                if den == 0:
+                    raise ReferenceParseError("zero denominator", start_line, start_col)
+                tokens.append(("num", Fraction(num, den), start_line, start_col))
+                col += k - i
+                i = k
+                continue
+            is_float = False
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+                is_float = True
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    is_float = True
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            lexeme = text[i:j]
+            value = float(lexeme) if is_float else int(lexeme)
+            tokens.append(("num", value, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _REF_WORD_START:
+            j = i
+            while j < n and text[j] in _REF_WORD_BODY:
+                j += 1
+            word = text[i:j]
+            if word == "true":
+                tokens.append(("bool", True, start_line, start_col))
+            elif word == "false":
+                tokens.append(("bool", False, start_line, start_col))
+            else:
+                tokens.append(("word", word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise ReferenceParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", None, line, col))
+    return tokens

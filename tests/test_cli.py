@@ -1,6 +1,8 @@
 """Command line driver: exit codes, records output, error reporting."""
 
+import argparse
 import io
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +10,8 @@ import pytest
 
 from ci_engine import cli, fileformat, nogo
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
 
 F = Fraction
 
@@ -250,6 +253,39 @@ def test_scenario_spec_spellings_agree():
     r1 = records(out1)[0]
     r2 = records(out2)[0]
     assert r1["verdict"] == r2["verdict"] == "nonmember"
+
+
+def test_the_argument_parser_is_built_once(monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert run("eval", str(DATA / "coin_dynamics.diagram"))[0] == 0
+    assert built == []
+
+
+def _readme_examples():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [line for line in lines if line.startswith("ci-engine ")]
+
+
+def test_readme_command_line_examples_run(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    examples = _readme_examples()
+    assert len(examples) >= 9
+    failed = []
+    for line in examples:
+        code, _, err = run(*shlex.split(line)[1:])
+        if code != 0:
+            failed.append((line, code, err))
+    assert failed == []
 
 
 def test_scenario_help_lists_every_kind(monkeypatch, capsys):

@@ -1,11 +1,15 @@
 """Text format: lexing, parsing, canonical writes, round trips."""
 
 import io
+import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ci_engine import cli, fileformat, fstheory, nogo, optheory, substoch
 from ci_engine.diagrams import diagrams_equal
@@ -29,6 +33,7 @@ from ci_engine.fileformat import (
 )
 
 from conftest import SEED, rand_closed_classical_diagram, rand_fs_diagram
+from oracles import ReferenceParseError, tokenize_reference
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -132,6 +137,207 @@ def test_duplicate_box_id_rejected():
 """
     with pytest.raises(ParseError):
         load_diagram(text)
+
+
+# ---------------------------------------------------------------------------
+# Scanner against the character-loop reference
+
+_FRAGMENTS = (
+    ["{", "}", "[", "]", ":", ",", '"', '"', "\\"]
+    + ['\\"', "\\\\", "\\n", "\\t", "\\u", "\\x", "\\ ", "0041", "00e9", "+041", " 41 ", "4_1"]
+    + ["-", "/", ".", "e", "E", "+", "0", "1", "7", "12", "9e9", "é"]
+    + ["abc", "x_y", "_1", "zz", "true", "false", "#", "# note", " ", "\t", "\r", "\n"]
+)
+_FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def _comparable(tokens):
+    return [(kind, repr(value), line, col) for kind, value, line, col in tokens]
+
+
+def _intended_departure(text, err):
+    """Is ``err`` a ParseError the reference scanner does not raise on
+    purpose: a ``\\u`` whose four characters are not all hex digits but
+    that ``int(..., 16)`` reads, or a float literal that overflows?"""
+    lines = text.split("\n")
+    at = text[sum(len(x) + 1 for x in lines[: err.line - 1]) + err.column - 1 :]
+    if str(err).endswith("bad unicode escape"):
+        quad = at[2:6]
+        if len(quad) < 4 or all(c in "0123456789abcdefABCDEF" for c in quad):
+            return False
+        try:
+            int(quad, 16)
+        except ValueError:
+            return False
+        return True
+    if str(err).endswith("number out of range"):
+        m = _FLOAT.match(at)
+        return m is not None and math.isinf(float(m.group()))
+    return False
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join))
+def test_scanner_matches_the_reference(text):
+    try:
+        expected = _comparable(tokenize_reference(text, 1))
+    except ReferenceParseError as exc:
+        expected = (f"line {exc.line}, column {exc.column}: {exc.message}", exc.line, exc.column)
+    except Exception:
+        expected = None  # the reference crashes where the scanner must refuse
+    try:
+        got = _comparable(fileformat._scan(text, 1))
+    except ParseError as exc:
+        if expected is None or _intended_departure(text, exc):
+            return
+        assert (str(exc), exc.line, exc.column) == expected
+        return
+    assert isinstance(expected, list), expected
+    if "#" in text.rsplit("\n", 1)[-1]:
+        # the reference does not advance the column inside a comment
+        got[-1], expected[-1] = got[-1][:3], expected[-1][:3]
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Malformed input is a positioned ParseError
+
+
+def _parse_error(body):
+    with pytest.raises(ParseError) as err:
+        _parse_value(body)
+    assert err.value.line is not None and err.value.column is not None
+    return err.value
+
+
+@pytest.mark.parametrize("digit", ["²", "٣", "１"])
+def test_numbers_take_ascii_digits_only(digit):
+    err = _parse_error(f"{{x: [1, {digit}]}}")
+    assert (err.line, err.column) == (3, 9)
+    assert "unexpected character" in str(err)
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1.5e309"])
+def test_a_float_literal_that_overflows_is_refused(literal):
+    err = _parse_error(f"{{x: {literal}}}")
+    assert (err.line, err.column) == (3, 5)
+    assert _parse_value("{x: 1e-400}") == {"x": 0.0}
+
+
+def test_an_integer_beyond_the_conversion_limit_is_refused():
+    err = _parse_error("{x: " + "7" * 5000 + "}")
+    assert "number out of range" in str(err)
+
+
+def test_unicode_escapes_take_exactly_four_hex_digits():
+    assert _parse_value('{s: "\\u00e9\\u0041"}') == {"s": "éA"}
+    for quad in ("+041", " 41 ", "4_1", "004"):
+        err = _parse_error(f'{{s: "ab\\u{quad}"}}')
+        assert (err.line, err.column) == (3, 8)
+        assert "bad unicode escape" in str(err)
+
+
+def test_nesting_is_bounded():
+    deep = fileformat._MAX_DEPTH
+    nested = _parse_value("[" * deep + "]" * deep)
+    for _ in range(deep - 1):
+        (nested,) = nested
+    assert nested == []
+    err = _parse_error("{x: " + "[" * deep + "]" * deep + "}")
+    assert "nesting deeper than" in str(err)
+    err = _parse_error("[" * 3000 + "]" * 3000)
+    assert (err.line, err.column) == (3, deep + 1)
+
+
+def _diagram_with(box, carrier="[0 1]"):
+    return f"""ci-engine/1 diagram
+
+{{
+  systems: [{{name: s, kind: causal, carrier: {carrier}}}]
+  boxes: [{box}]
+  wires: [[[in 0] [box g 0]]]
+  inputs: [s]
+  outputs: []
+}}
+"""
+
+
+def test_a_generator_tag_must_be_a_name():
+    with pytest.raises(ParseError, match="box generator must be a name") as err:
+        load_diagram(_diagram_with("{id: g, gen: [learn], system: s}"))
+    assert err.value.line == 5
+
+
+_MODEL_WITH_RECORD_LABEL = """ci-engine/1 model
+
+{
+  systems: [{name: q, kind: quantum, dim: 1}]
+  procedures: [
+    {name: p, ins: [], outs: [q], kraus: [{out: [{a: 1}], in: [], mats: [[[1]]]}]}
+  ]
+}
+"""
+
+_REP_WITH_RECORD_LABEL = """ci-engine/1 rep
+
+{
+  systems: [{name: q, kind: quantum, dim: 2}]
+  ontic: [{system: q, carrier: [0, {a: 1}]}]
+  xi: []
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_diagram, _diagram_with("{id: g, gen: ignore, system: s}", "[0 {a: 1}]")),
+        (load_diagram, _diagram_with("{id: g, gen: ignore, system: s}", "[0 [1 {a: 1}]]")),
+        (lambda text: load_rep(text, None), _REP_WITH_RECORD_LABEL),
+        (load_model, _MODEL_WITH_RECORD_LABEL),
+    ],
+    ids=["carrier", "nested-carrier", "ontic", "kraus"],
+)
+def test_a_record_is_not_a_label(load, text):
+    with pytest.raises(ParseError, match="a label cannot be a record") as err:
+        load(text)
+    assert err.value.line is not None
+
+
+def test_a_top_level_array_is_not_a_diagram():
+    with pytest.raises(ParseError, match="diagram must be a record"):
+        load_diagram("ci-engine/1 diagram\n\n[]\n")
+
+
+_MALFORMED = {
+    "superscript-digit": ("correlation", "pr_box.correlation", "1/2", "²"),
+    "arabic-indic-digit": ("correlation", "pr_box.correlation", "1/2", "٣"),
+    "deep-nesting": ("correlation", "pr_box.correlation", "[1/2", "[" * 3000 + "1/2" + "]" * 2999 + "1/2"),
+    "overflowing-float": ("fragment", "hexagon.fragment", "1/4", "1e400"),
+    "generator-array": ("diagram", "coin_dynamics.diagram", "gen: learn", "gen: [learn]"),
+    "record-label": ("diagram", "coin_dynamics.diagram", "carrier: [id, flip]", "carrier: [id, {f: 1}]"),
+    "ragged-kraus-matrix": ("model", "singlet.model", "[[-0.7071067811865475, 0.0]]", "[]"),
+    "huge-kraus-entry": ("model", "singlet.model", "-0.7071067811865475", "1" + "0" * 400),
+}
+_CLI_FOR = {
+    "correlation": ["bell-check", "--corr"],
+    "fragment": ["simplex-embed", "--fragment"],
+    "diagram": ["eval"],
+    "model": ["bell-check", "--quantum"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_files_exit_two_with_a_position(tmp_path, case):
+    kind, name, old, new = _MALFORMED[case]
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(_CLI_FOR[kind] + [str(path)], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert re.fullmatch(r"parse error: line \d+, column \d+: [^\n]+\n", err.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +484,28 @@ def test_fragment_round_trip():
         assert dump_fragment(back) == blob
 
 
+def _coin_pm():
+    return load_diagram((DATA / "coin_dynamics.diagram").read_text())[1]
+
+
+# file suffix -> (load, dump): dump(load(text)) must give the text back
+_ROUND_TRIPS = {
+    ".diagram": (load_diagram, lambda v: serialize_diagram(*v).decode()),
+    ".model": (load_model, dump_model),
+    ".correlation": (load_correlation, dump_correlation),
+    ".fragment": (load_fragment, dump_fragment),
+    ".rep": (lambda text: load_rep(text, _coin_pm()), lambda rep: dump_rep(rep, None)),
+    ".pairs": (load_pairs, lambda v: dump_pairs(*v)),
+}
+
+
 def test_demo_artifacts_parse_and_round_trip():
-    for name in (
-        "chsh_fixed_settings.diagram",
-        "coin_dynamics.diagram",
-        "omelette_constants.diagram",
-        "omelette_reversible.diagram",
-    ):
-        text = (DATA / name).read_text()
-        d, pm = load_diagram(text)
-        assert serialize_diagram(d, pm).decode() == text
+    paths = sorted(DATA.iterdir())
+    assert len(paths) >= 11
+    for path in paths:
+        load, dump = _ROUND_TRIPS[path.suffix]
+        text = path.read_text(encoding="utf-8")
+        assert dump(load(text)) == text, path.name
 
 
 def test_demo_rep_checks_out():
