@@ -1,39 +1,52 @@
 """Exact rational linear programming and small linear algebra.
 
-Each input is read once as Python-int rows over one positive common
-denominator (``tensornet.scaled``), which no result depends on.  The
-Phase-I simplex, solves, ranks, nullspaces and the ray enumerator behind
-``polytope_vertices`` all pivot with one fraction-free step (Bareiss,
-Math. Comp. 22, 1968), ``new = (p * row - row[c] * pivot_row) / d``: the
-division is exact and ``d > 0``, so the rows always hold ``d`` times the
-tableau and Fractions appear only in the results.  The scale is global:
-per-row scales would reweight the Phase-I objective (the sum of the rows)
-and change Bland's path, while one scalar keeps the entering columns, the
-ratio-test ties, ``x`` and the Farkas ``y`` of the rational tableau.
+Each input is read once as Python-int rows, each column over its own
+positive denominator: column ``j`` of the integers is ``scale_j`` times
+column ``j`` of the input (``_ints``).  Positive column scaling leaves
+the Phase-I simplex on the same path: a column's reduced costs and
+tableau entries are scaled by positive factors, so Bland's entering
+column keeps its sign, every ratio of the ratio test is scaled by one
+common factor, so its ties stay ties, and the Farkas ``y`` is
+unchanged.  Only solutions and nullspace vectors depend on the scales,
+and each routine undoes them there: ``x_j = scale_j * x'_j / scale_b``.
+So a 0/1 incidence stays 0/1, and only the columns that hold
+fractions, such as a right-hand side, carry their denominators.
+
+The Phase-I simplex, solves, ranks, nullspaces and the ray enumerator
+behind ``polytope_vertices`` all pivot with one fraction-free step
+(Bareiss, Math. Comp. 22, 1968).  Row ``i`` holds ``ds[i]`` times row
+``i`` of the rational tableau, ``ds[i] > 0`` being the scale of the last
+pivot that changed it; a row with a zero in the pivot column does not
+change and is left as it is.  Every division is exact, because the
+scale of the last pivot times the tableau is integer, and Fractions
+appear only in the results.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, Degenerate, DimensionMismatch
-from .tensornet import scaled
 
 _EXACT = (int, Fraction)
 
 
 def _ints(rows):
-    """The rows of numbers as Python-int rows over one positive denominator.
+    """The rows of numbers as Python-int rows, and one scale per column.
 
-    Python ints and Fractions are read as they are; anything else (bools,
-    floats, numpy scalars) goes through ``Fraction(v)`` first.
+    Column ``j`` of the result is ``scales[j]`` times column ``j`` of the
+    input, ``scales[j]`` being the least common denominator of that
+    column.  Python ints and Fractions are read as they are; anything else
+    (bools, floats, numpy scalars) goes through ``Fraction(v)`` first.
     """
     rows = [[v if type(v) in _EXACT else Fraction(v) for v in row] for row in rows]
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise DimensionMismatch("ragged matrix")
-    return scaled([v for row in rows for v in row], (len(rows), width)).num.tolist()
+    scales = [lcm(*(v.denominator for v in col)) for col in zip(*rows)]
+    ints = [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in rows]
+    return ints, scales
 
 
 def _augmented(a_rows, b):
@@ -46,28 +59,38 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _pivot(rows, r, c, d):
-    """Pivot rows holding ``d`` times a tableau on ``(r, c)``; returns the
-    new scale ``|rows[r][c]|``, which the rows then hold the new tableau times."""
-    pivot = rows[r]
+def _pivot(rows, ds, r, c, d):
+    """Pivot on ``(r, c)`` the rows holding ``ds[i]`` times a tableau, ``d``
+    being the scale of the last pivot; returns the new scale ``p``.
+
+    The pivot row alone is lifted to ``d``, which makes it ``p`` times the
+    new pivot row.  Each row with a nonzero ``f`` in column ``c`` becomes
+    ``p`` times its new tableau row, ``(p * v - f * w) / ds[i]``; the
+    others keep their values and scales.
+    """
+    s = ds[r]
+    pivot = rows[r] if s == d else [v * d // s for v in rows[r]]
     p = pivot[c]
     if p < 0:
         p = -p
-        pivot = rows[r] = [-v for v in pivot]
+        pivot = [-v for v in pivot]
+    rows[r], ds[r] = pivot, p
     for i, row in enumerate(rows):
         f = row[c]
-        if i != r and f:
-            rows[i] = [(p * v - f * w) // d for v, w in zip(row, pivot)]
-        elif i != r and p != d:
-            rows[i] = [p * v // d for v in row]
+        if f and i != r:
+            s = ds[i]
+            rows[i] = [(p * v - f * w) // s for v, w in zip(row, pivot)]
+            ds[i] = p
     return p
 
 
 def _rref(rows, ncols):
     """Reduce the integer ``rows`` in place to ``d`` times their reduced row
     echelon form over the first ``ncols`` columns; returns the pivot
-    columns, pivot rows on top in order, and ``d``."""
-    pivots, d = [], 1
+    columns, pivot rows on top in order, and ``d``.  The rows below the
+    pivot rows, zero on the first ``ncols`` columns, are left at some
+    positive multiple."""
+    pivots, d, ds = [], 1, [1] * len(rows)
     for c in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -76,8 +99,12 @@ def _rref(rows, ncols):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        d = _pivot(rows, r, c, d)
+        ds[r], ds[sel] = ds[sel], ds[r]
+        d = _pivot(rows, ds, r, c, d)
         pivots.append(c)
+    for i, s in enumerate(ds[: len(pivots)]):
+        if s != d:
+            rows[i] = [v * d // s for v in rows[i]]
     return pivots, d
 
 
@@ -88,20 +115,20 @@ def feasible_nonneg(a_rows, b):
     ``("infeasible", y)`` with a Farkas certificate: ``y . A <= 0``
     entrywise while ``y . b > 0``.
     """
-    aug = _augmented(a_rows, b)
+    aug, scales = _augmented(a_rows, b)
     m = len(aug)
     n = len(aug[0]) - 1 if m else 0
     # Columns: n originals, m artificials, the rhs.  The artificial block is
-    # the identity, so d starts at 1 and every division stays exact.  Rows
-    # with a negative rhs are negated; the last row, the column sums less 1
-    # per artificial, is the Phase-I objective for the artificials' sum.
+    # the identity, so every row starts at scale 1.  Rows with a negative
+    # rhs are negated; the last row, the column sums less 1 per artificial,
+    # is the Phase-I objective for the artificials' sum.
     flip = [-1 if row[n] < 0 else 1 for row in aug]
     tab = [
         [f * v for v in row[:n]] + [int(k == i) for k in range(m)] + [f * row[n]]
         for i, (row, f) in enumerate(zip(aug, flip))
     ]
     tab.append([sum(row[j] for row in tab) - (n <= j < n + m) for j in range(n + m + 1)])
-    basis, d = [n + i for i in range(m)], 1
+    basis, d, ds = [n + i for i in range(m)], 1, [1] * (m + 1)
 
     while True:
         entering = next((j for j in range(n + m) if tab[m][j] > 0), None)
@@ -110,31 +137,35 @@ def feasible_nonneg(a_rows, b):
         rows = [i for i in range(m) if tab[i][entering] > 0]
         if not rows:
             raise Degenerate("phase-I objective unbounded; invariant broken")
-        # ratio test by cross-multiplication, ties to the smallest basic variable
+        # ratio test by cross-multiplication, which no row scale changes,
+        # ties to the smallest basic variable
         leaving = rows[0]
         for i in rows[1:]:
             cross = tab[i][-1] * tab[leaving][entering] - tab[leaving][-1] * tab[i][entering]
             if cross < 0 or cross == 0 and basis[i] < basis[leaving]:
                 leaving = i
-        d = _pivot(tab, leaving, entering, d)
+        d = _pivot(tab, ds, leaving, entering, d)
         basis[leaving] = entering
 
-    obj = tab[m]
+    obj, s = tab[m], ds[m]
     if obj[-1] > 0:
         # y = c_B B^{-1}; the artificial block of the objective row is y - 1.
-        return "infeasible", [Fraction((obj[n + i] + d) * flip[i], d) for i in range(m)]
+        return "infeasible", [Fraction((obj[n + i] + s) * flip[i], s) for i in range(m)]
 
     # Artificials still basic sit at zero, so x reads off the basis as is.
-    x = dict(zip(basis, (row[-1] for row in tab)))
-    return "feasible", [Fraction(x.get(j, 0), d) for j in range(n)]
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(scales[j] * tab[i][-1], ds[i] * scales[n])
+    return "feasible", x
 
 
 def verify_certificate(a_rows, b, y):
     """Check a Farkas certificate by direct arithmetic."""
     if not 0 < len(y) == len(b) == len(a_rows):
         return False
-    *cols, rhs = zip(*_augmented(a_rows, b))
-    (y,) = _ints([y])
+    *cols, rhs = zip(*_augmented(a_rows, b)[0])
+    y = [v for (v,) in _ints([v] for v in y)[0]]
     return all(_dot(y, col) <= 0 for col in cols) and _dot(y, rhs) > 0
 
 
@@ -143,37 +174,45 @@ def solve_linear(a_rows, b):
 
     Free variables are set to zero.
     """
-    aug = _augmented(a_rows, b)
+    aug, scales = _augmented(a_rows, b)
     n = len(aug[0]) - 1 if aug else 0
     pivots, d = _rref(aug, n)
     if any(row[n] for row in aug[len(pivots):]):
         return None
-    x = dict(zip(pivots, (row[n] for row in aug)))
-    return [Fraction(x.get(c, 0), d) for c in range(n)]
+    x = [Fraction(0)] * n
+    for c, row in zip(pivots, aug):
+        x[c] = Fraction(scales[c] * row[n], d * scales[n])
+    return x
 
 
 def matrix_rank(a_rows):
-    rows = _ints(a_rows)
+    rows = _ints(a_rows)[0]
     return len(_rref(rows, len(rows[0]) if rows else 0)[0])
 
 
 def _kernel(rows):
-    """A right-nullspace basis of the nonempty integer ``rows``, as integer
-    vectors ``d`` times the rational ones, and ``d``."""
+    """A right-nullspace basis of the nonempty integer ``rows``: one integer
+    vector per free column, ``d`` at that column and 0 at the other free
+    ones; returns the free columns, the vectors and ``d``."""
     n = len(rows[0])
     pivots, d = _rref(rows, n)
     at = dict(zip(pivots, rows))
     free = [c for c in range(n) if c not in at]
-    return [[-at[c][fc] if c in at else d * (c == fc) for c in range(n)] for fc in free], d
+    return free, [[-at[c][fc] if c in at else d * (c == fc) for c in range(n)] for fc in free], d
 
 
 def nullspace(a_rows):
-    """A basis of the right nullspace, as rational row vectors."""
-    rows = _ints(a_rows)
+    """A basis of the right nullspace, as rational row vectors, each 1 at
+    its own free column and 0 at the others."""
+    rows, scales = _ints(a_rows)
     if not rows:
         return []
-    basis, d = _kernel(rows)
-    return [[Fraction(v, d) for v in vec] for vec in basis]
+    # a kernel vector v of the scaled rows is x = scales * v for the input
+    free, basis, d = _kernel(rows)
+    return [
+        [Fraction(s * v, d * scales[fc]) for s, v in zip(scales, vec)]
+        for fc, vec in zip(free, basis)
+    ]
 
 
 def polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
@@ -205,12 +244,14 @@ def cone_extreme_rays(ineq_rows, eq_rows=()):
     against the enumeration cap before any is tried.  Each ray comes
     back once, as a primitive integer vector, in the order first found.
     """
-    a = _ints(ineq_rows)
-    if not a:
+    if not ineq_rows:
         return []
-    n = len(a[0])
-    eqs = _ints(eq_rows)
-    basis = _kernel(eqs)[0] if eqs else [[int(i == j) for j in range(n)] for i in range(n)]
+    # one scale per coordinate, shared by the inequalities and equalities;
+    # a ray y of the scaled rows is the ray scales * y of the input
+    rows, scales = _ints([*ineq_rows, *eq_rows])
+    a, eqs = rows[: len(ineq_rows)], rows[len(ineq_rows) :]
+    n = len(scales)
+    basis = _kernel(eqs)[1] if eqs else [[int(i == j) for j in range(n)] for i in range(n)]
     k = len(basis)
     if k == 0:
         return []
@@ -221,12 +262,12 @@ def cone_extreme_rays(ineq_rows, eq_rows=()):
     rays = {}  # primitive ray -> None, in the order first found
     for subset in combinations(range(len(reduced)), k - 1):
         # with no rows picked (k == 1) the kernel is the whole line
-        kernel = _kernel([reduced[i] for i in subset])[0] if subset else [[1]]
+        kernel = _kernel([reduced[i] for i in subset])[1] if subset else [[1]]
         if len(kernel) != 1:
             continue
         for y in (kernel[0], [-v for v in kernel[0]]):
             if all(_dot(row, y) >= 0 for row in reduced):
-                x = [_dot(y, col) for col in zip(*basis)]
+                x = [s * _dot(y, col) for s, col in zip(scales, zip(*basis))]
                 g = gcd(*x)
                 rays[tuple(v // g for v in x)] = None
                 break

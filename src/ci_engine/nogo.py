@@ -201,6 +201,10 @@ class Correlation:
     table: tuple
 
     def __post_init__(self):
+        # the cards are capped before any context or outcome is enumerated
+        cap = enumeration_cap()
+        if math.prod(self.scenario.setting_cards) * math.prod(self.scenario.outcome_cards) > cap:
+            raise CapExceeded(f"the scenario's table has more than {cap} cells")
         ctxs = self.scenario.contexts()
         outs = self.scenario.outcomes()
         rows = tuple(tuple(row) for row in self.table)
@@ -218,7 +222,10 @@ class Correlation:
                     raise ValidationError("a context does not normalize")
         else:
             for row in rows:
-                vals = [float(v) for v in row]
+                try:
+                    vals = [float(v) for v in row]
+                except OverflowError:
+                    raise ValidationError("probability out of range") from None
                 if min(vals) < -_FLOAT_TOL or max(vals) > 1 + _FLOAT_TOL:
                     raise ValidationError("probability out of range")
                 if abs(sum(vals) - 1) > _FLOAT_TOL:
@@ -517,7 +524,11 @@ def fs_compatible(corr, s):
             raise EngineError("membership weights failed re-verification")
         return Member(w, target)
     facet = tuple(payload[:m])
-    bound = max(sum((facet[i] for i in cs), _ZERO) for cs in cells)
+    # a strategy pays the facet's entries on its cells: sum integer
+    # numerators over the facet's one denominator
+    den = math.lcm(*(f.denominator for f in facet))
+    nums = [f.numerator * (den // f.denominator) for f in facet]
+    bound = Fraction(max(sum(nums[i] for i in cs) for cs in cells), den)
     violation = _dot(facet, q) - bound
     if violation <= 0:
         raise EngineError("separating facet failed re-verification")
@@ -856,14 +867,19 @@ class GPTFragment:
             effects = tuple(tuple(Fraction(x) for x in v) for v in effects)
             unit = tuple(Fraction(x) for x in unit)
         tol = 0 if exact else _FLOAT_TOL
-        for w in states:
-            u = sum(a * b for a, b in zip(unit, w))
-            if abs(u - 1) > tol:
-                raise ValidationError("the unit effect must pay 1 on every state")
-            for e in effects:
-                p = sum(a * b for a, b in zip(e, w))
-                if p < -tol or p > 1 + tol:
-                    raise ValidationError("a pairing left [0, 1]")
+        try:
+            for w in states:
+                u = sum(a * b for a, b in zip(unit, w))
+                if abs(u - 1) > tol:
+                    raise ValidationError("the unit effect must pay 1 on every state")
+                for e in effects:
+                    p = sum(a * b for a, b in zip(e, w))
+                    if p < -tol or p > 1 + tol:
+                        raise ValidationError("a pairing left [0, 1]")
+        except OverflowError:
+            # only the float checks overflow: a float met an exact number
+            # beyond float range
+            raise ValidationError("a float fragment holds a number beyond float range") from None
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "unit", unit)
@@ -1038,36 +1054,42 @@ def simplex_embed(frag, lambda_max=16):
     rays = cone_extreme_rays(cone_rows, _dependences(states))
 
     targets = [[_dot(e, w) for w in states] for e in effects_all]
+    flat_targets = [t for row in targets for t in row]
+
+    # The LP's columns, one per candidate-ray product, built once as
+    # integers.  Candidate i is read over its own denominator dens[i], so
+    # the LP sees column (i, j) dens[i] times over, and its weight comes
+    # back divided by dens[i]; rays are primitive integer vectors already.
+    # products[i][k] holds row k = (effect, state) of candidate i's
+    # columns, one entry per ray.
+    dens = [math.lcm(*(v.denominator for v in c)) for c in candidates]
+    int_rays = [[int(v) for v in ray] for ray in rays]
+    products = [
+        [
+            [v.numerator * (den // v.denominator) * ray[s_idx] for ray in int_rays]
+            for v in c
+            for s_idx in range(ns)
+        ]
+        for c, den in zip(candidates, dens)
+    ]
 
     def solve(allowed, slack):
         cols = [(i, j) for i in allowed for j in range(len(rays))]
-        rows = []
-        rhs = []
-        extra = 2 * ne * ns if slack else 0
-        width = len(cols) + extra
-        si = len(cols)
-        for e_idx in range(ne):
-            for s_idx in range(ns):
-                base = [
-                    candidates[i][e_idx] * rays[j][s_idx] for (i, j) in cols
-                ]
-                if not slack:
-                    rows.append(base)
-                    rhs.append(targets[e_idx][s_idx])
-                else:
-                    up = base + [_ZERO] * (width - len(cols))
-                    up[si] = _ONE
-                    rows.append(up)
-                    rhs.append(targets[e_idx][s_idx] + _PAIRING_SLACK)
-                    dn = base + [_ZERO] * (width - len(cols))
-                    dn[si + 1] = -_ONE
-                    rows.append(dn)
-                    rhs.append(targets[e_idx][s_idx] - _PAIRING_SLACK)
-                    si += 2
+        rows = [[v for i in allowed for v in products[i][k]] for k in range(ne * ns)]
+        rhs = flat_targets
+        if slack:
+            # an upper and a lower row per pairing, each with a slack
+            # column of its own
+            base, rows, rhs = rows, [], []
+            for k, (row, t) in enumerate(zip(base, flat_targets)):
+                up, dn = [0] * (2 * len(base)), [0] * (2 * len(base))
+                up[2 * k], dn[2 * k + 1] = 1, -1
+                rows += [row + up, row + dn]
+                rhs += [t + _PAIRING_SLACK, t - _PAIRING_SLACK]
         status, payload = feasible_nonneg(rows, rhs)
         if status == "infeasible":
             return None, (rows, rhs, payload)
-        return dict(zip(cols, payload[: len(cols)])), None
+        return {(i, j): dens[i] * w for (i, j), w in zip(cols, payload)}, None
 
     # exact rows first even for float fragments: when the snapped data is
     # exactly embeddable the slack formulation only doubles the work

@@ -434,3 +434,30 @@ def test_bell_check_on_a_triangle_table_is_an_error(tmp_path):
         )
         assert code == 2 and out == ""
         assert "WrongScenario: triangle compatibility is not a polytope membership" in err
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, name, old, new, message",
+    [
+        # a card beyond the C index range is capped before any context is built
+        (("bell-check", "--corr"), "pr_box.correlation", "cards: [2, 2,", f"cards: [2, {_HUGE},",
+         "CapExceeded: the scenario's table has more than"),
+        # an exact integer beyond float range next to a float
+        (("bell-check", "--corr"), "pr_box.correlation", "[1/2, 0/1, 0/1, 1/2]", f"[0.5, 0/1, 0/1, {_HUGE}]",
+         "ValidationError: probability out of range"),
+        (("simplex-embed", "--fragment"), "hexagon.fragment", "[1/2, 1/4, 3/8]", f"[1/2, 0.25, {_HUGE}]",
+         "ValidationError: a float fragment holds a number beyond float range"),
+    ],
+    ids=["huge-card", "float-table-huge-int", "float-fragment-huge-int"],
+)
+def test_numbers_beyond_range_exit_two_with_an_error(tmp_path, argv, name, old, new, message):
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(*argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")

@@ -207,9 +207,9 @@ def test_halfplane_cone_rays():
 _BIG_DENOMINATORS = (3**40, 5**28, 7**23, 11**19)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**30), st.booleans(), st.booleans())
-def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction):
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**30), st.booleans(), st.booleans(), st.booleans())
+def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction, bell_shaped):
     # the same status and the same x or Farkas y as the Fraction tableau,
     # not only a certificate that checks out: this pins Bland's entering
     # columns and the ratio-test ties
@@ -220,7 +220,15 @@ def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction)
         return F(rng.randint(lo, 4), rng.choice(dens))
 
     m, n = rng.randint(1, 4), rng.randint(1, 5)
-    a = [[entry() for _ in range(n)] for _ in range(m)]
+    if bell_shaped:
+        # the shape of a Bell LP: 0/1 columns, here each over a
+        # denominator of its own, and a right-hand side whose entries
+        # each have one of the big denominators
+        col_dens = rng.sample((1, 2, 3, 4, 5, 7), n)
+        a = [[F(rng.randint(0, 1), den) for den in col_dens] for _ in range(m)]
+        dens = _BIG_DENOMINATORS
+    else:
+        a = [[entry() for _ in range(n)] for _ in range(m)]
     if by_construction:
         x0 = [entry(0) for _ in range(n)]
         b = [sum(r * v for r, v in zip(row, x0)) for row in a]
@@ -238,6 +246,46 @@ def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction)
     if got[0] == "infeasible":
         assert verify_certificate(a, b, got[1])
 
+
+def _eager_pivot(rows, r, c, d):
+    """The Bareiss step over one global scale: every row holds ``d`` times
+    the tableau before the step and the returned ``p`` times it after."""
+    pivot = rows[r]
+    p = pivot[c]
+    if p < 0:
+        p = -p
+        pivot = rows[r] = [-v for v in pivot]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f:
+            rows[i] = [(p * v - f * w) // d for v, w in zip(row, pivot)]
+        elif i != r and p != d:
+            rows[i] = [p * v // d for v in row]
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30))
+def test_lazy_row_scales_match_the_global_scale_step(seed):
+    # random pivots on random integer tableaux: every row lifted from its
+    # own scale to the current d equals the eager step's row, exactly, and
+    # a row with a zero in the pivot column is left as it is
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    eager = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+    lazy, ds, d = [list(row) for row in eager], [1] * m, 1
+    for _ in range(rng.randint(1, 8)):
+        spots = [(r, c) for r in range(m) for c in range(n) if eager[r][c]]
+        if not spots:
+            break
+        r, c = rng.choice(spots)
+        untouched = [(i, lazy[i]) for i in range(m) if i != r and not lazy[i][c]]
+        d_eager = _eager_pivot(eager, r, c, d)
+        d = exactlp._pivot(lazy, ds, r, c, d)
+        assert d == d_eager > 0
+        assert all(lazy[i] is row for i, row in untouched)
+        assert all(s > 0 and v * d % s == 0 for row, s in zip(lazy, ds) for v in row)
+        assert [[v * d // s for v in row] for row, s in zip(lazy, ds)] == eager
 
 
 @settings(max_examples=100, deadline=None)

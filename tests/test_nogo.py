@@ -108,6 +108,24 @@ def test_correlation_shape_checked():
         Correlation(s, [[F(1), 0, 0, 0]] * 3)
 
 
+def test_table_size_is_capped_before_any_context_is_built(monkeypatch):
+    # a card beyond the C index range, and one that is merely too large
+    monkeypatch.setattr(Bell, "contexts", None)
+    monkeypatch.setattr(Bell, "outcomes", None)
+    for s in (Bell(2, 10**400, 2, 2), Bell(1000, 1000, 2, 2)):
+        with pytest.raises(CapExceeded, match="more than 1000000 cells"):
+            Correlation(s, [])
+
+
+def test_an_integer_beyond_float_range_in_a_float_table_is_invalid():
+    s = chsh_scenario()
+    row = [0.5, 0, 0, 0.5]
+    with pytest.raises(ValidationError, match="probability out of range"):
+        Correlation(s, [[0.5, 0, 0, 10**400]] + [row] * 3)
+    with pytest.raises(ValidationError, match="probability out of range"):
+        Correlation(s, [[0.5, 0, 0, F(10**400, 3)]] + [row] * 3)
+
+
 def test_pr_box_values():
     c = pr_box()
     assert c.value((0, 0), (0, 0)) == F(1, 2)
@@ -394,6 +412,31 @@ def test_membership_matches_the_fraction_vertex_path(case):
         assert (got.facet, got.bound, got.violation) == want[1:]
 
 
+def test_bell_4422_verdicts_reverify():
+    # the largest Bell scenario in the suite: 256 strategies over 64 cells;
+    # both verdicts are checked here against the vertex tables themselves
+    s = Bell(4, 4, 2, 2)
+    vecs = [v.as_vector() for v in local_vertices(s)]
+    assert len(vecs) == 256
+    uniform = Correlation(s, [[F(1, 4)] * 4 for _ in s.contexts()])
+    member = fs_compatible(uniform, s)
+    assert isinstance(member, Member)
+    w = member.weights
+    assert sum(w) == 1 and min(w) >= 0
+    assert tuple(sum(wi * vec[i] for wi, vec in zip(w, vecs)) for i in range(64)) == uniform.as_vector()
+
+    pr = Correlation(s, _pr_block_table(s))
+    verdict = fs_compatible(pr, s)
+    assert isinstance(verdict, NonMember)
+    assert max(sum(f * x for f, x in zip(verdict.facet, vec)) for vec in vecs) == verdict.bound
+    pays = sum(f * x for f, x in zip(verdict.facet, pr.as_vector()))
+    assert pays - verdict.bound == verdict.violation > 0
+    assert [hull_member(vecs, [float(x) for x in c.as_vector()])[0] for c in (uniform, pr)] == [
+        True,
+        False,
+    ]
+
+
 def _negative_weights():
     # the uniform table is the uniform mixture of the 16 vertices; an
     # affine dependence among them pushes one weight below zero while
@@ -554,6 +597,19 @@ def test_fragment_validation():
         GPTFragment(((1, 0),), ((1,),), (1, 1))
     with pytest.raises(ValidationError):
         GPTFragment(((1, 0),), ((2, 0),), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "huge", [10**400, F(10**400, 3), -(10**400)], ids=["int", "fraction", "negative"]
+)
+def test_a_float_fragment_with_an_integer_beyond_float_range_is_invalid(huge):
+    # the huge entry meets a float in the unit's and in the effect's pairing
+    for states, effects in (
+        (((1, huge),), ((0.5, 0),)),
+        (((1, 0.0),), ((0.5, huge),)),
+    ):
+        with pytest.raises(ValidationError, match="beyond float range"):
+            GPTFragment(states, effects, (1, 0.0))
 
 
 def test_bit_fragment_embeds_identically():
