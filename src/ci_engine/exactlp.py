@@ -1,16 +1,17 @@
 """Exact rational linear programming and small linear algebra.
 
-Each input is read once as Python-int rows, each column over its own
-positive denominator: column ``j`` of the integers is ``scale_j`` times
-column ``j`` of the input (``_ints``).  Positive column scaling leaves
-the Phase-I simplex on the same path: a column's reduced costs and
-tableau entries are scaled by positive factors, so Bland's entering
-column keeps its sign, every ratio of the ratio test is scaled by one
-common factor, so its ties stay ties, and the Farkas ``y`` is
-unchanged.  Only solutions and nullspace vectors depend on the scales,
-and each routine undoes them there: ``x_j = scale_j * x'_j / scale_b``.
-So a 0/1 incidence stays 0/1, and only the columns that hold
-fractions, such as a right-hand side, carry their denominators.
+Each input is read once as integers, each column over its own positive
+denominator: column ``j`` of the integers is ``scale_j`` times column
+``j`` of the input (``_ints``; a signed-integer ndarray is read as it
+is, at scale 1).  Positive column scaling leaves the Phase-I simplex on
+the same path: a column's reduced costs and tableau entries are scaled
+by positive factors, so Bland's entering column keeps its sign, every
+ratio of the ratio test is scaled by one common factor, so its ties
+stay ties, and the Farkas ``y`` is unchanged.  Only solutions and
+nullspace vectors depend on the scales, and each routine undoes them
+there: ``x_j = scale_j * x'_j / scale_b``.  So a 0/1 incidence stays
+0/1, and only the columns that hold fractions, such as a right-hand
+side, carry their denominators.
 
 The Phase-I simplex, solves, ranks, nullspaces and the ray enumerator
 behind ``polytope_vertices`` all pivot with one fraction-free step
@@ -20,14 +21,27 @@ pivot that changed it; a row with a zero in the pivot column does not
 change and is left as it is.  Every division is exact, because the
 scale of the last pivot times the tableau is integer, and Fractions
 appear only in the results.
+
+The simplex tableau is one 2-D ndarray, and each step rewrites the rows
+with a nonzero in the pivot column at once (``_pivot_array``).  It is
+int64 while a bound allows: before each step, and before the pivot row
+is lifted to the current scale, the largest value the step can form is
+bounded from the largest entries, and at 2^62 the table moves to Python
+ints (object dtype) for the rest of the solve, so no value ever wraps.
+The ratio test compares Python ints.  The small eliminations of the
+other routines pivot Python-int lists (``_pivot``), where numpy's cost
+per call would outweigh its speed.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
+import numpy as np
+
 from .caps import enumeration_cap
 from .errors import CapExceeded, Degenerate, DimensionMismatch
+from .tensornet import _INT64_SAFE, _maxabs
 
 _EXACT = (int, Fraction)
 
@@ -108,55 +122,146 @@ def _rref(rows, ncols):
     return pivots, d
 
 
+def _pivot_array(tab, ds, r, c, d):
+    """``_pivot`` on a 2-D ndarray ``tab``, the row scales ``ds`` being a
+    list of Python ints; returns ``tab, p``.
+
+    An int64 ``tab`` moves to Python ints (object dtype) before any step
+    that could take a value to 2^62: lifting the pivot row ``w`` needs
+    ``max|w| * d`` below it, and rewriting the rows ``rows`` with a
+    nonzero ``f`` in column ``c`` needs ``p * max|rows| + max|f| * max|w|``
+    below it, which bounds every product, difference and quotient of the
+    step.
+    """
+    w = tab[r]
+    s = ds[r]
+    if s != d:
+        if tab.dtype != object and _maxabs(w) * d >= _INT64_SAFE:
+            tab = tab.astype(object)
+            w = tab[r]
+        w[:] = w * d // s
+    p = int(w[c])
+    if p < 0:
+        p = -p
+        w *= -1
+    ds[r] = p
+    hit = tab[:, c] != 0
+    hit[r] = False
+    idx = hit.nonzero()[0]
+    if idx.size:
+        rows = tab.take(idx, axis=0)
+        f = rows[:, c].copy()
+        if tab.dtype != object and (
+            p * _maxabs(rows) + max(map(abs, f.tolist())) * _maxabs(w) >= _INT64_SAFE
+        ):
+            tab, rows, f = tab.astype(object), rows.astype(object), f.astype(object)
+            w = tab[r]
+        rows *= p
+        rows -= f[:, None] * w
+        idx_list = idx.tolist()
+        scales = [ds[i] for i in idx_list]
+        # one scale, as in almost every step, divides fastest as a scalar
+        if min(scales) == max(scales):
+            rows //= scales[0]
+        else:
+            rows //= np.array(scales, dtype=tab.dtype)[:, None]
+        tab[idx] = rows
+        for i in idx_list:
+            ds[i] = p
+    return tab, p
+
+
+def _int_vector(values):
+    """Python ints over one positive scale, the least common denominator."""
+    values = [v if type(v) in _EXACT else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _int_matrix(a_rows):
+    """The rows as a 2-D int64 or object ndarray of ints, and one scale
+    per column.  A signed-integer ndarray, or a sequence of signed-integer
+    ndarray rows, is read at scale 1 as it is; any other rows go through
+    ``_ints``."""
+    if isinstance(a_rows, np.ndarray) or (len(a_rows) and isinstance(a_rows[0], np.ndarray)):
+        a = np.asarray(a_rows)
+        if a.ndim == 2 and a.dtype.kind == "i":
+            return a.astype(np.int64, copy=False), [1] * a.shape[1]
+    ints, scales = _ints(a_rows)
+    try:
+        a = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        a = np.array(ints, dtype=object)
+    return a.reshape(len(ints), len(scales)), scales
+
+
 def feasible_nonneg(a_rows, b):
     """Solve ``A x = b, x >= 0`` exactly.
 
-    Returns ``("feasible", x)`` with a rational solution vector, or
+    ``A`` is a sequence of rows of numbers, a sequence of signed-integer
+    ndarray rows, or a 2-D signed-integer ndarray.  Returns
+    ``("feasible", x)`` with a rational solution vector, or
     ``("infeasible", y)`` with a Farkas certificate: ``y . A <= 0``
     entrywise while ``y . b > 0``.
     """
-    aug, scales = _augmented(a_rows, b)
-    m = len(aug)
-    n = len(aug[0]) - 1 if m else 0
+    a, scales = _int_matrix(a_rows)
+    m, n = a.shape
+    if len(b) != m:
+        raise DimensionMismatch("rhs length must match the row count")
+    b, scale_b = _int_vector(b)
     # Columns: n originals, m artificials, the rhs.  The artificial block is
     # the identity, so every row starts at scale 1.  Rows with a negative
     # rhs are negated; the last row, the column sums less 1 per artificial,
-    # is the Phase-I objective for the artificials' sum.
-    flip = [-1 if row[n] < 0 else 1 for row in aug]
-    tab = [
-        [f * v for v in row[:n]] + [int(k == i) for k in range(m)] + [f * row[n]]
-        for i, (row, f) in enumerate(zip(aug, flip))
-    ]
-    tab.append([sum(row[j] for row in tab) - (n <= j < n + m) for j in range(n + m + 1)])
+    # is the Phase-I objective for the artificials' sum.  The table is int64
+    # when that row, which bounds every entry in size, stays below 2^62 (read
+    # off a's min and max: np.abs of -2^63 wraps).
+    flip = [-1 if v < 0 else 1 for v in b]
+    rhs = [abs(v) for v in b]
+    fits = a.dtype != object and max(
+        m * max(int(a.max(initial=0)), -int(a.min(initial=0))), sum(rhs)
+    ) < _INT64_SAFE
+    tab = np.zeros((m + 1, n + m + 1), dtype=np.int64 if fits else object)
+    body = tab[:m]
+    body[:, :n] = a
+    neg = [i for i, f in enumerate(flip) if f < 0]
+    if neg:
+        body[neg, :n] *= -1
+    body[:, n:-1] = np.eye(m, dtype=np.int64)
+    body[:, -1] = rhs
+    tab[m, :n] = body[:, :n].sum(axis=0)
+    tab[m, -1] = sum(rhs)
     basis, d, ds = [n + i for i in range(m)], 1, [1] * (m + 1)
 
     while True:
-        entering = next((j for j in range(n + m) if tab[m][j] > 0), None)
-        if entering is None:
+        positive = (tab[m, : n + m] > 0).nonzero()[0]
+        if not positive.size:
             break
-        rows = [i for i in range(m) if tab[i][entering] > 0]
+        entering = int(positive[0])
+        col, rhs = tab[:m, entering].tolist(), tab[:m, -1].tolist()
+        rows = [i for i in range(m) if col[i] > 0]
         if not rows:
             raise Degenerate("phase-I objective unbounded; invariant broken")
-        # ratio test by cross-multiplication, which no row scale changes,
-        # ties to the smallest basic variable
+        # ratio test by cross-multiplication in Python ints, which no row
+        # scale changes, ties to the smallest basic variable
         leaving = rows[0]
         for i in rows[1:]:
-            cross = tab[i][-1] * tab[leaving][entering] - tab[leaving][-1] * tab[i][entering]
+            cross = rhs[i] * col[leaving] - rhs[leaving] * col[i]
             if cross < 0 or cross == 0 and basis[i] < basis[leaving]:
                 leaving = i
-        d = _pivot(tab, ds, leaving, entering, d)
+        tab, d = _pivot_array(tab, ds, leaving, entering, d)
         basis[leaving] = entering
 
-    obj, s = tab[m], ds[m]
+    obj, s = tab[m].tolist(), ds[m]
     if obj[-1] > 0:
         # y = c_B B^{-1}; the artificial block of the objective row is y - 1.
         return "infeasible", [Fraction((obj[n + i] + s) * flip[i], s) for i in range(m)]
 
     # Artificials still basic sit at zero, so x reads off the basis as is.
+    rhs = tab[:m, -1].tolist()
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(scales[j] * tab[i][-1], ds[i] * scales[n])
+            x[j] = Fraction(scales[j] * rhs[i], ds[i] * scale_b)
     return "feasible", x
 
 
@@ -164,8 +269,9 @@ def verify_certificate(a_rows, b, y):
     """Check a Farkas certificate by direct arithmetic."""
     if not 0 < len(y) == len(b) == len(a_rows):
         return False
-    *cols, rhs = zip(*_augmented(a_rows, b)[0])
-    y = [v for (v,) in _ints([v] for v in y)[0]]
+    # positive column scales leave the sign of every product with y as it is
+    cols = _int_matrix(a_rows)[0].T.tolist()
+    y, rhs = _int_vector(y)[0], _int_vector(b)[0]
     return all(_dot(y, col) <= 0 for col in cols) and _dot(y, rhs) > 0
 
 

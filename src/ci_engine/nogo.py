@@ -12,6 +12,7 @@ re-verifies by direct arithmetic.
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -226,6 +227,9 @@ class Correlation:
                     vals = [float(v) for v in row]
                 except OverflowError:
                     raise ValidationError("probability out of range") from None
+                # every comparison with NaN is false, so NaN is refused by name
+                if not all(map(math.isfinite, vals)):
+                    raise ValidationError("probability is not a finite number")
                 if min(vals) < -_FLOAT_TOL or max(vals) > 1 + _FLOAT_TOL:
                     raise ValidationError("probability out of range")
                 if abs(sum(vals) - 1) > _FLOAT_TOL:
@@ -293,22 +297,43 @@ def pr_box():
 # Deterministic strategies
 
 
-def _vertex_hits(s):
-    """The strategies of ``local_vertices``, in its order, each as the
-    tuple of its outcome index (into ``s.outcomes()``) in each context of
-    ``s.contexts()``.  The strategy count is checked against the cap
-    before any strategy is enumerated.
-    """
+def _strategy_nodes(s):
+    """The scenario's setting and observed nodes, the card of each, and
+    the non-latent parents of each observed node.  With more than one
+    latent node the compatible set is not a polytope: WrongScenario."""
     dag = s.dag()
     settings, observed, latent = _dag_nodes(dag)
     if len(latent) > 1:
         raise WrongScenario("triangle compatibility is not a polytope membership")
     card = dict(zip(settings + observed, s.setting_cards + s.outcome_cards))
     parents = [tuple(p for p in dag[n] if p not in latent) for n in observed]
-    sizes = [math.prod(card[p] for p in ps) for ps in parents]
-    count = math.prod(card[n] ** k for n, k in zip(observed, sizes))
+    return settings, observed, card, parents
+
+
+def _check_strategy_count(s):
+    """CapExceeded when the scenario has more strategies than the cap."""
+    _, observed, card, parents = _strategy_nodes(s)
+    count = math.prod(
+        card[n] ** math.prod(card[p] for p in ps) for n, ps in zip(observed, parents)
+    )
     if count > enumeration_cap():
         raise CapExceeded(f"{count} deterministic strategies exceed the cap")
+
+
+def _vertex_hits(s):
+    """The strategies of ``local_vertices``, in its order, each as the
+    tuple of its outcome index (into ``s.outcomes()``) in each context of
+    ``s.contexts()``.  The strategy count is checked against the cap on
+    every call, before any strategy is enumerated or read from the cache.
+    """
+    _check_strategy_count(s)
+    return _enumerate_hits(s)
+
+
+@lru_cache(maxsize=8)
+def _enumerate_hits(s):
+    settings, observed, card, parents = _strategy_nodes(s)
+    sizes = [math.prod(card[p] for p in ps) for ps in parents]
     contexts = s.contexts()
     seen = {}
     for responses in iproduct(
@@ -327,6 +352,23 @@ def _vertex_hits(s):
             hits.append(hit)
         seen[tuple(hits)] = None
     return tuple(seen)
+
+
+@lru_cache(maxsize=8)
+def _membership_lp(s):
+    """Each strategy's (context, outcome) cells, row-major as
+    ``as_vector``, and the membership LP's matrix: the 0/1 incidence of
+    those cells, one row per cell, and an all-ones row for the total
+    weight.  The matrix is read-only int64, handed out as the tuple of
+    its rows, a sequence of rows like any other LP input.  Call
+    ``_check_strategy_count`` first: the cache skips it."""
+    n_out = len(s.outcomes())
+    cells = np.array(_enumerate_hits(s), dtype=np.intp) + np.arange(len(s.contexts())) * n_out
+    incidence = np.zeros((len(s.contexts()) * n_out + 1, len(cells)), dtype=np.int64)
+    incidence[cells, np.arange(len(cells))[:, None]] = 1
+    incidence[-1] = 1
+    incidence.setflags(write=False)
+    return tuple(map(tuple, cells.tolist())), tuple(incidence)
 
 
 def local_vertices(s):
@@ -485,7 +527,12 @@ def rationalize(corr):
 
 
 def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
+    """Exact dot product of rational vectors: integer products summed over
+    one common denominator and reduced once."""
+    nums = [a.numerator * b.numerator for a, b in zip(u, v)]
+    dens = [a.denominator * b.denominator for a, b in zip(u, v)]
+    den = math.lcm(*dens)
+    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
 
 def fs_compatible(corr, s):
@@ -503,15 +550,10 @@ def fs_compatible(corr, s):
     if corr.scenario != s:
         raise WrongScenario("correlation was built for another scenario")
     target = rationalize(corr)
-    n_out = len(s.outcomes())
-    cells = [[ci * n_out + k for ci, k in enumerate(hits)] for hits in _vertex_hits(s)]
+    _check_strategy_count(s)
+    cells, a_rows = _membership_lp(s)
     q = target.as_vector()
     m = len(q)
-    a_rows = [[0] * len(cells) for _ in range(m)]
-    for j, cs in enumerate(cells):
-        for i in cs:
-            a_rows[i][j] = 1
-    a_rows.append([1] * len(cells))
     status, payload = feasible_nonneg(a_rows, [*q, 1])
     if status == "feasible":
         w = tuple(payload)
@@ -868,6 +910,9 @@ class GPTFragment:
             unit = tuple(Fraction(x) for x in unit)
         tol = 0 if exact else _FLOAT_TOL
         try:
+            # every comparison with NaN is false, so NaN is refused by name
+            if not exact and not all(map(math.isfinite, entries)):
+                raise ValidationError("a float fragment holds a number that is not finite")
             for w in states:
                 u = sum(a * b for a, b in zip(unit, w))
                 if abs(u - 1) > tol:
@@ -1056,15 +1101,15 @@ def simplex_embed(frag, lambda_max=16):
     targets = [[_dot(e, w) for w in states] for e in effects_all]
     flat_targets = [t for row in targets for t in row]
 
-    # The LP's columns, one per candidate-ray product, built once as
-    # integers.  Candidate i is read over its own denominator dens[i], so
-    # the LP sees column (i, j) dens[i] times over, and its weight comes
+    # The LP's columns, one per candidate-ray product, built once as an
+    # integer array.  Candidate i is read over its own denominator dens[i],
+    # so the LP sees column (i, j) dens[i] times over, and its weight comes
     # back divided by dens[i]; rays are primitive integer vectors already.
-    # products[i][k] holds row k = (effect, state) of candidate i's
-    # columns, one entry per ray.
+    # products[i, k, j] is row k = (effect, state) of candidate i's column
+    # for ray j, in int64 unless an entry leaves its range.
     dens = [math.lcm(*(v.denominator for v in c)) for c in candidates]
     int_rays = [[int(v) for v in ray] for ray in rays]
-    products = [
+    nested = [
         [
             [v.numerator * (den // v.denominator) * ray[s_idx] for ray in int_rays]
             for v in c
@@ -1072,20 +1117,24 @@ def simplex_embed(frag, lambda_max=16):
         ]
         for c, den in zip(candidates, dens)
     ]
+    try:
+        products = np.array(nested, dtype=np.int64)
+    except OverflowError:
+        products = np.array(nested, dtype=object)
+    products = products.reshape(len(candidates), ne * ns, len(rays))
 
     def solve(allowed, slack):
         cols = [(i, j) for i in allowed for j in range(len(rays))]
-        rows = [[v for i in allowed for v in products[i][k]] for k in range(ne * ns)]
+        # row k lists candidate i's columns for every allowed i in turn
+        rows = products[allowed].transpose(1, 0, 2).reshape(ne * ns, len(cols))
         rhs = flat_targets
         if slack:
             # an upper and a lower row per pairing, each with a slack
-            # column of its own
-            base, rows, rhs = rows, [], []
-            for k, (row, t) in enumerate(zip(base, flat_targets)):
-                up, dn = [0] * (2 * len(base)), [0] * (2 * len(base))
-                up[2 * k], dn[2 * k + 1] = 1, -1
-                rows += [row + up, row + dn]
-                rhs += [t + _PAIRING_SLACK, t - _PAIRING_SLACK]
+            # column of its own, +1 on the upper row and -1 on the lower
+            slacks = np.diag(np.tile([1, -1], ne * ns))
+            rows = np.hstack([rows.repeat(2, axis=0), slacks])
+            rhs = [t + s for t in flat_targets for s in (_PAIRING_SLACK, -_PAIRING_SLACK)]
+        rows = tuple(rows)
         status, payload = feasible_nonneg(rows, rhs)
         if status == "infeasible":
             return None, (rows, rhs, payload)

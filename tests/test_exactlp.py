@@ -265,15 +265,19 @@ def _eager_pivot(rows, r, c, d):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**30))
-def test_lazy_row_scales_match_the_global_scale_step(seed):
+@given(st.integers(0, 2**30), st.sampled_from((1, 2**28, 2**40)), st.booleans())
+def test_lazy_row_scales_match_the_global_scale_step(seed, size, python_ints):
     # random pivots on random integer tableaux: every row lifted from its
     # own scale to the current d equals the eager step's row, exactly, and
-    # a row with a zero in the pivot column is left as it is
+    # a row with a zero in the pivot column is left as it is.  The ndarray
+    # step takes the same path as the list step; with entries near 2^28 or
+    # 2^40 its int64 table moves to Python ints on the way.
     rng = random.Random(seed)
     m, n = rng.randint(1, 5), rng.randint(1, 6)
-    eager = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+    eager = [[rng.choice((0, 0, rng.randint(-9, 9) * size)) for _ in range(n)] for _ in range(m)]
     lazy, ds, d = [list(row) for row in eager], [1] * m, 1
+    tab = np.array(eager, dtype=object if python_ints else np.int64).reshape(m, n)
+    tab_ds = [1] * m
     for _ in range(rng.randint(1, 8)):
         spots = [(r, c) for r in range(m) for c in range(n) if eager[r][c]]
         if not spots:
@@ -281,11 +285,79 @@ def test_lazy_row_scales_match_the_global_scale_step(seed):
         r, c = rng.choice(spots)
         untouched = [(i, lazy[i]) for i in range(m) if i != r and not lazy[i][c]]
         d_eager = _eager_pivot(eager, r, c, d)
+        tab, d_tab = exactlp._pivot_array(tab, tab_ds, r, c, d)
         d = exactlp._pivot(lazy, ds, r, c, d)
-        assert d == d_eager > 0
+        assert d == d_tab == d_eager > 0
         assert all(lazy[i] is row for i, row in untouched)
         assert all(s > 0 and v * d % s == 0 for row, s in zip(lazy, ds) for v in row)
         assert [[v * d // s for v in row] for row, s in zip(lazy, ds)] == eager
+        assert tab.tolist() == lazy and tab_ds == ds
+        assert tab.dtype == object or all(abs(v) < 2**62 for row in lazy for v in row)
+
+
+def _spy_pivots(monkeypatch):
+    """Record the dtype before and after each ndarray pivot step."""
+    steps = []
+    real = exactlp._pivot_array
+
+    def spy(tab, ds, r, c, d):
+        before = tab.dtype
+        tab, p = real(tab, ds, r, c, d)
+        steps.append((before, tab.dtype))
+        return tab, p
+
+    monkeypatch.setattr(exactlp, "_pivot_array", spy)
+    return steps
+
+
+def test_pivot_step_moves_to_python_ints_at_the_bound():
+    # pivot (0, 0): p = max|w| = 2^31 and f = 1, so the bound is
+    # 2^31 * max|row 1| + 2^31, which reaches 2^62 exactly at 2^31 - 1
+    for last, dtype in ((2**31 - 2, np.int64), (2**31 - 1, object), (2**33, object)):
+        tab = np.array([[2**31, 1], [1, last]], dtype=np.int64)
+        tab, p = exactlp._pivot_array(tab, [1, 1], 0, 0, 1)
+        assert (p, tab.dtype) == (2**31, dtype)
+        # 2^31 * 2^33 would wrap int64; the Python ints hold the exact row
+        assert tab.tolist() == [[2**31, 1], [0, 2**31 * last - 1]]
+    # lifting a pivot row from scale 1 to d = 2^40 needs max|w| * d below 2^62
+    for top, dtype in ((2**22 - 1, np.int64), (2**22, object)):
+        tab = np.array([[top, 1], [0, 1]], dtype=np.int64)
+        tab, p = exactlp._pivot_array(tab, [1, 1], 0, 0, 2**40)
+        assert (p, tab.dtype) == (top * 2**40, dtype)
+        assert tab.tolist() == [[top * 2**40, 2**40], [0, 1]]
+
+
+def test_bell_4422_lp_stays_on_int64(monkeypatch):
+    s = nogo.Bell(4, 4, 2, 2)
+    uniform = nogo.Correlation(s, [[F(1, 4)] * 4 for _ in s.contexts()])
+    steps = _spy_pivots(monkeypatch)
+    assert isinstance(nogo.fs_compatible(uniform, s), nogo.Member)
+    int64 = np.dtype(np.int64)
+    assert steps and set(steps) == {(int64, int64)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**30), st.booleans())
+def test_entries_that_cross_the_bound_mid_solve_match_the_fraction_reference(seed, signed):
+    # entries of 9 to 13 bits are read as int64, and the minors that the
+    # pivots build grow past 2^62 within a few steps: the table must move
+    # to Python ints mid-solve and still give the reference's x or y
+    rng = random.Random(seed)
+    m, n, bits = rng.randint(3, 5), rng.randint(3, 6), rng.randint(9, 13)
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    x0 = [entry() if signed else rng.getrandbits(bits) for _ in range(n)]
+    b = [sum(r * v for r, v in zip(row, x0)) for row in a]
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _spy_pivots(mp)
+        got = feasible_nonneg(a, b)
+    assume(steps and steps[0][0] == np.int64 and steps[-1][1] == object)
+    assert got == feasible_nonneg_fraction(a, b)
+    if not signed:
+        assert got[0] == "feasible"
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,6 +393,33 @@ def test_int_and_fraction_entries_give_equal_results(seed):
             solve_linear(fa, fb),
             verify_certificate(fa, fb, fy),
         ] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_an_int_ndarray_is_read_as_it_is(seed):
+    # an integer ndarray, or a sequence of integer ndarray rows, is read at
+    # scale 1 without a pass over its entries in Python
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    b = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m)]
+    want = feasible_nonneg(rows, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_ints", None)
+        for dtype in (np.int64, np.int32):
+            arr = np.array(rows, dtype=dtype)
+            assert feasible_nonneg(arr, b) == want
+            assert feasible_nonneg(tuple(arr), b) == want
+
+
+def test_entries_beyond_the_bound_are_read_as_python_ints(monkeypatch):
+    # -2^63 fits int64, but its absolute value wraps there
+    steps = _spy_pivots(monkeypatch)
+    for a in ([[-(2**63), 1]], np.array([[-(2**63), 1]]), [[2**63, 1]], [[2**62, 1]]):
+        steps.clear()
+        assert feasible_nonneg(a, [1]) == feasible_nonneg_fraction(a, [1])
+        assert steps[0][0] == object
 
 
 def test_bool_float_and_numpy_entries_convert_through_fraction():

@@ -126,6 +126,14 @@ def test_an_integer_beyond_float_range_in_a_float_table_is_invalid():
         Correlation(s, [[0.5, 0, 0, F(10**400, 3)]] + [row] * 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_float_in_a_table_is_invalid(bad):
+    # every comparison with NaN is false, so no range check alone refuses it
+    s = chsh_scenario()
+    with pytest.raises(ValidationError, match="not a finite number"):
+        Correlation(s, [[bad, 0.5, 0.5, 0.0]] + [[0.25] * 4] * 3)
+
+
 def test_pr_box_values():
     c = pr_box()
     assert c.value((0, 0), (0, 0)) == F(1, 2)
@@ -215,6 +223,28 @@ def test_membership_checks_the_strategy_cap_before_the_lp(monkeypatch):
     with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
         fs_compatible(corr, s)
     assert enumerators == []
+
+def test_the_strategy_cap_holds_after_the_cache_is_filled(monkeypatch):
+    # prepare-measure (2, 2, 4, 2): 1024 strategies, a member at the
+    # default cap, read from the per-scenario cache on the next call
+    s = PrepareMeasure(2, 2, 4, 2)
+    n_out = len(s.outcomes())
+    corr = Correlation(s, [[F(1, n_out)] * n_out for _ in s.contexts()])
+    assert isinstance(fs_compatible(corr, s), Member)
+    cells, rows = nogo._membership_lp(s)
+    assert len(cells) == 1024 and len(rows) == len(corr.as_vector()) + 1
+    # the cached incidence is read-only
+    with pytest.raises(ValueError):
+        rows[0][0] = 5
+    with pytest.raises(ValueError):
+        rows[0].base[0, 0] = 5
+    assert nogo._membership_lp(s) is nogo._membership_lp(PrepareMeasure(2, 2, 4, 2))
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
+        fs_compatible(corr, s)
+    with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
+        local_vertices(s)
+
 
 _VERTEX_REFERENCES = {
     Bell: oracles.bell_vertex_tables,
@@ -610,6 +640,19 @@ def test_a_float_fragment_with_an_integer_beyond_float_range_is_invalid(huge):
     ):
         with pytest.raises(ValidationError, match="beyond float range"):
             GPTFragment(states, effects, (1, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_float_fragment_with_a_non_finite_entry_is_invalid(bad):
+    # in a state, in an effect and in the unit: a NaN pays NaN, which
+    # passes every tolerance check
+    for states, effects, unit in (
+        (((1, bad),), ((0.5, 0.0),), (1, 0.0)),
+        (((1, 0.0),), ((0.5, bad),), (1, 0.0)),
+        (((1, 0.0),), ((0.5, 0.0),), (1, bad)),
+    ):
+        with pytest.raises(ValidationError, match="not finite"):
+            GPTFragment(states, effects, unit)
 
 
 def test_bit_fragment_embeds_identically():
