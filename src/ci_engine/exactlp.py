@@ -13,14 +13,13 @@ there: ``x_j = scale_j * x'_j / scale_b``.  So a 0/1 incidence stays
 0/1, and only the columns that hold fractions, such as a right-hand
 side, carry their denominators.
 
-The Phase-I simplex, solves, ranks, nullspaces and the ray enumerator
-behind ``polytope_vertices`` all pivot with one fraction-free step
-(Bareiss, Math. Comp. 22, 1968).  Row ``i`` holds ``ds[i]`` times row
-``i`` of the rational tableau, ``ds[i] > 0`` being the scale of the last
-pivot that changed it; a row with a zero in the pivot column does not
-change and is left as it is.  Every division is exact, because the
-scale of the last pivot times the tableau is integer, and Fractions
-appear only in the results.
+The Phase-I simplex, nullspaces and the start cone of the ray
+enumerator all pivot with one fraction-free step (Bareiss, Math. Comp.
+22, 1968).  Row ``i`` holds ``ds[i]`` times row ``i`` of the rational
+tableau, ``ds[i] > 0`` being the scale of the last pivot that changed
+it; a row with a zero in the pivot column does not change and is left
+as it is.  Every division is exact, because the scale of the last pivot
+times the tableau is integer, and Fractions appear only in the results.
 
 The simplex tableau is one 2-D ndarray, and each step rewrites the rows
 with a nonzero in the pivot column at once (``_pivot_array``).  It is
@@ -31,11 +30,19 @@ ints (object dtype) for the rest of the solve, so no value ever wraps.
 The ratio test compares Python ints.  The small eliminations of the
 other routines pivot Python-int lists (``_pivot``), where numpy's cost
 per call would outweigh its speed.
+
+Extreme rays, and through them the vertices of ``polytope_vertices``,
+come from the double-description method on Python-int rays, with the
+rows each ray is tight on kept as an int bitmask.  Its work grows with
+the rays of the intermediate cones, not with the subsets of rows, and
+the enumeration cap bounds the pairs of rays tested at any one row.  The
+rays come back in the order a search over the subsets of rows would
+first find them, so the LP columns built from them do not depend on how
+they were found.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -61,12 +68,6 @@ def _ints(rows):
     scales = [lcm(*(v.denominator for v in col)) for col in zip(*rows)]
     ints = [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in rows]
     return ints, scales
-
-
-def _augmented(a_rows, b):
-    if len(b) != len(a_rows):
-        raise DimensionMismatch("rhs length must match the row count")
-    return _ints([*row, v] for row, v in zip(a_rows, b))
 
 
 def _dot(u, v):
@@ -275,27 +276,6 @@ def verify_certificate(a_rows, b, y):
     return all(_dot(y, col) <= 0 for col in cols) and _dot(y, rhs) > 0
 
 
-def solve_linear(a_rows, b):
-    """One solution of ``A x = b`` or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    aug, scales = _augmented(a_rows, b)
-    n = len(aug[0]) - 1 if aug else 0
-    pivots, d = _rref(aug, n)
-    if any(row[n] for row in aug[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for c, row in zip(pivots, aug):
-        x[c] = Fraction(scales[c] * row[n], d * scales[n])
-    return x
-
-
-def matrix_rank(a_rows):
-    rows = _ints(a_rows)[0]
-    return len(_rref(rows, len(rows[0]) if rows else 0)[0])
-
-
 def _kernel(rows):
     """A right-nullspace basis of the nonempty integer ``rows``: one integer
     vector per free column, ``d`` at that column and 0 at the other free
@@ -326,8 +306,9 @@ def polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
 
     Homogenizes to the cone ``{(x, t) : c t - Ineq x >= 0, t >= 0,
     Eq x - b t = 0}`` and keeps its extreme rays with ``t > 0``, divided
-    by ``t``.  Exhaustive, so intended for the small polytopes that arise
-    from fragments (dimension at most ~6).
+    by ``t``, in the order of ``cone_extreme_rays``.  The cone is pointed
+    when ``Ineq`` and ``Eq`` together have full column rank; otherwise the
+    set holds a line and this raises Degenerate.
     """
     if not (ineq_rows or eq_rows):
         return []
@@ -339,19 +320,94 @@ def polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
     return [[v / ray[n] for v in ray[:n]] for ray in rays if ray[n] > 0]
 
 
+def _primitive(vec):
+    g = gcd(*vec)
+    return [v // g for v in vec]
+
+
+def _double_description(rows, k):
+    """Extreme rays of the pointed cone ``{y : rows . y >= 0}`` of dimension
+    ``k``, each as a primitive integer ``y`` and the bitmask of the rows it
+    is tight on.
+
+    The double-description method (Motzkin et al. 1953; Fukuda & Prodon,
+    LNCS 1120, 1996).  It starts from the simplicial cone of the first
+    ``k`` independent rows and inserts the other rows in index order.  The
+    rays a row cuts off give way to one new ray per adjacent pair across
+    the row.  Two rays are adjacent when no other ray is tight on every
+    row both are tight on (the combinatorial test), read off per-row
+    bitmasks of the rays tight there.  Before each insertion the number of
+    pairs to test is checked against the enumeration cap.
+    """
+    # the pivot columns of the transpose: each row independent of those before
+    start = _rref([list(col) for col in zip(*rows)], len(rows))[0]
+    if len(start) < k:
+        raise Degenerate("the cone holds a line: its rows have rank below its dimension")
+    # ray j of the simplicial cone is column j of the start rows' inverse,
+    # tight on every start row but the j-th
+    aug = [[*rows[i], *(int(i == j) for j in start)] for i in start]
+    _rref(aug, k)
+    seen = sum(1 << i for i in start)
+    rays = [(_primitive([row[k + j] for row in aug]), seen ^ (1 << i)) for j, i in enumerate(start)]
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        if seen & bit:
+            continue
+        seen |= bit
+        vals = [_dot(row, y) for y, _ in rays]
+        pos = [j for j, v in enumerate(vals) if v > 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        if len(pos) * len(neg) > enumeration_cap():
+            raise CapExceeded(
+                f"ray enumeration would test {len(pos) * len(neg)} pairs at one row, "
+                "over the cap"
+            )
+        new = []
+        if pos and neg:
+            # tight_on[b]: the rays tight on the row of bit b, as a bitmask
+            tight_on = {}
+            for j, (_, z) in enumerate(rays):
+                while z:
+                    b = z & -z
+                    tight_on[b] = tight_on.get(b, 0) | 1 << j
+                    z ^= b
+            everyone = (1 << len(rays)) - 1
+            for p in pos:
+                yp, zp = rays[p]
+                for q in neg:
+                    yq, zq = rays[q]
+                    common = zp & zq
+                    if common.bit_count() < k - 2:
+                        continue
+                    pair = 1 << p | 1 << q
+                    others = everyone
+                    while common and others != pair:
+                        b = common & -common
+                        others &= tight_on[b]
+                        common ^= b
+                    if others == pair:
+                        fp, fq = vals[p], -vals[q]
+                        y = _primitive([fp * a + fq * b for a, b in zip(yq, yp)])
+                        new.append((y, zp & zq | bit))
+        rays = [
+            (y, z | bit if not v else z) for (y, z), v in zip(rays, vals) if v >= 0
+        ] + new
+    return rays
+
+
 def cone_extreme_rays(ineq_rows, eq_rows=()):
     """Extreme rays of ``{x : A x >= 0, E x = 0}`` for a pointed cone.
 
     The equalities are solved first: with a nullspace basis ``B`` of
-    ``E``, ``x = y B`` and the search runs over ``y`` in ``k = len(B)``
-    dimensions.  Every subset of ``k - 1`` inequalities with a
-    one-dimensional kernel gives a candidate direction, kept when it
-    satisfies all inequalities.  The number of subsets is checked
-    against the enumeration cap before any is tried.  Each ray comes
-    back once, as a primitive integer vector, in the order first found.
+    ``E``, ``x = y B`` and the rays are found over ``y`` in ``k = len(B)``
+    dimensions by ``_double_description``, which raises Degenerate when
+    the cone holds a line and CapExceeded when one row would test more
+    pairs of rays than the enumeration cap.  Each ray comes back once, as
+    a primitive integer vector.  They are ordered by the inequalities each
+    is tight on, as sorted index lists, which is the order in which a
+    search over the subsets of ``k - 1`` inequalities, in ``combinations``
+    order, first finds them.
     """
-    if not ineq_rows:
-        return []
     # one scale per coordinate, shared by the inequalities and equalities;
     # a ray y of the scaled rows is the ray scales * y of the input
     rows, scales = _ints([*ineq_rows, *eq_rows])
@@ -362,19 +418,19 @@ def cone_extreme_rays(ineq_rows, eq_rows=()):
     if k == 0:
         return []
     reduced = [[_dot(row, vec) for vec in basis] for row in a]
-    tries = comb(len(reduced), k - 1)
-    if tries > enumeration_cap():
-        raise CapExceeded(f"ray enumeration over {tries} subsets exceeds the cap")
-    rays = {}  # primitive ray -> None, in the order first found
-    for subset in combinations(range(len(reduced)), k - 1):
-        # with no rows picked (k == 1) the kernel is the whole line
-        kernel = _kernel([reduced[i] for i in subset])[1] if subset else [[1]]
-        if len(kernel) != 1:
-            continue
-        for y in (kernel[0], [-v for v in kernel[0]]):
-            if all(_dot(row, y) >= 0 for row in reduced):
-                x = [s * _dot(y, col) for s, col in zip(scales, zip(*basis))]
-                g = gcd(*x)
-                rays[tuple(v // g for v in x)] = None
-                break
-    return [[Fraction(v) for v in key] for key in rays]
+    cols = list(zip(*basis))
+    # The subset search first finds a ray at the lexicographically first
+    # independent k - 1 of its tight rows, the greedy pick.  Two rays that
+    # share their first j tight rows share the greedy picks among them, and
+    # the one whose next tight row comes first picks that row next: had it
+    # been dependent on the shared rows, the other ray would be tight on it
+    # too.  (Had they picked k - 1 rows among the shared ones, they would
+    # be one ray.)  So the greedy picks order the rays as their tight rows
+    # do.
+    found = []
+    for y, zero in _double_description(reduced, k):
+        tight = [i for i in range(len(reduced)) if zero >> i & 1]
+        x = _primitive([s * _dot(y, col) for s, col in zip(scales, cols)])
+        found.append((tight, x))
+    found.sort()
+    return [[Fraction(v) for v in x] for _, x in found]

@@ -47,6 +47,7 @@ from .optheory import (
     procedure_box,
 )
 from .substoch import KnowledgeState, from_fn
+from .tensornet import _INT64_SAFE
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -1106,22 +1107,17 @@ def simplex_embed(frag, lambda_max=16):
     # so the LP sees column (i, j) dens[i] times over, and its weight comes
     # back divided by dens[i]; rays are primitive integer vectors already.
     # products[i, k, j] is row k = (effect, state) of candidate i's column
-    # for ray j, in int64 unless an entry leaves its range.
+    # for ray j, in int64 when the largest product stays below 2^62.
     dens = [math.lcm(*(v.denominator for v in c)) for c in candidates]
-    int_rays = [[int(v) for v in ray] for ray in rays]
-    nested = [
-        [
-            [v.numerator * (den // v.denominator) * ray[s_idx] for ray in int_rays]
-            for v in c
-            for s_idx in range(ns)
-        ]
-        for c, den in zip(candidates, dens)
-    ]
-    try:
-        products = np.array(nested, dtype=np.int64)
-    except OverflowError:
-        products = np.array(nested, dtype=object)
-    products = products.reshape(len(candidates), ne * ns, len(rays))
+    cn = [[v.numerator * (den // v.denominator) for v in c] for c, den in zip(candidates, dens)]
+    rn = [[int(v) for v in ray] for ray in rays]
+    top = [max((abs(v) for row in m for v in row), default=0) for m in (cn, rn)]
+    dtype = np.int64 if max(top[0], 1) * max(top[1], 1) < _INT64_SAFE else object
+    cn = np.array(cn, dtype=dtype).reshape(len(candidates), ne)
+    rn = np.array(rn, dtype=dtype).reshape(len(rays), ns)
+    products = (cn[:, :, None, None] * rn.T[None, None]).reshape(
+        len(candidates), ne * ns, len(rays)
+    )
 
     def solve(allowed, slack):
         cols = [(i, j) for i in allowed for j in range(len(rays))]

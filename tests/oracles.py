@@ -4,7 +4,10 @@ Everything here is implemented from scratch on plain Python data
 (nested lists, Fractions, numpy arrays) without importing ci_engine, so
 agreement between an oracle and the engine is evidence rather than a
 tautology.  Floating point routines use scipy's HiGGS-backed linprog;
-exact routines use Fraction arithmetic directly.
+exact routines use Fraction arithmetic directly.  The one exception is
+``cone_extreme_rays_subsets``, the engine's former subset search kept as
+the reference for the order of its rays; it reads and reduces its rows
+with the engine's own integer helpers.
 """
 
 import itertools
@@ -13,6 +16,8 @@ from math import gcd
 
 import numpy as np
 from scipy.optimize import linprog
+
+from ci_engine.exactlp import _dot, _ints, _kernel
 
 _TOL = 1e-9
 
@@ -246,6 +251,50 @@ def cone_extreme_rays_exact(ineq_rows):
                     rays.append(key)
                 break
     return rays
+
+
+def cone_extreme_rays_subsets(ineq_rows, eq_rows=()):
+    """Extreme rays of ``{x : A x >= 0, E x = 0}`` for a pointed cone.
+
+    The equalities are solved first: with a nullspace basis ``B`` of
+    ``E``, ``x = y B`` and the search runs over ``y`` in ``k = len(B)``
+    dimensions.  Every subset of ``k - 1`` inequalities with a
+    one-dimensional kernel gives a candidate direction, kept when it
+    satisfies all inequalities.  Each ray comes back once, as a primitive
+    integer vector, in the order first found.  This is the engine's
+    ``cone_extreme_rays`` before it moved to double description, without
+    its cap.
+    """
+    if not ineq_rows:
+        return []
+    # one scale per coordinate, shared by the inequalities and equalities;
+    # a ray y of the scaled rows is the ray scales * y of the input
+    rows, scales = _ints([*ineq_rows, *eq_rows])
+    a, eqs = rows[: len(ineq_rows)], rows[len(ineq_rows) :]
+    n = len(scales)
+    basis = _kernel(eqs)[1] if eqs else [[int(i == j) for j in range(n)] for i in range(n)]
+    k = len(basis)
+    if k == 0:
+        return []
+    reduced = [[_dot(row, vec) for vec in basis] for row in a]
+    rays = {}  # primitive ray -> None, in the order first found
+    for subset in itertools.combinations(range(len(reduced)), k - 1):
+        # with no rows picked (k == 1) the kernel is the whole line
+        kernel = _kernel([reduced[i] for i in subset])[1] if subset else [[1]]
+        if len(kernel) != 1:
+            continue
+        for y in (kernel[0], [-v for v in kernel[0]]):
+            if all(_dot(row, y) >= 0 for row in reduced):
+                x = [s * _dot(y, col) for s, col in zip(scales, zip(*basis))]
+                g = gcd(*x)
+                rays[tuple(v // g for v in x)] = None
+                break
+    return [[Fraction(v) for v in key] for key in rays]
+
+
+def matrix_rank(a_rows):
+    """Exact rank of the rows, over Fractions."""
+    return len(_fraction_rref(a_rows)[1])
 
 
 # ---------------------------------------------------------------------------

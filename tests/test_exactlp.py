@@ -1,6 +1,5 @@
 """Exact rational linear algebra and Phase-I feasibility."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -10,22 +9,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ci_engine import exactlp, nogo
-from ci_engine.errors import CapExceeded, DimensionMismatch
+from ci_engine.errors import CapExceeded, Degenerate, DimensionMismatch
 from ci_engine.exactlp import (
     cone_extreme_rays,
     feasible_nonneg,
-    matrix_rank,
     nullspace,
     polytope_vertices,
-    solve_linear,
     verify_certificate,
 )
 
 from conftest import SEED
 from oracles import (
     cone_extreme_rays_exact,
+    cone_extreme_rays_subsets,
     feasible_nonneg_fraction,
     lp_feasible_float,
+    matrix_rank,
     polytope_vertices_exact,
 )
 
@@ -96,31 +95,13 @@ def test_rhs_length_checked():
 def test_solve_and_certificate_check_lengths():
     a = [[F(1), F(0)], [F(0), F(1)]]
     with pytest.raises(DimensionMismatch):
-        solve_linear(a, [F(1)])
+        feasible_nonneg(a, [F(1)])
     # y = (-1, 0): y . A = (-1, 0) <= 0 and y . b = 1 > 0
     b = [F(-1), F(0)]
     assert verify_certificate(a, b, [F(-1), F(0)])
     assert not verify_certificate(a, b, [F(-1)])
     assert not verify_certificate(a, b, [F(-1), F(0), F(0)])
     assert not verify_certificate([], [], [])
-
-
-def test_solve_linear_on_random_solvable_systems():
-    rng = random.Random(SEED + 2)
-    for _ in range(30):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a = _rand_matrix(rng, m, n)
-        x0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        b = [sum(a[i][j] * x0[j] for j in range(n)) for i in range(m)]
-        x = solve_linear(a, b)
-        assert x is not None
-        for i in range(m):
-            assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
-
-
-def test_solve_linear_reports_inconsistency():
-    a = [[F(1), F(1)], [F(2), F(2)]]
-    assert solve_linear(a, [F(1), F(3)]) is None
 
 
 def test_matrix_rank_matches_numpy():
@@ -386,13 +367,9 @@ def test_int_and_fraction_entries_give_equal_results(seed):
             for f in (as_ints, mixed)
         ),
     ]
-    want = [feasible_nonneg(a, b), solve_linear(a, b), verify_certificate(a, b, y)]
+    want = [feasible_nonneg(a, b), verify_certificate(a, b, y)]
     for fa, fb, fy in forms:
-        assert [
-            feasible_nonneg(fa, fb),
-            solve_linear(fa, fb),
-            verify_certificate(fa, fb, fy),
-        ] == want
+        assert [feasible_nonneg(fa, fb), verify_certificate(fa, fb, fy)] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,11 +402,11 @@ def test_entries_beyond_the_bound_are_read_as_python_ints(monkeypatch):
 def test_bool_float_and_numpy_entries_convert_through_fraction():
     rows, rhs = [[True, 0.5], [False, np.int64(2)]], [0.25, True]
     exact, exact_rhs = [[F(1), F(1, 2)], [F(0), F(2)]], [F(1, 4), F(1)]
-    for fn in (feasible_nonneg, solve_linear):
-        assert fn(rows, rhs) == fn(exact, exact_rhs)
+    assert feasible_nonneg(rows, rhs) == feasible_nonneg(exact, exact_rhs)
     assert verify_certificate([[True]], [-1.0], [-1.0])
     # a float is read as its binary value, not as the decimal it prints as
-    assert solve_linear([[0.1]], [1]) == [1 / F(0.1)] != [F(10)]
+    assert feasible_nonneg([[0.1]], [1]) == ("feasible", [1 / F(0.1)])
+    assert 1 / F(0.1) != 10
 
 def _int_rows(rng, m, n, lo=-3, hi=3):
     return [[F(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m)]
@@ -443,11 +420,30 @@ def _split(eqs):
     return [row for eq in eqs for row in (eq, [-v for v in eq])]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**30), st.booleans())
-def test_vertices_match_the_subset_reference(seed, with_eqs):
+def _degenerate(rng, rows, rhs):
+    """Insert rows that hold wherever ``rows`` hold, at random places: a
+    repeat, a double, a zero row, or the sum of two rows."""
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        row, c = rng.choice(
+            (
+                (rows[i], rhs[i]),
+                ([2 * v for v in rows[i]], 2 * rhs[i]),
+                ([F(0)] * len(rows[i]), 0),
+                ([u + v for u, v in zip(rows[i], rows[j])], rhs[i] + rhs[j]),
+            )
+        )
+        at = rng.randint(0, len(rows))
+        rows.insert(at, list(row))
+        rhs.insert(at, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**30), st.booleans(), st.booleans())
+def test_vertices_match_the_subset_reference(seed, with_eqs, degenerate):
     # random rows through an integer point x0 plus a box around it: the
-    # polytope is bounded and nonempty, often degenerate
+    # polytope is bounded and nonempty, often degenerate.  The vertices
+    # come in the order of the subset search, not only as a set.
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     x0 = [rng.randint(-1, 1) for _ in range(n)]
@@ -459,18 +455,24 @@ def test_vertices_match_the_subset_reference(seed, with_eqs):
             row[j] = F(sign)
             ineq.append(row)
             rhs.append(sign * x0[j] + rng.randint(0, 2))
+    if degenerate:
+        _degenerate(rng, ineq, rhs)
     eq = _int_rows(rng, rng.randint(1, n), n) if with_eqs else []
     eq_rhs = [sum(r * v for r, v in zip(row, x0)) for row in eq]
     got = polytope_vertices(eq, eq_rhs, ineq, rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "cone_extreme_rays", cone_extreme_rays_subsets)
+        assert got == polytope_vertices(eq, eq_rhs, ineq, rhs)
     assert len(_keys(got)) == len(got)
     assert _keys(got) == _keys(polytope_vertices_exact(eq, eq_rhs, ineq, rhs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**30), st.booleans())
-def test_rays_match_the_subset_reference(seed, with_eqs):
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**30), st.booleans(), st.booleans())
+def test_rays_match_the_subset_reference(seed, with_eqs, degenerate):
     # every row is oriented to hold at an integer point x0 and every
-    # equality is made orthogonal to it, so x0 lies in the cone
+    # equality is made orthogonal to it, so x0 lies in the cone.  The rays
+    # come in the order of the subset search, not only as a set.
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     x0 = [rng.randint(-2, 2) for _ in range(n)]
@@ -483,11 +485,15 @@ def test_rays_match_the_subset_reference(seed, with_eqs):
     rows = []
     for row in _int_rows(rng, rng.randint(n, n + 3), n):
         rows.append(row if sum(r * v for r, v in zip(row, x0)) >= 0 else [-r for r in row])
+    if degenerate:
+        _degenerate(rng, rows, [0] * len(rows))
     assume(matrix_rank(rows + eqs) == n)  # pointed
     got = cone_extreme_rays(rows, eqs)
     assert got
     assert all(all(v.denominator == 1 for v in ray) for ray in got)
-    assert len(_keys(got)) == len(got)
+    assert got == cone_extreme_rays_subsets(rows, eqs)
+    if not eqs:
+        assert [tuple(ray) for ray in got] == cone_extreme_rays_exact(rows)
     split = rows + _split(eqs)
     assert _keys(got) == _keys(cone_extreme_rays(split))
     assert _keys(got) == _keys(cone_extreme_rays_exact(split))
@@ -505,35 +511,59 @@ def test_equalities_give_the_rays_of_their_row_pairs(frag):
     eqs = nullspace([[w[k] for w in states] for k in range(len(states[0]))])
     rows = [[F(int(j == k)) for j in range(ns)] for k in range(ns)]
     got = cone_extreme_rays(rows, eqs)
+    assert got == cone_extreme_rays_subsets(rows, eqs)
     assert _keys(got) == _keys(cone_extreme_rays(rows + _split(eqs)))
 
 
-def test_ray_cap_counts_the_subsets_actually_tried(monkeypatch):
+def test_ray_cap_counts_the_pairs_tested_at_one_row(monkeypatch):
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
-    tried = []
-
-    def counting(pool, r):
-        for subset in itertools.combinations(pool, r):
-            tried.append(subset)
-            yield subset
-
-    monkeypatch.setattr(exactlp, "combinations", counting)
-    # 6 coordinates tied in 3 pairs leave a 3-dimensional space, so 14
-    # rows need C(14, 2) = 91 subsets; as 20 split rows they would need
-    # C(20, 5) = 15504, over the cap
+    # inputs that the subset search refused at this cap are answered: 6
+    # coordinates tied in 3 pairs, also as 20 split rows in 6 dimensions
+    # (C(20, 5) = 15504 subsets), and 20 rows in 4 dimensions (C(20, 3) =
+    # 1140 subsets)
     eqs = [[F(0)] * 6 for _ in range(3)]
     for p in range(3):
         eqs[p][2 * p], eqs[p][2 * p + 1] = F(1), F(-1)
     rows = [[F(int(j == k)) for j in range(6)] for k in range(6)]
     rows += [[F(int(j in (k, (k + 3) % 6))) for j in range(6)] for k in range(8)]
-    assert len(cone_extreme_rays(rows, eqs)) == 3
-    assert len(tried) == 91
-    tried.clear()
-    with pytest.raises(CapExceeded):
-        cone_extreme_rays(rows + _split(eqs))
-    assert tried == []
-    # without equalities: 20 rows in 4 dimensions need C(20, 3) = 1140
-    rng = random.Random(SEED + 5)
-    with pytest.raises(CapExceeded):
-        cone_extreme_rays(_int_rows(rng, 20, 4))
-    assert tried == []
+    got = cone_extreme_rays(rows, eqs)
+    assert len(got) == 3 and got == cone_extreme_rays_subsets(rows, eqs)
+    assert _keys(cone_extreme_rays(rows + _split(eqs))) == _keys(got)
+    wide = _int_rows(random.Random(SEED + 5), 20, 4)
+    assert cone_extreme_rays(wide) == cone_extreme_rays_subsets(wide) == []
+    # the same rows turned to hold at (1, 1, 1, 1) leave a cone with rays
+    wide = [row if sum(row) >= 0 else [-v for v in row] for row in wide]
+    got = cone_extreme_rays(wide)
+    assert got and got == cone_extreme_rays_subsets(wide)
+    # 64 unit rows start a simplicial cone; the next row is positive on 32
+    # of its rays and negative on the other 32, so inserting it would test
+    # 32 * 32 = 1024 pairs.  That is refused before any ray is formed:
+    # every vector made primitive is a unit vector of the start cone, and
+    # a ray formed from a pair would have two nonzero entries.
+    cone = [[int(i == j) for j in range(64)] for i in range(64)]
+    cone.append([1] * 32 + [-1] * 32)
+    formed = []
+    real = exactlp._primitive
+    monkeypatch.setattr(exactlp, "_primitive", lambda vec: formed.append(vec) or real(vec))
+    with pytest.raises(CapExceeded, match="1024 pairs"):
+        cone_extreme_rays(cone)
+    assert formed and all(sum(map(bool, vec)) == 1 for vec in formed)
+
+
+def test_a_cone_that_holds_a_line_is_degenerate():
+    # x >= 0 and y >= 0 leave the z axis free; with z pinned to 0 by an
+    # equality the same rows make a pointed cone
+    with pytest.raises(Degenerate):
+        cone_extreme_rays([[1, 0, 0], [0, 1, 0]])
+    assert _keys(cone_extreme_rays([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]])) == {(1, 0, 0), (0, 1, 0)}
+    # x = y with x + y >= 0 also leaves the z axis free, and x = y alone
+    # leaves a plane
+    with pytest.raises(Degenerate):
+        cone_extreme_rays([[1, 1, 0]], [[1, -1, 0]])
+    with pytest.raises(Degenerate):
+        cone_extreme_rays([], [[1, -1, 0]])
+    # a point is pointed and has no rays
+    assert cone_extreme_rays([], []) == cone_extreme_rays([[1]], [[1]]) == []
+    # a strip 0 <= x <= 1 in the plane holds the line along y
+    with pytest.raises(Degenerate):
+        polytope_vertices([], [], [[1, 0], [-1, 0]], [1, 0])

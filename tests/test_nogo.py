@@ -725,6 +725,20 @@ def test_single_state_fragment_is_trivially_feasible():
     assert res.size == 1
 
 
+@pytest.mark.parametrize("d", [11, 12])
+def test_classical_levels_embed_at_their_size(d):
+    # point states, their atomic effects and the all-ones unit: a search
+    # over the subsets of the response polytope's rows would try
+    # C(2d + 1, d - 1) of them, over the default cap from d = 11 on
+    eye = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    res = simplex_embed(GPTFragment(eye, eye, (1,) * d))
+    assert isinstance(res, Feasible) and res.size == d
+    assert sorted(res.state_images) == sorted(eye)
+    assert [e_img.index(1) for e_img in res.effect_images] == [
+        s_img.index(1) for s_img in res.state_images
+    ]
+
+
 def test_bogus_infeasibility_witness_is_not_returned(monkeypatch):
     def bogus(rows, rhs):
         return "infeasible", [F(0)] * len(rows)
