@@ -63,11 +63,6 @@ def copy_fn(carrier):
     return Fn(carrier, product_carrier(carrier, carrier), tuple((x, x) for x in carrier))
 
 
-def discard_fn(carrier):
-    carrier = tuple(carrier)
-    return Fn(carrier, STAR, ("*",) * len(carrier))
-
-
 def point_fn(carrier, x):
     carrier = tuple(carrier)
     if x not in carrier:
@@ -119,21 +114,6 @@ def all_functions(dom, cod):
 def hom_carrier(dom, cod):
     """The hom-set as an inferential carrier of integer codes."""
     return tuple(range(homset_size(dom, cod)))
-
-
-def common_cause_split(big, left_cod, right_cod):
-    """Split F into (f_l, f_r) with F(x) = (f_l(x), f_r(x)).
-
-    ``big`` must land in the row-major product of the two named factors;
-    composing the split legs with a copy reproduces F exactly.
-    """
-    left_cod = tuple(left_cod)
-    right_cod = tuple(right_cod)
-    if big.cod != product_carrier(left_cod, right_cod):
-        raise TypeMismatch("codomain is not the stated product carrier")
-    f_l = Fn(big.dom, left_cod, tuple(big(x)[0] for x in big.dom))
-    f_r = Fn(big.dom, right_cod, tuple(big(x)[1] for x in big.dom))
-    return f_l, f_r
 
 
 def universal_control(dom, cod):

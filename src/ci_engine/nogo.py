@@ -269,19 +269,11 @@ def correlation_from_channel(scenario, m):
     the outcome carriers, both row-major, as produced by denote() or
     predict_closed() on a scenario diagram.
     """
-    n_ctx = len(scenario.contexts())
-    n_out = len(scenario.outcomes())
-    if len(m.dom) != n_ctx:
+    if len(m.dom) != len(scenario.contexts()):
         raise DimensionMismatch("matrix domain does not fold the settings")
-    if len(m.cod) != n_out:
+    if len(m.cod) != len(scenario.outcomes()):
         raise DimensionMismatch("matrix codomain does not fold the outcomes")
-    return Correlation(
-        scenario,
-        tuple(
-            tuple(m.entries[oi][ci] for oi in range(n_out))
-            for ci in range(n_ctx)
-        ),
-    )
+    return Correlation(scenario, tuple(zip(*m.entries)))
 
 
 def pr_box():
@@ -631,6 +623,9 @@ def _as_square(m, name):
 
 
 def _check_psd(arr, name):
+    # every comparison with NaN is false, so non-finite entries are refused by name
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has an entry that is not finite")
     if np.abs(arr - arr.conj().T).max() > _FLOAT_TOL:
         raise ValidationError(f"{name} is not Hermitian")
     vals = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
@@ -791,15 +786,9 @@ def model_correlations(pm):
         len(d.output_types[1].carrier),
     )
     m = predict_closed(d, pm)
-    n_out = len(s.outcomes())
-    n_ctx = len(s.contexts())
-    return Correlation(
-        s,
-        tuple(
-            tuple(float(m.entries[oi][ci]) for oi in range(n_out))
-            for ci in range(n_ctx)
-        ),
-    )
+    # Python-int true division rounds once, as float(Fraction) does
+    rows = ([v / m.den for v in row] for row in m.num.tolist())
+    return Correlation(s, tuple(zip(*rows)))
 
 
 def quantum_correlations(state, measurements, s):

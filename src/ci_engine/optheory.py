@@ -17,6 +17,7 @@ wire of dimension d becomes an axis of size d*d, a classical wire an
 axis of plain probabilities.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
@@ -37,7 +38,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     NotCausallyClosed,
-    NotPositive,
     SignatureMismatch,
     TypeMismatch,
     UnresolvedProcedure,
@@ -48,9 +48,6 @@ from .fstheory import (
     GenIgnore,
     GenPropGain,
     bundle_carrier,
-    embedded,
-    ignore,
-    prop_gain,
     state_box,
 )
 from .tensornet import contract
@@ -145,12 +142,8 @@ def _validate_kraus(decl):
     ch = decl.channel
     c_ins = _classical_ports(decl.ins)
     c_outs = _classical_ports(decl.outs)
-    d_in = 1
-    for d in _quantum_dims(decl.ins):
-        d_in *= d
-    d_out = 1
-    for d in _quantum_dims(decl.outs):
-        d_out *= d
+    d_in = math.prod(_quantum_dims(decl.ins))
+    d_out = math.prod(_quantum_dims(decl.outs))
     for (c_out, c_in), mats in ch.kraus.items():
         if len(c_out) != len(c_outs) or len(c_in) != len(c_ins):
             raise CarrierMismatch(
@@ -171,6 +164,15 @@ def _validate_kraus(decl):
                 raise DimensionMismatch(
                     f"procedure {decl.name!r}: Kraus shape {m.shape}, "
                     f"expected {(d_out, d_in)}"
+                )
+            # NaN fails every comparison, so it is caught here too; a
+            # trace-non-increasing family has no entry above 1 in modulus,
+            # and bounding them keeps M^dagger M from overflowing
+            bad = ~(np.abs(m) <= 1 + _KRAUS_TOL)
+            if bad.any():
+                raise ValidationError(
+                    f"procedure {decl.name!r}: Kraus entry {m[bad][0]} is not "
+                    "finite or exceeds 1 in modulus"
                 )
     for c_in in iproduct(*(t.carrier for t in c_ins)):
         total = np.zeros((d_in, d_in), dtype=complex)
@@ -360,8 +362,8 @@ def _proc_tensor(decl):
     in_axes = tuple(_port_axis(t) for t in decl.ins)
     q_out = _quantum_dims(decl.outs)
     q_in = _quantum_dims(decl.ins)
-    d_out = int(np.prod(q_out)) if q_out else 1
-    d_in = int(np.prod(q_in)) if q_in else 1
+    d_out = math.prod(q_out)
+    d_in = math.prod(q_in)
     arr = np.zeros(out_axes + in_axes, dtype=complex)
     for (c_out, c_in), mats in ch.kraus.items():
         block = np.zeros((d_out, d_out, d_in, d_in), dtype=complex)
@@ -391,16 +393,10 @@ def _quantum_tensor(pm):
             d = _qdim(p.system)
             return np.eye(d, dtype=complex).reshape(d * d)
         t = fstheory.generator_tensor(box)
-        vals = [complex(Fraction(v, t.den)) for v in t.num.ravel().tolist()]
-        return np.array(vals, dtype=complex).reshape(t.shape)
+        # Python-int true division rounds once, as float(Fraction) does
+        return (t.num.astype(object) / t.den).astype(complex)
 
     return tensor
-
-
-def _wire_size(t):
-    if isinstance(t.carrier, Abstract):
-        return _qdim(t) ** 2
-    return t.size
 
 
 def _float_prob(v):
@@ -412,15 +408,16 @@ def _float_prob(v):
     return Fraction(min(max(x, 0.0), 1.0))
 
 
-def _substoch_from_probs(dom, cod, grid, exact=False):
+def _substoch_from_probs(dom, cod, grid):
     """Probability grid to a map, columns renormalized within 1e-9 slack.
 
-    Exact grids stay exact; float grids are rationalized dyadically.
+    Fraction and int entries stay exact; any other entry is read as a
+    float and rationalized dyadically.
     """
     cols = []
     for c in range(len(dom)):
         col = [grid[r][c] for r in range(len(cod))]
-        col = [Fraction(v) for v in col] if exact else [_float_prob(v) for v in col]
+        col = [Fraction(v) if isinstance(v, (Fraction, int)) else _float_prob(v) for v in col]
         total = sum(col)
         if total > 1 + Fraction(1, 10**9):
             raise ValidationError(f"column {c} sums to {float(total)} > 1")
@@ -452,7 +449,7 @@ def predict_closed(d, pm):
     arr = contract(
         d,
         _quantum_tensor(pm),
-        _wire_size,
+        _port_axis,
         eye=lambda n: np.eye(n, dtype=complex),
     )
     cod = bundle_carrier(d.output_types)
@@ -529,73 +526,9 @@ def reconstruct(table):
     Exact probes stay exact; float probes go through the usual dyadic
     rationalization.
     """
-    exact = all(
-        isinstance(v, (Fraction, int)) for row in table.probs for v in row
-    )
-    return _substoch_from_probs(table.dom, table.cod, table.probs, exact)
+    return _substoch_from_probs(table.dom, table.cod, table.probs)
 
 
 def quotient_representative(d, pm):
     """Alias of ``predict_closed``, unexported; ``perfbench/tracing.py`` wraps it."""
     return predict_closed(d, pm)
-
-
-# ---------------------------------------------------------------------------
-# Quantum matrix primitives
-
-
-def _as_density(rho):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch("density matrices are square")
-    return rho
-
-
-def kraus_apply(rho, kraus):
-    """Apply a Kraus family to a density matrix."""
-    rho = _as_density(rho)
-    out = None
-    for m in kraus:
-        m = np.asarray(m, dtype=complex)
-        if m.shape[1] != rho.shape[0]:
-            raise DimensionMismatch("Kraus operator does not fit the state")
-        term = m @ rho @ m.conj().T
-        out = term if out is None else out + term
-    if out is None:
-        raise DimensionMismatch("at least one Kraus operator is required")
-    return out
-
-
-def tensor(rho, sigma):
-    """Kronecker product of two density matrices."""
-    return np.kron(_as_density(rho), _as_density(sigma))
-
-
-def partial_trace(rho, dims, keep):
-    """Trace out all registers except ``keep`` from a product register."""
-    rho = _as_density(rho)
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != rho.shape[0]:
-        raise DimensionMismatch("register dimensions do not factor the state")
-    if not (0 <= keep < len(dims)):
-        raise DimensionMismatch("keep index out of range")
-    t = rho.reshape(dims + dims)
-    n = len(dims)
-    for axis in reversed([k for k in range(n) if k != keep]):
-        t = np.trace(t, axis1=axis, axis2=axis + (t.ndim // 2))
-    return t
-
-
-def born(rho, effect):
-    """Probability of an effect on a state: the real trace pairing."""
-    rho = _as_density(rho)
-    effect = np.asarray(effect, dtype=complex)
-    if effect.shape != rho.shape:
-        raise DimensionMismatch("effect and state dimensions differ")
-    eig = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if eig.min() < -1e-9:
-        raise NotPositive(f"state has eigenvalue {eig.min():.3g}")
-    value = np.trace(rho @ effect)
-    if abs(value.imag) > _EQUIV_TOL:
-        raise ValidationError("Born pairing came out non-real")
-    return float(value.real)

@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from . import funcdyn, tensornet
-from .caps import enumeration_cap
 from .diagrams import STAR, product_carrier
 from .errors import (
     CapExceeded,
@@ -180,12 +179,6 @@ class KnowledgeState:
         return SubstochMap(STAR, self.carrier, tuple((w,) for w in self.weights))
 
 
-def state_from_map(m):
-    if m.dom != STAR:
-        raise DimensionMismatch("a state has the trivial domain")
-    return KnowledgeState(m.cod, tuple(row[0] for row in m.entries))
-
-
 def point_state(carrier, x):
     carrier = tuple(carrier)
     return KnowledgeState(
@@ -203,33 +196,6 @@ def top_effect(carrier):
     """The all-ones row: marginalization, equal to the trivial proposition."""
     carrier = tuple(carrier)
     return SubstochMap(carrier, STAR, ((_ONE,) * len(carrier),))
-
-
-def marginalize(sigma, keep):
-    """Sum a joint state over the discarded factor of a product carrier."""
-    if keep not in (0, 1):
-        raise CarrierMismatch("keep selects factor 0 or 1")
-    left, right = _factor_carriers(sigma.carrier)
-    kept = left if keep == 0 else right
-    totals = {lab: _ZERO for lab in kept}
-    for (a, b), w in zip(sigma.carrier, sigma.weights):
-        totals[a if keep == 0 else b] += w
-    return KnowledgeState(kept, tuple(totals[lab] for lab in kept))
-
-
-def _factor_carriers(carrier):
-    if not all(isinstance(lab, tuple) and len(lab) == 2 for lab in carrier):
-        raise CarrierMismatch("not a product carrier of pairs")
-    left, right = [], []
-    for a, b in carrier:
-        if a not in left:
-            left.append(a)
-        if b not in right:
-            right.append(b)
-    left, right = tuple(left), tuple(right)
-    if product_carrier(left, right) != tuple(carrier):
-        raise CarrierMismatch("labels are not in row-major product order")
-    return left, right
 
 
 def convex_mix(weights, maps):
@@ -260,11 +226,10 @@ def factorize(s):
     """
     sums = s.column_sums()
     n_out = len(s.cod)
-    cols = [
-        [Fraction(1, n_out)] * n_out if w == 0 else [row[c] / w for row in s.entries]
-        for c, w in enumerate(sums)
-    ]
-    rows = tuple(tuple(col[r] for col in cols) for r in range(n_out))
+    rows = tuple(
+        tuple(Fraction(1, n_out) if w == 0 else v / w for v, w in zip(row, sums))
+        for row in s.entries
+    )
     return SubstochMap(s.dom, s.cod, rows), sums
 
 
@@ -491,27 +456,6 @@ class PartialFn:
 
 def partial_from_total(f):
     return PartialFn(f.dom, f.cod, f.table)
-
-
-def compose_partial(g, f):
-    """g after f, defined where both legs are."""
-    if f.cod != g.dom:
-        raise TypeMismatch("compose needs cod(f) = dom(g)")
-    table = []
-    for x in f.dom:
-        mid = f(x)
-        table.append(None if mid is None else g(mid))
-    return PartialFn(f.dom, g.cod, tuple(table))
-
-
-def product_partial(f, g):
-    dom = product_carrier(f.dom, g.dom)
-    cod = product_carrier(f.cod, g.cod)
-    table = []
-    for a, b in dom:
-        fa, gb = f(a), g(b)
-        table.append(None if fa is None or gb is None else (fa, gb))
-    return PartialFn(dom, cod, tuple(table))
 
 
 def from_partial_fn(f):

@@ -3,6 +3,7 @@
 import argparse
 import io
 import shlex
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -450,14 +451,20 @@ _HUGE = "1" + "0" * 400
          "ValidationError: probability out of range"),
         (("simplex-embed", "--fragment"), "hexagon.fragment", "[1/2, 1/4, 3/8]", f"[1/2, 0.25, {_HUGE}]",
          "ValidationError: a float fragment holds a number beyond float range"),
+        # a Kraus entry whose square would overflow the trace check
+        (("bell-check", "--quantum"), "singlet.model", "[[-0.7071067811865475, 0.0]]", "[[1e300, 0.0]]",
+         "ValidationError: procedure 'src': Kraus entry (1e+300+0j) is not finite or exceeds 1"),
     ],
-    ids=["huge-card", "float-table-huge-int", "float-fragment-huge-int"],
+    ids=["huge-card", "float-table-huge-int", "float-fragment-huge-int", "huge-kraus-entry"],
 )
 def test_numbers_beyond_range_exit_two_with_an_error(tmp_path, argv, name, old, new, message):
     text = (DATA / name).read_text(encoding="utf-8")
     assert old in text
     path = tmp_path / name
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
-    code, out, err = run(*argv, str(path))
+    with warnings.catch_warnings():
+        # refused before any arithmetic on the number can overflow
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(*argv, str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")

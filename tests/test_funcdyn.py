@@ -11,7 +11,6 @@ from ci_engine.funcdyn import (
     all_functions,
     compose,
     copy_fn,
-    discard_fn,
     hom_carrier,
     hom_index,
     hom_unindex,
@@ -98,31 +97,12 @@ def test_copy_and_discard():
     c = copy_fn((0, 1, 2))
     for x in (0, 1, 2):
         assert c(x) == (x, x)
-    d = discard_fn((0, 1))
-    assert d(0) == d(1)
 
 
 def test_hom_carrier_enumerates_codes_in_index_order():
     dom, cod = (0, 1), (0, 1)
     carrier = hom_carrier(dom, cod)
     assert carrier == tuple(range(homset_size(dom, cod)))
-
-
-def test_common_cause_split_reconstructs_components():
-    big = (0, 1)
-    left, right = (0, 1), (0, 1)
-    for f in all_functions(big, left):
-        for g in all_functions(big, right):
-            pair = Fn(
-                big,
-                funcdyn.hom_carrier(("*",), left) and tuple(
-                    itertools.product(left, right)
-                ),
-                tuple((f(x), g(x)) for x in big),
-            )
-            got_l, got_r = funcdyn.common_cause_split(pair, left, right)
-            assert tuple(got_l(x) for x in big) == tuple(f(x) for x in big)
-            assert tuple(got_r(x) for x in big) == tuple(g(x) for x in big)
 
 
 def test_universal_control_applies_coded_function():

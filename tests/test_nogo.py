@@ -53,6 +53,8 @@ from ci_engine.nogo import (
     verdict_bundle,
 )
 
+from ci_engine.optheory import predict_closed
+
 import oracles
 from conftest import SEED, rand_quantum_bell
 from oracles import (
@@ -587,6 +589,33 @@ def test_quantum_tables_match_direct_born_rule():
             for c in range(4):
                 assert abs(corr.table[r][c] - oracle[r][c]) < 1e-9
         assert no_signalling_check(corr)
+
+
+def test_model_correlations_read_the_prediction_bit_for_bit():
+    rng = random.Random(SEED + 4)
+    pms = [nogo.bell_prediction_map(*singlet_model(), chsh_scenario())]
+    pms += [rand_quantum_bell(rng)[2] for _ in range(4)]
+    for pm in pms:
+        m = predict_closed(bell_template(pm), pm)
+        table = model_correlations(pm).table
+        assert len(table) == len(m.dom)
+        for c, row in enumerate(table):
+            assert row == tuple(float(m.entries[o][c]) for o in range(len(m.cod)))
+
+
+@pytest.mark.parametrize("where", ["state", "effect"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_quantum_input_is_invalid(where, bad):
+    rho, (meas_a, meas_b) = singlet_model()
+    if where == "state":
+        rho = rho.astype(complex)
+        rho[1, 1] = bad
+    else:
+        meas_a = [list(effects) for effects in meas_a]
+        meas_a[0][0] = meas_a[0][0].astype(complex)
+        meas_a[0][0][0, 0] = bad
+    with pytest.raises(ValidationError, match=f"{where}.* not finite"):
+        quantum_correlations(rho, (meas_a, meas_b), chsh_scenario())
 
 
 def test_bell_template_shape():

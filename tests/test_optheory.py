@@ -1,11 +1,14 @@
 """Operational models: declarations, prediction, probing, equivalence."""
 
+import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ci_engine import funcdyn, nogo, optheory, substoch
+from ci_engine import fstheory, funcdyn, nogo, optheory, substoch
 from ci_engine.diagrams import (
     causal_system,
     compose_parallel,
@@ -30,11 +33,8 @@ from ci_engine.optheory import (
     PredictionMap,
     ProcedureDecl,
     QuantumProcess,
-    born,
-    kraus_apply,
     op_equivalent,
     op_knowledge_box,
-    partial_trace,
     point_atomic_table,
     predict_closed,
     procedure_box,
@@ -91,6 +91,29 @@ def test_kraus_overnormalized_rejected():
     bad = QuantumProcess({((), ()): (((2, 0), (0, 2)),)})
     with pytest.raises((NotPositive, ValidationError)):
         ProcedureDecl("u", (q,), (q,), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan), 1e300, 1.5, 1.5j])
+def test_kraus_entries_must_be_finite_and_at_most_one(bad):
+    q = quantum_system("q", 2)
+    channel = QuantumProcess({((), ()): (((bad, 0), (0, 0)),)})
+    with warnings.catch_warnings():
+        # refused before M^dagger M is formed, so nothing overflows
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="not finite or exceeds 1 in modulus"):
+            ProcedureDecl("u", (q,), (q,), channel)
+
+
+def test_trace_non_increasing_kraus_families_pass_the_entry_bound():
+    q = quantum_system("q", 2)
+    ProcedureDecl("u", (q,), (q,), QuantumProcess({((), ()): (((0, 1j), (1, 0)),)}))
+    rng = np.random.default_rng(SEED)
+    for k in (1, 2, 3, 4):
+        z = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
+        # orthonormal columns, so the sum of K^dagger K over the blocks is 1
+        iso, _ = np.linalg.qr(z)
+        kraus = tuple(iso[2 * i : 2 * i + 2] for i in range(k))
+        ProcedureDecl("u", (q,), (q,), QuantumProcess({((), ()): kraus}))
 
 
 def test_prediction_map_alphabet_follows_decl_order():
@@ -227,6 +250,28 @@ def test_singlet_table_matches_direct_born_rule():
                 assert abs(flat[k] - oracle[x * 2 + y][k]) < 1e-9
 
 
+def test_quantum_backend_reads_realist_generators_as_their_fractions():
+    rng = random.Random(SEED + 9)
+    pm = nogo.bell_prediction_map(*nogo.singlet_model(), nogo.chsh_scenario())
+    tensor = optheory._quantum_tensor(pm)
+    boxes = [ignore(BIT), prop_gain(BIT)]
+    for _ in range(20):
+        den = rng.randrange(2**64, 2**80)
+        cuts = sorted(rng.randrange(den) for _ in range(2))
+        weights = (cuts[0], cuts[1] - cuts[0], den - cuts[1])
+        sigma = substoch.KnowledgeState((0, 1, 2), [F(w, den) for w in weights])
+        boxes.append(state_box(sigma))
+    widest = 0
+    for box in boxes:
+        t = fstheory.generator_tensor(box)
+        nums = t.num.ravel().tolist()
+        widest = max(widest, *nums)
+        got = tensor(box)
+        assert got.dtype == complex and got.shape == t.shape
+        assert got.ravel().tolist() == [complex(F(v, t.den)) for v in nums]
+    assert widest > 2**63
+
+
 def test_random_quantum_diagrams_normalize():
     rng = random.Random(SEED + 7)
     for _ in range(4):
@@ -250,34 +295,3 @@ def test_point_atomic_reconstruction_quantum():
                     <= 1e-12
                 )
 
-
-# ---------------------------------------------------------------------------
-# Quantum matrix helpers
-
-
-def test_kraus_apply_preserves_trace_for_unitaries():
-    u = ((0, 1), (1, 0))
-    rho = ((0.75, 0), (0, 0.25))
-    out = kraus_apply(rho, (u,))
-    assert abs(out[0][0] - 0.25) < 1e-12
-    assert abs(out[1][1] - 0.75) < 1e-12
-
-
-def test_partial_trace_keeps_the_right_register():
-    rho_a = ((1, 0), (0, 0))
-    rho_b = ((0.5, 0), (0, 0.5))
-    import numpy as np
-
-    joint = np.kron(rho_a, rho_b)
-    left = partial_trace(joint, (2, 2), 0)
-    right = partial_trace(joint, (2, 2), 1)
-    assert abs(left[0][0] - 1) < 1e-12
-    assert abs(right[0][0] - 0.5) < 1e-12
-
-
-def test_born_rule_values():
-    rho = ((0.5, 0.5), (0.5, 0.5))
-    proj0 = ((1, 0), (0, 0))
-    assert abs(born(rho, proj0) - 0.5) < 1e-12
-    with pytest.raises(NotPositive):
-        born(((1, 0), (0, -0.2)), proj0)

@@ -27,7 +27,6 @@ from ci_engine.substoch import (
     from_fn,
     from_partial_fn,
     identity_map,
-    marginalize,
     negate,
     negate_diagrammatic,
     partial_from_total,
@@ -39,7 +38,6 @@ from ci_engine.substoch import (
     question_matrix,
     scalar_false,
     scalar_true,
-    state_from_map,
     top,
     top_effect,
     truth_dot,
@@ -134,30 +132,6 @@ def test_point_uniform_and_top():
     assert set(u.weights) == {Fraction(1, 3)}
     t = top_effect((0, 1))
     assert t.entries == ((1, 1),)
-
-
-def test_state_from_map_round_trip():
-    rng = random.Random(SEED + 3)
-    for _ in range(20):
-        sigma = rand_state(rng, rand_carrier(rng))
-        m = substoch.SubstochMap(
-            ("*",), sigma.carrier, tuple((w,) for w in sigma.weights)
-        )
-        assert state_from_map(m) == sigma
-
-
-def test_marginalize_sums_the_dropped_factor():
-    rng = random.Random(SEED + 4)
-    a, b = (0, 1), (0, 1, 2)
-    joint = rand_state(rng, tuple(itertools.product(a, b)))
-    left = marginalize(joint, 0)
-    for i, x in enumerate(a):
-        expect = sum(
-            w
-            for (lab, w) in zip(joint.carrier, joint.weights)
-            if lab[0] == x
-        )
-        assert left.weights[i] == expect
 
 
 def test_convex_mix_weights_columns():
@@ -291,17 +265,6 @@ def test_decompose_recovers_the_partial_map():
                     total(x) if x in chi else None for x in dom
                 )
                 assert rebuilt == f.table
-
-
-def test_partial_composition_tracks_definedness():
-    dom, mid, cod = (0, 1), (0, 1), (0, 1)
-    for f in _partials(dom, mid):
-        for g in _partials(mid, cod):
-            h = substoch.compose_partial(g, f)
-            for x in dom:
-                v = f(x)
-                expect = None if v is None else g(v)
-                assert h(x) == expect
 
 
 def test_partial_matrix_has_unit_columns_on_domain():
