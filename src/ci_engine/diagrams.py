@@ -14,7 +14,7 @@ wire is ``("in", 0) -> ("out", 0)`` with no boxes at all.
 
 from dataclasses import dataclass, field
 
-from .caps import enumeration_cap
+from .caps import over_cap
 from .errors import (
     CapExceeded,
     CycleDetected,
@@ -88,7 +88,7 @@ def quantum_system(name, dim):
 def product_carrier(left, right):
     """Row-major pairing: (x, y) runs with x outermost."""
     size = len(left) * len(right)
-    if size > enumeration_cap():
+    if over_cap(size):
         raise CapExceeded(f"product carrier of size {size} exceeds the cap")
     return tuple((x, y) for x in left for y in right)
 

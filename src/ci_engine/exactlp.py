@@ -46,7 +46,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .caps import enumeration_cap
+from .caps import over_cap
 from .errors import CapExceeded, Degenerate, DimensionMismatch
 from .tensornet import _INT64_SAFE, _maxabs
 
@@ -357,7 +357,7 @@ def _double_description(rows, k):
         vals = [_dot(row, y) for y, _ in rays]
         pos = [j for j, v in enumerate(vals) if v > 0]
         neg = [j for j, v in enumerate(vals) if v < 0]
-        if len(pos) * len(neg) > enumeration_cap():
+        if over_cap(len(pos) * len(neg)):
             raise CapExceeded(
                 f"ray enumeration would test {len(pos) * len(neg)} pairs at one row, "
                 "over the cap"

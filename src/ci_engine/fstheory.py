@@ -24,6 +24,7 @@ knowledge about procedures through a stochastic map onto knowledge
 about dynamics.
 """
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from . import funcdyn, substoch, tensornet
-from .caps import enumeration_cap
+from .caps import over_cap
 from .diagrams import (
     CAUSAL,
     INFERENTIAL,
@@ -205,6 +206,39 @@ def effect_box(pi, name=None):
 # Denotational semantics
 
 
+# The knowledge, learning and ignore tensors are fixed 0/1 arrays that
+# depend only on port sizes, so each shape is built once and shared
+# read-only by every diagram that uses it.
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=64)
+def _knowledge_array(n_in, n_out):
+    """Evaluation of hom codes, axes (output, hom code, input)."""
+    count = n_out**n_in
+    # hom code h sends input x to its base-n_out digit x, most significant first
+    h, x = np.indices((count, n_in))
+    arr = np.zeros((n_out, count, n_in), dtype=np.int64)
+    arr[h // n_out ** (n_in - 1 - x) % n_out, h, x] = 1
+    return _read_only(arr)
+
+
+@functools.lru_cache(maxsize=64)
+def _prop_gain_array(n):
+    arr = np.zeros((n, n, n), dtype=np.int64)
+    arr[np.arange(n), np.arange(n), np.arange(n)] = 1
+    return _read_only(arr)
+
+
+@functools.lru_cache(maxsize=64)
+def _ignore_array(n):
+    return _read_only(np.ones(n, dtype=np.int64))
+
+
 def generator_tensor(box):
     """Exact semantics of one generator as a Scaled tensor, output axes first then inputs."""
     p = box.payload
@@ -212,22 +246,16 @@ def generator_tensor(box):
         dom = bundle_carrier(p.in_systems)
         cod = bundle_carrier(p.out_systems)
         n_in, n_out = len(dom), len(cod)
-        count = funcdyn.homset_size(dom, cod)
-        cells = n_out * count * n_in
-        if cells > enumeration_cap():
+        cells = n_out * funcdyn.homset_size(dom, cod) * n_in
+        # checked before the cache lookup: a cached shape is refused under a lower cap too
+        if over_cap(cells):
             raise CapExceeded(f"generator tensor of {cells} cells exceeds the cap")
-        # hom code h sends input x to its base-n_out digit x, most significant first
-        h, x = np.indices((count, n_in))
-        arr = np.zeros((n_out, count, n_in), dtype=np.int64)
-        arr[h // n_out ** (n_in - 1 - x) % n_out, h, x] = 1
+        arr = _knowledge_array(n_in, n_out)
         return Scaled(arr.reshape(tuple(t.size for t in box.outs + box.ins)))
     if isinstance(p, GenPropGain):
-        n = p.system.size
-        arr = np.zeros((n, n, n), dtype=np.int64)
-        arr[np.arange(n), np.arange(n), np.arange(n)] = 1
-        return Scaled(arr)
+        return Scaled(_prop_gain_array(p.system.size))
     if isinstance(p, GenIgnore):
-        return Scaled(np.ones(p.system.size, dtype=np.int64))
+        return Scaled(_ignore_array(p.system.size))
     if isinstance(p, GenEmbedded):
         sizes = tuple(t.size for t in box.outs + box.ins)
         return p.matrix.grid.reshape(sizes)

@@ -8,7 +8,7 @@ that states of knowledge about dynamics serialize deterministically.
 
 from dataclasses import dataclass
 
-from .caps import enumeration_cap
+from .caps import over_cap
 from .diagrams import STAR, product_carrier
 from .errors import CapExceeded, TypeMismatch
 
@@ -72,7 +72,7 @@ def point_fn(carrier, x):
 
 def homset_size(dom, cod):
     size = len(cod) ** len(dom)
-    if size > enumeration_cap():
+    if over_cap(size):
         raise CapExceeded(f"hom-set of size {size} exceeds the cap")
     return size
 

@@ -17,7 +17,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .caps import enumeration_cap
+from .caps import enumeration_cap, over_cap
 from .diagrams import Diagram, causal_system, inferential_system, quantum_system
 from .errors import (
     CapExceeded,
@@ -204,9 +204,9 @@ class Correlation:
 
     def __post_init__(self):
         # the cards are capped before any context or outcome is enumerated
-        cap = enumeration_cap()
-        if math.prod(self.scenario.setting_cards) * math.prod(self.scenario.outcome_cards) > cap:
-            raise CapExceeded(f"the scenario's table has more than {cap} cells")
+        cells = math.prod(self.scenario.setting_cards) * math.prod(self.scenario.outcome_cards)
+        if over_cap(cells):
+            raise CapExceeded(f"the scenario's table has more than {enumeration_cap()} cells")
         ctxs = self.scenario.contexts()
         outs = self.scenario.outcomes()
         rows = tuple(tuple(row) for row in self.table)
@@ -309,7 +309,7 @@ def _check_strategy_count(s):
     count = math.prod(
         card[n] ** math.prod(card[p] for p in ps) for n, ps in zip(observed, parents)
     )
-    if count > enumeration_cap():
+    if over_cap(count):
         raise CapExceeded(f"{count} deterministic strategies exceed the cap")
 
 

@@ -135,7 +135,8 @@ def _classical_ports(types):
 
 
 def _quantum_dims(types):
-    return tuple(_qdim(t) for t in types if _is_quantum(t))
+    # a port that is not classical must be quantum; _qdim refuses any other
+    return tuple(_qdim(t) for t in types if not _is_classical(t))
 
 
 def _validate_kraus(decl):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caps import enumeration_cap
+from .caps import over_cap
 from .errors import CapExceeded, DimensionMismatch
 
 _INT64_SAFE = 1 << 62
@@ -91,7 +91,8 @@ def stack(tensors, axis):
 
 def tensordot(a, b, axes):
     """Overflow-checked tensordot of Scaled tensors; ``axes`` is 0 or two axis lists."""
-    # transpose, reshape and one matmul: tensordot's arithmetic at a third of its call cost
+    # transpose, reshape and one matmul: tensordot's arithmetic at a third of its call cost;
+    # a and b are only read, so read-only (cached or immutable) tensors need no copy
     ia, ib = axes if axes else ((), ())
     fa = [k for k in range(a.num.ndim) if k not in ia]
     fb = [k for k in range(b.num.ndim) if k not in ib]
@@ -116,7 +117,6 @@ def contract(diagram, box_tensor, wire_size, eye=None):
     """
     if eye is None:
         eye = scaled_eye
-    cap = enumeration_cap()
     fresh = itertools.count().__next__
     n_in = len(diagram.input_types)
     n_out = len(diagram.output_types)
@@ -171,7 +171,7 @@ def contract(diagram, box_tensor, wire_size, eye=None):
                 if best is None or score < best[0]:
                     best = (score, i, j, shared, result_size)
         _, i, j, shared, result_size = best
-        if result_size > cap:
+        if over_cap(result_size):
             raise CapExceeded(
                 f"intermediate tensor of size {result_size} exceeds the cap"
             )

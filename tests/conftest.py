@@ -5,13 +5,11 @@ replay from the seed printed by the test.  Carriers stay small (at most
 three labels by default) to keep exhaustive cross-checks cheap.
 """
 
-import cmath
 import math
-import random
 from fractions import Fraction
 from functools import reduce
 
-from ci_engine import diagrams, fstheory, nogo, optheory, substoch
+from ci_engine import diagrams, nogo, optheory, substoch
 from ci_engine.diagrams import (
     CAUSAL,
     INFERENTIAL,

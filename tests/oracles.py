@@ -646,6 +646,32 @@ def contract_fractions(diagram, box_tensor, wire_size):
 
 
 # ---------------------------------------------------------------------------
+# Realist generator tensors, built afresh on every call
+
+
+def knowledge_array_reference(n_in, n_out):
+    """Evaluation of hom codes over carriers of sizes n_in -> n_out, axes
+    (output, hom code, input); hom code h sends input x to its base-n_out
+    digit x, most significant first."""
+    count = n_out**n_in
+    h, x = np.indices((count, n_in))
+    arr = np.zeros((n_out, count, n_in), dtype=np.int64)
+    arr[h // n_out ** (n_in - 1 - x) % n_out, h, x] = 1
+    return arr
+
+
+def prop_gain_array_reference(n):
+    """Copy of a size-n system onto a record: axes (system, record, system)."""
+    arr = np.zeros((n, n, n), dtype=np.int64)
+    arr[np.arange(n), np.arange(n), np.arange(n)] = 1
+    return arr
+
+
+def ignore_array_reference(n):
+    return np.ones(n, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # The ci-engine/1 scanner, written as a character loop
 
 

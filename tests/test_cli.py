@@ -468,3 +468,13 @@ def test_numbers_beyond_range_exit_two_with_an_error(tmp_path, argv, name, old, 
         code, out, err = run(*argv, str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+def test_a_nonclassical_causal_port_with_kraus_data_exits_two(tmp_path):
+    text = (DATA / "singlet.model").read_text(encoding="utf-8")
+    old = "      kind: causal\n      carrier: [0, 1]\n"
+    assert old in text
+    path = tmp_path / "singlet.model"
+    path.write_text(text.replace(old, old + "      classical: false\n", 1), encoding="utf-8")
+    code, out, err = run("bell-check", "--quantum", str(path))
+    assert (code, out, err) == (2, "", "error: TypeMismatch: not a quantum system\n")

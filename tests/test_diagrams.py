@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from ci_engine import diagrams, fstheory
+from ci_engine import fstheory
 from ci_engine.diagrams import (
-    Box,
     Diagram,
     causal_system,
     close_boundary,
@@ -21,7 +20,6 @@ from ci_engine.diagrams import (
 from ci_engine.errors import (
     CycleDetected,
     DanglingPort,
-    SignatureMismatch,
     TypeMismatch,
 )
 from ci_engine.fstheory import embedded, ignore, prop_gain, state_box

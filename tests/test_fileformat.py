@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ci_engine import cli, fileformat, fstheory, nogo, optheory, substoch
+from ci_engine import cli, fileformat, fstheory, nogo, optheory
 from ci_engine.diagrams import diagrams_equal
 from ci_engine.errors import ConfigError, ParseError
 from ci_engine.fileformat import (
@@ -28,7 +28,6 @@ from ci_engine.fileformat import (
     load_pairs,
     load_rep,
     loads,
-    parse_diagram,
     serialize_diagram,
 )
 

@@ -1,5 +1,6 @@
 """Knowledge generators, denotation, normal forms, axioms, realism."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from ci_engine.diagrams import (
     compose_sequential,
     from_box,
     identity,
-    inferential_system,
 )
 from ci_engine.errors import (
     CapExceeded,
@@ -26,11 +26,9 @@ from ci_engine.errors import (
 from ci_engine.fstheory import (
     RealistRep,
     apply_representation,
-    bundle_carrier,
     denote,
     effect_box,
     embedded,
-    hom_system,
     ignore,
     inferentially_equivalent,
     is_leibnizian,
@@ -40,7 +38,6 @@ from ci_engine.fstheory import (
     prop_gain,
     quotient_normal_form,
     reconstruct,
-    record_system,
     state_box,
     verify_fs_axioms,
 )
@@ -52,6 +49,11 @@ from conftest import (
     rand_prop,
     rand_state,
     rand_substoch,
+)
+from oracles import (
+    ignore_array_reference,
+    knowledge_array_reference,
+    prop_gain_array_reference,
 )
 
 BIT = causal_system((0, 1))
@@ -382,3 +384,63 @@ def test_knowledge_tensor_cap_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "indices", no_allocation)
     with pytest.raises(CapExceeded):
         fstheory.generator_tensor(kb)  # 2 x 256 x 8 = 4096 cells
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda s: knowledge_box((s,), (s,)), prop_gain, ignore],
+    ids=["knowledge", "learn", "ignore"],
+)
+def test_cached_generator_tensors_are_read_only(make):
+    t = fstheory.generator_tensor(make(causal_system((0, 1, 2))))
+    with pytest.raises(ValueError):
+        t.num[(0,) * t.num.ndim] = 5
+
+
+def test_cached_generator_tensors_match_a_fresh_build(monkeypatch):
+    boxes = []
+    build = fstheory.generator_tensor
+
+    def recording(box):
+        boxes.append(box)
+        return build(box)
+
+    monkeypatch.setattr(fstheory, "generator_tensor", recording)
+    assert verify_fs_axioms(3).ok
+    shapes = set()
+    for box in boxes:
+        p = box.payload
+        if isinstance(p, fstheory.GenKnowledge):
+            n_in = math.prod(t.size for t in p.in_systems)
+            n_out = math.prod(t.size for t in p.out_systems)
+            want = knowledge_array_reference(n_in, n_out)
+        elif isinstance(p, fstheory.GenPropGain):
+            want = prop_gain_array_reference(p.system.size)
+        elif isinstance(p, fstheory.GenIgnore):
+            want = ignore_array_reference(p.system.size)
+        else:
+            continue
+        sizes = tuple(t.size for t in box.outs + box.ins)
+        got = build(box)
+        assert got.den == 1 and got.num.dtype == np.int64 and got.shape == sizes
+        assert np.array_equal(got.num, want.reshape(sizes))
+        shapes.add((type(p), sizes))
+    assert {kind for kind, _ in shapes} == {
+        fstheory.GenKnowledge,
+        fstheory.GenPropGain,
+        fstheory.GenIgnore,
+    }
+
+
+def test_a_cached_knowledge_shape_is_refused_under_a_lower_cap(monkeypatch):
+    monkeypatch.delenv("CI_ENGINE_CAP", raising=False)
+    bit = causal_system((0, 1))
+    kb = knowledge_box((bit, bit, bit), (bit,))
+    fstheory.generator_tensor(kb)
+    hits = fstheory._knowledge_array.cache_info().hits
+    fstheory.generator_tensor(kb)
+    assert fstheory._knowledge_array.cache_info().hits == hits + 1
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    with pytest.raises(CapExceeded) as info:
+        fstheory.generator_tensor(kb)
+    assert str(info.value) == "generator tensor of 4096 cells exceeds the cap"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ci_engine import fstheory, funcdyn, nogo, optheory, substoch
+from ci_engine import fstheory, nogo, optheory, substoch
 from ci_engine.diagrams import (
     causal_system,
     compose_parallel,
@@ -48,7 +48,6 @@ from conftest import (
     close_inputs,
     rand_closed_classical_diagram,
     rand_closed_quantum_diagram,
-    rand_quantum_bell,
     rand_substoch,
 )
 from oracles import born_bell_table, mat_apply
@@ -114,6 +113,15 @@ def test_trace_non_increasing_kraus_families_pass_the_entry_bound():
         iso, _ = np.linalg.qr(z)
         kraus = tuple(iso[2 * i : 2 * i + 2] for i in range(k))
         ProcedureDecl("u", (q,), (q,), QuantumProcess({((), ()): kraus}))
+
+
+@pytest.mark.parametrize("side", ["ins", "outs"])
+def test_kraus_data_refuses_a_nonclassical_enumerated_port(side):
+    # neither classical nor quantum: refused when declared, as predict_closed would
+    port = causal_system((0, 1), classical=False)
+    ins, outs = ((port,), ()) if side == "ins" else ((), (port,))
+    with pytest.raises(TypeMismatch, match="^not a quantum system$"):
+        ProcedureDecl("p", ins, outs, QuantumProcess({((), ()): ([[1]],)}))
 
 
 def test_prediction_map_alphabet_follows_decl_order():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ci_engine import funcdyn, substoch
-from ci_engine.errors import CarrierMismatch, DimensionMismatch, WeightError
+from ci_engine.errors import DimensionMismatch, WeightError
 from ci_engine.substoch import (
     BOOL,
     KnowledgeState,
@@ -24,12 +24,10 @@ from ci_engine.substoch import (
     convex_mix,
     eval_proposition,
     factorize,
-    from_fn,
     from_partial_fn,
     identity_map,
     negate,
     negate_diagrammatic,
-    partial_from_total,
     point_state,
     product_proposition,
     proposition,
