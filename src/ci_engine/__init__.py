@@ -56,7 +56,6 @@ from .fileformat import (
     load_model,
     load_pairs,
     load_rep,
-    parse_diagram,
     serialize_diagram,
 )
 from .fstheory import (

@@ -19,9 +19,8 @@ clamped to [10^3, 10^7].
 import argparse
 import sys
 import time
-from fractions import Fraction
 
-from . import diagrams, fileformat, fstheory, nogo, optheory, substoch
+from . import fileformat, fstheory, nogo, optheory
 from .errors import EngineError, ParseError
 
 EXIT_OK = 0
@@ -339,15 +338,11 @@ def _cmd_rep_check(args):
     if applies:
         records.append({"cmd": "rep-check", "check": "applies", "passed": True})
 
-    closed = pm is not None and not any(
-        t.kind == diagrams.CAUSAL for t in d_op.input_types + d_op.output_types
-    )
+    closed = pm is not None and fstheory.causally_closed(d_op)
     if applies and closed:
-        p_op = optheory.predict_closed(d_op, pm)
-        p_im = fstheory.predict(image)
-        tol = Fraction(0) if pm.backend == "classical" else Fraction(1, 10**9)
-        gap = substoch.max_gap(p_op, p_im)
-        passed = gap <= tol
+        gap, passed = optheory.agree(
+            optheory.predict_closed(d_op, pm), fstheory.predict(image), pm.backend
+        )
         records.append(
             {
                 "cmd": "rep-check",
@@ -368,29 +363,17 @@ def _cmd_rep_check(args):
 
     if args.leibniz_pairs is not None:
         pairs, pairs_pm = fileformat.load_pairs(_read(args.leibniz_pairs))
-        predict_op = None
-        tol = 0
-        if pairs_pm is not None and all(
-            not any(
-                t.kind == diagrams.CAUSAL
-                for t in dd.input_types + dd.output_types
-            )
-            for pair in pairs
-            for dd in pair
-        ):
-
-            def predict_op(dd):
-                return optheory.predict_closed(dd, pairs_pm)
-
-            tol = Fraction(0) if pairs_pm.backend == "classical" else Fraction(1, 10**9)
-        leib = fstheory.is_leibnizian(rep, pairs, predict_op=predict_op, tol=tol)
+        # witnesses are vetted only when every one of them has a prediction
+        if not all(fstheory.causally_closed(dd) for pair in pairs for dd in pair):
+            pairs_pm = None
+        leib = fstheory.is_leibnizian(rep, pairs, pm=pairs_pm)
         records.append(
             {
                 "cmd": "rep-check",
                 "check": "leibnizian",
                 "passed": bool(leib),
                 "pairs": len(pairs),
-                "vetted": predict_op is not None,
+                "vetted": pairs_pm is not None,
             }
         )
         ok = ok and leib

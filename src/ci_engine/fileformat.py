@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fstheory, funcdyn, nogo, optheory, substoch
+from . import fstheory, nogo, optheory, substoch
 from .diagrams import (
     Abstract,
     CAUSAL,
@@ -717,13 +717,6 @@ def load_diagram(text):
     return _load_body(ctx, value, env, pm), pm
 
 
-def parse_diagram(path):
-    """Read and parse one diagram file; the procedures are dropped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        diagram, _ = load_diagram(fh.read())
-    return diagram
-
-
 def _box_value(box, box_id, namer):
     p = box.payload
     rec = {"id": box_id}
@@ -923,16 +916,12 @@ def load_rep(text, pm):
         alphabet = pm.alphabet(ins, outs)
         if not alphabet:
             ctx.fail(rec, "no declared procedures match this xi signature")
-        dom = fstheory.bundle_carrier(
-            tuple(causal_system(image_carrier(rec, t)) for t in ins)
-        )
-        cod = fstheory.bundle_carrier(
-            tuple(causal_system(image_carrier(rec, t)) for t in outs)
+        h = fstheory.hom_system(
+            tuple(causal_system(image_carrier(rec, t)) for t in ins),
+            tuple(causal_system(image_carrier(rec, t)) for t in outs),
         )
         entries = _numbers(ctx, rec["entries"], "xi entries", exact=True)
-        xi[(ins, outs)] = substoch.SubstochMap(
-            alphabet, funcdyn.hom_carrier(dom, cod), entries
-        )
+        xi[(ins, outs)] = substoch.SubstochMap(alphabet, h.carrier, entries)
     return fstheory.RealistRep(ontic, xi)
 
 

@@ -239,6 +239,12 @@ def _ignore_array(n):
     return _read_only(np.ones(n, dtype=np.int64))
 
 
+def _check_cells(cells):
+    # checked before the cache lookup: a cached shape is refused under a lower cap too
+    if over_cap(cells):
+        raise CapExceeded(f"generator tensor of {cells} cells exceeds the cap")
+
+
 def generator_tensor(box):
     """Exact semantics of one generator as a Scaled tensor, output axes first then inputs."""
     p = box.payload
@@ -246,14 +252,13 @@ def generator_tensor(box):
         dom = bundle_carrier(p.in_systems)
         cod = bundle_carrier(p.out_systems)
         n_in, n_out = len(dom), len(cod)
-        cells = n_out * funcdyn.homset_size(dom, cod) * n_in
-        # checked before the cache lookup: a cached shape is refused under a lower cap too
-        if over_cap(cells):
-            raise CapExceeded(f"generator tensor of {cells} cells exceeds the cap")
+        _check_cells(n_out * funcdyn.homset_size(dom, cod) * n_in)
         arr = _knowledge_array(n_in, n_out)
         return Scaled(arr.reshape(tuple(t.size for t in box.outs + box.ins)))
     if isinstance(p, GenPropGain):
-        return Scaled(_prop_gain_array(p.system.size))
+        n = p.system.size
+        _check_cells(n**3)
+        return Scaled(_prop_gain_array(n))
     if isinstance(p, GenIgnore):
         return Scaled(_ignore_array(p.system.size))
     if isinstance(p, GenEmbedded):
@@ -294,9 +299,14 @@ def denote(d):
     return _bundled_matrix(d, generator_tensor)
 
 
+def causally_closed(d):
+    """Whether every open port of the diagram is inferential."""
+    return all(t.kind == INFERENTIAL for t in d.input_types + d.output_types)
+
+
 def predict(d):
     """The unique prediction map: denotation of a causally closed diagram."""
-    if any(t.kind == CAUSAL for t in d.input_types + d.output_types):
+    if not causally_closed(d):
         raise NotCausallyClosed("prediction needs all causal ports closed")
     return denote(d)
 
@@ -880,10 +890,8 @@ class RealistRep:
                         "a classical system keeps its own carrier as ontic carrier"
                     )
         for (ins, outs), m in self.xi.items():
-            dom = bundle_carrier(tuple(self.image(t) for t in ins))
-            cod = bundle_carrier(tuple(self.image(t) for t in outs))
-            codes = funcdyn.hom_carrier(dom, cod)
-            if m.cod != codes:
+            h = hom_system(tuple(map(self.image, ins)), tuple(map(self.image, outs)))
+            if m.cod != h.carrier:
                 raise CarrierMismatch(
                     "xi must land in the hom codes of the ontic carriers"
                 )
@@ -907,7 +915,9 @@ def apply_representation(rep, d_op):
     Procedure boxes become an xi adapter feeding an application box;
     learning and embedded boxes pass through; ignores move to the ontic
     carrier.  Knowledge about procedures entering at the boundary keeps
-    its alphabet type, with the adapter inside the image.
+    its alphabet type, with the adapter inside the image.  A fixed
+    procedure is point knowledge of its name, so its image is the same
+    adapter and application box fed by that point state.
     """
     from . import optheory
 
@@ -922,84 +932,54 @@ def apply_representation(rep, d_op):
 
     for b, box in enumerate(d_op.boxes):
         p = box.payload
-        if isinstance(p, optheory.OpKnowledge):
-            key = (p.in_systems, p.out_systems)
-            if key not in rep.xi:
+        if isinstance(p, (optheory.OpKnowledge, optheory.OpProc)):
+            fixed = isinstance(p, optheory.OpProc)
+            causal_ins = box.ins if fixed else box.ins[1:]
+            m = rep.xi.get((causal_ins, box.outs))
+            if m is None:
                 raise MissingXi(
                     f"no xi entry for the signature of box {box.name!r}"
                 )
-            m = rep.xi[key]
-            if m.dom != box.ins[0].carrier:
-                raise CarrierMismatch(
-                    "xi domain must equal the procedure alphabet"
-                )
-            ins_img = tuple(rep.image(t) for t in p.in_systems)
-            outs_img = tuple(rep.image(t) for t in p.out_systems)
-            ad = add(
-                embedded(
-                    m,
-                    in_types=(box.ins[0],),
-                    out_types=(hom_system(ins_img, outs_img),),
-                    name="xi",
-                )
-            )
-            kb = add(knowledge_box(ins_img, outs_img))
-            wires.append((("box", ad, 0), ("box", kb, 0)))
-            in_map[(b, 0)] = ("box", ad, 0)
-            for i in range(1, len(box.ins)):
-                in_map[(b, i)] = ("box", kb, i)
-            for j in range(len(box.outs)):
-                out_map[(b, j)] = ("box", kb, j)
-            continue
-        if isinstance(p, optheory.OpProc):
-            key = (box.ins, box.outs)
-            if key not in rep.xi:
-                raise MissingXi(
-                    f"no xi entry for the signature of box {box.name!r}"
-                )
-            m = rep.xi[key]
-            if p.name not in m.dom:
+            if fixed and p.name not in m.dom:
                 raise CarrierMismatch(
                     f"xi domain does not list procedure {p.name!r}"
                 )
-            ins_img = tuple(rep.image(t) for t in box.ins)
+            if not fixed and m.dom != box.ins[0].carrier:
+                raise CarrierMismatch(
+                    "xi domain must equal the procedure alphabet"
+                )
+            ins_img = tuple(rep.image(t) for t in causal_ins)
             outs_img = tuple(rep.image(t) for t in box.outs)
-            pt = add(
-                state_box(substoch.point_state(m.dom, p.name), name=f"[{p.name}]")
-            )
+            if fixed:
+                pt = add(
+                    state_box(substoch.point_state(m.dom, p.name), name=f"[{p.name}]")
+                )
             ad = add(
                 embedded(
                     m,
-                    in_types=(inferential_system(m.dom),),
+                    in_types=(inferential_system(m.dom) if fixed else box.ins[0],),
                     out_types=(hom_system(ins_img, outs_img),),
                     name="xi",
                 )
             )
-            kb = add(knowledge_box(ins_img, outs_img))
-            wires.append((("box", pt, 0), ("box", ad, 0)))
-            wires.append((("box", ad, 0), ("box", kb, 0)))
-            for i in range(len(box.ins)):
-                in_map[(b, i)] = ("box", kb, i + 1)
-            for j in range(len(box.outs)):
-                out_map[(b, j)] = ("box", kb, j)
-            continue
-        if isinstance(p, GenPropGain):
-            idx = add(box)
-        elif isinstance(p, GenIgnore):
-            idx = add(ignore(rep.image(p.system)))
-        elif isinstance(p, GenEmbedded):
-            idx = add(box)
+            idx = add(knowledge_box(ins_img, outs_img))
+            if fixed:
+                wires.append((("box", pt, 0), ("box", ad, 0)))
+            wires.append((("box", ad, 0), ("box", idx, 0)))
+            ports = [] if fixed else [("box", ad, 0)]
+            ports += [("box", idx, i + 1) for i in range(len(causal_ins))]
         else:
-            raise TypeMismatch(
-                f"box {box.name!r} is not a representable operational generator"
-            )
-        for i in range(len(box.ins)):
-            in_map[(b, i)] = ("box", idx, i)
-        for j in range(len(box.outs)):
-            out_map[(b, j)] = ("box", idx, j)
-
-    def map_type(t):
-        return rep.image(t) if t.kind == CAUSAL else t
+            if isinstance(p, (GenPropGain, GenEmbedded)):
+                idx = add(box)
+            elif isinstance(p, GenIgnore):
+                idx = add(ignore(rep.image(p.system)))
+            else:
+                raise TypeMismatch(
+                    f"box {box.name!r} is not a representable operational generator"
+                )
+            ports = [("box", idx, i) for i in range(len(box.ins))]
+        in_map.update(((b, i), port) for i, port in enumerate(ports))
+        out_map.update(((b, j), ("box", idx, j)) for j in range(len(box.outs)))
 
     for src, dst in d_op.wires:
         nsrc = src if src[0] == "in" else out_map[(src[1], src[2])]
@@ -1008,26 +988,29 @@ def apply_representation(rep, d_op):
     return Diagram(
         tuple(new_boxes),
         tuple(wires),
-        tuple(map_type(t) for t in d_op.input_types),
-        tuple(map_type(t) for t in d_op.output_types),
+        tuple(rep.image(t) for t in d_op.input_types),
+        tuple(rep.image(t) for t in d_op.output_types),
     )
 
 
-def is_leibnizian(rep, pairs, predict_op=None, tol=0):
+def is_leibnizian(rep, pairs, pm=None):
     """Whether the representation preserves the witnessed equivalences.
 
-    Each pair must be operationally equivalent already; when
-    ``predict_op`` is supplied it is used to vet the witnesses, raising
-    PairNotEquivalent on a bad pair (entrywise tolerance ``tol``).
-    Returns False as soon as some pair's realist images differ.
+    Each pair must be operationally equivalent already.  With a
+    prediction map ``pm`` the witnesses are vetted first: a pair whose
+    predictions do not agree under ``optheory.agree`` raises
+    PairNotEquivalent.  Returns False as soon as some pair's realist
+    images differ.
     """
+    from . import optheory
+
     for a, b in pairs:
-        if predict_op is not None:
-            pa, pb = predict_op(a), predict_op(b)
+        if pm is not None:
+            pa, pb = optheory.predict_closed(a, pm), optheory.predict_closed(b, pm)
             if pa.dom != pb.dom or pa.cod != pb.cod:
                 raise PairNotEquivalent("witness pair has mismatched signatures")
-            gap = substoch.max_gap(pa, pb)
-            if gap > tol:
+            gap, within = optheory.agree(pa, pb, pm.backend)
+            if not within:
                 raise PairNotEquivalent(
                     f"witness pair differs operationally by {float(gap):.3g}"
                 )

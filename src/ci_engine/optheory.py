@@ -53,7 +53,8 @@ from .fstheory import (
 from .tensornet import contract
 
 _KRAUS_TOL = 1e-9
-_EQUIV_TOL = 1e-9
+_PROB_TOL = 1e-9
+_EQUIV_TOL = Fraction(1, 10**9)
 
 
 def _is_classical(t):
@@ -300,7 +301,7 @@ def procedure_diagram(pm, name):
 
 
 def _check_closed(d):
-    if any(t.kind == CAUSAL for t in d.input_types + d.output_types):
+    if not fstheory.causally_closed(d):
         raise NotCausallyClosed("prediction needs all causal ports closed")
 
 
@@ -401,10 +402,10 @@ def _quantum_tensor(pm):
 
 
 def _float_prob(v):
-    if abs(v.imag if isinstance(v, complex) else 0.0) > _EQUIV_TOL:
+    if abs(v.imag if isinstance(v, complex) else 0.0) > _PROB_TOL:
         raise ValidationError(f"non-real probability {v!r}")
     x = v.real if isinstance(v, complex) else float(v)
-    if x < -_EQUIV_TOL or x > 1 + _EQUIV_TOL:
+    if x < -_PROB_TOL or x > 1 + _PROB_TOL:
         raise ValidationError(f"probability {x} outside [0, 1]")
     return Fraction(min(max(x, 0.0), 1.0))
 
@@ -459,14 +460,22 @@ def predict_closed(d, pm):
     return _substoch_from_probs(dom, cod, grid)
 
 
+def agree(p1, p2, backend):
+    """The largest entrywise gap of two equally shaped predictions, and whether they agree.
+
+    Classical predictions are exact, so they agree only when equal.
+    Quantum predictions are rationalized floats and agree within the
+    exact gap 1/10^9.
+    """
+    gap = substoch.max_gap(p1, p2)
+    return gap, gap <= (0 if backend == "classical" else _EQUIV_TOL)
+
+
 def op_equivalent(d1, d2, pm):
-    """Equality of predictions: exact classically, 1e-9 on quantum."""
+    """Whether the predictions of two diagrams agree (see ``agree``)."""
     if d1.input_types != d2.input_types or d1.output_types != d2.output_types:
         raise SignatureMismatch("equivalence compares equal boundary signatures")
-    p1, p2 = predict_closed(d1, pm), predict_closed(d2, pm)
-    if pm.backend == "classical":
-        return p1 == p2
-    return float(substoch.max_gap(p1, p2)) <= _EQUIV_TOL
+    return agree(predict_closed(d1, pm), predict_closed(d2, pm), pm.backend)[1]
 
 
 def _unfold(label, k):

@@ -105,12 +105,6 @@ class SubstochMap:
         flat = self.num.ravel().tolist()
         return [sum(flat[c :: len(self.dom)]) for c in range(len(self.dom))]
 
-    def at(self, row, col):
-        return self.entries[row][col]
-
-    def entry(self, out_label, in_label):
-        return self.entries[self.cod.index(out_label)][self.dom.index(in_label)]
-
     def column_sums(self):
         return tuple(Fraction(t, self.den) for t in self._column_totals())
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ci_engine import cli, fileformat, nogo
+from ci_engine import cli, diagrams, fileformat, fstheory, nogo, optheory, substoch
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -380,6 +380,101 @@ def test_rep_check_passes_on_demo():
     assert checks["applies"]["passed"] is True
     assert checks["reproduces-predictions"]["passed"] is True
     assert checks["leibnizian"]["passed"] is True
+
+
+def test_rep_check_prediction_record_follows_the_agreement_rule(monkeypatch):
+    monkeypatch.setattr(
+        optheory, "agree", lambda p1, p2, backend: (substoch.max_gap(p1, p2), False)
+    )
+    code, out, err = run(
+        "rep-check",
+        "--rep",
+        str(DATA / "bit_flip.rep"),
+        "--diagram",
+        str(DATA / "coin_dynamics.diagram"),
+        "--format",
+        "records",
+    )
+    assert code == 1 and err == ""
+    checks = {r["check"]: r for r in records(out) if "check" in r}
+    assert checks["reproduces-predictions"] == {
+        "cmd": "rep-check",
+        "check": "reproduces-predictions",
+        "passed": False,
+        "gap": 0,
+    }
+
+
+def _coin_measurement(pm, name):
+    """prep0, then procedure ``name``, then learn the bit and drop it."""
+    bit = pm.decl("id").ins[0]
+    d = optheory.procedure_diagram(pm, "prep0")
+    d = diagrams.compose_sequential(d, optheory.procedure_diagram(pm, name))
+    d = diagrams.compose_sequential(d, diagrams.from_box(fstheory.prop_gain(bit)))
+    return diagrams.compose_sequential(
+        d,
+        diagrams.compose_parallel(
+            diagrams.from_box(fstheory.ignore(bit)), diagrams.identity(d.output_types[1:])
+        ),
+    )
+
+
+def _rep_check_with_pairs(tmp_path, make_pairs):
+    """rep-check of the demo coin against witness pairs built from its procedures."""
+    _, pm = fileformat.load_diagram((DATA / "coin_dynamics.diagram").read_text())
+    path = tmp_path / "witness.pairs"
+    path.write_text(fileformat.dump_pairs(make_pairs(pm), pm))
+    return run(
+        "rep-check",
+        "--rep",
+        str(DATA / "bit_flip.rep"),
+        "--diagram",
+        str(DATA / "coin_dynamics.diagram"),
+        "--leibniz-pairs",
+        str(path),
+        "--format",
+        "records",
+    )
+
+
+def test_rep_check_pairs_with_an_open_causal_boundary_are_not_vetted(tmp_path):
+    def pairs(pm):
+        boxed = diagrams.from_box(optheory.procedure_box(pm, "id"))
+        return ((optheory.procedure_diagram(pm, "id"), boxed),)
+
+    code, out, err = _rep_check_with_pairs(tmp_path, pairs)
+    assert code == 0 and err == ""
+    leib = [r for r in records(out) if r.get("check") == "leibnizian"]
+    assert leib == [
+        {"cmd": "rep-check", "check": "leibnizian", "passed": True, "pairs": 1, "vetted": False}
+    ]
+
+
+def test_rep_check_an_operationally_inequivalent_witness_exits_two(tmp_path):
+    def pairs(pm):
+        return ((_coin_measurement(pm, "id"), _coin_measurement(pm, "flip")),)
+
+    code, out, err = _rep_check_with_pairs(tmp_path, pairs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: PairNotEquivalent: witness pair differs operationally")
+
+
+def test_rep_check_unvetted_pairs_with_different_images_exit_one(tmp_path):
+    def pairs(pm):
+        return ((optheory.procedure_diagram(pm, "id"), optheory.procedure_diagram(pm, "flip")),)
+
+    code, out, err = _rep_check_with_pairs(tmp_path, pairs)
+    assert code == 1 and err == ""
+    checks = {r["check"]: r for r in records(out) if "check" in r}
+    assert checks["applies"]["passed"] is True
+    assert checks["reproduces-predictions"]["passed"] is True
+    assert checks["leibnizian"] == {
+        "cmd": "rep-check",
+        "check": "leibnizian",
+        "passed": False,
+        "pairs": 1,
+        "vetted": False,
+    }
 
 
 def test_parse_error_reports_position(tmp_path):

@@ -301,6 +301,16 @@ def test_representation_reproduces_predictions():
         assert predict(image) == optheory.predict_closed(d, pm)
 
 
+@pytest.mark.parametrize("name", ["prep0", "id", "flip"])
+def test_a_procedure_box_has_the_image_of_point_knowledge_of_it(name):
+    pm, bit = _coin_model()
+    rep = _coin_rep(pm, bit)
+    boxed = apply_representation(rep, from_box(optheory.procedure_box(pm, name)))
+    known = apply_representation(rep, optheory.procedure_diagram(pm, name))
+    assert diagrams.diagrams_equal(boxed, known)
+    assert denote(boxed) == denote(known)
+
+
 def test_missing_xi_is_reported():
     pm, bit = _coin_model()
     rep = RealistRep({bit: (0, 1)}, {})
@@ -338,11 +348,7 @@ def test_leibnizian_on_equivalent_pair():
 
     d1 = finish(via_kb)
     d2 = finish(optheory.procedure_diagram(pm, "id"))
-
-    def predict_op(d):
-        return optheory.predict_closed(d, pm)
-
-    assert is_leibnizian(rep, ((d1, d2),), predict_op=predict_op)
+    assert is_leibnizian(rep, ((d1, d2),), pm=pm)
 
 
 def test_vetting_rejects_inequivalent_pairs():
@@ -350,12 +356,20 @@ def test_vetting_rejects_inequivalent_pairs():
     rep = _coin_rep(pm, bit)
     d1 = _measure_after(pm, bit, "id")
     d2 = _measure_after(pm, bit, "flip")
-
-    def predict_op(d):
-        return optheory.predict_closed(d, pm)
-
     with pytest.raises(PairNotEquivalent):
-        is_leibnizian(rep, ((d1, d2),), predict_op=predict_op)
+        is_leibnizian(rep, ((d1, d2),), pm=pm)
+
+
+def test_vetting_follows_the_agreement_rule(monkeypatch):
+    pm, bit = _coin_model()
+    rep = _coin_rep(pm, bit)
+    d = _measure_after(pm, bit, "id")
+    assert is_leibnizian(rep, ((d, d),), pm=pm)
+    monkeypatch.setattr(
+        optheory, "agree", lambda p1, p2, backend: (substoch.max_gap(p1, p2), False)
+    )
+    with pytest.raises(PairNotEquivalent):
+        is_leibnizian(rep, ((d, d),), pm=pm)
 
 
 def test_unvetted_divergent_images_report_false():
@@ -384,6 +398,19 @@ def test_knowledge_tensor_cap_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "indices", no_allocation)
     with pytest.raises(CapExceeded):
         fstheory.generator_tensor(kb)  # 2 x 256 x 8 = 4096 cells
+
+
+def test_learning_tensor_cap_is_checked_before_allocation(monkeypatch):
+    monkeypatch.delenv("CI_ENGINE_CAP", raising=False)
+    pg = prop_gain(causal_system(tuple(range(1000))))
+
+    def no_allocation(n):
+        raise AssertionError(f"a {n} x {n} x {n} tensor was built before the cap check")
+
+    monkeypatch.setattr(fstheory, "_prop_gain_array", no_allocation)
+    with pytest.raises(CapExceeded) as info:
+        fstheory.generator_tensor(pg)
+    assert str(info.value) == "generator tensor of 1000000000 cells exceeds the cap"
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,41 @@ def test_procedure_box_equals_pointed_knowledge():
     assert op_equivalent(finish(via_point), finish(via_box), pm)
 
 
+def _coin_split(gap):
+    """A fair coin and the same coin moved by ``gap`` toward heads."""
+    half = F(1, 2)
+    fair = substoch.SubstochMap(("*",), (0, 1), ((half,), (half,)))
+    moved = substoch.SubstochMap(("*",), (0, 1), ((half + gap,), (half - gap,)))
+    return fair, moved
+
+
+def test_classical_predictions_agree_only_when_equal():
+    fair, moved = _coin_split(F(1, 10**9))
+    assert optheory.agree(fair, fair, "classical") == (0, True)
+    assert optheory.agree(fair, moved, "classical") == (F(1, 10**9), False)
+
+
+def test_quantum_predictions_agree_within_exactly_one_billionth():
+    fair, moved = _coin_split(F(1, 10**9))
+    assert optheory.agree(fair, moved, "quantum") == (F(1, 10**9), True)
+    fair, moved = _coin_split(F(1, 10**9) + F(1, 10**30))
+    assert optheory.agree(fair, moved, "quantum") == (F(1, 10**9) + F(1, 10**30), False)
+
+
+def test_op_equivalent_follows_the_agreement_rule(monkeypatch):
+    rng = random.Random(SEED + 2)
+    pm, _ = _chain_model(rng)
+    d = compose_sequential(procedure_diagram(pm, "prep"), from_box(prop_gain(BIT)))
+    d = compose_sequential(
+        d, compose_parallel(from_box(ignore(BIT)), identity(d.output_types[1:]))
+    )
+    assert op_equivalent(d, d, pm)
+    monkeypatch.setattr(
+        optheory, "agree", lambda p1, p2, backend: (substoch.max_gap(p1, p2), False)
+    )
+    assert not op_equivalent(d, d, pm)
+
+
 def test_random_classical_predictions_are_substochastic():
     rng = random.Random(SEED + 3)
     for _ in range(40):
