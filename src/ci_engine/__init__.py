@@ -30,7 +30,6 @@ from .diagrams import (
     Clamp,
     Diagram,
     SystemType,
-    build,
     causal_system,
     close_boundary,
     compose_parallel,

@@ -393,12 +393,6 @@ def _build_parser():
         default="human",
         help="human-readable lines or one parseable record per line",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=20260814,
-        help="seed for randomized spot checks (verify-axioms)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="ci-engine",
@@ -426,6 +420,7 @@ def _build_parser():
 
     p = sub.add_parser("verify-axioms", parents=[common], help="check the rewrite axiom battery")
     p.add_argument("--max-carrier", type=int, default=3)
+    p.add_argument("--seed", type=int, default=20260814, help="seed for randomized spot checks")
     p.set_defaults(handler=_cmd_verify_axioms)
 
     p = sub.add_parser("bell-check", parents=[common], help="local-polytope membership of a table")

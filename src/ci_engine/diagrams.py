@@ -220,11 +220,6 @@ def _check_acyclic(d):
         raise CycleDetected("diagram wiring contains a directed cycle")
 
 
-def build(boxes, wires, input_types, output_types):
-    """Validated constructor; raises TypeMismatch, CycleDetected, DanglingPort."""
-    return Diagram(tuple(boxes), tuple(wires), tuple(input_types), tuple(output_types))
-
-
 def identity(types):
     types = tuple(types)
     wires = tuple((("in", k), ("out", k)) for k in range(len(types)))

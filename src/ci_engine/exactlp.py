@@ -42,15 +42,13 @@ they were found.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 from .caps import over_cap
 from .errors import CapExceeded, Degenerate, DimensionMismatch
-from .tensornet import _INT64_SAFE, _maxabs
-
-_EXACT = (int, Fraction)
+from .tensornet import _INT64_SAFE, _maxabs, integers
 
 
 def _ints(rows):
@@ -58,16 +56,15 @@ def _ints(rows):
 
     Column ``j`` of the result is ``scales[j]`` times column ``j`` of the
     input, ``scales[j]`` being the least common denominator of that
-    column.  Python ints and Fractions are read as they are; anything else
-    (bools, floats, numpy scalars) goes through ``Fraction(v)`` first.
+    column, as ``tensornet.integers`` reads it.
     """
-    rows = [[v if type(v) in _EXACT else Fraction(v) for v in row] for row in rows]
+    rows = [list(row) for row in rows]
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise DimensionMismatch("ragged matrix")
-    scales = [lcm(*(v.denominator for v in col)) for col in zip(*rows)]
-    ints = [[v.numerator * (s // v.denominator) for v, s in zip(row, scales)] for row in rows]
-    return ints, scales
+    cols = [integers(col) for col in zip(*rows)]
+    ints = [[col[i] for col, _ in cols] for i in range(len(rows))]
+    return ints, [scale for _, scale in cols]
 
 
 def _dot(u, v):
@@ -172,13 +169,6 @@ def _pivot_array(tab, ds, r, c, d):
     return tab, p
 
 
-def _int_vector(values):
-    """Python ints over one positive scale, the least common denominator."""
-    values = [v if type(v) in _EXACT else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _int_matrix(a_rows):
     """The rows as a 2-D int64 or object ndarray of ints, and one scale
     per column.  A signed-integer ndarray, or a sequence of signed-integer
@@ -209,7 +199,7 @@ def feasible_nonneg(a_rows, b):
     m, n = a.shape
     if len(b) != m:
         raise DimensionMismatch("rhs length must match the row count")
-    b, scale_b = _int_vector(b)
+    b, scale_b = integers(b)
     # Columns: n originals, m artificials, the rhs.  The artificial block is
     # the identity, so every row starts at scale 1.  Rows with a negative
     # rhs are negated; the last row, the column sums less 1 per artificial,
@@ -272,7 +262,7 @@ def verify_certificate(a_rows, b, y):
         return False
     # positive column scales leave the sign of every product with y as it is
     cols = _int_matrix(a_rows)[0].T.tolist()
-    y, rhs = _int_vector(y)[0], _int_vector(b)[0]
+    y, rhs = integers(y)[0], integers(b)[0]
     return all(_dot(y, col) <= 0 for col in cols) and _dot(y, rhs) > 0
 
 
@@ -317,7 +307,7 @@ def polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
     cone.append([0] * n + [1])
     eqs = [[*row, -v] for row, v in zip(eq_rows, eq_rhs)]
     rays = cone_extreme_rays(cone, eqs)
-    return [[v / ray[n] for v in ray[:n]] for ray in rays if ray[n] > 0]
+    return [[Fraction(v, ray[n]) for v in ray[:n]] for ray in rays if ray[n] > 0]
 
 
 def _primitive(vec):
@@ -403,10 +393,10 @@ def cone_extreme_rays(ineq_rows, eq_rows=()):
     dimensions by ``_double_description``, which raises Degenerate when
     the cone holds a line and CapExceeded when one row would test more
     pairs of rays than the enumeration cap.  Each ray comes back once, as
-    a primitive integer vector.  They are ordered by the inequalities each
-    is tight on, as sorted index lists, which is the order in which a
-    search over the subsets of ``k - 1`` inequalities, in ``combinations``
-    order, first finds them.
+    a primitive vector of Python ints.  They are ordered by the
+    inequalities each is tight on, as sorted index lists, which is the
+    order in which a search over the subsets of ``k - 1`` inequalities,
+    in ``combinations`` order, first finds them.
     """
     # one scale per coordinate, shared by the inequalities and equalities;
     # a ray y of the scaled rows is the ray scales * y of the input
@@ -433,4 +423,4 @@ def cone_extreme_rays(ineq_rows, eq_rows=()):
         x = _primitive([s * _dot(y, col) for s, col in zip(scales, cols)])
         found.append((tight, x))
     found.sort()
-    return [[Fraction(v) for v in x] for _, x in found]
+    return [x for _, x in found]

@@ -59,6 +59,7 @@ from .diagrams import (
     quantum_system,
 )
 from .errors import ConfigError, ParseError
+from .tensornet import is_exact_number
 
 FORMAT_HEADER = "ci-engine/1"
 KINDS = ("diagram", "model", "correlation", "fragment", "rep", "pairs")
@@ -359,11 +360,10 @@ def label_value(lab):
 def _numbers(ctx, v, what, exact=False, matrix=True):
     """The numbers of array ``v``, or of each of its rows if ``matrix``,
     as tuples.  ``exact`` takes rationals only and returns Fractions."""
-    kinds = (int, Fraction) if exact else (int, float, Fraction)
 
     def row(arr, arr_what):
         for cell in ctx.arr(arr, arr_what):
-            if isinstance(cell, bool) or not isinstance(cell, kinds):
+            if not (is_exact_number(cell) or (not exact and isinstance(cell, float))):
                 noun = "rationals" if exact else "numbers"
                 ctx.fail(arr, f"{what} entries must be {noun}")
         return tuple(map(Fraction, arr)) if exact else tuple(arr)

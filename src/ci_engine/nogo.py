@@ -10,7 +10,7 @@ re-verifies by direct arithmetic.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -47,7 +47,7 @@ from .optheory import (
     procedure_box,
 )
 from .substoch import KnowledgeState, from_fn
-from .tensornet import _INT64_SAFE
+from .tensornet import _INT64_SAFE, integers, is_exact_number
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -187,20 +187,19 @@ def chsh_scenario():
 # Correlations
 
 
-def _is_exact_number(v):
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class Correlation:
     """Conditional outcome table, one row per setting context.
 
     Rows follow ``scenario.contexts()`` and columns ``scenario.outcomes()``.
     Exact tables must normalize exactly; float tables within 1e-9.
+    ``is_exact`` says which: every entry an exact number, read as a
+    Fraction, or every entry read as a float.
     """
 
     scenario: object
     table: tuple
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the cards are capped before any context or outcome is enumerated
@@ -214,7 +213,7 @@ class Correlation:
             raise DimensionMismatch("one table row per setting context")
         if any(len(row) != len(outs) for row in rows):
             raise DimensionMismatch("one table column per joint outcome")
-        exact = all(_is_exact_number(v) for row in rows for v in row)
+        exact = all(is_exact_number(v) for row in rows for v in row)
         if exact:
             rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
             for row in rows:
@@ -237,10 +236,7 @@ class Correlation:
                     raise ValidationError("a context does not normalize")
             rows = tuple(tuple(float(v) for v in row) for row in rows)
         object.__setattr__(self, "table", rows)
-
-    @property
-    def is_exact(self):
-        return all(_is_exact_number(v) for row in self.table for v in row)
+        object.__setattr__(self, "is_exact", exact)
 
     def value(self, outcome, setting):
         ci = self.scenario.contexts().index(tuple(setting))
@@ -303,28 +299,32 @@ def _strategy_nodes(s):
     return settings, observed, card, parents
 
 
-def _check_strategy_count(s):
-    """CapExceeded when the scenario has more strategies than the cap."""
+def _strategies(s):
+    """The scenario's deterministic strategies as one table, cached per
+    scenario: ``(hits, cells, incidence)``.  The strategy count is checked
+    against the cap on every call, before any strategy is enumerated or
+    read from the cache.
+
+    ``hits`` lists the strategies of ``local_vertices``, in its order, each
+    as the tuple of its outcome index (into ``s.outcomes()``) in each
+    context of ``s.contexts()``.  ``cells`` lists each strategy's (context,
+    outcome) cells, row-major as ``as_vector``.  ``incidence`` is the
+    membership LP's matrix: the 0/1 incidence of those cells, one row per
+    cell, and an all-ones row for the total weight.  It is read-only int64,
+    handed out as the tuple of its rows, a sequence of rows like any other
+    LP input.
+    """
     _, observed, card, parents = _strategy_nodes(s)
     count = math.prod(
         card[n] ** math.prod(card[p] for p in ps) for n, ps in zip(observed, parents)
     )
     if over_cap(count):
         raise CapExceeded(f"{count} deterministic strategies exceed the cap")
-
-
-def _vertex_hits(s):
-    """The strategies of ``local_vertices``, in its order, each as the
-    tuple of its outcome index (into ``s.outcomes()``) in each context of
-    ``s.contexts()``.  The strategy count is checked against the cap on
-    every call, before any strategy is enumerated or read from the cache.
-    """
-    _check_strategy_count(s)
-    return _enumerate_hits(s)
+    return _strategy_table(s)
 
 
 @lru_cache(maxsize=8)
-def _enumerate_hits(s):
+def _strategy_table(s):
     settings, observed, card, parents = _strategy_nodes(s)
     sizes = [math.prod(card[p] for p in ps) for ps in parents]
     contexts = s.contexts()
@@ -344,24 +344,14 @@ def _enumerate_hits(s):
                 hit = hit * card[n] + value[n]
             hits.append(hit)
         seen[tuple(hits)] = None
-    return tuple(seen)
-
-
-@lru_cache(maxsize=8)
-def _membership_lp(s):
-    """Each strategy's (context, outcome) cells, row-major as
-    ``as_vector``, and the membership LP's matrix: the 0/1 incidence of
-    those cells, one row per cell, and an all-ones row for the total
-    weight.  The matrix is read-only int64, handed out as the tuple of
-    its rows, a sequence of rows like any other LP input.  Call
-    ``_check_strategy_count`` first: the cache skips it."""
+    hits = tuple(seen)
     n_out = len(s.outcomes())
-    cells = np.array(_enumerate_hits(s), dtype=np.intp) + np.arange(len(s.contexts())) * n_out
-    incidence = np.zeros((len(s.contexts()) * n_out + 1, len(cells)), dtype=np.int64)
+    cells = np.array(hits, dtype=np.intp) + np.arange(len(contexts)) * n_out
+    incidence = np.zeros((len(contexts) * n_out + 1, len(cells)), dtype=np.int64)
     incidence[cells, np.arange(len(cells))[:, None]] = 1
     incidence[-1] = 1
     incidence.setflags(write=False)
-    return tuple(map(tuple, cells.tolist())), tuple(incidence)
+    return hits, tuple(map(tuple, cells.tolist())), tuple(incidence)
 
 
 def local_vertices(s):
@@ -383,7 +373,7 @@ def local_vertices(s):
     n_out = len(s.outcomes())
     units = [tuple(int(i == k) for i in range(n_out)) for k in range(n_out)]
     return tuple(
-        Correlation(s, tuple(units[k] for k in hits)) for hits in _vertex_hits(s)
+        Correlation(s, tuple(units[k] for k in hits)) for hits in _strategies(s)[0]
     )
 
 
@@ -507,25 +497,20 @@ def rationalize(corr):
         return corr
     rows = []
     for row in corr.table:
-        vals = [
-            Fraction(round(float(v) * _RATIONALIZE_DEN), _RATIONALIZE_DEN)
-            for v in row
-        ]
-        vals = [v if v > 0 else _ZERO for v in vals]
-        total = sum(vals)
+        # k / 10^6 over the row's total K / 10^6 is k / K
+        ks = [max(round(v * _RATIONALIZE_DEN), 0) for v in row]
+        total = sum(ks)
         if total == 0:
             raise ValidationError("a context rationalized to zero mass")
-        rows.append(tuple(v / total for v in vals))
+        rows.append(tuple(Fraction(k, total) for k in ks))
     return Correlation(corr.scenario, tuple(rows))
 
 
 def _dot(u, v):
     """Exact dot product of rational vectors: integer products summed over
     one common denominator and reduced once."""
-    nums = [a.numerator * b.numerator for a, b in zip(u, v)]
-    dens = [a.denominator * b.denominator for a, b in zip(u, v)]
-    den = math.lcm(*dens)
-    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+    (a, da), (b, db) = integers(u), integers(v)
+    return Fraction(sum(x * y for x, y in zip(a, b)), da * db)
 
 
 def fs_compatible(corr, s):
@@ -543,8 +528,7 @@ def fs_compatible(corr, s):
     if corr.scenario != s:
         raise WrongScenario("correlation was built for another scenario")
     target = rationalize(corr)
-    _check_strategy_count(s)
-    cells, a_rows = _membership_lp(s)
+    _, cells, a_rows = _strategies(s)
     q = target.as_vector()
     m = len(q)
     status, payload = feasible_nonneg(a_rows, [*q, 1])
@@ -561,8 +545,7 @@ def fs_compatible(corr, s):
     facet = tuple(payload[:m])
     # a strategy pays the facet's entries on its cells: sum integer
     # numerators over the facet's one denominator
-    den = math.lcm(*(f.denominator for f in facet))
-    nums = [f.numerator * (den // f.denominator) for f in facet]
+    nums, den = integers(facet)
     bound = Fraction(max(sum(nums[i] for i in cs) for cs in cells), den)
     violation = _dot(facet, q) - bound
     if violation <= 0:
@@ -875,11 +858,14 @@ class GPTFragment:
 
     Probabilities are plain dot products.  The unit must pay 1 on every
     listed state and every listed effect must pay within [0, 1].
+    ``is_exact`` says whether every entry is an exact number, read as a
+    Fraction; a float fragment keeps its entries as given.
     """
 
     states: tuple
     effects: tuple
     unit: tuple
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = tuple(tuple(v) for v in self.states)
@@ -893,7 +879,7 @@ class GPTFragment:
         if any(len(v) != d for v in states + effects):
             raise DimensionMismatch("all fragment vectors share one dimension")
         entries = [x for v in states + effects + (unit,) for x in v]
-        exact = all(_is_exact_number(x) for x in entries)
+        exact = all(is_exact_number(x) for x in entries)
         if exact:
             states = tuple(tuple(Fraction(x) for x in v) for v in states)
             effects = tuple(tuple(Fraction(x) for x in v) for v in effects)
@@ -918,18 +904,11 @@ class GPTFragment:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "is_exact", exact)
 
     @property
     def dim(self):
         return len(self.unit)
-
-    @property
-    def is_exact(self):
-        return all(
-            _is_exact_number(x)
-            for v in self.states + self.effects + (self.unit,)
-            for x in v
-        )
 
 
 @dataclass(frozen=True)
@@ -1097,13 +1076,13 @@ def simplex_embed(frag, lambda_max=16):
     # back divided by dens[i]; rays are primitive integer vectors already.
     # products[i, k, j] is row k = (effect, state) of candidate i's column
     # for ray j, in int64 when the largest product stays below 2^62.
-    dens = [math.lcm(*(v.denominator for v in c)) for c in candidates]
-    cn = [[v.numerator * (den // v.denominator) for v in c] for c, den in zip(candidates, dens)]
-    rn = [[int(v) for v in ray] for ray in rays]
-    top = [max((abs(v) for row in m for v in row), default=0) for m in (cn, rn)]
+    read = [integers(c) for c in candidates]
+    dens = [den for _, den in read]
+    cn = [nums for nums, _ in read]
+    top = [max((abs(v) for row in m for v in row), default=0) for m in (cn, rays)]
     dtype = np.int64 if max(top[0], 1) * max(top[1], 1) < _INT64_SAFE else object
     cn = np.array(cn, dtype=dtype).reshape(len(candidates), ne)
-    rn = np.array(rn, dtype=dtype).reshape(len(rays), ns)
+    rn = np.array(rays, dtype=dtype).reshape(len(rays), ns)
     products = (cn[:, :, None, None] * rn.T[None, None]).reshape(
         len(candidates), ne * ns, len(rays)
     )

@@ -419,7 +419,7 @@ def _substoch_from_probs(dom, cod, grid):
     cols = []
     for c in range(len(dom)):
         col = [grid[r][c] for r in range(len(cod))]
-        col = [Fraction(v) if isinstance(v, (Fraction, int)) else _float_prob(v) for v in col]
+        col = [Fraction(v) if tensornet.is_exact_number(v) else _float_prob(v) for v in col]
         total = sum(col)
         if total > 1 + Fraction(1, 10**9):
             raise ValidationError(f"column {c} sums to {float(total)} > 1")

@@ -36,9 +36,7 @@ _ONE = Fraction(1)
 def _frac(value):
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if tensornet.is_exact_number(value):
         return Fraction(value)
     raise TypeMismatch(f"expected an exact rational, got {type(value).__name__}")
 
@@ -370,12 +368,8 @@ def _question_to_proposition(m):
     return Proposition(m.dom, mask)
 
 
-def connective_diagrammatic(op, a, b, dot=None):
-    """Copy the system, ask both questions, combine with the truth dot.
-
-    ``dot`` overrides the truth-table function; the mutation hook used to
-    show the law checker notices a corrupted connective.
-    """
+def connective_diagrammatic(op, a, b):
+    """Copy the system, ask both questions, combine with the truth dot."""
     if tuple(a.carrier) != tuple(b.carrier):
         raise CarrierMismatch("connectives need a shared carrier")
     carrier = tuple(a.carrier)
@@ -384,7 +378,7 @@ def connective_diagrammatic(op, a, b, dot=None):
         from_fn(funcdyn.copy_fn(carrier)),
     )
     return _question_to_proposition(
-        compose_seq(from_fn(dot if dot is not None else truth_dot(op)), wiring)
+        compose_seq(from_fn(truth_dot(op)), wiring)
     )
 
 

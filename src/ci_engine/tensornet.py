@@ -5,6 +5,11 @@ tensor whose axes follow the box's ports, outputs first then inputs.
 Contracting the network yields a single tensor with one axis per open
 boundary port, outputs first then inputs, each side in boundary order.
 
+Exact numbers are ints and Fractions, never bools (``is_exact_number``),
+and ``integers`` reads a sequence of numbers as Python ints over their
+least common denominator; the rest of the engine decides and reads
+numbers through these two.
+
 Exact tensors are ``Scaled`` pairs: integer numerators over one positive
 Python-int denominator.  Each pairwise step multiplies numerators with
 int64 matmul and denominators as Python ints, then divides out common
@@ -18,6 +23,7 @@ set of boundary axes.
 
 import itertools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +32,22 @@ from .caps import over_cap
 from .errors import CapExceeded, DimensionMismatch
 
 _INT64_SAFE = 1 << 62
+
+
+def is_exact_number(v):
+    """An int or a Fraction, never a bool: a number the engine reads as it is."""
+    # bool has no subclasses, so a type test is an isinstance test
+    return isinstance(v, (int, Fraction)) and type(v) is not bool
+
+
+def integers(values):
+    """The numbers as Python ints over one positive denominator, the least
+    common one: ``(ints, den)`` with ``values[i] == ints[i] / den``.  Exact
+    numbers are read as they are; anything else goes through ``Fraction(v)``."""
+    values = [v if is_exact_number(v) else Fraction(v) for v in values]
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _maxabs(num):
@@ -73,8 +95,7 @@ class Scaled(NamedTuple):
 
 def scaled(fractions, shape):
     """A Scaled tensor of ``shape``, in lowest terms, from a flat sequence of Fractions."""
-    den = math.lcm(*(v.denominator for v in fractions))
-    nums = [v.numerator * (den // v.denominator) for v in fractions]
+    nums, den = integers(fractions)
     dtype = np.int64 if max(map(abs, nums), default=0) < _INT64_SAFE else object
     return Scaled(np.array(nums, dtype=dtype).reshape(shape), den)
 

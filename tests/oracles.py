@@ -467,6 +467,22 @@ def fs_compatible_fraction(table, vertex_tables):
     return "nonmember", facet, bound, violation
 
 
+def rationalize_reference(table, den=10**6):
+    """The rows of a float table rounded at denominator ``den`` and renormalized
+    in Fractions: each entry becomes ``round(v * den) / den``, a negative
+    one 0, and each row is divided by its Fraction total.  This was the body
+    of ``nogo.rationalize`` before it moved to integer numerators."""
+    rows = []
+    for row in table:
+        vals = [Fraction(round(float(v) * den), den) for v in row]
+        vals = [v if v > 0 else Fraction(0) for v in vals]
+        total = sum(vals)
+        if total == 0:
+            raise ValueError("a context rationalized to zero mass")
+        rows.append(tuple(v / total for v in vals))
+    return tuple(rows)
+
+
 def chsh_of_table(table, exact=False):
     """E(0,0) + E(0,1) + E(1,0) - E(1,1) for a 4x4 two-bit table."""
     zero = Fraction(0) if exact else 0.0

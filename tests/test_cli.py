@@ -105,6 +105,42 @@ def test_equiv_negative_verdict_exits_one(tmp_path):
     assert recs[0]["equivalent"] is False
 
 
+def test_equiv_on_procedure_files():
+    coin = str(DATA / "coin_dynamics.diagram")
+    code, out, err = run("equiv", coin, coin)
+    assert (code, err) == (0, "")
+    assert "equivalent: true" in out.splitlines()
+    code, out, err = run("equiv", coin, str(DATA / "chsh_fixed_settings.diagram"))
+    assert (code, out) == (2, "")
+    assert err == "error: the two files declare different procedures\n"
+
+
+def test_eval_state_and_effect_boxes_from_a_file(tmp_path):
+    path = tmp_path / "half.diagram"
+    path.write_text(
+        """ci-engine/1 diagram
+
+{
+  systems: [
+    {name: h0, kind: inferential, carrier: [0 1]}
+  ]
+  boxes: [
+    {id: b0, gen: state, system: h0, weights: [1/2 1/2]}
+    {id: b1, gen: effect, system: h0, members: [0]}
+  ]
+  wires: [
+    [[box b0 0] [box b1 0]]
+  ]
+  inputs: []
+  outputs: []
+}
+"""
+    )
+    code, out, err = run("eval", str(path))
+    assert (code, err) == (0, "")
+    assert "entries: [[1/2]]" in out.splitlines()
+
+
 def test_normal_form_emits_matrix_and_diagram():
     code, out, _ = run(
         "normal-form",
@@ -167,6 +203,15 @@ def test_verify_axioms_seed_reproducible():
     assert strip(records(out1)) == strip(records(out2))
 
 
+def test_seed_is_an_option_of_verify_axioms_only(capsys):
+    code, out, _ = run("eval", "--seed", "1", str(DATA / "coin_dynamics.diagram"))
+    assert code == 2 and out == ""
+    # argparse reports usage errors on sys.stderr
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    code, _, _ = run("verify-axioms", "--max-carrier", "1", "--seed", "1")
+    assert code == 0
+
+
 def test_bell_check_correlation_file():
     code, out, _ = run(
         "bell-check",
@@ -215,6 +260,21 @@ def test_bell_check_quantum_model():
     assert abs(rec["chsh"] - 2.8284271) < 1e-6
     assert rec["no_signalling"] is True
     assert rec["exact_input"] is False
+
+
+def test_bell_check_member_record(tmp_path):
+    s = nogo.chsh_scenario()
+    uniform = nogo.Correlation(s, [[F(1, 4)] * 4 for _ in s.contexts()])
+    path = tmp_path / "uniform.correlation"
+    path.write_text(fileformat.dump_correlation(uniform))
+    code, out, err = run("bell-check", "--corr", str(path), "--expect", "member", "--format", "records")
+    assert (code, err) == (0, "")
+    rec = records(out)[0]
+    assert rec["verdict"] == "member" and "expected" not in rec
+    vertices = [v.as_vector() for v in nogo.local_vertices(s)]
+    assert len(rec["weights"]) == len(vertices) and sum(rec["weights"]) == 1
+    recombined = [sum(w * v[i] for w, v in zip(rec["weights"], vertices)) for i in range(16)]
+    assert recombined == list(uniform.as_vector())
 
 
 def test_bell_check_member_weights_recombine():

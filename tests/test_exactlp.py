@@ -173,6 +173,16 @@ def test_orthant_rays():
     assert dirs == {0, 1, 2}
 
 
+def test_rays_are_python_ints_and_vertices_fractions():
+    rows = [[F(1, 2), F(0)], [F(0), F(3)], [F(1), F(-1, 3)]]
+    rays = cone_extreme_rays(rows)
+    assert rays and all(type(v) is int for ray in rays for v in ray)
+    # the unit simplex {x, y >= 0, x + y = 1}: each vertex divides a ray once
+    verts = polytope_vertices([[F(1), F(1)]], [F(1)], [[F(-1), F(0)], [F(0), F(-1)]], [F(0), F(0)])
+    assert sorted(map(tuple, verts)) == [(0, 1), (1, 0)]
+    assert all(type(v) is Fraction for vert in verts for v in vert)
+
+
 def test_halfplane_cone_rays():
     # x >= 0, y >= 0, x - y >= 0: extreme rays (1, 0) and (1, 1)
     rows = [[F(1), F(0)], [F(0), F(1)], [F(1), F(-1)]]

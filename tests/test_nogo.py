@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ci_engine import nogo, substoch
-from ci_engine.exactlp import nullspace
+from ci_engine.exactlp import nullspace, verify_certificate
 from ci_engine.errors import (
     CapExceeded,
     ConfigError,
@@ -233,14 +233,14 @@ def test_the_strategy_cap_holds_after_the_cache_is_filled(monkeypatch):
     n_out = len(s.outcomes())
     corr = Correlation(s, [[F(1, n_out)] * n_out for _ in s.contexts()])
     assert isinstance(fs_compatible(corr, s), Member)
-    cells, rows = nogo._membership_lp(s)
+    _, cells, rows = nogo._strategies(s)
     assert len(cells) == 1024 and len(rows) == len(corr.as_vector()) + 1
     # the cached incidence is read-only
     with pytest.raises(ValueError):
         rows[0][0] = 5
     with pytest.raises(ValueError):
         rows[0].base[0, 0] = 5
-    assert nogo._membership_lp(s) is nogo._membership_lp(PrepareMeasure(2, 2, 4, 2))
+    assert nogo._strategies(s) is nogo._strategies(PrepareMeasure(2, 2, 4, 2))
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
     with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
         fs_compatible(corr, s)
@@ -546,6 +546,38 @@ def test_rationalize_renormalizes_each_context():
             assert abs(float(snapped.table[r][c]) - rows[r][c]) < 2e-6
 
 
+@st.composite
+def _float_tables(draw):
+    """A Bell table of float rows that normalize within 1e-9, some entries
+    zero or a hair below it, some rounding to a half at denominator 10^6."""
+    s = draw(st.sampled_from([Bell(2, 2, 2, 2), Bell(2, 3, 3, 2)]))
+    n_out = len(s.outcomes())
+    cell = st.one_of(
+        st.floats(0, 1),
+        st.just(0.0),
+        st.integers(0, 10**6).map(lambda k: (k + 0.5) / 10**6),
+    )
+    rows = []
+    for _ in s.contexts():
+        row = draw(st.lists(cell, min_size=n_out, max_size=n_out).filter(lambda r: sum(r) > 0.5))
+        total = sum(row)
+        row = [v / total for v in row]
+        k = draw(st.integers(0, n_out - 1))
+        row[k] -= draw(st.sampled_from([0.0, 4e-10]))
+        rows.append(row)
+    return s, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_float_tables())
+def test_rationalize_matches_the_fraction_reference(case):
+    # integer numerators over their row total give the Fractions that
+    # rounding each entry and dividing by the Fraction total gave
+    s, rows = case
+    corr = Correlation(s, rows)
+    assert rationalize(corr).table == oracles.rationalize_reference(corr.table)
+
+
 def test_no_signalling_check_flags_signalling():
     s = chsh_scenario()
     good = pr_box()
@@ -737,6 +769,47 @@ def test_float_fragment_uses_slack_and_still_embeds():
     assert not fl.is_exact
     res = simplex_embed(fl, lambda_max=16)
     assert isinstance(res, Feasible)
+
+
+def _floated(frag):
+    return GPTFragment(
+        tuple(tuple(float(v) for v in w) for w in frag.states),
+        tuple(tuple(float(v) for v in e) for e in frag.effects),
+        tuple(float(v) for v in frag.unit),
+    )
+
+
+def test_a_float_hexagon_is_refused_by_the_slack_lp(monkeypatch):
+    # the exact rows are infeasible, so a float fragment is solved again
+    # with an upper and a lower slack row per pairing
+    checked = []
+
+    def recording(rows, rhs, y):
+        checked.append((rows, rhs, y))
+        return verify_certificate(rows, rhs, y)
+
+    monkeypatch.setattr(nogo, "verify_certificate", recording)
+    res = simplex_embed(_floated(hexagon_fragment()))
+    assert isinstance(res, Infeasible)
+    # 2 slack rows for each of 7 effects (the unit first) on 6 states
+    assert len(res.witness) == 84 == 2 * 7 * 6
+    ((rows, rhs, y),) = checked
+    assert len(rows) == len(rhs) == 84 and tuple(y) == res.witness
+    assert verify_certificate(rows, rhs, res.witness)
+
+
+def test_exactness_is_recorded_once():
+    # a float fragment keeps its raw entries, which may mix ints,
+    # Fractions and floats: the first entry does not decide it
+    mixed = GPTFragment(((1, F(1, 2)),), ((F(1, 2), 0.25),), (1, 0))
+    assert not mixed.is_exact and mixed.states == ((1, F(1, 2)),)
+    assert hexagon_fragment().is_exact
+    assert Correlation(chsh_scenario(), [[F(1, 4), 0, 0.5, 0.25]] * 4).is_exact is False
+    assert pr_box().is_exact is True
+    # the flag is neither compared nor printed: equal tables stay equal
+    floats = Correlation(chsh_scenario(), [[0.25] * 4] * 4)
+    assert floats == Correlation(chsh_scenario(), [[F(1, 4)] * 4] * 4)
+    assert "is_exact" not in repr(floats)
 
 
 def test_lambda_bounds_checked():

@@ -10,6 +10,7 @@ import pytest
 
 from ci_engine import fstheory, nogo, optheory, substoch
 from ci_engine.diagrams import (
+    Diagram,
     causal_system,
     compose_parallel,
     compose_sequential,
@@ -291,6 +292,32 @@ def test_singlet_table_matches_direct_born_rule():
             flat = [float(row[0]) for row in got.entries]
             for k in range(4):
                 assert abs(flat[k] - oracle[x * 2 + y][k]) < 1e-9
+
+
+def test_ignoring_one_half_of_the_singlet_leaves_a_fair_coin():
+    # measuring A0 on the singlet and discarding qB: the quantum ignore
+    # is the trace, so both outcomes come out 1/2
+    pm = nogo.bell_prediction_map(*nogo.singlet_model(), nogo.chsh_scenario())
+    src, a0 = procedure_box(pm, "src"), procedure_box(pm, "A0")
+    q_b = src.outs[1]
+    (out_a,) = a0.outs
+    learn = prop_gain(out_a)
+    d = Diagram(
+        (src, a0, learn, ignore(out_a), ignore(q_b)),
+        (
+            (("box", 0, 0), ("box", 1, 0)),
+            (("box", 0, 1), ("box", 4, 0)),
+            (("box", 1, 0), ("box", 2, 0)),
+            (("box", 2, 0), ("box", 3, 0)),
+            (("box", 2, 1), ("out", 0)),
+        ),
+        (),
+        (learn.outs[1],),
+    )
+    got = predict_closed(d, pm)
+    assert len(got.entries) == 2
+    for (p,) in got.entries:
+        assert abs(float(p) - 0.5) < 1e-9
 
 
 def test_quantum_backend_reads_realist_generators_as_their_fractions():

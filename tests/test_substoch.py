@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ci_engine import funcdyn, substoch
-from ci_engine.errors import DimensionMismatch, WeightError
+from ci_engine.errors import DimensionMismatch, TypeMismatch, WeightError
 from ci_engine.substoch import (
     BOOL,
     KnowledgeState,
@@ -65,6 +65,17 @@ def test_rejects_negative_entries():
 def test_rejects_column_mass_above_one():
     with pytest.raises(WeightError):
         SubstochMap((0,), (0, 1), ((Fraction(2, 3),), (Fraction(2, 3),)))
+
+
+@pytest.mark.parametrize("bad", [True, "1/2", 0.5], ids=["bool", "str", "float"])
+def test_only_exact_numbers_are_weights_or_entries(bad):
+    m = SubstochMap((0,), (0,), ((Fraction(1, 2),),))
+    with pytest.raises(TypeMismatch):
+        SubstochMap((0,), (0,), ((bad,),))
+    with pytest.raises(TypeMismatch):
+        KnowledgeState((0, 1), (bad, Fraction(0)))
+    with pytest.raises(TypeMismatch):
+        convex_mix((bad,), (m,))
 
 
 def test_identity_and_composition():

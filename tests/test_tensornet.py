@@ -135,6 +135,27 @@ def _product_network(k):
     return _net(boxes, wires, outs=[SYS3] * k)
 
 
+def test_exact_numbers_are_ints_and_fractions_never_bools():
+    assert tensornet.is_exact_number(3) and tensornet.is_exact_number(Fraction(-1, 3))
+    for v in (True, False, 0.5, np.int64(3), "1/2", None):
+        assert not tensornet.is_exact_number(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-(10**20), 10**20), max_size=8))
+def test_integers_reads_numbers_over_their_least_common_denominator(values):
+    ints, den = tensornet.integers(values)
+    assert all(type(n) is int for n in ints) and type(den) is int and den > 0
+    assert [Fraction(n, den) for n in ints] == values
+    # a common factor of den and every numerator would give a smaller one
+    assert math.gcd(den, *ints) == 1
+
+
+def test_integers_reads_other_numbers_through_fraction():
+    assert tensornet.integers([True, 0.5, np.int64(3), Fraction(1, 3)]) == ([6, 3, 18, 2], 6)
+    assert tensornet.integers([]) == ([], 1)
+
+
 def test_cap_limits_intermediate_size(monkeypatch):
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
     v = np.ones(3)
