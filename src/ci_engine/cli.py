@@ -138,6 +138,23 @@ def _parse_scenario(text):
 # Subcommands
 
 
+def _matrix_fields(m, key="entries"):
+    """A matrix as record fields: its labels, then its rows under ``key``."""
+    return {
+        "dom": [fileformat.label_value(x) for x in m.dom],
+        "cod": [fileformat.label_value(x) for x in m.cod],
+        key: [list(row) for row in m.entries],
+    }
+
+
+def _expect_code(rec, expect):
+    """Exit code for ``--expect``: negative, and recorded, on a mismatch."""
+    if expect is None or expect == rec["verdict"]:
+        return EXIT_OK
+    rec["expected"] = expect
+    return EXIT_NEGATIVE
+
+
 def _cmd_eval(args):
     d, pm = _load_diagram_file(args.diagram)
     if pm is None:
@@ -146,14 +163,7 @@ def _cmd_eval(args):
     else:
         m = optheory.predict_closed(d, pm)
         backend = pm.backend
-    rec = {
-        "cmd": "eval",
-        "file": args.diagram,
-        "backend": backend,
-        "dom": [fileformat.label_value(x) for x in m.dom],
-        "cod": [fileformat.label_value(x) for x in m.cod],
-        "entries": [list(row) for row in m.entries],
-    }
+    rec = {"cmd": "eval", "file": args.diagram, "backend": backend, **_matrix_fields(m)}
     return EXIT_OK, [rec]
 
 
@@ -189,9 +199,7 @@ def _cmd_normal_form(args):
     rec = {
         "cmd": "normal-form",
         "file": args.diagram,
-        "dom": [fileformat.label_value(x) for x in nf.matrix.dom],
-        "cod": [fileformat.label_value(x) for x in nf.matrix.cod],
-        "entries": [list(row) for row in nf.matrix.entries],
+        **_matrix_fields(nf.matrix),
         "in_inferential": list(nf.in_inferential),
         "in_causal": list(nf.in_causal),
         "out_inferential": list(nf.out_inferential),
@@ -203,27 +211,15 @@ def _cmd_normal_form(args):
 
 def _cmd_qnf(args):
     d, pm = _load_diagram_file(args.diagram)
+    rec = {"cmd": "qnf", "file": args.diagram}
     if pm is None:
         sigma, pi = fstheory.quotient_normal_form(d)
-        rec = {
-            "cmd": "qnf",
-            "file": args.diagram,
-            "backend": "inferential",
-            "dom": [fileformat.label_value(x) for x in sigma.dom],
-            "cod": [fileformat.label_value(x) for x in sigma.cod],
-            "sigma": [list(row) for row in sigma.entries],
-            "weights": [pi.entries[k][k] for k in range(len(pi.dom))],
-        }
+        rec["backend"] = "inferential"
+        rec.update(_matrix_fields(sigma, key="sigma"))
+        rec["weights"] = [pi.entries[k][k] for k in range(len(pi.dom))]
     else:
-        m = optheory.predict_closed(d, pm)
-        rec = {
-            "cmd": "qnf",
-            "file": args.diagram,
-            "backend": pm.backend,
-            "dom": [fileformat.label_value(x) for x in m.dom],
-            "cod": [fileformat.label_value(x) for x in m.cod],
-            "entries": [list(row) for row in m.entries],
-        }
+        rec["backend"] = pm.backend
+        rec.update(_matrix_fields(optheory.predict_closed(d, pm)))
     return EXIT_OK, [rec]
 
 
@@ -280,16 +276,11 @@ def _cmd_bell_check(args):
             )
     rec = {"cmd": "bell-check", "file": source}
     rec["scenario"] = fileformat.scenario_value(corr.scenario)
-    membership = _membership_record(corr)
-    rec.update(membership)
+    rec.update(_membership_record(corr))
     if corr.scenario == nogo.chsh_scenario():
         rec["chsh"] = nogo.chsh_value(corr)
     rec["no_signalling"] = nogo.no_signalling_check(corr)
-    code = EXIT_OK
-    if args.expect is not None and args.expect != membership["verdict"]:
-        rec["expected"] = args.expect
-        code = EXIT_NEGATIVE
-    return code, [rec]
+    return _expect_code(rec, args.expect), [rec]
 
 
 def _cmd_simplex_embed(args):
@@ -308,17 +299,11 @@ def _cmd_simplex_embed(args):
         rec["state_images"] = [list(v) for v in outcome.state_images]
         rec["effect_images"] = [list(v) for v in outcome.effect_images]
         rec["unit_image"] = list(outcome.unit_image)
-        verdict = "feasible"
     else:
         rec["verdict"] = "infeasible"
         rec["up_to"] = outcome.up_to
         rec["witness"] = list(outcome.witness)
-        verdict = "infeasible"
-    code = EXIT_OK
-    if args.expect is not None and args.expect != verdict:
-        rec["expected"] = args.expect
-        code = EXIT_NEGATIVE
-    return code, [rec]
+    return _expect_code(rec, args.expect), [rec]
 
 
 def _cmd_rep_check(args):

@@ -489,8 +489,6 @@ def _serialize_with_order(d, order):
 
 def canonical_serialization(d):
     """Deterministic bytes; equal exactly for equal diagrams."""
-    if len(d.boxes) == 0:
-        return _serialize_with_order(d, []).encode("utf-8")
     return _serialize_with_order(d, _canonical_order(d)).encode("utf-8")
 
 

@@ -58,7 +58,7 @@ from .diagrams import (
     inferential_system,
     quantum_system,
 )
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, MissingXi, ParseError
 from .tensornet import is_exact_number
 
 FORMAT_HEADER = "ci-engine/1"
@@ -357,13 +357,18 @@ def label_value(lab):
     return lab
 
 
+def _is_number(cell, exact=False):
+    """The cell rule: a rational, or a float unless ``exact``."""
+    return is_exact_number(cell) or (not exact and isinstance(cell, float))
+
+
 def _numbers(ctx, v, what, exact=False, matrix=True):
     """The numbers of array ``v``, or of each of its rows if ``matrix``,
     as tuples.  ``exact`` takes rationals only and returns Fractions."""
 
     def row(arr, arr_what):
         for cell in ctx.arr(arr, arr_what):
-            if not (is_exact_number(cell) or (not exact and isinstance(cell, float))):
+            if not _is_number(cell, exact):
                 noun = "rationals" if exact else "numbers"
                 ctx.fail(arr, f"{what} entries must be {noun}")
         return tuple(map(Fraction, arr)) if exact else tuple(arr)
@@ -379,16 +384,10 @@ def _complex_matrix(ctx, rows, what):
         cells = []
         for cell in ctx.arr(row, f"each row of {what}"):
             if isinstance(cell, list):
-                if len(cell) != 2 or not all(
-                    isinstance(p, (int, float, Fraction))
-                    and not isinstance(p, bool)
-                    for p in cell
-                ):
+                if len(cell) != 2 or not all(map(_is_number, cell)):
                     ctx.fail(cell, f"{what} complex entries are [re, im] pairs")
                 re_part, im_part = cell
-            elif isinstance(cell, (int, float, Fraction)) and not isinstance(
-                cell, bool
-            ):
+            elif _is_number(cell):
                 re_part, im_part = cell, 0
             else:
                 ctx.fail(row, f"{what} entries must be numbers or [re, im]")
@@ -448,7 +447,7 @@ def _load_systems(ctx, arr):
 
 def _system_value(name, t):
     if isinstance(t.carrier, Abstract):
-        if t.kind != CAUSAL or t.classical:
+        if t.kind != CAUSAL:
             raise ConfigError("only quantum abstract systems have a file form")
         return {"name": name, "kind": "quantum", "dim": t.carrier.dim}
     rec = {
@@ -896,13 +895,13 @@ def load_rep(text, pm):
         if system in ontic:
             ctx.fail(rec, "duplicate ontic entry")
         ontic[system] = _label(ctx, ctx.arr(rec["carrier"], "carrier"))
+    images = fstheory.RealistRep(ontic, {})
 
-    def image_carrier(rec, t):
-        if t in ontic:
-            return ontic[t]
-        if t.classical and not isinstance(t.carrier, Abstract):
-            return t.carrier
-        ctx.fail(rec, f"xi signature system {t!r} has no ontic carrier")
+    def image(rec, t):
+        try:
+            return images.image(t)
+        except MissingXi:
+            ctx.fail(rec, f"xi signature system {t!r} has no ontic carrier")
 
     xi = {}
     for rec in ctx.arr(value["xi"], "xi"):
@@ -917,8 +916,7 @@ def load_rep(text, pm):
         if not alphabet:
             ctx.fail(rec, "no declared procedures match this xi signature")
         h = fstheory.hom_system(
-            tuple(causal_system(image_carrier(rec, t)) for t in ins),
-            tuple(causal_system(image_carrier(rec, t)) for t in outs),
+            tuple(image(rec, t) for t in ins), tuple(image(rec, t) for t in outs)
         )
         entries = _numbers(ctx, rec["entries"], "xi entries", exact=True)
         xi[(ins, outs)] = substoch.SubstochMap(alphabet, h.carrier, entries)

@@ -39,7 +39,6 @@ from .diagrams import (
     CAUSAL,
     INFERENTIAL,
     STAR,
-    Abstract,
     Box,
     Diagram,
     causal_system,
@@ -97,7 +96,8 @@ class GenEmbedded:
 
 
 def _require_classical(t, where):
-    if isinstance(t.carrier, Abstract) or not t.classical:
+    # SystemType refuses a classical abstract carrier, so the flag decides
+    if not t.classical:
         raise TypeMismatch(f"{where} needs a classical enumerated carrier")
 
 
@@ -146,7 +146,7 @@ def prop_gain(system, name="learn"):
     """The learning generator: causal pass-through plus a record copy."""
     if system.kind != CAUSAL:
         raise TypeMismatch("learning acts on a causal system")
-    if isinstance(system.carrier, Abstract) or not system.classical:
+    if not system.classical:
         raise PropositionOnNonclassical(
             "only classical systems support learning their value"
         )
@@ -304,17 +304,27 @@ def causally_closed(d):
     return all(t.kind == INFERENTIAL for t in d.input_types + d.output_types)
 
 
-def predict(d):
-    """The unique prediction map: denotation of a causally closed diagram."""
+def _require_closed(d):
+    # the one closed-boundary guard, shared with optheory's predictions
     if not causally_closed(d):
         raise NotCausallyClosed("prediction needs all causal ports closed")
+
+
+def _require_equal_boundaries(d1, d2):
+    # the one equal-boundary guard, shared with optheory's equivalence
+    if d1.input_types != d2.input_types or d1.output_types != d2.output_types:
+        raise SignatureMismatch("equivalence compares equal boundary signatures")
+
+
+def predict(d):
+    """The unique prediction map: denotation of a causally closed diagram."""
+    _require_closed(d)
     return denote(d)
 
 
 def inferentially_equivalent(d1, d2):
     """Exact equality of denotations over equal boundary signatures."""
-    if d1.input_types != d2.input_types or d1.output_types != d2.output_types:
-        raise SignatureMismatch("equivalence compares equal boundary signatures")
+    _require_equal_boundaries(d1, d2)
     return denote(d1) == denote(d2)
 
 
@@ -884,11 +894,10 @@ class RealistRep:
             self.ontic[system] = carrier
             if system.kind != CAUSAL:
                 raise TypeMismatch("ontic carriers attach to causal systems")
-            if system.classical and not isinstance(system.carrier, Abstract):
-                if carrier != system.carrier:
-                    raise CarrierMismatch(
-                        "a classical system keeps its own carrier as ontic carrier"
-                    )
+            if system.classical and carrier != system.carrier:
+                raise CarrierMismatch(
+                    "a classical system keeps its own carrier as ontic carrier"
+                )
         for (ins, outs), m in self.xi.items():
             h = hom_system(tuple(map(self.image, ins)), tuple(map(self.image, outs)))
             if m.cod != h.carrier:
@@ -904,7 +913,7 @@ class RealistRep:
             return system
         if system in self.ontic:
             return causal_system(self.ontic[system])
-        if system.classical and not isinstance(system.carrier, Abstract):
+        if system.classical:
             return system
         raise MissingXi(f"no ontic carrier declared for system {system!r}")
 

@@ -857,7 +857,9 @@ class GPTFragment:
     """States, effects, and a unit effect in a common real vector space.
 
     Probabilities are plain dot products.  The unit must pay 1 on every
-    listed state and every listed effect must pay within [0, 1].
+    listed state and every listed effect must pay within [0, 1].  The
+    vectors need not be quotiented: ``simplex_embed`` decides the
+    operational quotient, read off the pairing table alone.
     ``is_exact`` says whether every entry is an exact number, read as a
     Fraction; a float fragment keeps its entries as given.
     """
@@ -1024,6 +1026,14 @@ def simplex_embed(frag, lambda_max=16):
     of the two reproduce the pairing table.  Rational fragments are
     decided exactly; float fragments allow slack 1e-7 per pairing.
 
+    What is decided is the operational quotient, as in Schmid et al.,
+    PRX Quantum 2, 010331 (2021): two mixtures are equivalent when every
+    listed effect (or state) gives them equal probabilities, so every
+    equality comes from the dependences of the rows and columns of the
+    pairing table, never from the vectors themselves.  A direction of
+    the vectors that the other side never probes changes nothing, and
+    neither does an invertible change of coordinates.
+
     Feasibility at any size implies feasibility at the returned support
     size, so Infeasible here rules out every finite ontic set, not just
     sizes up to ``lambda_max``; the bound is reported for the contract.
@@ -1042,10 +1052,18 @@ def simplex_embed(frag, lambda_max=16):
     ne = len(effects_all)
     ns = len(states)
 
-    # Response candidates: value vectors on the listed effects that are
-    # consistent with some linear functional, pay 1 on the unit, and
-    # stay inside [0, 1].
-    eq_rows = [list(dep) for dep in _dependences(effects_all)]
+    # The pairing table, unit row first.  Operational equivalences are
+    # the dependences of its rows and of its columns.
+    targets = [[_dot(e, w) for w in states] for e in effects_all]
+    flat_targets = [t for row in targets for t in row]
+    state_deps = _dependences(list(zip(*targets)))
+    # an exact embedding factors the table, so it has at least rank states
+    rank = ns - len(state_deps)
+
+    # Response candidates: value vectors on the listed effects that keep
+    # the dependences of the table's rows, pay 1 on the unit, and stay
+    # inside [0, 1].
+    eq_rows = [list(dep) for dep in _dependences(targets)]
     eq_rhs = [_ZERO] * len(eq_rows)
     eq_rows.append([_ONE] + [_ZERO] * (ne - 1))
     eq_rhs.append(_ONE)
@@ -1063,12 +1081,9 @@ def simplex_embed(frag, lambda_max=16):
     candidates = polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs)
 
     # Distribution candidates: nonnegative value vectors on the listed
-    # states consistent with some linear functional.
+    # states that keep the dependences of the table's columns.
     cone_rows = [[_ONE if j == k else _ZERO for j in range(ns)] for k in range(ns)]
-    rays = cone_extreme_rays(cone_rows, _dependences(states))
-
-    targets = [[_dot(e, w) for w in states] for e in effects_all]
-    flat_targets = [t for row in targets for t in row]
+    rays = cone_extreme_rays(cone_rows, state_deps)
 
     # The LP's columns, one per candidate-ray product, built once as an
     # integer array.  Candidate i is read over its own denominator dens[i],
@@ -1125,9 +1140,12 @@ def simplex_embed(frag, lambda_max=16):
                 mass[i] = mass.get(i, _ZERO) + w
         return mass
 
+    # a slack solution factors the table only approximately, so only an
+    # exact one stops at the rank
+    least = 1 if use_slack else rank
     allowed = set(support(sigma))
     for i in sorted(allowed, key=lambda i: support(sigma)[i]):
-        if len(allowed) == 1:
+        if len(allowed) <= least:
             break
         trial = sorted(allowed - {i})
         cand, _ = solve(trial, use_slack)

@@ -37,8 +37,6 @@ from .errors import (
     CarrierMismatch,
     ConfigError,
     DimensionMismatch,
-    NotCausallyClosed,
-    SignatureMismatch,
     TypeMismatch,
     UnresolvedProcedure,
     ValidationError,
@@ -57,16 +55,12 @@ _PROB_TOL = 1e-9
 _EQUIV_TOL = Fraction(1, 10**9)
 
 
-def _is_classical(t):
-    return t.classical and not isinstance(t.carrier, Abstract)
-
-
-def _is_quantum(t):
-    return isinstance(t.carrier, Abstract) and not t.classical
+# SystemType refuses a classical abstract carrier: ``t.classical`` is
+# the whole classical test and an Abstract carrier the whole quantum one.
 
 
 def _qdim(t):
-    if not _is_quantum(t):
+    if not isinstance(t.carrier, Abstract):
         raise TypeMismatch("not a quantum system")
     if not isinstance(t.carrier.dim, int) or t.carrier.dim < 1:
         raise TypeMismatch(
@@ -111,7 +105,7 @@ class ProcedureDecl:
             if t.kind != CAUSAL:
                 raise TypeMismatch("procedures act on causal systems")
         if isinstance(self.channel, substoch.SubstochMap):
-            if not all(_is_classical(t) for t in self.ins + self.outs):
+            if not all(t.classical for t in self.ins + self.outs):
                 raise TypeMismatch(
                     "matrix semantics fit classical signatures only"
                 )
@@ -131,19 +125,15 @@ class ProcedureDecl:
             )
 
 
-def _classical_ports(types):
-    return [t for t in types if _is_classical(t)]
-
-
 def _quantum_dims(types):
     # a port that is not classical must be quantum; _qdim refuses any other
-    return tuple(_qdim(t) for t in types if not _is_classical(t))
+    return tuple(_qdim(t) for t in types if not t.classical)
 
 
 def _validate_kraus(decl):
     ch = decl.channel
-    c_ins = _classical_ports(decl.ins)
-    c_outs = _classical_ports(decl.outs)
+    c_ins = [t for t in decl.ins if t.classical]
+    c_outs = [t for t in decl.outs if t.classical]
     d_in = math.prod(_quantum_dims(decl.ins))
     d_out = math.prod(_quantum_dims(decl.outs))
     for (c_out, c_in), mats in ch.kraus.items():
@@ -300,11 +290,6 @@ def procedure_diagram(pm, name):
 # Prediction
 
 
-def _check_closed(d):
-    if not fstheory.causally_closed(d):
-        raise NotCausallyClosed("prediction needs all causal ports closed")
-
-
 def _resolve_boxes(d, pm):
     for box in d.boxes:
         p = box.payload
@@ -354,7 +339,7 @@ def _vec_axes(block, out_dims, in_dims):
 
 
 def _port_axis(t):
-    return t.size if _is_classical(t) else _qdim(t) ** 2
+    return t.size if t.classical else _qdim(t) ** 2
 
 
 def _proc_tensor(decl):
@@ -375,10 +360,10 @@ def _proc_tensor(decl):
         idx = []
         ci = iter(c_out)
         for t in decl.outs:
-            idx.append(t.carrier.index(next(ci)) if _is_classical(t) else slice(None))
+            idx.append(t.carrier.index(next(ci)) if t.classical else slice(None))
         ci = iter(c_in)
         for t in decl.ins:
-            idx.append(t.carrier.index(next(ci)) if _is_classical(t) else slice(None))
+            idx.append(t.carrier.index(next(ci)) if t.classical else slice(None))
         arr[tuple(idx)] = vecd
     return arr
 
@@ -391,7 +376,7 @@ def _quantum_tensor(pm):
             return np.stack(tensors, axis=len(p.out_systems))
         if isinstance(p, OpProc):
             return _proc_tensor(pm.decl(p.name))
-        if isinstance(p, GenIgnore) and _is_quantum(p.system):
+        if isinstance(p, GenIgnore) and isinstance(p.system.carrier, Abstract):
             d = _qdim(p.system)
             return np.eye(d, dtype=complex).reshape(d * d)
         t = fstheory.generator_tensor(box)
@@ -438,12 +423,12 @@ def predict_closed(d, pm):
     Classical backend: exact contraction.  Quantum backend: vectorized
     superoperator contraction, probabilities read on classical wires.
     """
-    _check_closed(d)
+    fstheory._require_closed(d)
     _resolve_boxes(d, pm)
     if pm.backend == "classical":
         for box in d.boxes:
             for t in box.ins + box.outs:
-                if not _is_classical(t):
+                if not t.classical:
                     raise TypeMismatch(
                         "classical backend met a nonclassical wire"
                     )
@@ -473,8 +458,7 @@ def agree(p1, p2, backend):
 
 def op_equivalent(d1, d2, pm):
     """Whether the predictions of two diagrams agree (see ``agree``)."""
-    if d1.input_types != d2.input_types or d1.output_types != d2.output_types:
-        raise SignatureMismatch("equivalence compares equal boundary signatures")
+    fstheory._require_equal_boundaries(d1, d2)
     return agree(predict_closed(d1, pm), predict_closed(d2, pm), pm.backend)[1]
 
 
@@ -505,7 +489,7 @@ def point_atomic_table(d, pm):
     open inferential output is asked an atomic proposition; each closed
     probe is evaluated independently.
     """
-    _check_closed(d)
+    fstheory._require_closed(d)
     dom = bundle_carrier(d.input_types)
     cod = bundle_carrier(d.output_types)
     rows = []

@@ -442,10 +442,6 @@ class PartialFn:
         return chi, total
 
 
-def partial_from_total(f):
-    return PartialFn(f.dom, f.cod, f.table)
-
-
 def from_partial_fn(f):
     """Matrix representative: entry (y, x) is 1 exactly when f(x) = y."""
     row_of = {y: r for r, y in enumerate(f.cod)}
@@ -456,7 +452,8 @@ def from_partial_fn(f):
 
 
 def from_fn(f):
-    return from_partial_fn(partial_from_total(f))
+    """Matrix representative of a total function, read off its table."""
+    return from_partial_fn(f)
 
 
 def scalar_true():

@@ -68,27 +68,6 @@ def test_equiv_on_equivalent_files():
 
 
 def test_equiv_negative_verdict_exits_one(tmp_path):
-    other = tmp_path / "point.diagram"
-    other.write_text(
-        """ci-engine/1 diagram
-
-{
-  systems: [
-    {name: c0, kind: causal, carrier: [0 1]}
-  ]
-  boxes: [
-    {id: b0, gen: state, system: c0, weights: [1/1 0/1]}
-    {id: b1, gen: knowledge, ins: [], outs: [c0]}
-  ]
-  wires: [
-    [[box b0 0] [box b1 0]]
-    [[box b1 0] [out 0]]
-  ]
-  inputs: []
-  outputs: [c0]
-}
-"""
-    )
     src = (DATA / "omelette_constants.diagram").read_text()
     # same signature, different matrix: flip the mixture to surely-broken
     flipped = tmp_path / "other.diagram"

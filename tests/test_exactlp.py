@@ -190,7 +190,7 @@ def test_halfplane_cone_rays():
     normed = set()
     for r in rays:
         top = max(v for v in r)
-        normed.add(tuple(v / top for v in r))
+        normed.add(tuple(F(v, top) for v in r))
     assert normed == {(F(1), F(0)), (F(1), F(1))}
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ci_engine import cli, fileformat, fstheory, nogo, optheory
+from ci_engine import cli, diagrams, fileformat, fstheory, nogo, optheory
 from ci_engine.diagrams import diagrams_equal
 from ci_engine.errors import ConfigError, ParseError
 from ci_engine.fileformat import (
@@ -514,6 +514,28 @@ def test_demo_rep_checks_out():
     image = fstheory.apply_representation(rep, d)
     assert fstheory.predict(image) == optheory.predict_closed(d, pm)
     assert dump_rep(rep, pm) == (DATA / "bit_flip.rep").read_text()
+
+
+_QUBIT_REP = """ci-engine/1 rep
+
+{
+  systems: [{name: q, kind: quantum, dim: 2}]
+  ontic: []
+  xi: [{ins: [q], outs: [q], entries: [[1/1]]}]
+}
+"""
+
+
+def test_a_xi_signature_takes_the_images_of_its_systems():
+    q = diagrams.quantum_system("q", 2)
+    unitary = optheory.QuantumProcess({((), ()): ([[1, 0], [0, 1]],)})
+    pm = optheory.PredictionMap((optheory.ProcedureDecl("u", (q,), (q,), unitary),))
+    # a quantum system has no image until an ontic carrier is declared
+    with pytest.raises(ParseError, match=r"xi signature system .* has no ontic carrier"):
+        load_rep(_QUBIT_REP, pm)
+    rep = load_rep(_QUBIT_REP.replace("ontic: []", "ontic: [{system: q, carrier: [0]}]"), pm)
+    assert rep.image(q) == diagrams.causal_system((0,))
+    assert rep.xi[((q,), (q,))].cod == fstheory.hom_system((rep.image(q),), (rep.image(q),)).carrier
 
 
 def test_demo_pairs_load_with_shared_model():

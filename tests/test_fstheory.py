@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ci_engine import diagrams, fstheory, funcdyn, optheory, substoch
+from ci_engine import diagrams, errors, fstheory, funcdyn, optheory, substoch
 from ci_engine.diagrams import (
     Diagram,
     causal_system,
@@ -384,6 +384,72 @@ def test_rep_image_carriers():
     pm, bit = _coin_model()
     rep = _coin_rep(pm, bit)
     assert rep.image(bit).carrier == (0, 1)
+
+
+_KIND_SYSTEMS = {
+    "classical": causal_system((0, 1)),
+    "causal-nonclassical": causal_system((0, 1), classical=False),
+    "quantum": diagrams.quantum_system("q", 2),
+}
+
+# What each generator and representation does with each kind of system:
+# None for acceptance, else the error type and its whole message.
+_KIND_REFUSALS = {
+    "record_system": (
+        lambda t: fstheory.record_system(t),
+        (errors.TypeMismatch, "a record needs a classical enumerated carrier"),
+    ),
+    "knowledge_box": (
+        lambda t: knowledge_box((t,), (t,)),
+        (errors.TypeMismatch, "an application box needs a classical enumerated carrier"),
+    ),
+    "prop_gain": (
+        prop_gain,
+        (errors.PropositionOnNonclassical, "only classical systems support learning their value"),
+    ),
+    "denote": (
+        lambda t: denote(identity((t,))),
+        (errors.TypeMismatch, "denotation needs a classical enumerated carrier"),
+    ),
+    "matrix-procedure": (
+        lambda t: optheory.ProcedureDecl("p", (t,), (t,), substoch.identity_map((0, 1))),
+        (errors.TypeMismatch, "matrix semantics fit classical signatures only"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_SYSTEMS))
+@pytest.mark.parametrize("op", sorted(_KIND_REFUSALS))
+def test_only_classical_systems_pass_the_classical_gates(kind, op):
+    t = _KIND_SYSTEMS[kind]
+    call, (error, message) = _KIND_REFUSALS[op]
+    if kind == "classical":
+        call(t)
+    else:
+        with pytest.raises(error, match=f"^{message}$"):
+            call(t)
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_SYSTEMS))
+def test_ontic_entries_and_images_follow_the_classical_flag(kind):
+    t = _KIND_SYSTEMS[kind]
+    if kind == "classical":
+        # a classical system is its own image and keeps its carrier
+        assert RealistRep({}, {}).image(t) is t
+        with pytest.raises(
+            errors.CarrierMismatch,
+            match="^a classical system keeps its own carrier as ontic carrier$",
+        ):
+            RealistRep({t: (0, 1, 2)}, {})
+    else:
+        with pytest.raises(MissingXi, match="^no ontic carrier declared for system "):
+            RealistRep({}, {}).image(t)
+        assert RealistRep({t: (0, 1, 2)}, {}).image(t) == causal_system((0, 1, 2))
+
+
+def test_a_classical_abstract_carrier_is_refused():
+    with pytest.raises(errors.TypeMismatch, match="^an abstract carrier cannot be classical$"):
+        diagrams.SystemType(diagrams.CAUSAL, diagrams.Abstract("q", 2), True)
 
 
 def test_knowledge_tensor_cap_is_checked_before_allocation(monkeypatch):

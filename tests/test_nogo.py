@@ -5,13 +5,14 @@ import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ci_engine import nogo, substoch
-from ci_engine.exactlp import nullspace, verify_certificate
+from ci_engine.exactlp import feasible_nonneg, nullspace, verify_certificate
 from ci_engine.errors import (
     CapExceeded,
     ConfigError,
@@ -20,6 +21,7 @@ from ci_engine.errors import (
     ValidationError,
     WrongScenario,
 )
+from ci_engine.fileformat import load_fragment
 from ci_engine.nogo import (
     Bell,
     Correlation,
@@ -67,6 +69,7 @@ from oracles import (
 )
 
 F = Fraction
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +799,122 @@ def test_a_float_hexagon_is_refused_by_the_slack_lp(monkeypatch):
     ((rows, rhs, y),) = checked
     assert len(rows) == len(rhs) == 84 and tuple(y) == res.witness
     assert verify_certificate(rows, rhs, res.witness)
+
+
+def _lifted(frag, state_extra, effect_extra):
+    """State i gains (state_extra[i], 0) and effect j gains (0, effect_extra[j]).
+
+    The other side never probes the new coordinates, so the pairing
+    table, and with it the operational quotient, is unchanged.
+    """
+    a, b = len(state_extra[0]), len(effect_extra[0])
+    return GPTFragment(
+        tuple(tuple(s) + tuple(x) + (0,) * b for s, x in zip(frag.states, state_extra)),
+        tuple(tuple(e) + (0,) * a + tuple(y) for e, y in zip(frag.effects, effect_extra)),
+        tuple(frag.unit) + (0,) * (a + b),
+    )
+
+
+def test_the_lifted_hexagon_is_decided_on_its_pairing_table():
+    # state i -> (s_i, u_i, 0), effect j -> (e_j, 0, u_j), the u unit
+    # vectors of R^6: the vectors have no dependences left, the table
+    # keeps all of the hexagon's
+    hexa = hexagon_fragment()
+    eye = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    lifted = _lifted(hexa, eye, eye)
+    assert lifted.dim == 15
+    res = simplex_embed(lifted)
+    assert isinstance(res, Infeasible)
+    assert res == simplex_embed(hexa)
+    assert load_fragment((DATA / "lifted_hexagon.fragment").read_text()) == lifted
+
+
+def _soft_hexagon():
+    """The hexagon with its states halfway to the centre: size 4, rank 3."""
+    hexa = hexagon_fragment()
+    halved = tuple((s[0], s[1] / 2, s[2] / 2) for s in hexa.states)
+    return GPTFragment(halved, hexa.effects, hexa.unit)
+
+
+_EMBED_BASES = {
+    "bit": classical_bit_fragment,
+    "hexagon": hexagon_fragment,
+    "soft-hexagon": _soft_hexagon,
+    "stabilizer": qubit_stabilizer_fragment,
+}
+
+
+def _verdict(res):
+    return type(res).__name__, getattr(res, "size", None)
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_EMBED_BASES)), st.data())
+def test_unprobed_lifts_keep_the_verdict_and_size(name, data):
+    base = _EMBED_BASES[name]()
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    state_extra = [data.draw(st.tuples(*[_SMALL] * a)) for _ in base.states]
+    effect_extra = [data.draw(st.tuples(*[_SMALL] * b)) for _ in base.effects]
+    lifted = _lifted(base, state_extra, effect_extra)
+    assert _verdict(simplex_embed(lifted)) == _verdict(simplex_embed(base))
+
+
+def _change_coordinates(frag, steps):
+    """s -> A s and e -> A^-T e, A the product of elementary steps.
+
+    Step (i, i, c) scales coordinate i by c; step (i, j, c) adds c times
+    coordinate i to coordinate j.  Every pairing is kept.
+    """
+    states = [list(map(F, s)) for s in frag.states]
+    effects = [list(map(F, e)) for e in (frag.unit, *frag.effects)]
+    for i, j, c in steps:
+        for s in states:
+            if i == j:
+                s[i] *= c
+            else:
+                s[j] += c * s[i]
+        for e in effects:
+            if i == j:
+                e[i] /= c
+            else:
+                e[i] -= c * e[j]
+    unit, *rest = map(tuple, effects)
+    return GPTFragment(tuple(map(tuple, states)), tuple(rest), unit)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_EMBED_BASES)), st.data())
+def test_coordinate_changes_keep_the_verdict_and_size(name, data):
+    base = _EMBED_BASES[name]()
+    d = base.dim
+    step = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), _SMALL)
+    steps = data.draw(st.lists(step.filter(lambda s: s[0] != s[1] or s[2]), max_size=8))
+    moved = _change_coordinates(base, steps)
+    assert _verdict(simplex_embed(moved)) == _verdict(simplex_embed(base))
+
+
+@pytest.mark.parametrize(
+    "frag, size",
+    [(classical_bit_fragment(), 2), (qubit_stabilizer_fragment(), 4)],
+    ids=["bit", "octahedron"],
+)
+def test_an_exact_embedding_at_the_table_rank_takes_one_lp(monkeypatch, frag, size):
+    # the first solution's support already equals the pairing table's
+    # rank, which bounds every exact embedding from below: no support
+    # can be dropped, so none is tried
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return feasible_nonneg(rows, rhs)
+
+    monkeypatch.setattr(nogo, "feasible_nonneg", counting)
+    res = simplex_embed(frag)
+    assert isinstance(res, Feasible) and res.size == size
+    assert len(calls) == 1
 
 
 def test_exactness_is_recorded_once():
