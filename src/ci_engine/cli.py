@@ -17,6 +17,7 @@ clamped to [10^3, 10^7].
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -244,18 +245,17 @@ def _cmd_verify_axioms(args):
     return (EXIT_OK if report.ok else EXIT_NEGATIVE), records
 
 
-def _membership_record(corr):
-    """Run the local-polytope test; fs_compatible rationalizes float tables."""
-    verdict = nogo.fs_compatible(corr, corr.scenario)
-    rec = {"exact_input": corr.is_exact}
-    if isinstance(verdict, nogo.Member):
-        rec["verdict"] = "member"
-        rec["weights"] = list(verdict.weights)
-    else:
-        rec["verdict"] = "nonmember"
-        rec["facet"] = list(verdict.facet)
-        rec["bound"] = verdict.bound
-        rec["violation"] = verdict.violation
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _verdict_fields(v):
+    """``verdict`` is the class name in lower case, then every field of
+    the verdict in declaration order but its input table, tuples as lists."""
+    rec = {"verdict": type(v).__name__.lower()}
+    for f in dataclasses.fields(v):
+        if f.name != "correlation":
+            rec[f.name] = _listed(getattr(v, f.name))
     return rec
 
 
@@ -276,7 +276,9 @@ def _cmd_bell_check(args):
             )
     rec = {"cmd": "bell-check", "file": source}
     rec["scenario"] = fileformat.scenario_value(corr.scenario)
-    rec.update(_membership_record(corr))
+    rec["exact_input"] = corr.is_exact
+    # fs_compatible rationalizes float tables
+    rec.update(_verdict_fields(nogo.fs_compatible(corr, corr.scenario)))
     if corr.scenario == nogo.chsh_scenario():
         rec["chsh"] = nogo.chsh_value(corr)
     rec["no_signalling"] = nogo.no_signalling_check(corr)
@@ -292,17 +294,8 @@ def _cmd_simplex_embed(args):
         "states": len(frag.states),
         "effects": len(frag.effects),
         "dim": frag.dim,
+        **_verdict_fields(outcome),
     }
-    if isinstance(outcome, nogo.Feasible):
-        rec["verdict"] = "feasible"
-        rec["size"] = outcome.size
-        rec["state_images"] = [list(v) for v in outcome.state_images]
-        rec["effect_images"] = [list(v) for v in outcome.effect_images]
-        rec["unit_image"] = list(outcome.unit_image)
-    else:
-        rec["verdict"] = "infeasible"
-        rec["up_to"] = outcome.up_to
-        rec["witness"] = list(outcome.witness)
     return _expect_code(rec, args.expect), [rec]
 
 

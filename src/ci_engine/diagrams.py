@@ -12,7 +12,9 @@ producer feeds exactly one consumer and vice versa, so a bare identity
 wire is ``("in", 0) -> ("out", 0)`` with no boxes at all.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .caps import over_cap
 from .errors import (
@@ -55,8 +57,8 @@ class SystemType:
             object.__setattr__(self, "carrier", tuple(self.carrier))
             if len(set(self.carrier)) != len(self.carrier):
                 raise TypeMismatch("carrier labels must be distinct")
-            if not self.classical and self.kind == INFERENTIAL:
-                raise TypeMismatch("inferential systems are classical")
+        if not self.classical and self.kind == INFERENTIAL:
+            raise TypeMismatch("inferential systems are classical")
 
     @property
     def size(self):
@@ -362,118 +364,58 @@ def _signature_key(box):
     return f"{box.name}[{ins}=>{outs}]"
 
 
-def _neighbour_tables(d):
-    n = len(d.boxes)
-    incoming = [[] for _ in range(n)]
-    outgoing = [[] for _ in range(n)]
-    for src, dst in d.wires:
-        if dst[0] == "box":
-            incoming[dst[1]].append((dst[2], src))
-        if src[0] == "box":
-            outgoing[src[1]].append((src[2], dst))
-    for rows in (incoming, outgoing):
-        for row in rows:
-            row.sort()
-    return incoming, outgoing
-
-
-def _refine_colors(d):
-    """Stable partition of boxes by name, signature, and wiring context."""
-    n = len(d.boxes)
-    incoming, outgoing = _neighbour_tables(d)
-    colors = [_signature_key(box) for box in d.boxes]
-    for _ in range(n):
-        keys = []
-        for b in range(n):
-            inc = tuple(
-                (port, src[0], src[1] if src[0] == "in" else colors[src[1]], src[-1])
-                for port, src in incoming[b]
-            )
-            out = tuple(
-                (port, dst[0], dst[1] if dst[0] == "out" else colors[dst[1]], dst[-1])
-                for port, dst in outgoing[b]
-            )
-            keys.append((colors[b], inc, out))
-        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [f"c{ranking[key]}" for key in keys]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-_ORDERING_BRANCH_CAP = 2000
-
-
 def _canonical_order(d):
-    """Topological order with deterministic tie-breaking.
+    """Boxes in an order that depends only on the diagram's connectivity.
 
-    Boxes become ready once every box feeding them is placed.  Ready boxes
-    are keyed by refined color plus their placed-predecessor references;
-    exact ties are resolved by trying each candidate and keeping the
-    lexicographically least serialization, with a hard cap on branching.
+    Ports are ordered and carry one wire each, so a breadth-first walk
+    through each box's inputs, then outputs, is fixed by where it starts:
+    the boundary (inputs, then outputs), else for each closed component
+    every box of its rarest signature, keeping the least serialization.
     """
-    n = len(d.boxes)
-    colors = _refine_colors(d)
-    incoming, _ = _neighbour_tables(d)
-    preds = [set() for _ in range(n)]
-    for b in range(n):
-        for _, src in incoming[b]:
-            if src[0] == "box":
-                preds[b].add(src[1])
+    producer = {dst: src for src, dst in d.wires}
+    consumer = {src: dst for src, dst in d.wires}
+    neighbours = [
+        [producer["box", b, i] for i in range(len(box.ins))]
+        + [consumer["box", b, j] for j in range(len(box.outs))]
+        for b, box in enumerate(d.boxes)
+    ]
 
-    budget = [_ORDERING_BRANCH_CAP]
+    def walk(ends):
+        order, seen = [], set()
+        # ``order`` grows while the generator reads it: breadth first
+        for row in chain([ends], (neighbours[b] for b in order)):
+            for end in row:
+                if end[0] == "box" and end[1] not in seen:
+                    seen.add(end[1])
+                    order.append(end[1])
+        return order
 
-    def candidate_key(b, placed_ids):
-        refs = []
-        for port, src in incoming[b]:
-            if src[0] == "in":
-                refs.append((port, "in", src[1], 0))
-            else:
-                refs.append((port, "box", placed_ids[src[1]], src[2]))
-        return (colors[b], tuple(refs))
-
-    best = [None]
-
-    def search(order, placed_ids):
-        if len(order) == n:
-            ser = _serialize_with_order(d, order)
-            if best[0] is None or ser < best[0][0]:
-                best[0] = (ser, list(order))
-            return
-        ready = [
-            b
-            for b in range(n)
-            if b not in placed_ids and preds[b] <= placed_ids.keys()
-        ]
-        keyed = sorted((candidate_key(b, placed_ids), b) for b in ready)
-        least = keyed[0][0]
-        ties = [b for key, b in keyed if key == least]
-        for b in ties:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded("canonical ordering exceeded its branch cap")
-            placed_ids[b] = len(order)
-            order.append(b)
-            search(order, placed_ids)
-            order.pop()
-            del placed_ids[b]
-            if len(ties) == 1:
-                return
-
-    if n == 0:
-        return []
-    search([], {})
-    return best[0][1]
+    order = walk(
+        [consumer[e] for e in d.open_inputs] + [producer[e] for e in d.open_outputs]
+    )
+    placed = set(order)
+    keys = [_signature_key(box) for box in d.boxes]
+    pieces = []
+    for b in range(len(d.boxes)):
+        if b in placed:
+            continue
+        component = walk([("box", b)])
+        placed.update(component)
+        counts = Counter(keys[c] for c in component)
+        rarest = min(counts, key=lambda k: (counts[k], k))
+        walks = (walk([("box", s)]) for s in component if keys[s] == rarest)
+        pieces.append(min((_serialize_with_order(d, w), w) for w in walks))
+    for _, piece in sorted(pieces):
+        order += piece
+    return order
 
 
 def _serialize_with_order(d, order):
+    """The boundary, the boxes of ``order`` and the wires among them."""
     canon = {b: i for i, b in enumerate(order)}
 
     def ref(end):
-        if end[0] == "box":
-            return ("box", canon[end[1]], end[2])
-        return end
+        return ("box", canon[end[1]], end[2]) if end[0] == "box" else end
 
     lines = [
         "inputs " + ";".join(_type_key(t) for t in d.input_types),
@@ -481,22 +423,27 @@ def _serialize_with_order(d, order):
     ]
     for i, b in enumerate(order):
         lines.append(f"box {i} {_signature_key(d.boxes[b])}")
-    wire_rows = sorted((ref(src), ref(dst)) for src, dst in d.wires)
-    for src, dst in wire_rows:
+    inside = [w for w in d.wires if all(e[0] != "box" or e[1] in canon for e in w)]
+    for src, dst in sorted((ref(src), ref(dst)) for src, dst in inside):
         lines.append(f"wire {src!r} -> {dst!r}")
     return "\n".join(lines)
 
 
 def canonical_serialization(d):
-    """Deterministic bytes; equal exactly for equal diagrams."""
+    """Deterministic bytes; equal exactly for equal diagrams.
+
+    Boxes are numbered in the order of ``_canonical_order``'s walk."""
     return _serialize_with_order(d, _canonical_order(d)).encode("utf-8")
 
 
 def diagrams_equal(a, b):
     """Connectivity equality with ordered boundaries.
 
-    Raises SignatureMismatch when the boundaries themselves differ, since
-    comparing across signatures is a category error rather than inequality.
+    Equal when some renumbering of the boxes maps one onto the other,
+    names, port types and wires included: when the canonical
+    serializations agree.  Raises SignatureMismatch when the boundaries
+    themselves differ, since comparing across signatures is a category
+    error rather than inequality.
     """
     if a.input_types != b.input_types or a.output_types != b.output_types:
         raise SignatureMismatch("diagrams have different boundary signatures")

@@ -447,8 +447,6 @@ def _load_systems(ctx, arr):
 
 def _system_value(name, t):
     if isinstance(t.carrier, Abstract):
-        if t.kind != CAUSAL:
-            raise ConfigError("only quantum abstract systems have a file form")
         return {"name": name, "kind": "quantum", "dim": t.carrier.dim}
     rec = {
         "name": name,

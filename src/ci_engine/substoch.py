@@ -442,18 +442,23 @@ class PartialFn:
         return chi, total
 
 
-def from_partial_fn(f):
-    """Matrix representative: entry (y, x) is 1 exactly when f(x) = y."""
+def _table_matrix(f, cols):
+    """Entry (y, x) is 1 exactly when x is in ``cols`` and f(x) = y."""
     row_of = {y: r for r, y in enumerate(f.cod)}
-    cols = [c for c, y in enumerate(f.table) if y is not None]
     num = np.zeros((len(f.cod), len(f.dom)), dtype=np.int64)
     num[[row_of[f.table[c]] for c in cols], cols] = 1
     return SubstochMap(f.dom, f.cod, Scaled(num))
 
 
+def from_partial_fn(f):
+    """Matrix representative: a ``None`` image leaves its column zero."""
+    return _table_matrix(f, [c for c, y in enumerate(f.table) if y is not None])
+
+
 def from_fn(f):
-    """Matrix representative of a total function, read off its table."""
-    return from_partial_fn(f)
+    """Matrix representative of a total function: every column holds a 1,
+    also where the image is the label ``None``."""
+    return _table_matrix(f, list(range(len(f.table))))
 
 
 def scalar_true():

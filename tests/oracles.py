@@ -662,6 +662,37 @@ def contract_fractions(diagram, box_tensor, wire_size):
 
 
 # ---------------------------------------------------------------------------
+# Diagram equality by brute force
+
+
+def diagrams_isomorphic(a, b):
+    """Does some renumbering of ``a``'s boxes give ``b``, boundary fixed?
+
+    Tries every permutation of the boxes.  Boxes match on name and port
+    types (the payload is ignored, as in ``Box`` equality), and the
+    renumbered wires must be exactly ``b``'s.  At most seven boxes.
+    """
+    n = len(a.boxes)
+    if n > 7:
+        raise ValueError("brute-force isomorphism is limited to seven boxes")
+    if (a.input_types, a.output_types, n) != (b.input_types, b.output_types, len(b.boxes)):
+        return False
+    sig_a = [(box.name, box.ins, box.outs) for box in a.boxes]
+    sig_b = [(box.name, box.ins, box.outs) for box in b.boxes]
+    target = set(b.wires)
+    for perm in itertools.permutations(range(n)):
+        if any(sig_a[i] != sig_b[perm[i]] for i in range(n)):
+            continue
+
+        def moved(end):
+            return ("box", perm[end[1]], end[2]) if end[0] == "box" else end
+
+        if {(moved(src), moved(dst)) for src, dst in a.wires} == target:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Realist generator tensors, built afresh on every call
 
 

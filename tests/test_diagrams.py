@@ -1,11 +1,15 @@
 """Structural diagram layer: building, validation, composition, equality."""
 
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ci_engine import fstheory
+from ci_engine import fstheory, substoch
 from ci_engine.diagrams import (
+    INFERENTIAL,
     Diagram,
     causal_system,
     close_boundary,
@@ -22,9 +26,10 @@ from ci_engine.errors import (
     DanglingPort,
     TypeMismatch,
 )
-from ci_engine.fstheory import embedded, ignore, prop_gain, state_box
+from ci_engine.fstheory import effect_box, embedded, ignore, prop_gain, state_box
 
-from conftest import SEED, rand_fs_diagram, rand_state, rand_substoch
+import oracles
+from conftest import SEED, rand_fs_diagram, rand_prop, rand_state, rand_substoch
 
 BIT = causal_system((0, 1))
 HBIT = inferential_system((0, 1))
@@ -202,3 +207,100 @@ def test_random_diagrams_round_trip_equality():
         assert diagrams_equal(d, d)
         again = Diagram(d.boxes, d.wires, d.input_types, d.output_types)
         assert diagrams_equal(d, again)
+
+
+def _closed_piece(rng):
+    """A scalar: a small random diagram with its boundary capped by boxes."""
+    d = rand_fs_diagram(rng, max_boxes=2)
+    while any(t.kind != INFERENTIAL for t in d.input_types):
+        d = rand_fs_diagram(rng, max_boxes=2)
+    sources = [state_box(rand_state(rng, t.carrier)) for t in d.input_types]
+    sinks = [
+        effect_box(rand_prop(rng, t.carrier)) if t.kind == INFERENTIAL else ignore(t)
+        for t in d.output_types
+    ]
+    return close_boundary(d, sources, sinks)
+
+
+def _small_diagram(rng, max_boxes=7):
+    """An open random diagram beside closed pieces, some of them repeated."""
+    parts = [rand_fs_diagram(rng, max_boxes=rng.randint(1, 4))]
+    piece = _closed_piece(rng)
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            piece = _closed_piece(rng)
+        if sum(len(p.boxes) for p in parts) + len(piece.boxes) <= max_boxes:
+            parts.insert(rng.randint(0, len(parts)), piece)
+    return reduce(compose_parallel, parts)
+
+
+def _renumbered(d, rng):
+    """The same diagram with its boxes and wires listed in a random order."""
+    order = list(range(len(d.boxes)))
+    rng.shuffle(order)
+    new = {b: i for i, b in enumerate(order)}
+
+    def moved(end):
+        return ("box", new[end[1]], end[2]) if end[0] == "box" else end
+
+    wires = [(moved(src), moved(dst)) for src, dst in d.wires]
+    rng.shuffle(wires)
+    boxes = tuple(d.boxes[b] for b in order)
+    return Diagram(boxes, wires, d.input_types, d.output_types)
+
+
+def _rewired(d, rng):
+    """Swap the consumers of two wires of one type, when that stays acyclic."""
+    def kind(src):
+        return d.input_types[src[1]] if src[0] == "in" else d.boxes[src[1]].outs[src[2]]
+
+    wires = list(d.wires)
+    pairs = [
+        (i, j)
+        for i in range(len(wires))
+        for j in range(i + 1, len(wires))
+        if kind(wires[i][0]) == kind(wires[j][0])
+    ]
+    if not pairs:
+        return d
+    i, j = rng.choice(pairs)
+    wires[i], wires[j] = (wires[i][0], wires[j][1]), (wires[j][0], wires[i][1])
+    try:
+        return Diagram(d.boxes, wires, d.input_types, d.output_types)
+    except CycleDetected:
+        return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**30))
+def test_equality_matches_brute_force_isomorphism(seed):
+    rng = random.Random(seed)
+    d = _small_diagram(rng)
+    twin = _renumbered(d, rng)
+    assert diagrams_equal(d, twin)
+    assert oracles.diagrams_isomorphic(d, twin)
+    other = _rewired(_renumbered(d, rng), rng)
+    assert diagrams_equal(d, other) == oracles.diagrams_isomorphic(d, other)
+    assert diagrams_equal(other, d) == diagrams_equal(d, other)
+
+
+def test_rewired_copies_include_unequal_ones():
+    rng = random.Random(SEED + 8)
+    verdicts = []
+    for _ in range(60):
+        d = _small_diagram(rng)
+        other = _rewired(d, rng)
+        verdicts.append(diagrams_equal(d, other))
+        assert verdicts[-1] == oracles.diagrams_isomorphic(d, other)
+    assert 10 <= verdicts.count(False) <= 50
+
+
+@pytest.mark.parametrize("copies", [6, 12, 40])
+def test_identical_closed_scalars_equal_a_renumbered_copy(copies):
+    scalar = close_boundary(
+        identity((HBIT,)),
+        (state_box(substoch.point_state((0, 1), 0)),),
+        (effect_box(substoch.top((0, 1))),),
+    )
+    d = reduce(compose_parallel, [scalar] * copies)
+    assert diagrams_equal(d, _renumbered(d, random.Random(copies)))

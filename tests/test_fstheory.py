@@ -452,6 +452,14 @@ def test_a_classical_abstract_carrier_is_refused():
         diagrams.SystemType(diagrams.CAUSAL, diagrams.Abstract("q", 2), True)
 
 
+def test_an_inferential_abstract_carrier_is_refused():
+    with pytest.raises(errors.TypeMismatch, match="^inferential systems are classical$"):
+        diagrams.SystemType(diagrams.INFERENTIAL, diagrams.Abstract("x", 2), False)
+    # a classical abstract carrier is refused for that first, whatever its kind
+    with pytest.raises(errors.TypeMismatch, match="^an abstract carrier cannot be classical$"):
+        diagrams.SystemType(diagrams.INFERENTIAL, diagrams.Abstract("x", 2), True)
+
+
 def test_knowledge_tensor_cap_is_checked_before_allocation(monkeypatch):
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
     bit = causal_system((0, 1))

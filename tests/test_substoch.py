@@ -284,6 +284,14 @@ def test_partial_matrix_has_unit_columns_on_domain():
             assert sum(col) == (1 if f.defined_at(x) else 0)
 
 
+def test_a_total_function_fills_every_column_even_at_the_label_none():
+    m = substoch.from_fn(funcdyn.Fn((0, 1), (None, 1), (None, 1)))
+    assert m.is_stochastic()
+    assert m.entries == ((1, 0), (0, 1))
+    partial = from_partial_fn(PartialFn((0, 1), (None, 1), (None, 1)))
+    assert partial.entries == ((0, 0), (0, 1))
+
+
 def test_scalars():
     assert scalar_true().entries == ((1,),)
     assert scalar_false().entries == ((0,),)
