@@ -251,7 +251,7 @@ def _renumbered(d, rng):
 
 def _rewired(d, rng):
     """Swap the consumers of two wires of one type, when that stays acyclic."""
-    def kind(src):
+    def type_of(src):
         return d.input_types[src[1]] if src[0] == "in" else d.boxes[src[1]].outs[src[2]]
 
     wires = list(d.wires)
@@ -259,7 +259,7 @@ def _rewired(d, rng):
         (i, j)
         for i in range(len(wires))
         for j in range(i + 1, len(wires))
-        if kind(wires[i][0]) == kind(wires[j][0])
+        if type_of(wires[i][0]) == type_of(wires[j][0])
     ]
     if not pairs:
         return d
