@@ -12,8 +12,11 @@ producer feeds exactly one consumer and vice versa, so a bare identity
 wire is ``("in", 0) -> ("out", 0)`` with no boxes at all.
 """
 
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 
 from .caps import over_cap
@@ -350,11 +353,21 @@ def close_boundary(d, sources, sinks):
 # Canonical serialization and equality
 
 
+def _label_key(label):
+    """One form for all equal labels: numbers as Fractions, so that the
+    carriers (0, 1), (False, True) and (0.0, 1.0) key alike."""
+    if isinstance(label, tuple):
+        return tuple(map(_label_key, label))
+    if isinstance(label, numbers.Rational) or (isinstance(label, float) and math.isfinite(label)):
+        return Fraction(label)
+    return label
+
+
 def _type_key(t):
     if isinstance(t.carrier, Abstract):
         carrier = f"abstract:{t.carrier.name}:{t.carrier.dim}"
     else:
-        carrier = repr(t.carrier)
+        carrier = repr(_label_key(t.carrier))
     return f"{t.kind}|{int(t.classical)}|{carrier}"
 
 

@@ -14,7 +14,15 @@ Numbers are written in ASCII digits.  Strings take the escapes ``\\"``,
 A float literal too large to be finite, such as ``1e400``, is refused,
 as the writer refuses non-finite floats.  Records and arrays nest at
 most 100 deep.  A file that breaks any of these rules is a
-``ParseError`` with a line and column.
+``ParseError`` with a line and column.  So is a file the loaders refuse;
+a scalar where a record or array belongs is reported at its holder.
+
+The reader lists a body's lexemes in one regular-expression pass, with
+whitespace and comments skipped inside each match, converts each
+distinct scalar lexeme once, and parses the list with one call per
+record or array.  Records and arrays keep the index of their opening
+lexeme; a line and column are worked out from an index, by a second
+pass up to it, only when an error is reported.
 
 Kinds and their top-level fields:
 
@@ -45,6 +53,7 @@ Kinds and their top-level fields:
 import math
 import re
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -59,25 +68,25 @@ from .diagrams import (
     quantum_system,
 )
 from .errors import ConfigError, MissingXi, ParseError
-from .tensornet import is_exact_number
+from .tensornet import is_exact_number, scaled
 
 FORMAT_HEADER = "ci-engine/1"
 KINDS = ("diagram", "model", "correlation", "fragment", "rep", "pairs")
 
 _MAX_DEPTH = 100
+_PUNCT = "{}[]:,"
 _WORD = r"[A-Za-z_][A-Za-z0-9_+-]*"
-_TOKEN = re.compile(
-    rf"""
-    (?P<skip>[ \t\r]+|\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<punct>[{{}}\[\]:,])
-  | (?P<word>{_WORD})
-  | (?P<num>-?[0-9]+(?:/[0-9]*|(?P<float>(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)))
-  | (?P<str>"(?:[^"\\\n]|\\(?:["\\nt]|u[0-9a-fA-F]{{4}}))*(?P<close>"?))
-  | (?P<bad>.)
-    """,
+_STRING = r'"(?:[^"\\\n]|\\(?:["\\nt]|u[0-9a-fA-F]{4}))*'
+# Whitespace and comments, then one lexeme: punctuation, a word, a number,
+# a closed string, any other character (a lone '"' opens a bad string), or
+# the empty lexeme at the end of the text (twice after trailing whitespace).
+_LEXEME = re.compile(
+    rf"""(?:[ \t\r\n]+|\#[^\n]*)*
+    ( [{{}}\[\]:,] | {_WORD} | -?[0-9]+(?:/[0-9]*|(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+    | {_STRING}" | . | )""",
     re.VERBOSE,
 )
+_STRING_START = re.compile(_STRING)
 _BAREWORD = re.compile(_WORD)
 _ESCAPE = re.compile(r"\\(?:u(....)|(.))")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
@@ -90,105 +99,123 @@ def _unescape(m):
     return _ESCAPES[esc] if hexpart is None else chr(int(hexpart, 16))
 
 
-def _scan(text, first_line):
-    """Tokens of ``text`` as (kind, value, line, col), ending with ``eof``.
-
-    Columns count characters from the last newline, starting at 1.
-    """
-    tokens = []
-    line, line_start = first_line, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        col = m.start() - line_start + 1
-        lexeme = m.group()
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "punct":
-            tokens.append((lexeme, lexeme, line, col))
-        elif kind == "word":
-            if lexeme in _BOOLS:
-                tokens.append(("bool", _BOOLS[lexeme], line, col))
-            else:
-                tokens.append(("word", lexeme, line, col))
-        elif kind == "num":
-            num, slash, den = lexeme.partition("/")
-            if slash and not den:
-                raise ParseError("expected digits after '/'", line, col)
-            is_float = m.group("float")
-            try:
-                if slash:
-                    value = Fraction(int(num), int(den))
-                else:
-                    value = float(num) if is_float else int(num)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", line, col) from None
-            except ValueError:  # more digits than int() converts
-                raise ParseError("number out of range", line, col) from None
-            if is_float and math.isinf(value):
-                raise ParseError("number out of range", line, col)
-            tokens.append(("num", value, line, col))
-        elif kind == "str":
-            if not m.group("close"):
-                # the match stops at the end of the text, at a newline or
-                # at the backslash of a bad escape
-                rest = text[m.end() : m.end() + 2]
-                if rest in ("", "\\") or rest[0] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                col += m.end() - m.start()
-                if rest == "\\u":
-                    raise ParseError("bad unicode escape", line, col)
-                raise ParseError(f"bad escape '{rest}'", line, col)
-            body = lexeme[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(_unescape, body)
-            tokens.append(("str", body, line, col))
-        else:
-            raise ParseError(f"unexpected character {lexeme!r}", line, col)
-    tokens.append(("eof", None, line, len(text) - line_start + 1))
-    return tokens
+def _scalar(lexeme):
+    """The value of a word, number or string lexeme.  Any other lexeme is
+    a ParseError without a position; ``_lexical_error`` gives it one."""
+    if _BAREWORD.match(lexeme):
+        return _BOOLS.get(lexeme, lexeme)
+    if lexeme[0] == '"' and len(lexeme) > 1:
+        return _ESCAPE.sub(_unescape, lexeme[1:-1])
+    if lexeme[0] not in "-0123456789" or lexeme == "-":
+        raise ParseError(f"unexpected character {lexeme!r}")
+    num, slash, den = lexeme.partition("/")
+    try:
+        if slash:
+            return Fraction(int(num), int(den))
+        value = int(num) if num.lstrip("-").isdigit() else float(num)
+    except ZeroDivisionError:
+        raise ParseError("zero denominator") from None
+    except ValueError:  # no digits after '/', or more than int() converts
+        if slash and not den:
+            raise ParseError("expected digits after '/'") from None
+        raise ParseError("number out of range") from None
+    if isinstance(value, float) and math.isinf(value):
+        raise ParseError("number out of range")
+    return value
 
 
-def _parse(tokens, pos, locs, depth=0):
-    """The value that starts at ``tokens[pos]``, and the position after it.
+def _located(body, first_line):
+    """Each lexeme of ``body`` as (lexeme, offset, line, column), up to
+    the empty one at the end.  Columns count from 1 after the last newline."""
+    line, seen = first_line, 0
+    for m in _LEXEME.finditer(body):
+        start = m.start(1)
+        line += body.count("\n", seen, start)
+        seen = start
+        yield m.group(1), start, line, start - body.rfind("\n", 0, start)
+        if start == len(body):
+            return
 
-    Records and arrays are entered in ``locs`` by id, with the position
-    of their opening bracket.
-    """
-    kind, value, line, col = tokens[pos]
-    pos += 1
-    if kind in ("num", "bool", "str", "word"):
-        return value, pos
-    if kind not in ("{", "["):
-        raise ParseError(f"unexpected {kind!r}", line, col)
+
+def _position(body, first_line, index):
+    return next(islice(_located(body, first_line), index, None))[2:]
+
+
+def _lexical_error(body, first_line):
+    """The ParseError of the first malformed lexeme of ``body``, or None."""
+    for lexeme, start, line, col in _located(body, first_line):
+        if lexeme == '"':
+            # the string stops at the end of the text, at a newline or at
+            # the backslash of a bad escape
+            end = _STRING_START.match(body, start).end()
+            rest = body[end : end + 2]
+            if rest in ("", "\\") or rest[0] == "\n":
+                return ParseError("unterminated string", line, col)
+            col += end - start
+            if rest == "\\u":
+                return ParseError("bad unicode escape", line, col)
+            return ParseError(f"bad escape '{rest}'", line, col)
+        try:
+            if lexeme[:1] not in _PUNCT:
+                _scalar(lexeme)
+        except ParseError as exc:
+            return ParseError(str(exc), line, col)
+    return None
+
+
+class _At(Exception):
+    """A syntax error at a lexeme index: (index, message)."""
+
+
+def _read(lexemes, pos, values, starts, depth):
+    """The value that starts at ``lexemes[pos]``, and the index after it.
+
+    Scalars are ``values[lexeme]``; ``starts`` takes the id of each record
+    and array with the index of its opening bracket."""
+    opening = lexemes[pos]
+    value = values.get(opening)
+    if value is not None:
+        return value, pos + 1
+    if opening != "{" and opening != "[":
+        raise _At(pos, f"unexpected {opening or 'eof'!r}")
     if depth == _MAX_DEPTH:
-        raise ParseError(f"nesting deeper than {_MAX_DEPTH}", line, col)
-    is_rec = kind == "{"
-    close = "}" if is_rec else "]"
-    out = {} if is_rec else []
-    locs[id(out)] = (line, col)
-    while True:
-        next_kind, key, key_line, key_col = tokens[pos]
-        if next_kind == close:
-            return out, pos + 1
-        if next_kind == "eof":
-            raise ParseError(f"unclosed {kind!r}", line, col)
+        raise _At(pos, f"nesting deeper than {_MAX_DEPTH}")
+    is_rec = opening == "{"
+    out, close = ({}, "}") if is_rec else ([], "]")
+    start, pos = pos, pos + 1
+    while (lexeme := lexemes[pos]) != close:
+        if not lexeme:
+            raise _At(start, f"unclosed {opening!r}")
         if is_rec:
-            if next_kind not in ("word", "str"):
-                raise ParseError("expected a field name", key_line, key_col)
-            colon, _, colon_line, colon_col = tokens[pos + 1]
-            if colon != ":":
-                raise ParseError("expected ':' after field name", colon_line, colon_col)
+            key = values.get(lexeme)
+            if not isinstance(key, str):
+                raise _At(pos, "expected a field name")
+            if lexemes[pos + 1] != ":":
+                raise _At(pos + 1, "expected ':' after field name")
             if key in out:
-                raise ParseError(f"duplicate field {key!r}", key_line, key_col)
-            out[key], pos = _parse(tokens, pos + 2, locs, depth + 1)
+                raise _At(pos, f"duplicate field {key!r}")
+            pos += 2
+        item = values.get(lexemes[pos])
+        if item is None:
+            item, pos = _read(lexemes, pos, values, starts, depth + 1)
         else:
-            item, pos = _parse(tokens, pos, locs, depth + 1)
-            out.append(item)
-        if tokens[pos][0] == ",":
             pos += 1
+        if is_rec:
+            out[key] = item
+        else:
+            out.append(item)
+        if lexemes[pos] == ",":
+            pos += 1
+    starts[id(out)] = start
+    return out, pos + 1
+
+
+class _Locations(dict):
+    """The lexeme index of each record and array by id, and of the top
+    value; ``get`` works out its (line, column)."""
+
+    def get(self, key, default=None):
+        return _position(self.body, self.first_line, self[key]) if key in self else default
 
 
 def _split_header(text):
@@ -210,14 +237,28 @@ def _split_header(text):
 
 
 def loads(text):
-    """Parse a full file into (kind, value, location map)."""
+    """Parse a full file into (kind, value, locations).
+
+    ``locations.get(id(v), default)`` is the (line, column) of a record or
+    array ``v`` of the value, or of the value itself."""
     kind, body, first_line = _split_header(text)
-    tokens = _scan(body, first_line)
-    locs = {}
-    value, pos = _parse(tokens, 0, locs)
-    tail, _, line, col = tokens[pos]
-    if tail != "eof":
-        raise ParseError("content after the top-level value", line, col)
+    lexemes = _LEXEME.findall(body)
+    values = {}
+    try:
+        for lexeme in set(lexemes):
+            if lexeme[:1] not in _PUNCT:
+                values[lexeme] = _scalar(lexeme)
+    except ParseError:
+        raise _lexical_error(body, first_line) from None
+    locs = _Locations()
+    locs.body, locs.first_line = body, first_line
+    try:
+        value, pos = _read(lexemes, 0, values, locs, 0)
+        if lexemes[pos]:
+            raise _At(pos, "content after the top-level value")
+    except _At as exc:
+        raise ParseError(exc.args[1], *_position(body, first_line, exc.args[0])) from None
+    locs[id(value)] = 0
     return kind, value, locs
 
 
@@ -298,15 +339,17 @@ class _Ctx:
     def __init__(self, locs):
         self.locs = locs
 
-    def fail(self, obj, msg):
-        line, col = self.locs.get(id(obj), (None, None))
+    def fail(self, obj, msg, owner=None):
+        """Raise at ``obj``, or at the record or array ``owner`` holding it
+        when ``obj`` is a scalar: only those and the top value are located."""
+        line, col = self.locs.get(id(obj)) or self.locs.get(id(owner), (None, None))
         raise ParseError(msg, line, col)
 
-    def rec(self, v, what, allowed, required=None):
+    def rec(self, v, owner, what, allowed, required=None):
         """``v`` as a record with only ``allowed`` fields, all of
         ``required`` (by default all of ``allowed``) among them."""
         if not isinstance(v, dict):
-            self.fail(v, f"{what} must be a record")
+            self.fail(v, f"{what} must be a record", owner)
         for key in v:
             if key not in allowed:
                 self.fail(v, f"{what} has no field {key!r}")
@@ -315,9 +358,9 @@ class _Ctx:
                 self.fail(v, f"{what} needs the field {key!r}")
         return v
 
-    def arr(self, v, what):
+    def arr(self, v, owner, what):
         if not isinstance(v, list):
-            self.fail(v, f"{what} must be an array")
+            self.fail(v, f"{what} must be an array", owner)
         return v
 
     def text(self, v, owner, what):
@@ -338,7 +381,7 @@ def _open(text, kind, what, allowed, required=None):
     ctx = _Ctx(locs)
     if file_kind != kind:
         ctx.fail(value, f"expected a {kind} file, got {file_kind!r}")
-    return ctx, ctx.rec(value, what, allowed, required)
+    return ctx, ctx.rec(value, None, what, allowed, required)
 
 
 def _label(ctx, v):
@@ -362,27 +405,37 @@ def _is_number(cell, exact=False):
     return is_exact_number(cell) or (not exact and isinstance(cell, float))
 
 
-def _numbers(ctx, v, what, exact=False, matrix=True):
+def _numbers(ctx, v, owner, what, exact=False, matrix=True):
     """The numbers of array ``v``, or of each of its rows if ``matrix``,
-    as tuples.  ``exact`` takes rationals only and returns Fractions."""
+    as tuples.  ``exact`` takes rationals only."""
 
-    def row(arr, arr_what):
-        for cell in ctx.arr(arr, arr_what):
+    def row(arr, arr_owner, arr_what):
+        for cell in ctx.arr(arr, arr_owner, arr_what):
             if not _is_number(cell, exact):
                 noun = "rationals" if exact else "numbers"
                 ctx.fail(arr, f"{what} entries must be {noun}")
-        return tuple(map(Fraction, arr)) if exact else tuple(arr)
+        return tuple(arr)
 
     if not matrix:
-        return row(v, what)
-    return tuple(row(r, f"each row of {what}") for r in ctx.arr(v, what))
+        return row(v, owner, what)
+    return tuple(row(r, v, f"each row of {what}") for r in ctx.arr(v, owner, what))
 
 
-def _complex_matrix(ctx, rows, what):
+def _grid(ctx, v, owner, what):
+    """The rational matrix ``v`` as entries of a ``SubstochMap``: one
+    ``Scaled`` grid, or the rows when they differ in length, which the map
+    refuses as it refuses a grid of the wrong shape."""
+    rows = _numbers(ctx, v, owner, what, exact=True)
+    if len(set(map(len, rows))) > 1:
+        return rows
+    return scaled([x for row in rows for x in row], (len(rows), len(rows[0]) if rows else 0))
+
+
+def _complex_matrix(ctx, rows, owner, what):
     out = []
-    for row in ctx.arr(rows, what):
+    for row in ctx.arr(rows, owner, what):
         cells = []
-        for cell in ctx.arr(row, f"each row of {what}"):
+        for cell in ctx.arr(row, rows, f"each row of {what}"):
             if isinstance(cell, list):
                 if len(cell) != 2 or not all(map(_is_number, cell)):
                     ctx.fail(cell, f"{what} complex entries are [re, im] pairs")
@@ -409,11 +462,13 @@ def _complex_value(z):
 # System and procedure declarations
 
 
-def _load_systems(ctx, arr):
+def _load_systems(ctx, owner):
     env = {}
-    for rec in ctx.arr(arr, "systems"):
+    systems = ctx.arr(owner.get("systems", []), owner, "systems")
+    for rec in systems:
         ctx.rec(
             rec,
+            systems,
             "a system",
             allowed=("name", "kind", "carrier", "dim", "classical"),
             required=("name", "kind"),
@@ -430,7 +485,7 @@ def _load_systems(ctx, arr):
             continue
         if "dim" in rec:
             ctx.fail(rec, "dim is for quantum systems only")
-        carrier = _label(ctx, ctx.arr(rec.get("carrier"), "carrier"))
+        carrier = _label(ctx, ctx.arr(rec.get("carrier"), rec, "carrier"))
         if kind == "causal":
             classical = rec.get("classical", True)
             if not isinstance(classical, bool):
@@ -496,46 +551,48 @@ def _system(ctx, env, v, owner, what):
     return env[name]
 
 
-def _system_names(ctx, env, arr, what):
+def _system_names(ctx, env, arr, owner, what):
     return tuple(
-        _system(ctx, env, v, arr, f"each entry of {what}") for v in ctx.arr(arr, what)
+        _system(ctx, env, v, arr, f"each entry of {what}") for v in ctx.arr(arr, owner, what)
     )
 
 
-def _load_procedures(ctx, arr, env):
+def _load_procedures(ctx, owner, env):
     decls = []
-    for rec in ctx.arr(arr, "procedures"):
+    procedures = ctx.arr(owner["procedures"], owner, "procedures")
+    for rec in procedures:
         ctx.rec(
             rec,
+            procedures,
             "a procedure",
             allowed=("name", "ins", "outs", "entries", "kraus"),
             required=("name", "ins", "outs"),
         )
         name = ctx.text(rec["name"], rec, "procedure name")
-        ins = _system_names(ctx, env, rec["ins"], "procedure inputs")
-        outs = _system_names(ctx, env, rec["outs"], "procedure outputs")
+        ins = _system_names(ctx, env, rec["ins"], rec, "procedure inputs")
+        outs = _system_names(ctx, env, rec["outs"], rec, "procedure outputs")
         if ("entries" in rec) == ("kraus" in rec):
             ctx.fail(rec, "a procedure has either entries or kraus")
         if "entries" in rec:
-            entries = _numbers(ctx, rec["entries"], "entries", exact=True)
             channel = substoch.SubstochMap(
                 fstheory.bundle_carrier(ins),
                 fstheory.bundle_carrier(outs),
-                entries,
+                _grid(ctx, rec["entries"], rec, "entries"),
             )
         else:
             table = {}
-            for branch in ctx.arr(rec["kraus"], "kraus"):
-                ctx.rec(branch, "a kraus branch", allowed=("out", "in", "mats"))
+            kraus = ctx.arr(rec["kraus"], rec, "kraus")
+            for branch in kraus:
+                ctx.rec(branch, kraus, "a kraus branch", allowed=("out", "in", "mats"))
                 key = (
-                    _label(ctx, ctx.arr(branch["out"], "out")),
-                    _label(ctx, ctx.arr(branch["in"], "in")),
+                    _label(ctx, ctx.arr(branch["out"], branch, "out")),
+                    _label(ctx, ctx.arr(branch["in"], branch, "in")),
                 )
                 if key in table:
                     ctx.fail(branch, "duplicate kraus branch")
+                mats = ctx.arr(branch["mats"], branch, "mats")
                 table[key] = [
-                    np.array(_complex_matrix(ctx, m, "a kraus matrix"))
-                    for m in ctx.arr(branch["mats"], "mats")
+                    np.array(_complex_matrix(ctx, m, mats, "a kraus matrix")) for m in mats
                 ]
             channel = optheory.QuantumProcess(table)
         decls.append(optheory.ProcedureDecl(name, ins, outs, channel))
@@ -545,10 +602,10 @@ def _load_procedures(ctx, arr, env):
 def _load_decls(ctx, rec):
     """The systems of ``rec`` by name, and the prediction map of its
     procedures (None when it declares none)."""
-    env = _load_systems(ctx, rec.get("systems", []))
+    env = _load_systems(ctx, rec)
     if "procedures" not in rec:
         return env, None
-    return env, optheory.PredictionMap(_load_procedures(ctx, rec["procedures"], env))
+    return env, optheory.PredictionMap(_load_procedures(ctx, rec, env))
 
 
 def _procedure_value(decl, namer):
@@ -613,9 +670,10 @@ _BOX_FIELDS = {
 }
 
 
-def _load_box(ctx, rec, env, pm):
+def _load_box(ctx, rec, boxes, env, pm):
     ctx.rec(
         rec,
+        boxes,
         "a box",
         allowed=("id", "name", "gen") + tuple({f for fs in _BOX_FIELDS.values() for f in fs}),
         required=("id", "gen"),
@@ -625,15 +683,15 @@ def _load_box(ctx, rec, env, pm):
     if gen not in _BOX_FIELDS:
         ctx.fail(rec, f"unknown generator {gen!r}")
     fields = _BOX_FIELDS[gen]
-    ctx.rec(rec, f"a {gen} box", ("id", "name", "gen") + fields, ("id", "gen") + fields)
+    ctx.rec(rec, boxes, f"a {gen} box", ("id", "name", "gen") + fields, ("id", "gen") + fields)
     name = rec.get("name", box_id)
     if not isinstance(name, str):
         ctx.fail(rec, "box name must be a string")
     if gen in ("learn", "ignore", "state", "effect"):
         system = _system(ctx, env, rec["system"], rec, "box system")
     if gen in ("knowledge", "embedded", "proc-knowledge"):
-        ins = _system_names(ctx, env, rec["ins"], "box inputs")
-        outs = _system_names(ctx, env, rec["outs"], "box outputs")
+        ins = _system_names(ctx, env, rec["ins"], rec, "box inputs")
+        outs = _system_names(ctx, env, rec["outs"], rec, "box outputs")
     if gen in ("proc-knowledge", "proc") and pm is None:
         ctx.fail(rec, "procedure boxes need a procedures section")
     if gen == "knowledge":
@@ -643,17 +701,18 @@ def _load_box(ctx, rec, env, pm):
     if gen == "ignore":
         return box_id, fstheory.ignore(system, name=name)
     if gen == "embedded":
-        entries = _numbers(ctx, rec["entries"], "entries", exact=True)
         matrix = substoch.SubstochMap(
-            fstheory.bundle_carrier(ins), fstheory.bundle_carrier(outs), entries
+            fstheory.bundle_carrier(ins),
+            fstheory.bundle_carrier(outs),
+            _grid(ctx, rec["entries"], rec, "entries"),
         )
         return box_id, fstheory.embedded(matrix, ins, outs, name=name)
     if gen == "state":
-        weights = _numbers(ctx, rec["weights"], "weights", matrix=False)
+        weights = _numbers(ctx, rec["weights"], rec, "weights", matrix=False)
         sigma = substoch.KnowledgeState(system.carrier, weights)
         return box_id, fstheory.state_box(sigma, name=name)
     if gen == "effect":
-        members = _label(ctx, ctx.arr(rec["members"], "members"))
+        members = _label(ctx, ctx.arr(rec["members"], rec, "members"))
         prop = substoch.proposition(system.carrier, members)
         return box_id, fstheory.effect_box(prop, name=name)
     if gen == "proc-knowledge":
@@ -662,9 +721,9 @@ def _load_box(ctx, rec, env, pm):
     return box_id, optheory.procedure_box(pm, proc, box_name=name)
 
 
-def _load_endpoint(ctx, end, index_of):
+def _load_endpoint(ctx, end, wire, index_of):
     if not isinstance(end, list) or not end or not isinstance(end[0], str):
-        ctx.fail(end, "an endpoint is [in k], [out k] or [box id port]")
+        ctx.fail(end, "an endpoint is [in k], [out k] or [box id port]", wire)
     tag = end[0]
     if tag in ("in", "out"):
         if len(end) != 2:
@@ -683,25 +742,27 @@ def _load_endpoint(ctx, end, index_of):
 def _load_body(ctx, rec, env, pm):
     boxes = []
     index_of = {}
-    for box_rec in ctx.arr(rec["boxes"], "boxes"):
-        box_id, box = _load_box(ctx, box_rec, env, pm)
+    box_recs = ctx.arr(rec["boxes"], rec, "boxes")
+    for box_rec in box_recs:
+        box_id, box = _load_box(ctx, box_rec, box_recs, env, pm)
         if box_id in index_of:
             ctx.fail(box_rec, f"duplicate box id {box_id!r}")
         index_of[box_id] = len(boxes)
         boxes.append(box)
     wires = []
-    for wire in ctx.arr(rec["wires"], "wires"):
+    wire_recs = ctx.arr(rec["wires"], rec, "wires")
+    for wire in wire_recs:
         if not isinstance(wire, list) or len(wire) != 2:
-            ctx.fail(wire, "a wire is [src, dst]")
-        src = _load_endpoint(ctx, wire[0], index_of)
-        dst = _load_endpoint(ctx, wire[1], index_of)
+            ctx.fail(wire, "a wire is [src, dst]", wire_recs)
+        src = _load_endpoint(ctx, wire[0], wire, index_of)
+        dst = _load_endpoint(ctx, wire[1], wire, index_of)
         if src[0] == "out":
             ctx.fail(wire, "a wire cannot start at an output port")
         if dst[0] == "in":
             ctx.fail(wire, "a wire cannot end at an input port")
         wires.append((src, dst))
-    inputs = _system_names(ctx, env, rec["inputs"], "inputs")
-    outputs = _system_names(ctx, env, rec["outputs"], "outputs")
+    inputs = _system_names(ctx, env, rec["inputs"], rec, "inputs")
+    outputs = _system_names(ctx, env, rec["outputs"], rec, "outputs")
     return Diagram(tuple(boxes), tuple(wires), inputs, outputs)
 
 
@@ -804,15 +865,15 @@ def dump_model(pm):
 # ---------------------------------------------------------------------------
 # Scenarios and correlations
 
-def _load_scenario(ctx, rec):
+def _load_scenario(ctx, rec, owner):
     ctx.rec(
-        rec, "a scenario", allowed=("type", "cards", "latent"), required=("type", "cards")
+        rec, owner, "a scenario", allowed=("type", "cards", "latent"), required=("type", "cards")
     )
     tag = rec["type"]
     cls = nogo.SCENARIOS.get(tag) if isinstance(tag, str) else None
     if cls is None:
         ctx.fail(rec, f"unknown scenario type {tag!r}")
-    cards = [ctx.nat(v, rec, "each card") for v in ctx.arr(rec["cards"], "cards")]
+    cards = [ctx.nat(v, rec, "each card") for v in ctx.arr(rec["cards"], rec, "cards")]
     names = cls.card_names()
     if len(cards) != len(names):
         ctx.fail(rec, f"{tag} takes the cards [{', '.join(names)}], got {len(cards)}")
@@ -835,8 +896,8 @@ def scenario_value(s):
 def load_correlation(text):
     """Parse a correlation file."""
     ctx, value = _open(text, "correlation", "a correlation", ("scenario", "table"))
-    scenario = _load_scenario(ctx, value["scenario"])
-    return nogo.Correlation(scenario, _numbers(ctx, value["table"], "table"))
+    scenario = _load_scenario(ctx, value["scenario"], value)
+    return nogo.Correlation(scenario, _numbers(ctx, value["table"], value, "table"))
 
 
 def dump_correlation(corr):
@@ -858,9 +919,9 @@ def load_fragment(text):
     """Parse a fragment file."""
     ctx, value = _open(text, "fragment", "a fragment", ("states", "effects", "unit"))
     return nogo.GPTFragment(
-        _numbers(ctx, value["states"], "states"),
-        _numbers(ctx, value["effects"], "effects"),
-        _numbers(ctx, value["unit"], "unit", matrix=False),
+        _numbers(ctx, value["states"], value, "states"),
+        _numbers(ctx, value["effects"], value, "effects"),
+        _numbers(ctx, value["unit"], value, "unit", matrix=False),
     )
 
 
@@ -885,14 +946,15 @@ def load_rep(text, pm):
     ctx, value = _open(
         text, "rep", "a representation", ("systems", "ontic", "xi"), required=("ontic", "xi")
     )
-    env = _load_systems(ctx, value.get("systems", []))
+    env = _load_systems(ctx, value)
     ontic = {}
-    for rec in ctx.arr(value["ontic"], "ontic"):
-        ctx.rec(rec, "an ontic entry", allowed=("system", "carrier"))
+    ontic_recs = ctx.arr(value["ontic"], value, "ontic")
+    for rec in ontic_recs:
+        ctx.rec(rec, ontic_recs, "an ontic entry", allowed=("system", "carrier"))
         system = _system(ctx, env, rec["system"], rec, "ontic system")
         if system in ontic:
             ctx.fail(rec, "duplicate ontic entry")
-        ontic[system] = _label(ctx, ctx.arr(rec["carrier"], "carrier"))
+        ontic[system] = _label(ctx, ctx.arr(rec["carrier"], rec, "carrier"))
     images = fstheory.RealistRep(ontic, {})
 
     def image(rec, t):
@@ -902,10 +964,11 @@ def load_rep(text, pm):
             ctx.fail(rec, f"xi signature system {t!r} has no ontic carrier")
 
     xi = {}
-    for rec in ctx.arr(value["xi"], "xi"):
-        ctx.rec(rec, "a xi entry", allowed=("ins", "outs", "entries"))
-        ins = _system_names(ctx, env, rec["ins"], "xi inputs")
-        outs = _system_names(ctx, env, rec["outs"], "xi outputs")
+    xi_recs = ctx.arr(value["xi"], value, "xi")
+    for rec in xi_recs:
+        ctx.rec(rec, xi_recs, "a xi entry", allowed=("ins", "outs", "entries"))
+        ins = _system_names(ctx, env, rec["ins"], rec, "xi inputs")
+        outs = _system_names(ctx, env, rec["outs"], rec, "xi outputs")
         if (ins, outs) in xi:
             ctx.fail(rec, "duplicate xi signature")
         if pm is None:
@@ -916,8 +979,8 @@ def load_rep(text, pm):
         h = fstheory.hom_system(
             tuple(image(rec, t) for t in ins), tuple(image(rec, t) for t in outs)
         )
-        entries = _numbers(ctx, rec["entries"], "xi entries", exact=True)
-        xi[(ins, outs)] = substoch.SubstochMap(alphabet, h.carrier, entries)
+        grid = _grid(ctx, rec["entries"], rec, "xi entries")
+        xi[(ins, outs)] = substoch.SubstochMap(alphabet, h.carrier, grid)
     return fstheory.RealistRep(ontic, xi)
 
 
@@ -953,11 +1016,14 @@ def load_pairs(text):
     )
     env, pm = _load_decls(ctx, value)
     pairs = []
-    for rec in ctx.arr(value["pairs"], "pairs"):
-        ctx.rec(rec, "a pair", allowed=("left", "right"))
+    pair_recs = ctx.arr(value["pairs"], value, "pairs")
+    for rec in pair_recs:
+        ctx.rec(rec, pair_recs, "a pair", allowed=("left", "right"))
         pairs.append(
             tuple(
-                _load_body(ctx, ctx.rec(rec[side], f"the {side} diagram", _BODY_FIELDS), env, pm)
+                _load_body(
+                    ctx, ctx.rec(rec[side], rec, f"the {side} diagram", _BODY_FIELDS), env, pm
+                )
                 for side in ("left", "right")
             )
         )

@@ -4,20 +4,25 @@ Everything here is implemented from scratch on plain Python data
 (nested lists, Fractions, numpy arrays) without importing ci_engine, so
 agreement between an oracle and the engine is evidence rather than a
 tautology.  Floating point routines use scipy's HiGGS-backed linprog;
-exact routines use Fraction arithmetic directly.  The one exception is
+exact routines use Fraction arithmetic directly.  The exceptions are
 ``cone_extreme_rays_subsets``, the engine's former subset search kept as
-the reference for the order of its rays; it reads and reduces its rows
-with the engine's own integer helpers.
+the reference for the order of its rays, which reads and reduces its rows
+with the engine's own integer helpers, and ``loads_reference``, the
+engine's former reader, which raises the engine's ``ParseError``.
 """
 
 import itertools
+import math
+import re
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 from scipy.optimize import linprog
 
+from ci_engine.errors import ParseError
 from ci_engine.exactlp import _dot, _ints, _kernel
+from ci_engine.fileformat import _split_header
 
 _TOL = 1e-9
 
@@ -866,3 +871,139 @@ def tokenize_reference(text, first_line):
         raise ReferenceParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("eof", None, line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# The ci-engine/1 reader as a token list and a recursive parser
+
+_REF_TOKEN = re.compile(
+    r"""
+    (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<punct>[{}\[\]:,])
+  | (?P<word>[A-Za-z_][A-Za-z0-9_+-]*)
+  | (?P<num>-?[0-9]+(?:/[0-9]*|(?P<float>(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)))
+  | (?P<str>"(?:[^"\\\n]|\\(?:["\\nt]|u[0-9a-fA-F]{4}))*(?P<close>"?))
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+_REF_UNICODE_ESCAPE = re.compile(r"\\(?:u(....)|(.))")
+_REF_BOOLS = {"true": True, "false": False}
+_REF_MAX_DEPTH = 100
+
+
+def _ref_unescape(m):
+    hexpart, esc = m.groups()
+    return _REF_ESCAPES[esc] if hexpart is None else chr(int(hexpart, 16))
+
+
+def _ref_scan(text, first_line):
+    """Tokens of ``text`` as (kind, value, line, col), ending with ``eof``,
+    a line counter kept across every match."""
+    tokens = []
+    line, line_start = first_line, 0
+    for m in _REF_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        col = m.start() - line_start + 1
+        lexeme = m.group()
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "punct":
+            tokens.append((lexeme, lexeme, line, col))
+        elif kind == "word":
+            if lexeme in _REF_BOOLS:
+                tokens.append(("bool", _REF_BOOLS[lexeme], line, col))
+            else:
+                tokens.append(("word", lexeme, line, col))
+        elif kind == "num":
+            num, slash, den = lexeme.partition("/")
+            if slash and not den:
+                raise ParseError("expected digits after '/'", line, col)
+            is_float = m.group("float")
+            try:
+                if slash:
+                    value = Fraction(int(num), int(den))
+                else:
+                    value = float(num) if is_float else int(num)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", line, col) from None
+            except ValueError:
+                raise ParseError("number out of range", line, col) from None
+            if is_float and math.isinf(value):
+                raise ParseError("number out of range", line, col)
+            tokens.append(("num", value, line, col))
+        elif kind == "str":
+            if not m.group("close"):
+                rest = text[m.end() : m.end() + 2]
+                if rest in ("", "\\") or rest[0] == "\n":
+                    raise ParseError("unterminated string", line, col)
+                col += m.end() - m.start()
+                if rest == "\\u":
+                    raise ParseError("bad unicode escape", line, col)
+                raise ParseError(f"bad escape '{rest}'", line, col)
+            body = lexeme[1:-1]
+            if "\\" in body:
+                body = _REF_UNICODE_ESCAPE.sub(_ref_unescape, body)
+            tokens.append(("str", body, line, col))
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+    tokens.append(("eof", None, line, len(text) - line_start + 1))
+    return tokens
+
+
+def _ref_parse(tokens, pos, locs, depth=0):
+    kind, value, line, col = tokens[pos]
+    pos += 1
+    if kind in ("num", "bool", "str", "word"):
+        return value, pos
+    if kind not in ("{", "["):
+        raise ParseError(f"unexpected {kind!r}", line, col)
+    if depth == _REF_MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {_REF_MAX_DEPTH}", line, col)
+    is_rec = kind == "{"
+    close = "}" if is_rec else "]"
+    out = {} if is_rec else []
+    locs[id(out)] = (line, col)
+    while True:
+        next_kind, key, key_line, key_col = tokens[pos]
+        if next_kind == close:
+            return out, pos + 1
+        if next_kind == "eof":
+            raise ParseError(f"unclosed {kind!r}", line, col)
+        if is_rec:
+            if next_kind not in ("word", "str"):
+                raise ParseError("expected a field name", key_line, key_col)
+            colon, _, colon_line, colon_col = tokens[pos + 1]
+            if colon != ":":
+                raise ParseError("expected ':' after field name", colon_line, colon_col)
+            if key in out:
+                raise ParseError(f"duplicate field {key!r}", key_line, key_col)
+            out[key], pos = _ref_parse(tokens, pos + 2, locs, depth + 1)
+        else:
+            item, pos = _ref_parse(tokens, pos, locs, depth + 1)
+            out.append(item)
+        if tokens[pos][0] == ",":
+            pos += 1
+
+
+def loads_reference(text):
+    """A ``ci-engine/1`` file as (kind, value, {id: (line, col)}).
+
+    The engine's reader as it was before it read the file in one regular
+    expression pass: every whitespace run and newline is a match, each
+    token carries its line and column, and the parser takes one call per
+    value.  Errors are the engine's ``ParseError``, and the header is read
+    by the engine's own ``_split_header``.
+    """
+    kind, body, first_line = _split_header(text)
+    tokens = _ref_scan(body, first_line)
+    locs = {}
+    value, pos = _ref_parse(tokens, 0, locs)
+    tail, _, line, col = tokens[pos]
+    if tail != "eof":
+        raise ParseError("content after the top-level value", line, col)
+    return kind, value, locs

@@ -1,6 +1,7 @@
 """Structural diagram layer: building, validation, composition, equality."""
 
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -304,3 +305,21 @@ def test_identical_closed_scalars_equal_a_renumbered_copy(copies):
     )
     d = reduce(compose_parallel, [scalar] * copies)
     assert diagrams_equal(d, _renumbered(d, random.Random(copies)))
+
+
+@pytest.mark.parametrize(
+    "carrier, twin",
+    [
+        ((0, 1), (False, True)),
+        ((0, 1), (0.0, 1.0)),
+        ((Fraction(1, 2), 1), (0.5, True)),
+        (((0, "a"), (1, "a")), ((False, "a"), (True, "a"))),
+    ],
+    ids=["bools", "floats", "fraction", "tuples"],
+)
+def test_equal_carriers_give_equal_diagrams(carrier, twin):
+    # SystemType compares carriers by tuple equality, so these boundaries match
+    d = from_box(ignore(causal_system(carrier)))
+    e = from_box(ignore(causal_system(twin)))
+    assert d.input_types == e.input_types
+    assert diagrams_equal(d, e)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ci_engine import cli, diagrams, fileformat, fstheory, nogo, optheory
+from ci_engine import cli, diagrams, errors, fileformat, fstheory, nogo, optheory
 from ci_engine.diagrams import diagrams_equal
 from ci_engine.errors import ConfigError, ParseError
 from ci_engine.fileformat import (
@@ -32,7 +32,7 @@ from ci_engine.fileformat import (
 )
 
 from conftest import SEED, rand_closed_classical_diagram, rand_fs_diagram
-from oracles import ReferenceParseError, tokenize_reference
+from oracles import ReferenceParseError, loads_reference, tokenize_reference
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -175,6 +175,30 @@ def _intended_departure(text, err):
     return False
 
 
+def _positioned_tokens(text):
+    """The reader's lexemes of ``text`` as scanner tokens (kind, value,
+    line, col), read through its positioned view."""
+    error = fileformat._lexical_error(text, 1)
+    if error is not None:
+        raise error
+    tokens = []
+    for lexeme, _, line, col in fileformat._located(text, 1):
+        if not lexeme:
+            tokens.append(("eof", None, line, col))
+        elif lexeme in "{}[]:,":
+            tokens.append((lexeme, lexeme, line, col))
+        else:
+            value = fileformat._scalar(lexeme)
+            if isinstance(value, bool):
+                kind = "bool"
+            elif isinstance(value, str):
+                kind = "str" if lexeme[0] == '"' else "word"
+            else:
+                kind = "num"
+            tokens.append((kind, value, line, col))
+    return tokens
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join))
 def test_scanner_matches_the_reference(text):
@@ -185,7 +209,7 @@ def test_scanner_matches_the_reference(text):
     except Exception:
         expected = None  # the reference crashes where the scanner must refuse
     try:
-        got = _comparable(fileformat._scan(text, 1))
+        got = _comparable(_positioned_tokens(text))
     except ParseError as exc:
         if expected is None or _intended_departure(text, exc):
             return
@@ -196,6 +220,38 @@ def test_scanner_matches_the_reference(text):
         # the reference does not advance the column inside a comment
         got[-1], expected[-1] = got[-1][:3], expected[-1][:3]
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Reader against the token-list reference
+
+# structural pieces, and a number beyond what int() converts
+_PIECES = _FRAGMENTS + ["{a: ", "[", "]", "}", ":", "7" * 4400]
+
+
+def _reading(load, text):
+    """What ``load`` makes of ``text``: the value, with the type of each
+    scalar and the position of each record and array, or the error."""
+    try:
+        _, value, locs = load(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+    def typed(v):
+        if isinstance(v, dict):
+            return "{", locs.get(id(v)), [(k, typed(x)) for k, x in v.items()]
+        if isinstance(v, list):
+            return "[", locs.get(id(v)), [typed(x) for x in v]
+        return type(v), v
+
+    return typed(value)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_reader_matches_the_reference(body):
+    text = "ci-engine/1 diagram\n\n" + body
+    assert _reading(loads, text) == _reading(loads_reference, text)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +364,34 @@ def test_a_top_level_array_is_not_a_diagram():
         load_diagram("ci-engine/1 diagram\n\n[]\n")
 
 
+_IGNORE_BOX = "{id: g, gen: ignore, system: s}"
+_SCALAR_SYSTEMS = _diagram_with(_IGNORE_BOX).replace(
+    "systems: [{name: s, kind: causal, carrier: [0 1]}]", "systems: 5"
+)
+_SCALAR_ENDPOINT = _diagram_with(_IGNORE_BOX).replace("[[in 0] [box g 0]]", "[in [box g 0]]")
+_SCALAR_SCENARIO = re.sub(
+    r"scenario: \{[^}]*\}", "scenario: bell", (DATA / "pr_box.correlation").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "load, text, message, position",
+    [
+        (load_diagram, _diagram_with(_IGNORE_BOX, "3"), "carrier must be an array", (4, 13)),
+        (load_diagram, _SCALAR_SYSTEMS, "systems must be an array", (3, 1)),
+        (load_diagram, _diagram_with("5"), "a box must be a record", (5, 10)),
+        (load_diagram, _SCALAR_ENDPOINT, "an endpoint is", (6, 11)),
+        (load_correlation, _SCALAR_SCENARIO, "a scenario must be a record", (3, 1)),
+        (load_diagram, "ci-engine/1 diagram\n\n  5\n", "diagram must be a record", (3, 3)),
+    ],
+    ids=["carrier", "systems", "box", "endpoint", "scenario", "top-level"],
+)
+def test_a_misplaced_scalar_is_reported_at_its_holder(load, text, message, position):
+    with pytest.raises(ParseError, match=message) as err:
+        load(text)
+    assert (err.value.line, err.value.column) == position
+
+
 _MALFORMED = {
     "superscript-digit": ("correlation", "pr_box.correlation", "1/2", "²"),
     "arabic-indic-digit": ("correlation", "pr_box.correlation", "1/2", "٣"),
@@ -315,6 +399,7 @@ _MALFORMED = {
     "overflowing-float": ("fragment", "hexagon.fragment", "1/4", "1e400"),
     "generator-array": ("diagram", "coin_dynamics.diagram", "gen: learn", "gen: [learn]"),
     "record-label": ("diagram", "coin_dynamics.diagram", "carrier: [id, flip]", "carrier: [id, {f: 1}]"),
+    "scalar-carrier": ("diagram", "coin_dynamics.diagram", "carrier: [id, flip]", "carrier: 3"),
     "ragged-kraus-matrix": ("model", "singlet.model", "[[-0.7071067811865475, 0.0]]", "[]"),
     "huge-kraus-entry": ("model", "singlet.model", "-0.7071067811865475", "1" + "0" * 400),
 }
@@ -337,6 +422,38 @@ def test_malformed_files_exit_two_with_a_position(tmp_path, case):
     assert cli.run(_CLI_FOR[kind] + [str(path)], out=out, err=err) == 2
     assert out.getvalue() == ""
     assert re.fullmatch(r"parse error: line \d+, column \d+: [^\n]+\n", err.getvalue())
+
+
+_EMBEDDED = """ci-engine/1 diagram
+
+{
+  systems: [{name: h, kind: inferential, carrier: [0 1]}]
+  boxes: [{id: g, gen: embedded, ins: [h], outs: [h], entries: ENTRIES}]
+  wires: [[[in 0] [box g 0]] [[box g 0] [out 0]]]
+  inputs: [h]
+  outputs: [h]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ("[[1 0]]", errors.DimensionMismatch, "entry grid must be |cod| x |dom|"),
+        ("[[1 0] [0]]", errors.DimensionMismatch, "entry grid must be |cod| x |dom|"),
+        ("[[] []]", errors.DimensionMismatch, "entry grid must be |cod| x |dom|"),
+        ("[[-1 0] [0 1]]", errors.WeightError, "entry -1 outside [0, 1]"),
+        ("[[3/2 0] [0 1]]", errors.WeightError, "column 0 sums to 3/2 > 1"),
+        ("[[1/2 0] [1/2 1.0]]", ParseError, "line 5, column 73: entries entries must be rationals"),
+    ],
+    ids=["short", "ragged", "empty-rows", "negative", "column-sum", "float"],
+)
+def test_a_bad_exact_matrix_is_refused_as_the_map_refuses_it(entries, error, message):
+    with pytest.raises(error) as err:
+        load_diagram(_EMBEDDED.replace("ENTRIES", entries))
+    assert str(err.value) == message
+    d, _ = load_diagram(_EMBEDDED.replace("ENTRIES", "[[1/2 0] [1/2 1]]"))
+    assert d.boxes[0].payload.matrix.entries == ((F(1, 2), 0), (F(1, 2), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +613,32 @@ _ROUND_TRIPS = {
     ".rep": (lambda text: load_rep(text, _coin_pm()), lambda rep: dump_rep(rep, None)),
     ".pairs": (load_pairs, lambda v: dump_pairs(*v)),
 }
+
+
+def _holding(value, key):
+    """The record in ``value`` that has the field ``key``."""
+    if isinstance(value, dict) and key in value:
+        return value
+    items = value.values() if isinstance(value, dict) else value
+    for item in items if isinstance(value, (dict, list)) else ():
+        found = _holding(item, key)
+        if found is not None:
+            return found
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+def test_an_unknown_field_is_reported_at_its_record(name):
+    load = _ROUND_TRIPS[Path(name).suffix][0]
+    text = (DATA / name).read_text(encoding="utf-8")
+    opens = [i for i, c in enumerate(text) if c == "{"]
+    assert opens
+    for i in opens:
+        bad = text[: i + 1] + "zz: 1 " + text[i + 1 :]
+        with pytest.raises(ParseError, match="has no field 'zz'") as err:
+            load(bad)
+        _, value, locs = loads_reference(bad)
+        assert (err.value.line, err.value.column) == locs[id(_holding(value, "zz"))]
 
 
 def test_demo_artifacts_parse_and_round_trip():
