@@ -10,6 +10,11 @@ Wire endpoints are small tuples.  Producers are either a boundary input
 boundary output ``("out", k)`` or a box input ``("box", b, i)``.  Every
 producer feeds exactly one consumer and vice versa, so a bare identity
 wire is ``("in", 0) -> ("out", 0)`` with no boxes at all.
+
+``layered`` is the one builder that wires boxes: it draws a diagram as
+layers of boxes, pass-through wires and permutations, and ``identity``,
+``permutation`` and ``from_box`` are one-line cases of it.
+``compose_sequential`` and ``compose_parallel`` join whole diagrams.
 """
 
 import math
@@ -120,7 +125,7 @@ def _endpoint_ok(end, side):
     return (
         isinstance(end, tuple)
         and len(end) in (2, 3)
-        and end[0] in ({"in", "box"} if side == "src" else {"out", "box"})
+        and (end[0] in {"in", "box"} if side == "src" else end[0] in {"out", "box"})
     )
 
 
@@ -150,43 +155,35 @@ class Diagram:
         return tuple(("out", k) for k in range(len(self.output_types)))
 
 
-def _producer_type(d, src):
-    if src[0] == "in":
-        return d.input_types[src[1]]
-    return d.boxes[src[1]].outs[src[2]]
-
-
-def _consumer_type(d, dst):
-    if dst[0] == "out":
-        return d.output_types[dst[1]]
-    return d.boxes[dst[1]].ins[dst[2]]
+def _end_type(d, end, side):
+    """The type at a wire end; refuses an end that names no port."""
+    if end[0] == "box":
+        if not (0 <= end[1] < len(d.boxes)):
+            raise DanglingPort(f"wire references missing box {end[1]}")
+        ports = d.boxes[end[1]].outs if side == "src" else d.boxes[end[1]].ins
+        if not (0 <= end[2] < len(ports)):
+            raise DanglingPort(f"wire references missing port {end!r}")
+        return ports[end[2]]
+    bound = d.input_types if end[0] == "in" else d.output_types
+    if not (0 <= end[1] < len(bound)):
+        raise DanglingPort(f"wire references missing boundary {end!r}")
+    return bound[end[1]]
 
 
 def _validate(d):
-    n = len(d.boxes)
     producers = {}
     consumers = {}
     for src, dst in d.wires:
         if not _endpoint_ok(src, "src") or not _endpoint_ok(dst, "dst"):
             raise DanglingPort(f"malformed wire endpoint in {(src, dst)!r}")
-        for end, side in ((src, "src"), (dst, "dst")):
-            if end[0] == "box":
-                if not (0 <= end[1] < n):
-                    raise DanglingPort(f"wire references missing box {end[1]}")
-                ports = d.boxes[end[1]].outs if side == "src" else d.boxes[end[1]].ins
-                if not (0 <= end[2] < len(ports)):
-                    raise DanglingPort(f"wire references missing port {end!r}")
-            else:
-                bound = d.input_types if end[0] == "in" else d.output_types
-                if not (0 <= end[1] < len(bound)):
-                    raise DanglingPort(f"wire references missing boundary {end!r}")
+        src_type, dst_type = _end_type(d, src, "src"), _end_type(d, dst, "dst")
         if src in producers:
             raise DanglingPort(f"producer {src!r} wired twice")
         if dst in consumers:
             raise DanglingPort(f"consumer {dst!r} wired twice")
         producers[src] = dst
         consumers[dst] = src
-        if _producer_type(d, src) != _consumer_type(d, dst):
+        if src_type != dst_type:
             raise TypeMismatch(f"wire {src!r} -> {dst!r} joins different types")
     for k in range(len(d.input_types)):
         if ("in", k) not in producers:
@@ -225,20 +222,57 @@ def _check_acyclic(d):
         raise CycleDetected("diagram wiring contains a directed cycle")
 
 
+def layered(inputs, *layers):
+    """The diagram drawn as ``layers`` over open wires of types ``inputs``.
+
+    A layer of integers, or an empty one, is a permutation: open wire
+    ``layer[j]`` moves to place ``j``.  Any other layer lists boxes and
+    system types side by side, left to right over the open wires: a box
+    takes the next ``len(box.ins)`` wires and puts its outputs in their
+    place, and a system type passes the next wire on.  A wire that its
+    layer does not take is left unconsumed, which ``Diagram`` refuses.
+    The wires left after the last layer are the outputs.  Wires are
+    listed in the order they are consumed, the outputs last.
+    """
+    inputs = tuple(inputs)
+    boxes, wires = [], []
+    # the open wires, as their producer ends and their types
+    ends, types = [("in", k) for k in range(len(inputs))], list(inputs)
+    for layer in layers:
+        if not layer or isinstance(layer[0], numbers.Integral):
+            if len(layer) != len(ends) or set(layer) != set(range(len(ends))):
+                raise TypeMismatch("perm must be a permutation of the inputs")
+            ends, types = [ends[p] for p in layer], [types[p] for p in layer]
+            continue
+        taken, next_ends, next_types = 0, [], []
+        for item in layer:
+            n = len(item.ins) if isinstance(item, Box) else 1
+            if taken + n > len(ends):
+                raise TypeMismatch(f"a layer asks for {taken + n} wires, {len(ends)} open")
+            if isinstance(item, Box):
+                b = len(boxes)
+                boxes.append(item)
+                wires += [(ends[taken + i], ("box", b, i)) for i in range(n)]
+                next_ends += [("box", b, j) for j in range(len(item.outs))]
+                next_types += item.outs
+            elif types[taken] != item:
+                raise TypeMismatch("a passed wire is not of the type its layer names")
+            else:
+                next_ends.append(ends[taken])
+                next_types.append(item)
+            taken += n
+        ends, types = next_ends, next_types
+    wires += [(end, ("out", j)) for j, end in enumerate(ends)]
+    return Diagram(boxes, wires, inputs, tuple(types))
+
+
 def identity(types):
-    types = tuple(types)
-    wires = tuple((("in", k), ("out", k)) for k in range(len(types)))
-    return Diagram((), wires, types, types)
+    return layered(types)
 
 
 def permutation(types, perm):
     """Wiring that sends input ``perm[j]`` to output ``j``."""
-    types = tuple(types)
-    if sorted(perm) != list(range(len(types))):
-        raise TypeMismatch("perm must be a permutation of the inputs")
-    out_types = tuple(types[p] for p in perm)
-    wires = tuple((("in", p), ("out", j)) for j, p in enumerate(perm))
-    return Diagram((), wires, types, out_types)
+    return layered(types, tuple(perm))
 
 
 def swap(a, b):
@@ -247,9 +281,7 @@ def swap(a, b):
 
 def from_box(box):
     """The diagram consisting of a single box with its ports on the boundary."""
-    wires = [(("in", i), ("box", 0, i)) for i in range(len(box.ins))]
-    wires += [(("box", 0, j), ("out", j)) for j in range(len(box.outs))]
-    return Diagram((box,), tuple(wires), box.ins, box.outs)
+    return layered(box.ins, (box,))
 
 
 def _shift_end(end, box_shift, in_shift=0, out_shift=0):

@@ -407,13 +407,14 @@ def _is_number(cell, exact=False):
 
 def _numbers(ctx, v, owner, what, exact=False, matrix=True):
     """The numbers of array ``v``, or of each of its rows if ``matrix``,
-    as tuples.  ``exact`` takes rationals only."""
+    as tuples.  ``exact`` takes rationals only; the exact fields are
+    named for their entries, the others for their content."""
+    refusal = f"{what} must be rationals" if exact else f"{what} entries must be numbers"
 
     def row(arr, arr_owner, arr_what):
         for cell in ctx.arr(arr, arr_owner, arr_what):
             if not _is_number(cell, exact):
-                noun = "rationals" if exact else "numbers"
-                ctx.fail(arr, f"{what} entries must be {noun}")
+                ctx.fail(arr, refusal)
         return tuple(arr)
 
     if not matrix:
@@ -485,18 +486,20 @@ def _load_systems(ctx, owner):
             continue
         if "dim" in rec:
             ctx.fail(rec, "dim is for quantum systems only")
-        carrier = _label(ctx, ctx.arr(rec.get("carrier"), rec, "carrier"))
+        if kind not in ("causal", "inferential"):
+            ctx.fail(rec, f"unknown system kind {kind!r}")
+        if "carrier" not in rec:
+            ctx.fail(rec, "a system needs the field 'carrier'")
+        carrier = _label(ctx, ctx.arr(rec["carrier"], rec, "carrier"))
         if kind == "causal":
             classical = rec.get("classical", True)
             if not isinstance(classical, bool):
                 ctx.fail(rec, "classical must be true or false")
             env[name] = causal_system(carrier, classical=classical)
-        elif kind == "inferential":
+        else:
             if "classical" in rec:
                 ctx.fail(rec, "inferential systems are classical")
             env[name] = inferential_system(carrier)
-        else:
-            ctx.fail(rec, f"unknown system kind {kind!r}")
     return env
 
 

@@ -46,6 +46,7 @@ from .diagrams import (
     from_box,
     identity,
     inferential_system,
+    layered,
     product_carrier,
 )
 from .errors import (
@@ -472,19 +473,8 @@ def _axiom_sequential(mc):
         hc = hom_system((a,), (c,))
         if len(ha.carrier) * len(hb.carrier) * len(hc.carrier) > 25000:
             continue
-        kb1, kb2 = knowledge_box((a,), (b,)), knowledge_box((b,), (c,))
-        lhs = Diagram(
-            (kb1, kb2),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 2), ("box", 0, 1)),
-                (("box", 0, 0), ("box", 1, 1)),
-                (("in", 1), ("box", 1, 0)),
-                (("box", 1, 0), ("out", 0)),
-            ),
-            (ha, hb, a),
-            (c,),
-        )
+        kb_ab, kb_bc = knowledge_box((a,), (b,)), knowledge_box((b,), (c,))
+        lhs = layered((ha, hb, a), (1, 0, 2), (hb, kb_ab), (kb_bc,))
         dom = bundle_carrier((ha, hb))
         table = tuple(
             funcdyn.hom_index(
@@ -501,18 +491,7 @@ def _axiom_sequential(mc):
             out_types=(hc,),
             name="chain",
         )
-        rhs = Diagram(
-            (chain, knowledge_box((a,), (c,))),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 1), ("box", 0, 1)),
-                (("box", 0, 0), ("box", 1, 0)),
-                (("in", 2), ("box", 1, 1)),
-                (("box", 1, 0), ("out", 0)),
-            ),
-            (ha, hb, a),
-            (c,),
-        )
+        rhs = layered((ha, hb, a), (chain, a), (knowledge_box((a,), (c,)),))
         if not inferentially_equivalent(lhs, rhs):
             return False, f"failed at carrier sizes {(n1, n2, n3)}"
         count += 1
@@ -529,18 +508,10 @@ def _axiom_parallel(mc):
         b, b2 = causal_system(_carrier(nb)), causal_system(_carrier(nb2))
         ha, hb = hom_system((a,), (a2,)), hom_system((b,), (b2,))
         hab = hom_system((a, b), (a2, b2))
-        lhs = Diagram(
-            (knowledge_box((a,), (a2,)), knowledge_box((b,), (b2,))),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 2), ("box", 0, 1)),
-                (("in", 1), ("box", 1, 0)),
-                (("in", 3), ("box", 1, 1)),
-                (("box", 0, 0), ("out", 0)),
-                (("box", 1, 0), ("out", 1)),
-            ),
+        lhs = layered(
             (ha, hb, a, b),
-            (a2, b2),
+            (0, 2, 1, 3),
+            (knowledge_box((a,), (a2,)), knowledge_box((b,), (b2,))),
         )
         dom = bundle_carrier((ha, hb))
         table = tuple(
@@ -558,20 +529,7 @@ def _axiom_parallel(mc):
             out_types=(hab,),
             name="pair",
         )
-        rhs = Diagram(
-            (pair, knowledge_box((a, b), (a2, b2))),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 1), ("box", 0, 1)),
-                (("box", 0, 0), ("box", 1, 0)),
-                (("in", 2), ("box", 1, 1)),
-                (("in", 3), ("box", 1, 2)),
-                (("box", 1, 0), ("out", 0)),
-                (("box", 1, 1), ("out", 1)),
-            ),
-            (ha, hb, a, b),
-            (a2, b2),
-        )
+        rhs = layered((ha, hb, a, b), (pair, a, b), (knowledge_box((a, b), (a2, b2)),))
         if not inferentially_equivalent(lhs, rhs):
             return False, f"failed at carrier sizes {(na, na2, nb, nb2)}"
         count += 1
@@ -610,18 +568,7 @@ def _axiom_identity_embedding(mc, seed=20260814):
 def _axiom_true_trivial(mc):
     for n in _sizes(mc):
         a = causal_system(_carrier(n))
-        pg = prop_gain(a)
-        topbox = embedded(substoch.top_effect(a.carrier))
-        lhs = Diagram(
-            (pg, topbox),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("box", 0, 0), ("out", 0)),
-                (("box", 0, 1), ("box", 1, 0)),
-            ),
-            (a,),
-            (a,),
-        )
+        lhs = layered((a,), (prop_gain(a),), (a, embedded(substoch.top_effect(a.carrier))))
         if not inferentially_equivalent(lhs, identity((a,))):
             return False, f"failed at carrier size {n}"
     return True, f"{mc} sizes"
@@ -631,36 +578,14 @@ def _axiom_repeat_learning(mc):
     for n in _sizes(mc):
         a = causal_system(_carrier(n))
         rec = record_system(a)
-        lhs = Diagram(
-            (prop_gain(a), prop_gain(a)),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("box", 0, 0), ("box", 1, 0)),
-                (("box", 1, 0), ("out", 0)),
-                (("box", 0, 1), ("out", 1)),
-                (("box", 1, 1), ("out", 2)),
-            ),
-            (a,),
-            (a, rec, rec),
-        )
+        lhs = layered((a,), (prop_gain(a),), (prop_gain(a), rec), (0, 2, 1))
         cp = embedded(
             substoch.from_fn(funcdyn.copy_fn(a.carrier)),
             in_types=(rec,),
             out_types=(rec, rec),
             name="copyrec",
         )
-        rhs = Diagram(
-            (prop_gain(a), cp),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("box", 0, 0), ("out", 0)),
-                (("box", 0, 1), ("box", 1, 0)),
-                (("box", 1, 0), ("out", 1)),
-                (("box", 1, 1), ("out", 2)),
-            ),
-            (a,),
-            (a, rec, rec),
-        )
+        rhs = layered((a,), (prop_gain(a),), (a, cp))
         if not inferentially_equivalent(lhs, rhs):
             return False, f"failed at carrier size {n}"
     return True, f"{mc} sizes"
@@ -693,25 +618,8 @@ def _axiom_ignorability(mc):
     for n1, n2 in iproduct(_sizes(mc), repeat=2):
         a, b = causal_system(_carrier(n1)), causal_system(_carrier(n2))
         h = hom_system((a,), (b,))
-        lhs = Diagram(
-            (knowledge_box((a,), (b,)), ignore(b)),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 1), ("box", 0, 1)),
-                (("box", 0, 0), ("box", 1, 0)),
-            ),
-            (h, a),
-            (),
-        )
-        rhs = Diagram(
-            (embedded(substoch.top_effect(h.carrier)), ignore(a)),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 1), ("box", 1, 0)),
-            ),
-            (h, a),
-            (),
-        )
+        lhs = layered((h, a), (knowledge_box((a,), (b,)),), (ignore(b),))
+        rhs = layered((h, a), (embedded(substoch.top_effect(h.carrier)), ignore(a)))
         if not inferentially_equivalent(lhs, rhs):
             return False, f"failed at carrier sizes {(n1, n2)}"
         count += 1
@@ -724,18 +632,8 @@ def _axiom_propagation(mc):
         a, b = causal_system(_carrier(n1)), causal_system(_carrier(n2))
         h = hom_system((a,), (b,))
         rec_a, rec_b = record_system(a), record_system(b)
-        lhs = Diagram(
-            (knowledge_box((a,), (b,)), prop_gain(b)),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 1), ("box", 0, 1)),
-                (("box", 0, 0), ("box", 1, 0)),
-                (("box", 1, 0), ("out", 0)),
-                (("box", 1, 1), ("out", 1)),
-            ),
-            (h, a),
-            (b, rec_b),
-        )
+        kb = knowledge_box((a,), (b,))
+        lhs = layered((h, a), (kb,), (prop_gain(b),))
         cp = embedded(
             substoch.from_fn(funcdyn.copy_fn(h.carrier)),
             in_types=(h,),
@@ -748,21 +646,7 @@ def _axiom_propagation(mc):
             out_types=(rec_b,),
             name="evalrec",
         )
-        rhs = Diagram(
-            (cp, prop_gain(a), knowledge_box((a,), (b,)), ev),
-            (
-                (("in", 0), ("box", 0, 0)),
-                (("in", 1), ("box", 1, 0)),
-                (("box", 0, 0), ("box", 2, 0)),
-                (("box", 1, 0), ("box", 2, 1)),
-                (("box", 2, 0), ("out", 0)),
-                (("box", 0, 1), ("box", 3, 0)),
-                (("box", 1, 1), ("box", 3, 1)),
-                (("box", 3, 0), ("out", 1)),
-            ),
-            (h, a),
-            (b, rec_b),
-        )
+        rhs = layered((h, a), (cp, prop_gain(a)), (0, 2, 1, 3), (kb, ev))
         if not inferentially_equivalent(lhs, rhs):
             return False, f"failed at carrier sizes {(n1, n2)}"
         count += 1
@@ -795,34 +679,14 @@ def _axiom_closure(mc):
         h = hom_system((a,), (b,))
         prep_h = hom_system((), (a,))
         sigma = state_box(substoch.uniform_state(prep_h.carrier), name="sigma")
-        prep = knowledge_box((), (a,))
-        kb = knowledge_box((a,), (b,))
-        closed = Diagram(
-            (sigma, prep, kb, ignore(b)),
-            (
-                (("box", 0, 0), ("box", 1, 0)),
-                (("in", 0), ("box", 2, 0)),
-                (("box", 1, 0), ("box", 2, 1)),
-                (("box", 2, 0), ("box", 3, 0)),
-            ),
-            (h,),
-            (),
-        )
+        # h passes while sigma's knowledge prepares a, then the dynamics act
+        prepared = ((h, sigma), (h, knowledge_box((), (a,))), (knowledge_box((a,), (b,)),))
+        closed = layered((h,), *prepared, (ignore(b),))
         if not denote(closed).is_stochastic():
             return False, f"total closure not stochastic at {(n1, n2)}"
         pi = substoch.proposition(b.carrier, (b.carrier[0],))
-        asked = Diagram(
-            (sigma, prep, kb, prop_gain(b), ignore(b), effect_box(pi, name="ask")),
-            (
-                (("box", 0, 0), ("box", 1, 0)),
-                (("in", 0), ("box", 2, 0)),
-                (("box", 1, 0), ("box", 2, 1)),
-                (("box", 2, 0), ("box", 3, 0)),
-                (("box", 3, 0), ("box", 4, 0)),
-                (("box", 3, 1), ("box", 5, 0)),
-            ),
-            (h,),
-            (),
+        asked = layered(
+            (h,), *prepared, (prop_gain(b),), (ignore(b), effect_box(pi, name="ask"))
         )
         m = denote(asked)
         if m.is_stochastic():

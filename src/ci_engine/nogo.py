@@ -758,8 +758,9 @@ def model_correlations(pm):
     """Bell table of a two-wing prediction map, scenario inferred.
 
     Setting cardinalities come from the wing alphabets of the template,
-    outcome cardinalities from the record carriers.  The table is float
-    valued with each context normalized.
+    outcome cardinalities from the record carriers.  A classical-backend
+    model gives the prediction's exact Fractions; a quantum one gives
+    floats, each the nearest to its exact prediction entry.
     """
     d = bell_template(pm)
     s = Bell(
@@ -769,8 +770,11 @@ def model_correlations(pm):
         len(d.output_types[1].carrier),
     )
     m = predict_closed(d, pm)
-    # Python-int true division rounds once, as float(Fraction) does
-    rows = ([v / m.den for v in row] for row in m.num.tolist())
+    if pm.backend == "classical":
+        rows = m.entries
+    else:
+        # Python-int true division rounds once, as float(Fraction) does
+        rows = ([v / m.den for v in row] for row in m.num.tolist())
     return Correlation(s, tuple(zip(*rows)))
 
 

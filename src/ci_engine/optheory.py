@@ -29,9 +29,9 @@ from .diagrams import (
     CAUSAL,
     Abstract,
     Box,
-    Diagram,
     close_boundary,
     inferential_system,
+    layered,
 )
 from .errors import (
     CarrierMismatch,
@@ -280,10 +280,7 @@ def procedure_diagram(pm, name):
     pt = state_box(
         substoch.point_state(kb.ins[0].carrier, name), name=f"[{name}]"
     )
-    wires = [(("box", 0, 0), ("box", 1, 0))]
-    wires += [(("in", i), ("box", 1, i + 1)) for i in range(len(decl.ins))]
-    wires += [(("box", 1, j), ("out", j)) for j in range(len(decl.outs))]
-    return Diagram((pt, kb), tuple(wires), decl.ins, decl.outs)
+    return layered(decl.ins, (pt, *decl.ins), (kb,))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +384,11 @@ def _quantum_tensor(pm):
 
 
 def _float_prob(v):
-    if abs(v.imag if isinstance(v, complex) else 0.0) > _PROB_TOL:
+    # written as "not within", since every comparison with NaN is false
+    if not abs(v.imag if isinstance(v, complex) else 0.0) <= _PROB_TOL:
         raise ValidationError(f"non-real probability {v!r}")
     x = v.real if isinstance(v, complex) else float(v)
-    if x < -_PROB_TOL or x > 1 + _PROB_TOL:
+    if not -_PROB_TOL <= x <= 1 + _PROB_TOL:
         raise ValidationError(f"probability {x} outside [0, 1]")
     return Fraction(min(max(x, 0.0), 1.0))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ci_engine import cli, diagrams, fileformat, fstheory, nogo, optheory, substoch
+from ci_engine import cli, diagrams, fileformat, fstheory, funcdyn, nogo, optheory, substoch
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -239,6 +239,42 @@ def test_bell_check_quantum_model():
     assert abs(rec["chsh"] - 2.8284271) < 1e-6
     assert rec["no_signalling"] is True
     assert rec["exact_input"] is False
+
+
+def _shared_trit_model():
+    """Two wings that read one uniform trit through deterministic responses."""
+    ta, tb = diagrams.causal_system(("a0", "a1", "a2")), diagrams.causal_system(("b0", "b1", "b2"))
+    bit = diagrams.causal_system((0, 1))
+    cod = diagrams.product_carrier(ta.carrier, tb.carrier)
+    shared = [[F(1, 3) if x[1:] == y[1:] else 0] for x, y in cod]
+    decls = [optheory.ProcedureDecl("src", (), (ta, tb), substoch.SubstochMap(diagrams.STAR, cod, shared))]
+    for t in (ta, tb):
+        for setting, ones in (("0", {0}), ("1", {0, 1})):
+            # outcome 1 exactly on the trit values in ``ones``
+            table = tuple(int(k in ones) for k in range(3))
+            response = substoch.from_fn(funcdyn.Fn(t.carrier, bit.carrier, table))
+            decls.append(optheory.ProcedureDecl(t.carrier[0][0] + setting, (t,), (bit,), response))
+    return optheory.PredictionMap(decls)
+
+
+def test_bell_check_classical_model_stays_exact(tmp_path):
+    pm = _shared_trit_model()
+    corr = nogo.model_correlations(pm)
+    assert corr.is_exact
+    assert all(isinstance(v, Fraction) for row in corr.table for v in row)
+    verdict = nogo.fs_compatible(corr, corr.scenario)
+    assert isinstance(verdict, nogo.Member)
+    assert all(isinstance(w, Fraction) for w in verdict.weights) and sum(verdict.weights) == 1
+    path = tmp_path / "trit.model"
+    path.write_text(fileformat.dump_model(pm))
+    code, out, err = run("bell-check", "--quantum", str(path), "--expect", "member", "--format", "records")
+    assert (code, err) == (0, "")
+    rec = records(out)[0]
+    assert rec["exact_input"] is True
+    assert rec["verdict"] == "member" and rec["weights"] == list(verdict.weights)
+    vertices = [v.as_vector() for v in nogo.local_vertices(corr.scenario)]
+    recombined = [sum(w * v[i] for w, v in zip(rec["weights"], vertices)) for i in range(16)]
+    assert recombined == list(corr.as_vector())
 
 
 def test_bell_check_member_record(tmp_path):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ci_engine import fstheory, substoch
 from ci_engine.diagrams import (
     INFERENTIAL,
+    Box,
     Diagram,
     causal_system,
     close_boundary,
@@ -20,6 +22,7 @@ from ci_engine.diagrams import (
     from_box,
     identity,
     inferential_system,
+    layered,
     permutation,
 )
 from ci_engine.errors import (
@@ -323,3 +326,98 @@ def test_equal_carriers_give_equal_diagrams(carrier, twin):
     e = from_box(ignore(causal_system(twin)))
     assert d.input_types == e.input_types
     assert diagrams_equal(d, e)
+
+
+# ---------------------------------------------------------------------------
+# Layered drawing
+
+TRIT = causal_system((0, 1, 2))
+
+
+def _random_stack(rng):
+    """Input types and a stack of tagged layers over them: permutations,
+    or boxes over a few system types side by side with passed wires."""
+    inputs = tuple(rng.choice((BIT, TRIT, HBIT)) for _ in range(rng.randint(0, 3)))
+    types, stack = list(inputs), []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.3:
+            perm = rng.sample(range(len(types)), len(types))
+            stack.append(("perm", tuple(perm)))
+            types = [types[p] for p in perm]
+            continue
+        layer, after = [], []
+        while types or rng.random() < 0.2:
+            if types and rng.random() < 0.4:
+                layer.append(types[0])
+                after.append(types.pop(0))
+                continue
+            ins = [types.pop(0) for _ in range(rng.randint(0, min(2, len(types))))]
+            outs = [rng.choice((BIT, TRIT, HBIT)) for _ in range(rng.randint(0, 2 if len(after) < 4 else 1))]
+            layer.append(Box(f"b{rng.randint(0, 2)}", ins, outs))
+            after += outs
+        stack.append(("boxes", tuple(layer)))
+        types = after
+    return inputs, stack
+
+
+def _composed(inputs, stack):
+    """The same drawing built from the one-piece builders and composition."""
+    d = identity(inputs)
+    for kind, layer in stack:
+        if kind == "perm":
+            step = permutation(d.output_types, layer)
+        else:
+            pieces = [from_box(p) if isinstance(p, Box) else identity((p,)) for p in layer]
+            step = reduce(compose_parallel, pieces, identity(()))
+        d = compose_sequential(d, step)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30))
+def test_layers_draw_the_composed_diagram(seed):
+    inputs, stack = _random_stack(random.Random(seed))
+    d = layered(inputs, *(layer for _, layer in stack))
+    assert diagrams_equal(d, _composed(inputs, stack))
+
+
+def test_the_one_piece_builders_keep_their_wires():
+    assert identity((BIT, HBIT)) == Diagram(
+        (), ((("in", 0), ("out", 0)), (("in", 1), ("out", 1))), (BIT, HBIT), (BIT, HBIT)
+    )
+    assert permutation((BIT, HBIT, TRIT), (2, 0, 1)) == Diagram(
+        (),
+        ((("in", 2), ("out", 0)), (("in", 0), ("out", 1)), (("in", 1), ("out", 2))),
+        (BIT, HBIT, TRIT),
+        (TRIT, BIT, HBIT),
+    )
+    assert permutation((), ()) == Diagram((), (), (), ())
+    # numpy integers are integers too
+    assert permutation((BIT, HBIT), np.array([1, 0])) == permutation((BIT, HBIT), (1, 0))
+    pg = prop_gain(BIT)
+    assert from_box(pg) == Diagram(
+        (pg,),
+        ((("in", 0), ("box", 0, 0)), (("box", 0, 0), ("out", 0)), (("box", 0, 1), ("out", 1))),
+        (BIT,),
+        pg.outs,
+    )
+
+
+@pytest.mark.parametrize(
+    "inputs, layers, error, message",
+    [
+        ((BIT, BIT), ((0, 0),), TypeMismatch, "perm must be a permutation of the inputs"),
+        ((BIT,), ((),), TypeMismatch, "perm must be a permutation of the inputs"),
+        ((BIT,), ((HBIT,),), TypeMismatch, "a passed wire is not of the type its layer names"),
+        ((HBIT,), ((prop_gain(BIT),),), TypeMismatch, "joins different types"),
+        ((BIT,), ((fstheory.knowledge_box((BIT,), (BIT,)),),), TypeMismatch, "asks for 2 wires, 1 open"),
+        ((), ((BIT,),), TypeMismatch, "asks for 1 wires, 0 open"),
+        ((BIT, BIT), ((ignore(BIT),),), DanglingPort, "boundary input 1 is unused"),
+        ((BIT,), ((prop_gain(BIT),), (BIT,)), DanglingPort, "output port 1 of box 0 is unused"),
+    ],
+    ids=["repeated", "empty", "passed-type", "box-type", "too-many", "none-open", "input-left", "output-left"],
+)
+def test_a_bad_layer_is_refused(inputs, layers, error, message):
+    with pytest.raises(error) as err:
+        layered(inputs, *layers)
+    assert message in str(err.value)

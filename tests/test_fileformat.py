@@ -444,7 +444,7 @@ _EMBEDDED = """ci-engine/1 diagram
         ("[[] []]", errors.DimensionMismatch, "entry grid must be |cod| x |dom|"),
         ("[[-1 0] [0 1]]", errors.WeightError, "entry -1 outside [0, 1]"),
         ("[[3/2 0] [0 1]]", errors.WeightError, "column 0 sums to 3/2 > 1"),
-        ("[[1/2 0] [1/2 1.0]]", ParseError, "line 5, column 73: entries entries must be rationals"),
+        ("[[1/2 0] [1/2 1.0]]", ParseError, "line 5, column 73: entries must be rationals"),
     ],
     ids=["short", "ragged", "empty-rows", "negative", "column-sum", "float"],
 )
@@ -454,6 +454,32 @@ def test_a_bad_exact_matrix_is_refused_as_the_map_refuses_it(entries, error, mes
     assert str(err.value) == message
     d, _ = load_diagram(_EMBEDDED.replace("ENTRIES", "[[1/2 0] [1/2 1]]"))
     assert d.boxes[0].payload.matrix.entries == ((F(1, 2), 0), (F(1, 2), 1))
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("coin_dynamics.diagram", "[[1/2], [1/2]]", "[[0.5], [1/2]]", "line 61, column 17: entries must be rationals"),
+        ("coin_dynamics.diagram", "[[1/1], [0/1]]", "[[1.0], [0/1]]", "line 26, column 17: entries must be rationals"),
+        ("bit_flip.rep", "[[1/1], [0/1]]", "[[1.0], [0/1]]", "line 21, column 17: xi entries must be rationals"),
+    ],
+    ids=["embedded", "procedure", "xi"],
+)
+def test_a_float_in_an_exact_matrix_names_its_field_once(name, old, new, message):
+    _, pm = load_diagram((DATA / "coin_dynamics.diagram").read_text())
+    text = (DATA / name).read_text().replace(old, new, 1)
+    load = load_diagram if name.endswith(".diagram") else (lambda t: load_rep(t, pm))
+    with pytest.raises(ParseError) as err:
+        load(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", ["causal", "inferential"])
+def test_a_system_without_a_carrier_names_the_field(kind):
+    text = _diagram_with(_IGNORE_BOX).replace("kind: causal, carrier: [0 1]", f"kind: {kind}")
+    with pytest.raises(ParseError) as err:
+        load_diagram(text)
+    assert str(err.value) == "line 4, column 13: a system needs the field 'carrier'"
 
 
 # ---------------------------------------------------------------------------

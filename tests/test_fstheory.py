@@ -220,6 +220,59 @@ def test_axioms_pass_at_carrier_two():
         assert line.startswith("PASS")
 
 
+_knowledge_array = fstheory._knowledge_array
+_prop_gain_array = fstheory._prop_gain_array
+_ignore_array = fstheory._ignore_array
+
+
+def _ignore_first_label_dropped(n):
+    arr = _ignore_array(n).copy()
+    arr[0] = 0
+    return arr
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, failures",
+    [
+        (
+            "_knowledge_array",
+            lambda *sizes: np.roll(_knowledge_array(*sizes), 1, axis=0),
+            [
+                "FAIL sequential-knowledge-composition (failed at carrier sizes (1, 2, 2))",
+                "FAIL parallel-knowledge-composition (failed at carrier sizes (1, 2, 1, 2))",
+                "FAIL knowledge-propagates-through-dynamics (failed at carrier sizes (1, 2))",
+                "FAIL causal-identity-factorization (failed at carrier size 2)",
+            ],
+        ),
+        (
+            "_prop_gain_array",
+            lambda n: np.roll(_prop_gain_array(n), 1, axis=1),
+            [
+                "FAIL parallel-learning-merges (failed at carrier sizes (2, 2))",
+                "FAIL knowledge-propagates-through-dynamics (failed at carrier sizes (1, 2))",
+                "FAIL causal-identity-factorization (failed at carrier size 2)",
+            ],
+        ),
+        (
+            "_ignore_array",
+            _ignore_first_label_dropped,
+            [
+                "FAIL composite-ignore-splits (failed at carrier sizes (1, 2))",
+                "FAIL ignorability (failed at carrier sizes (1, 2))",
+                "FAIL causal-identity-factorization (failed at carrier size 1)",
+                "FAIL closure-detects-stochasticity (total closure not stochastic at (1, 2))",
+            ],
+        ),
+    ],
+    ids=["knowledge-output-rolled", "learning-record-rolled", "ignore-drops-a-label"],
+)
+def test_a_corrupted_generator_fails_the_axioms_that_use_it(monkeypatch, name, corrupt, failures):
+    monkeypatch.setattr(fstheory, name, corrupt)
+    report = verify_fs_axioms(max_carrier=2)
+    assert not report.ok
+    assert [line for line in report.lines() if line.startswith("FAIL")] == failures
+
+
 def test_axiom_checks_depend_on_seed_only_for_spot_checks():
     r1 = verify_fs_axioms(max_carrier=2, seed=1)
     r2 = verify_fs_axioms(max_carrier=2, seed=1)

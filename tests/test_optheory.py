@@ -198,6 +198,18 @@ def test_procedure_box_equals_pointed_knowledge():
     assert op_equivalent(finish(via_point), finish(via_box), pm)
 
 
+def test_procedure_diagram_wires_point_knowledge_into_its_box():
+    pm, _ = _chain_model(random.Random(SEED + 2))
+    for decl in pm.decls:
+        pt, kb = procedure_diagram(pm, decl.name).boxes
+        assert pt.name == f"[{decl.name}]"
+        assert kb == op_knowledge_box(pm, decl.ins, decl.outs)
+        wires = [(("box", 0, 0), ("box", 1, 0))]
+        wires += [(("in", i), ("box", 1, i + 1)) for i in range(len(decl.ins))]
+        wires += [(("box", 1, j), ("out", j)) for j in range(len(decl.outs))]
+        assert procedure_diagram(pm, decl.name) == Diagram((pt, kb), wires, decl.ins, decl.outs)
+
+
 def _coin_split(gap):
     """A fair coin and the same coin moved by ``gap`` toward heads."""
     half = F(1, 2)
@@ -365,3 +377,18 @@ def test_point_atomic_reconstruction_quantum():
                     <= 1e-12
                 )
 
+
+
+@pytest.mark.parametrize(
+    "nan, message",
+    [
+        (math.nan, "outside"),
+        (complex(math.nan, 0.0), "outside"),
+        (complex(0.0, math.nan), "non-real"),
+    ],
+    ids=["float", "complex-real", "complex-imag"],
+)
+def test_a_nan_probe_is_invalid(nan, message):
+    table = optheory.PointAtomicTable(("x",), ("y", "n"), ((nan,), (0.0,)))
+    with pytest.raises(ValidationError, match=message):
+        reconstruct(table)
