@@ -11,10 +11,12 @@ boundary output ``("out", k)`` or a box input ``("box", b, i)``.  Every
 producer feeds exactly one consumer and vice versa, so a bare identity
 wire is ``("in", 0) -> ("out", 0)`` with no boxes at all.
 
-``layered`` is the one builder that wires boxes: it draws a diagram as
-layers of boxes, pass-through wires and permutations, and ``identity``,
-``permutation`` and ``from_box`` are one-line cases of it.
-``compose_sequential`` and ``compose_parallel`` join whole diagrams.
+``layered`` is the one builder that wires boxes and diagrams: it draws a
+diagram as layers of boxes, whole diagrams, pass-through wires and
+permutations.  ``identity``, ``permutation`` and ``from_box`` are
+one-line cases of it, and so are the joins of whole diagrams:
+``compose_sequential``, ``compose_parallel``, ``close_boundary`` and
+``insert_into_clamp``.
 """
 
 import math
@@ -226,13 +228,16 @@ def layered(inputs, *layers):
     """The diagram drawn as ``layers`` over open wires of types ``inputs``.
 
     A layer of integers, or an empty one, is a permutation: open wire
-    ``layer[j]`` moves to place ``j``.  Any other layer lists boxes and
-    system types side by side, left to right over the open wires: a box
-    takes the next ``len(box.ins)`` wires and puts its outputs in their
-    place, and a system type passes the next wire on.  A wire that its
-    layer does not take is left unconsumed, which ``Diagram`` refuses.
-    The wires left after the last layer are the outputs.  Wires are
-    listed in the order they are consumed, the outputs last.
+    ``layer[j]`` moves to place ``j``.  Any other layer lists boxes,
+    diagrams and system types side by side, left to right over the open
+    wires.  A box takes the next ``len(box.ins)`` wires and puts its
+    outputs in their place.  A diagram takes the next
+    ``len(d.input_types)`` wires, which must be of its input types, adds
+    its boxes and wires, and puts its outputs in their place.  A system
+    type passes the next wire on.  A wire that its layer does not take
+    is left unconsumed, which ``Diagram`` refuses.  The wires left after
+    the last layer are the outputs.  Boxes are listed in the order they
+    are drawn, and wires in the order they are consumed, the outputs last.
     """
     inputs = tuple(inputs)
     boxes, wires = [], []
@@ -246,7 +251,12 @@ def layered(inputs, *layers):
             continue
         taken, next_ends, next_types = 0, [], []
         for item in layer:
-            n = len(item.ins) if isinstance(item, Box) else 1
+            if isinstance(item, Box):
+                n = len(item.ins)
+            elif isinstance(item, Diagram):
+                n = len(item.input_types)
+            else:
+                n = 1
             if taken + n > len(ends):
                 raise TypeMismatch(f"a layer asks for {taken + n} wires, {len(ends)} open")
             if isinstance(item, Box):
@@ -255,6 +265,20 @@ def layered(inputs, *layers):
                 wires += [(ends[taken + i], ("box", b, i)) for i in range(n)]
                 next_ends += [("box", b, j) for j in range(len(item.outs))]
                 next_types += item.outs
+            elif isinstance(item, Diagram):
+                if tuple(types[taken : taken + n]) != item.input_types:
+                    raise TypeMismatch("a diagram's inputs are not of the types of its wires")
+                b = len(boxes)
+                boxes += item.boxes
+                outs = [None] * len(item.output_types)
+                for src, dst in item.wires:
+                    src = ends[taken + src[1]] if src[0] == "in" else ("box", b + src[1], src[2])
+                    if dst[0] == "out":
+                        outs[dst[1]] = src
+                    else:
+                        wires.append((src, ("box", b + dst[1], dst[2])))
+                next_ends += outs
+                next_types += item.output_types
             elif types[taken] != item:
                 raise TypeMismatch("a passed wire is not of the type its layer names")
             else:
@@ -284,14 +308,6 @@ def from_box(box):
     return layered(box.ins, (box,))
 
 
-def _shift_end(end, box_shift, in_shift=0, out_shift=0):
-    if end[0] == "box":
-        return ("box", end[1] + box_shift, end[2])
-    if end[0] == "in":
-        return ("in", end[1] + in_shift)
-    return ("out", end[1] + out_shift)
-
-
 def compose_sequential(first, second):
     """Feed the outputs of ``first`` into the inputs of ``second``."""
     if first.output_types != second.input_types:
@@ -300,51 +316,12 @@ def compose_sequential(first, second):
             f"{len(first.output_types)} outputs to {len(second.input_types)} "
             "inputs of different types"
         )
-    shift = len(first.boxes)
-    produced = {}
-    kept = []
-    for src, dst in first.wires:
-        if dst[0] == "out":
-            produced[dst[1]] = src
-        else:
-            kept.append((src, dst))
-    consumed = {}
-    for src, dst in second.wires:
-        src2 = _shift_end(src, shift)
-        dst2 = _shift_end(dst, shift)
-        if src[0] == "in":
-            consumed[src[1]] = dst2
-        else:
-            kept.append((src2, dst2))
-    for k, src in produced.items():
-        kept.append((src, consumed[k]))
-    return Diagram(
-        first.boxes + second.boxes,
-        tuple(kept),
-        first.input_types,
-        second.output_types,
-    )
+    return layered(first.input_types, (first,), (second,))
 
 
 def compose_parallel(left, right):
     """Place two diagrams side by side; boundaries concatenate in order."""
-    shift = len(left.boxes)
-    in_shift = len(left.input_types)
-    out_shift = len(left.output_types)
-    wires = list(left.wires)
-    for src, dst in right.wires:
-        wires.append(
-            (
-                _shift_end(src, shift, in_shift, out_shift),
-                _shift_end(dst, shift, in_shift, out_shift),
-            )
-        )
-    return Diagram(
-        left.boxes + right.boxes,
-        tuple(wires),
-        left.input_types + right.input_types,
-        left.output_types + right.output_types,
-    )
+    return layered(left.input_types + right.input_types, (left, right))
 
 
 def close_boundary(d, sources, sinks):
@@ -352,33 +329,20 @@ def close_boundary(d, sources, sinks):
 
     Each source is a box with no inputs and one output of the matching
     boundary type; sinks mirror that on the other side.  The result has
-    an empty boundary.
+    an empty boundary and lists the sources, then the boxes of ``d``,
+    then the sinks.
     """
     sources = tuple(sources)
     sinks = tuple(sinks)
     if len(sources) != len(d.input_types) or len(sinks) != len(d.output_types):
         raise SignatureMismatch("one source per input and one sink per output")
-    boxes = list(d.boxes)
-    src_idx = []
     for k, box in enumerate(sources):
         if box.ins != () or box.outs != (d.input_types[k],):
             raise SignatureMismatch(f"source {k} does not produce the boundary type")
-        boxes.append(box)
-        src_idx.append(len(boxes) - 1)
-    sink_idx = []
     for k, box in enumerate(sinks):
         if box.outs != () or box.ins != (d.output_types[k],):
             raise SignatureMismatch(f"sink {k} does not consume the boundary type")
-        boxes.append(box)
-        sink_idx.append(len(boxes) - 1)
-    wires = []
-    for src, dst in d.wires:
-        if src[0] == "in":
-            src = ("box", src_idx[src[1]], 0)
-        if dst[0] == "out":
-            dst = ("box", sink_idx[dst[1]], 0)
-        wires.append((src, dst))
-    return Diagram(tuple(boxes), tuple(wires), (), ())
+    return layered((), sources, (d,), sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -538,5 +502,6 @@ def insert_into_clamp(clamp, inner):
         or inner.output_types != clamp.hole_outputs
     ):
         raise SignatureMismatch("inserted diagram does not match the hole")
-    middle = compose_parallel(inner, identity(clamp.aux_types))
-    return compose_sequential(compose_sequential(clamp.x, middle), clamp.y)
+    return layered(
+        clamp.x.input_types, (clamp.x,), (inner, *clamp.aux_types), (clamp.y,)
+    )

@@ -481,7 +481,11 @@ def _load_systems(ctx, owner):
         if kind == "quantum":
             if "carrier" in rec or "classical" in rec:
                 ctx.fail(rec, "quantum systems take just a name and dim")
-            dim = ctx.nat(rec.get("dim"), rec, "dim")
+            if "dim" not in rec:
+                ctx.fail(rec, "a system needs the field 'dim'")
+            dim = rec["dim"]
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+                ctx.fail(rec, "dim must be a positive integer")
             env[name] = quantum_system(name, dim)
             continue
         if "dim" in rec:

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .caps import enumeration_cap, over_cap
-from .diagrams import Diagram, causal_system, inferential_system, quantum_system
+from .diagrams import Diagram, causal_system, inferential_system, layered, quantum_system
 from .errors import (
     CapExceeded,
     ConfigError,
@@ -734,23 +734,15 @@ def bell_template(pm):
     pg_b = prop_gain(out_b, name="learn b")
     ig_a = ignore(out_a, name="drop a")
     ig_b = ignore(out_b, name="drop b")
-    boxes = (src, kb_a, kb_b, pg_a, pg_b, ig_a, ig_b)
-    wires = (
-        (("in", 0), ("box", 1, 0)),
-        (("in", 1), ("box", 2, 0)),
-        (("box", 0, 0), ("box", 1, 1)),
-        (("box", 0, 1), ("box", 2, 1)),
-        (("box", 1, 0), ("box", 3, 0)),
-        (("box", 2, 0), ("box", 4, 0)),
-        (("box", 3, 0), ("box", 5, 0)),
-        (("box", 4, 0), ("box", 6, 0)),
-    )
-    return Diagram(
-        boxes,
-        wires
-        + ((("box", 3, 1), ("out", 0)), (("box", 4, 1), ("out", 1))),
-        (kb_a.ins[0], kb_b.ins[0]),
-        (pg_a.outs[1], pg_b.outs[1]),
+    settings = (kb_a.ins[0], kb_b.ins[0])
+    rec_a, rec_b = pg_a.outs[1], pg_b.outs[1]
+    return layered(
+        settings,
+        (src, *settings),
+        (2, 0, 3, 1),
+        (kb_a, kb_b),
+        (pg_a, pg_b),
+        (ig_a, rec_a, ig_b, rec_b),
     )
 
 

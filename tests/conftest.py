@@ -355,12 +355,12 @@ def _rand_two_qubit_pure(rng):
     )
 
 
-def rand_quantum_bell(rng):
-    """Random two-qubit state and projective settings, CHSH shape."""
+def rand_quantum_bell(rng, n_x=2, n_y=2):
+    """Random two-qubit state and projective settings, by default CHSH shape."""
     rho = _rand_two_qubit_pure(rng)
-    meas_a = [_projectors(_rand_bloch(rng)) for _ in range(2)]
-    meas_b = [_projectors(_rand_bloch(rng)) for _ in range(2)]
-    s = nogo.chsh_scenario()
+    meas_a = [_projectors(_rand_bloch(rng)) for _ in range(n_x)]
+    meas_b = [_projectors(_rand_bloch(rng)) for _ in range(n_y)]
+    s = nogo.Bell(n_x, n_y, 2, 2)
     pm = nogo.bell_prediction_map(rho, (meas_a, meas_b), s)
     return rho, (meas_a, meas_b), pm, s
 

@@ -7,8 +7,10 @@ tautology.  Floating point routines use scipy's HiGGS-backed linprog;
 exact routines use Fraction arithmetic directly.  The exceptions are
 ``cone_extreme_rays_subsets``, the engine's former subset search kept as
 the reference for the order of its rays, which reads and reduces its rows
-with the engine's own integer helpers, and ``loads_reference``, the
-engine's former reader, which raises the engine's ``ParseError``.
+with the engine's own integer helpers; ``loads_reference``, the
+engine's former reader, which raises the engine's ``ParseError``; and the
+``*_reference`` joins of whole diagrams, the engine's former hand-wired
+ones, which build the engine's ``Diagram`` from the engine's boxes.
 """
 
 import itertools
@@ -20,9 +22,12 @@ from math import gcd
 import numpy as np
 from scipy.optimize import linprog
 
-from ci_engine.errors import ParseError
+from ci_engine.diagrams import Diagram
+from ci_engine.errors import ConfigError, ParseError, SignatureMismatch, TypeMismatch
 from ci_engine.exactlp import _dot, _ints, _kernel
 from ci_engine.fileformat import _split_header
+from ci_engine.fstheory import ignore, prop_gain
+from ci_engine.optheory import op_knowledge_box, procedure_box
 
 _TOL = 1e-9
 
@@ -695,6 +700,145 @@ def diagrams_isomorphic(a, b):
         if {(moved(src), moved(dst)) for src, dst in a.wires} == target:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Joins of whole diagrams, with the wire ends renumbered by hand
+
+
+def _shift_end(end, box_shift, in_shift=0, out_shift=0):
+    if end[0] == "box":
+        return ("box", end[1] + box_shift, end[2])
+    if end[0] == "in":
+        return ("in", end[1] + in_shift)
+    return ("out", end[1] + out_shift)
+
+
+def compose_sequential_reference(first, second):
+    """Feed the outputs of ``first`` into the inputs of ``second``."""
+    if first.output_types != second.input_types:
+        raise TypeMismatch(
+            "sequential composition joins "
+            f"{len(first.output_types)} outputs to {len(second.input_types)} "
+            "inputs of different types"
+        )
+    shift = len(first.boxes)
+    produced = {}
+    kept = []
+    for src, dst in first.wires:
+        if dst[0] == "out":
+            produced[dst[1]] = src
+        else:
+            kept.append((src, dst))
+    consumed = {}
+    for src, dst in second.wires:
+        src2 = _shift_end(src, shift)
+        dst2 = _shift_end(dst, shift)
+        if src[0] == "in":
+            consumed[src[1]] = dst2
+        else:
+            kept.append((src2, dst2))
+    for k, src in produced.items():
+        kept.append((src, consumed[k]))
+    return Diagram(
+        first.boxes + second.boxes,
+        tuple(kept),
+        first.input_types,
+        second.output_types,
+    )
+
+
+def compose_parallel_reference(left, right):
+    """Place two diagrams side by side; boundaries concatenate in order."""
+    shift = len(left.boxes)
+    in_shift = len(left.input_types)
+    out_shift = len(left.output_types)
+    wires = list(left.wires)
+    for src, dst in right.wires:
+        wires.append(
+            (
+                _shift_end(src, shift, in_shift, out_shift),
+                _shift_end(dst, shift, in_shift, out_shift),
+            )
+        )
+    return Diagram(
+        left.boxes + right.boxes,
+        tuple(wires),
+        left.input_types + right.input_types,
+        left.output_types + right.output_types,
+    )
+
+
+def close_boundary_reference(d, sources, sinks):
+    """Cap every boundary port; the boxes of ``d`` come first, then the
+    sources, then the sinks."""
+    sources = tuple(sources)
+    sinks = tuple(sinks)
+    if len(sources) != len(d.input_types) or len(sinks) != len(d.output_types):
+        raise SignatureMismatch("one source per input and one sink per output")
+    boxes = list(d.boxes)
+    src_idx = []
+    for k, box in enumerate(sources):
+        if box.ins != () or box.outs != (d.input_types[k],):
+            raise SignatureMismatch(f"source {k} does not produce the boundary type")
+        boxes.append(box)
+        src_idx.append(len(boxes) - 1)
+    sink_idx = []
+    for k, box in enumerate(sinks):
+        if box.outs != () or box.ins != (d.output_types[k],):
+            raise SignatureMismatch(f"sink {k} does not consume the boundary type")
+        boxes.append(box)
+        sink_idx.append(len(boxes) - 1)
+    wires = []
+    for src, dst in d.wires:
+        if src[0] == "in":
+            src = ("box", src_idx[src[1]], 0)
+        if dst[0] == "out":
+            dst = ("box", sink_idx[dst[1]], 0)
+        wires.append((src, dst))
+    return Diagram(tuple(boxes), tuple(wires), (), ())
+
+
+def bell_template_reference(pm):
+    """The two-wing common-cause diagram with open setting wires, its
+    eight inner wires numbered by hand."""
+    sources = [d for d in pm.decls if not d.ins and len(d.outs) == 2]
+    if len(sources) != 1:
+        raise ConfigError("the model needs exactly one two-output source")
+    src_decl = sources[0]
+    q_a, q_b = src_decl.outs
+    wing_a_outs = {d.outs for d in pm.decls if d.ins == (q_a,) and len(d.outs) == 1}
+    wing_b_outs = {d.outs for d in pm.decls if d.ins == (q_b,) and len(d.outs) == 1}
+    if len(wing_a_outs) != 1 or len(wing_b_outs) != 1:
+        raise ConfigError("each wing needs one measurement signature")
+    (out_a,) = next(iter(wing_a_outs))
+    (out_b,) = next(iter(wing_b_outs))
+
+    src = procedure_box(pm, src_decl.name, "source")
+    kb_a = op_knowledge_box(pm, (q_a,), (out_a,), name="wing A")
+    kb_b = op_knowledge_box(pm, (q_b,), (out_b,), name="wing B")
+    pg_a = prop_gain(out_a, name="learn a")
+    pg_b = prop_gain(out_b, name="learn b")
+    ig_a = ignore(out_a, name="drop a")
+    ig_b = ignore(out_b, name="drop b")
+    boxes = (src, kb_a, kb_b, pg_a, pg_b, ig_a, ig_b)
+    wires = (
+        (("in", 0), ("box", 1, 0)),
+        (("in", 1), ("box", 2, 0)),
+        (("box", 0, 0), ("box", 1, 1)),
+        (("box", 0, 1), ("box", 2, 1)),
+        (("box", 1, 0), ("box", 3, 0)),
+        (("box", 2, 0), ("box", 4, 0)),
+        (("box", 3, 0), ("box", 5, 0)),
+        (("box", 4, 0), ("box", 6, 0)),
+    )
+    return Diagram(
+        boxes,
+        wires
+        + ((("box", 3, 1), ("out", 0)), (("box", 4, 1), ("out", 1))),
+        (kb_a.ins[0], kb_b.ins[0]),
+        (pg_a.outs[1], pg_b.outs[1]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -572,6 +572,22 @@ def test_parse_error_reports_position(tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("dim: 2", "dim: 0", "dim must be a positive integer"),
+        ("      dim: 2\n", "", "a system needs the field 'dim'"),
+    ],
+    ids=["zero", "missing"],
+)
+def test_a_quantum_dim_is_refused_at_its_system_record(tmp_path, old, new, message):
+    bad = tmp_path / "bad.model"
+    bad.write_text((DATA / "singlet.model").read_text().replace(old, new, 1))
+    code, out, err = run("bell-check", "--quantum", str(bad))
+    assert code == 2
+    assert err == f"parse error: line 5, column 5: {message}\n"
+
+
 def test_missing_file_is_an_input_error():
     code, _, err = run("eval", "/nonexistent/xyz.diagram")
     assert code == 2

@@ -22,18 +22,20 @@ from ci_engine.diagrams import (
     from_box,
     identity,
     inferential_system,
+    insert_into_clamp,
     layered,
     permutation,
 )
 from ci_engine.errors import (
     CycleDetected,
     DanglingPort,
+    SignatureMismatch,
     TypeMismatch,
 )
 from ci_engine.fstheory import effect_box, embedded, ignore, prop_gain, state_box
 
 import oracles
-from conftest import SEED, rand_fs_diagram, rand_prop, rand_state, rand_substoch
+from conftest import SEED, rand_clamp, rand_fs_diagram, rand_prop, rand_state, rand_substoch
 
 BIT = causal_system((0, 1))
 HBIT = inferential_system((0, 1))
@@ -87,8 +89,27 @@ def test_cycle_rejected():
 
 
 def test_sequential_needs_matching_signature():
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(TypeMismatch) as err:
         compose_sequential(identity((BIT,)), identity((HBIT,)))
+    assert str(err.value) == "sequential composition joins 1 outputs to 1 inputs of different types"
+
+
+_TOP = effect_box(substoch.top((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "sources, sinks, message",
+    [
+        ((), (_TOP,), "one source per input and one sink per output"),
+        ((state_box(substoch.point_state((0, 1, 2), 0)),), (_TOP,), "source 0 does not produce the boundary type"),
+        ((state_box(substoch.point_state((0, 1), 0)),), (effect_box(substoch.top((0, 1, 2))),), "sink 0 does not consume the boundary type"),
+    ],
+    ids=["count", "source", "sink"],
+)
+def test_close_boundary_refuses_caps_of_other_types(sources, sinks, message):
+    with pytest.raises(SignatureMismatch) as err:
+        close_boundary(_wire_box(), sources, sinks)
+    assert str(err.value) == message
 
 
 def test_box_order_does_not_affect_equality():
@@ -213,17 +234,23 @@ def test_random_diagrams_round_trip_equality():
         assert diagrams_equal(d, again)
 
 
-def _closed_piece(rng):
-    """A scalar: a small random diagram with its boundary capped by boxes."""
-    d = rand_fs_diagram(rng, max_boxes=2)
+def _capped(rng, max_boxes):
+    """A small random diagram with inferential inputs, and a source box
+    for each input and a sink box for each output."""
+    d = rand_fs_diagram(rng, max_boxes=max_boxes)
     while any(t.kind != INFERENTIAL for t in d.input_types):
-        d = rand_fs_diagram(rng, max_boxes=2)
+        d = rand_fs_diagram(rng, max_boxes=max_boxes)
     sources = [state_box(rand_state(rng, t.carrier)) for t in d.input_types]
     sinks = [
         effect_box(rand_prop(rng, t.carrier)) if t.kind == INFERENTIAL else ignore(t)
         for t in d.output_types
     ]
-    return close_boundary(d, sources, sinks)
+    return d, sources, sinks
+
+
+def _closed_piece(rng):
+    """A scalar: a small random diagram with its boundary capped by boxes."""
+    return close_boundary(*_capped(rng, 2))
 
 
 def _small_diagram(rng, max_boxes=7):
@@ -361,15 +388,16 @@ def _random_stack(rng):
 
 
 def _composed(inputs, stack):
-    """The same drawing built from the one-piece builders and composition."""
+    """The same drawing built from the one-piece builders and the
+    hand-wired reference joins."""
     d = identity(inputs)
     for kind, layer in stack:
         if kind == "perm":
             step = permutation(d.output_types, layer)
         else:
             pieces = [from_box(p) if isinstance(p, Box) else identity((p,)) for p in layer]
-            step = reduce(compose_parallel, pieces, identity(()))
-        d = compose_sequential(d, step)
+            step = reduce(oracles.compose_parallel_reference, pieces, identity(()))
+        d = oracles.compose_sequential_reference(d, step)
     return d
 
 
@@ -414,10 +442,82 @@ def test_the_one_piece_builders_keep_their_wires():
         ((), ((BIT,),), TypeMismatch, "asks for 1 wires, 0 open"),
         ((BIT, BIT), ((ignore(BIT),),), DanglingPort, "boundary input 1 is unused"),
         ((BIT,), ((prop_gain(BIT),), (BIT,)), DanglingPort, "output port 1 of box 0 is unused"),
+        ((HBIT,), ((from_box(prop_gain(BIT)),),), TypeMismatch, "a diagram's inputs are not of the types of its wires"),
+        ((BIT,), ((identity((BIT, BIT)),),), TypeMismatch, "asks for 2 wires, 1 open"),
+        ((HBIT, BIT), ((HBIT, identity((HBIT,))),), TypeMismatch, "a diagram's inputs are not of the types of its wires"),
     ],
-    ids=["repeated", "empty", "passed-type", "box-type", "too-many", "none-open", "input-left", "output-left"],
+    ids=[
+        "repeated", "empty", "passed-type", "box-type", "too-many", "none-open", "input-left",
+        "output-left", "diagram-type", "diagram-too-many", "diagram-after-a-pass",
+    ],
 )
 def test_a_bad_layer_is_refused(inputs, layers, error, message):
     with pytest.raises(error) as err:
         layered(inputs, *layers)
     assert message in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Joins of whole diagrams against their hand-wired references
+
+
+def _assert_same_join(new, reference, order):
+    """``new`` lists the boxes of ``reference`` in ``order`` and joins the
+    same ports, up to that renumbering, with the same denotation."""
+    assert new.boxes == tuple(reference.boxes[b] for b in order)
+    renumber = {b: i for i, b in enumerate(order)}
+
+    def moved(end):
+        return ("box", renumber[end[1]], end[2]) if end[0] == "box" else end
+
+    assert set(new.wires) == {(moved(src), moved(dst)) for src, dst in reference.wires}
+    assert diagrams_equal(new, reference)
+    assert fstheory.denote(new) == fstheory.denote(reference)
+
+
+def _consumer(rng, t):
+    if t.kind != INFERENTIAL:
+        return from_box(ignore(t))
+    if rng.random() < 0.4:
+        return identity((t,))
+    return from_box(effect_box(rand_prop(rng, t.carrier)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_the_joins_match_their_hand_wired_references(seed):
+    rng = random.Random(seed)
+    first = rand_fs_diagram(rng, max_boxes=3)
+    if rng.random() < 0.5:
+        # an input wired straight to an output
+        first = oracles.compose_parallel_reference(first, identity((HBIT,)))
+    other = rand_fs_diagram(rng, max_boxes=3)
+    pieces = [_consumer(rng, t) for t in first.output_types]
+    second = reduce(oracles.compose_parallel_reference, pieces, identity(()))
+    _assert_same_join(
+        compose_parallel(first, other),
+        oracles.compose_parallel_reference(first, other),
+        range(len(first.boxes) + len(other.boxes)),
+    )
+    _assert_same_join(
+        compose_sequential(first, second),
+        oracles.compose_sequential_reference(first, second),
+        range(len(first.boxes) + len(second.boxes)),
+    )
+
+    d, sources, sinks = _capped(rng, 3)
+    n, k = len(d.boxes), len(sources)
+    # the reference lists the boxes of ``d``, then the sources, then the sinks
+    order = [*range(n, n + k), *range(n), *range(n + k, n + k + len(sinks))]
+    _assert_same_join(
+        close_boundary(d, sources, sinks),
+        oracles.close_boundary_reference(d, sources, sinks),
+        order,
+    )
+
+    clamp = rand_clamp(rng, first.input_types, first.output_types)
+    middle = oracles.compose_parallel_reference(first, identity(clamp.aux_types))
+    held = oracles.compose_sequential_reference(
+        oracles.compose_sequential_reference(clamp.x, middle), clamp.y
+    )
+    _assert_same_join(insert_into_clamp(clamp, first), held, range(len(held.boxes)))

@@ -482,6 +482,25 @@ def test_a_system_without_a_carrier_names_the_field(kind):
     assert str(err.value) == "line 4, column 13: a system needs the field 'carrier'"
 
 
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (None, "a system needs the field 'dim'"),
+        ("0", "dim must be a positive integer"),
+        ("-1", "dim must be a positive integer"),
+        ("true", "dim must be a positive integer"),
+        ("2/1", "dim must be a positive integer"),
+    ],
+    ids=["missing", "zero", "negative", "bool", "fraction"],
+)
+def test_a_quantum_system_needs_a_positive_dim(dim, message):
+    field = "" if dim is None else f"\n      dim: {dim}"
+    text = (DATA / "singlet.model").read_text().replace("\n      dim: 2", field, 1)
+    with pytest.raises(ParseError) as err:
+        load_model(text)
+    assert str(err.value) == f"line 5, column 5: {message}"
+
+
 # ---------------------------------------------------------------------------
 # Writer basics
 

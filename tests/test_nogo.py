@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ci_engine import nogo, substoch
+from ci_engine import nogo, optheory, substoch
 from ci_engine.exactlp import feasible_nonneg, nullspace, verify_certificate
 from ci_engine.errors import (
     CapExceeded,
@@ -636,6 +636,36 @@ def test_model_correlations_read_the_prediction_bit_for_bit():
         assert len(table) == len(m.dom)
         for c, row in enumerate(table):
             assert row == tuple(float(m.entries[o][c]) for o in range(len(m.cod)))
+
+
+def _bell_models(seed, count):
+    """``count`` seeded two-qubit models, half with 2x2 settings, half 3x2."""
+    rng = random.Random(seed)
+    return [rand_quantum_bell(rng, n_x, 2) for n_x in (2, 3) for _ in range(count // 2)]
+
+
+def _bits(rows):
+    return [[float.hex(v) for v in row] for row in rows]
+
+
+def test_quantum_tables_keep_the_float_bits_of_the_hand_wired_template(monkeypatch):
+    # the template's box order fixes the order of the quantum contraction
+    models = _bell_models(SEED + 21, 50)
+    for _, _, pm, _ in models:
+        d, hand = bell_template(pm), oracles.bell_template_reference(pm)
+        assert d.boxes == hand.boxes and set(d.wires) == set(hand.wires)
+    tables = [_bits(quantum_correlations(rho, meas, s).table) for rho, meas, _, s in models]
+    monkeypatch.setattr(nogo, "bell_template", oracles.bell_template_reference)
+    assert tables == [_bits(quantum_correlations(rho, meas, s).table) for rho, meas, _, s in models]
+
+
+def test_point_atomic_tables_keep_the_bits_of_the_hand_wired_joins(monkeypatch):
+    # close_boundary now lists the sources first; the probes must not see it
+    models = _bell_models(SEED + 22, 20)
+    tables = [optheory.point_atomic_table(bell_template(pm), pm) for _, _, pm, _ in models]
+    monkeypatch.setattr(optheory, "close_boundary", oracles.close_boundary_reference)
+    for table, (_, _, pm, _) in zip(tables, models):
+        assert table == optheory.point_atomic_table(oracles.bell_template_reference(pm), pm)
 
 
 @pytest.mark.parametrize("where", ["state", "effect"])
