@@ -41,7 +41,6 @@ from .diagrams import (
     insert_into_clamp,
     permutation,
     quantum_system,
-    swap,
 )
 from .fileformat import (
     dump_correlation,

@@ -16,9 +16,11 @@ diagram as layers of boxes, whole diagrams, pass-through wires and
 permutations.  ``identity``, ``permutation`` and ``from_box`` are
 one-line cases of it, and so are the joins of whole diagrams:
 ``compose_sequential``, ``compose_parallel``, ``close_boundary`` and
-``insert_into_clamp``.
+``insert_into_clamp``.  ``substitute`` replaces each box by a box or a
+diagram, inlined as ``layered`` inlines its items, and keeps the wiring.
 """
 
+import heapq
 import math
 import numbers
 from collections import Counter
@@ -200,28 +202,58 @@ def _validate(d):
         for i in range(len(box.ins)):
             if ("box", b, i) not in consumers:
                 raise DanglingPort(f"input port {i} of box {b} is unfed")
-    _check_acyclic(d)
+    _topological_order(d)
 
 
-def _check_acyclic(d):
+def _topological_order(d):
+    """The box indices, each after the boxes that feed it; the least ready
+    box comes first, so boxes already listed in such an order keep it."""
     n = len(d.boxes)
-    succ = [set() for _ in range(n)]
+    succ = [[] for _ in range(n)]
     indeg = [0] * n
     for src, dst in d.wires:
-        if src[0] == "box" and dst[0] == "box" and dst[1] not in succ[src[1]]:
-            succ[src[1]].add(dst[1])
+        if src[0] == "box" and dst[0] == "box":
+            succ[src[1]].append(dst[1])
             indeg[dst[1]] += 1
     ready = [b for b in range(n) if indeg[b] == 0]
-    seen = 0
+    order = []
     while ready:
-        b = ready.pop()
-        seen += 1
+        b = heapq.heappop(ready)
+        order.append(b)
         for s in succ[b]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                ready.append(s)
-    if seen != n:
+                heapq.heappush(ready, s)
+    if len(order) != n:
         raise CycleDetected("diagram wiring contains a directed cycle")
+    return order
+
+
+def _boundary(item):
+    """The input and output types of a box or a diagram."""
+    if isinstance(item, Diagram):
+        return item.input_types, item.output_types
+    return item.ins, item.outs
+
+
+def _inline(boxes, wires, item, in_ends):
+    """Append a box or a diagram, its inputs fed by the producer ends
+    ``in_ends``, to ``boxes`` and ``wires``; returns the producer ends of
+    its outputs, where a wire through from input k gives ``in_ends[k]``."""
+    b = len(boxes)
+    if isinstance(item, Box):
+        boxes.append(item)
+        wires.extend((end, ("box", b, i)) for i, end in enumerate(in_ends))
+        return [("box", b, j) for j in range(len(item.outs))]
+    boxes.extend(item.boxes)
+    outs = [None] * len(item.output_types)
+    for src, dst in item.wires:
+        src = in_ends[src[1]] if src[0] == "in" else ("box", b + src[1], src[2])
+        if dst[0] == "out":
+            outs[dst[1]] = src
+        else:
+            wires.append((src, ("box", b + dst[1], dst[2])))
+    return outs
 
 
 def layered(inputs, *layers):
@@ -251,39 +283,18 @@ def layered(inputs, *layers):
             continue
         taken, next_ends, next_types = 0, [], []
         for item in layer:
-            if isinstance(item, Box):
-                n = len(item.ins)
-            elif isinstance(item, Diagram):
-                n = len(item.input_types)
-            else:
-                n = 1
+            passed = not isinstance(item, (Box, Diagram))
+            ins, outs = ((item,), (item,)) if passed else _boundary(item)
+            n = len(ins)
             if taken + n > len(ends):
                 raise TypeMismatch(f"a layer asks for {taken + n} wires, {len(ends)} open")
-            if isinstance(item, Box):
-                b = len(boxes)
-                boxes.append(item)
-                wires += [(ends[taken + i], ("box", b, i)) for i in range(n)]
-                next_ends += [("box", b, j) for j in range(len(item.outs))]
-                next_types += item.outs
-            elif isinstance(item, Diagram):
-                if tuple(types[taken : taken + n]) != item.input_types:
-                    raise TypeMismatch("a diagram's inputs are not of the types of its wires")
-                b = len(boxes)
-                boxes += item.boxes
-                outs = [None] * len(item.output_types)
-                for src, dst in item.wires:
-                    src = ends[taken + src[1]] if src[0] == "in" else ("box", b + src[1], src[2])
-                    if dst[0] == "out":
-                        outs[dst[1]] = src
-                    else:
-                        wires.append((src, ("box", b + dst[1], dst[2])))
-                next_ends += outs
-                next_types += item.output_types
-            elif types[taken] != item:
+            if passed and types[taken] != item:
                 raise TypeMismatch("a passed wire is not of the type its layer names")
-            else:
-                next_ends.append(ends[taken])
-                next_types.append(item)
+            if isinstance(item, Diagram) and tuple(types[taken : taken + n]) != ins:
+                raise TypeMismatch("a diagram's inputs are not of the types of its wires")
+            in_ends = ends[taken : taken + n]
+            next_ends += in_ends if passed else _inline(boxes, wires, item, in_ends)
+            next_types += outs
             taken += n
         ends, types = next_ends, next_types
     wires += [(end, ("out", j)) for j, end in enumerate(ends)]
@@ -297,10 +308,6 @@ def identity(types):
 def permutation(types, perm):
     """Wiring that sends input ``perm[j]`` to output ``j``."""
     return layered(types, tuple(perm))
-
-
-def swap(a, b):
-    return permutation((a, b), (1, 0))
 
 
 def from_box(box):
@@ -327,22 +334,52 @@ def compose_parallel(left, right):
 def close_boundary(d, sources, sinks):
     """Cap every boundary port: sources feed inputs, sinks eat outputs.
 
-    Each source is a box with no inputs and one output of the matching
-    boundary type; sinks mirror that on the other side.  The result has
-    an empty boundary and lists the sources, then the boxes of ``d``,
-    then the sinks.
+    Each source is a box or a diagram with no inputs and one output of
+    the matching boundary type; sinks mirror that on the other side.  The
+    result has an empty boundary and lists the sources, then the boxes of
+    ``d``, then the sinks.
     """
     sources = tuple(sources)
     sinks = tuple(sinks)
     if len(sources) != len(d.input_types) or len(sinks) != len(d.output_types):
         raise SignatureMismatch("one source per input and one sink per output")
-    for k, box in enumerate(sources):
-        if box.ins != () or box.outs != (d.input_types[k],):
+    for k, cap in enumerate(sources):
+        if _boundary(cap) != ((), (d.input_types[k],)):
             raise SignatureMismatch(f"source {k} does not produce the boundary type")
-    for k, box in enumerate(sinks):
-        if box.outs != () or box.ins != (d.output_types[k],):
+    for k, cap in enumerate(sinks):
+        if _boundary(cap) != ((d.output_types[k],), ()):
             raise SignatureMismatch(f"sink {k} does not consume the boundary type")
     return layered((), sources, (d,), sinks)
+
+
+def substitute(d, image, system_image):
+    """``d`` with each box replaced by ``image(box)``, a box or a diagram.
+
+    Each image must have the ``system_image`` of its box's ports as its
+    boundary, else SignatureMismatch.  ``d``'s wiring is kept between the
+    images, and a wire that passes straight through an image joins the
+    wires on either side.  The images are inlined as ``layered`` inlines
+    its items, in ``_topological_order``; wires are listed in the order
+    they are consumed, the outputs last.
+    """
+
+    def signature(item):
+        return tuple(tuple(map(system_image, types)) for types in _boundary(item))
+
+    producer = {dst: src for src, dst in d.wires}
+    # the producer end in the result of each producer end of ``d``
+    ends = {end: end for end in d.open_inputs}
+    boxes, wires = [], []
+    for b in _topological_order(d):
+        box = d.boxes[b]
+        item = image(box)
+        if _boundary(item) != signature(box):
+            raise SignatureMismatch(f"the image of box {box.name!r} has another signature")
+        in_ends = [ends[producer["box", b, i]] for i in range(len(box.ins))]
+        for j, end in enumerate(_inline(boxes, wires, item, in_ends)):
+            ends["box", b, j] = end
+    wires.extend((ends[producer[out]], out) for out in d.open_outputs)
+    return Diagram(boxes, wires, *signature(d))
 
 
 # ---------------------------------------------------------------------------

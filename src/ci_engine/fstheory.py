@@ -48,6 +48,7 @@ from .diagrams import (
     inferential_system,
     layered,
     product_carrier,
+    substitute,
 )
 from .errors import (
     CapExceeded,
@@ -783,87 +784,50 @@ class RealistRep:
 
 
 def apply_representation(rep, d_op):
-    """Wire-for-wire realist image of an operational diagram.
+    """Box-for-box realist image of an operational diagram.
 
     Procedure boxes become an xi adapter feeding an application box;
     learning and embedded boxes pass through; ignores move to the ontic
     carrier.  Knowledge about procedures entering at the boundary keeps
     its alphabet type, with the adapter inside the image.  A fixed
     procedure is point knowledge of its name, so its image is the same
-    adapter and application box fed by that point state.
+    adapter and application box fed by that point state.  The images are
+    joined by ``diagrams.substitute``, so composites map to composites.
     """
     from . import optheory
 
-    new_boxes = []
-    wires = []
-    in_map = {}
-    out_map = {}
-
-    def add(box):
-        new_boxes.append(box)
-        return len(new_boxes) - 1
-
-    for b, box in enumerate(d_op.boxes):
+    def image(box):
         p = box.payload
-        if isinstance(p, (optheory.OpKnowledge, optheory.OpProc)):
-            fixed = isinstance(p, optheory.OpProc)
-            causal_ins = box.ins if fixed else box.ins[1:]
-            m = rep.xi.get((causal_ins, box.outs))
-            if m is None:
-                raise MissingXi(
-                    f"no xi entry for the signature of box {box.name!r}"
-                )
-            if fixed and p.name not in m.dom:
-                raise CarrierMismatch(
-                    f"xi domain does not list procedure {p.name!r}"
-                )
-            if not fixed and m.dom != box.ins[0].carrier:
-                raise CarrierMismatch(
-                    "xi domain must equal the procedure alphabet"
-                )
-            ins_img = tuple(rep.image(t) for t in causal_ins)
-            outs_img = tuple(rep.image(t) for t in box.outs)
-            if fixed:
-                pt = add(
-                    state_box(substoch.point_state(m.dom, p.name), name=f"[{p.name}]")
-                )
-            ad = add(
-                embedded(
-                    m,
-                    in_types=(inferential_system(m.dom) if fixed else box.ins[0],),
-                    out_types=(hom_system(ins_img, outs_img),),
-                    name="xi",
-                )
+        if isinstance(p, (GenPropGain, GenEmbedded)):
+            return box
+        if isinstance(p, GenIgnore):
+            return ignore(rep.image(p.system))
+        if not isinstance(p, (optheory.OpKnowledge, optheory.OpProc)):
+            raise TypeMismatch(
+                f"box {box.name!r} is not a representable operational generator"
             )
-            idx = add(knowledge_box(ins_img, outs_img))
-            if fixed:
-                wires.append((("box", pt, 0), ("box", ad, 0)))
-            wires.append((("box", ad, 0), ("box", idx, 0)))
-            ports = [] if fixed else [("box", ad, 0)]
-            ports += [("box", idx, i + 1) for i in range(len(causal_ins))]
-        else:
-            if isinstance(p, (GenPropGain, GenEmbedded)):
-                idx = add(box)
-            elif isinstance(p, GenIgnore):
-                idx = add(ignore(rep.image(p.system)))
-            else:
-                raise TypeMismatch(
-                    f"box {box.name!r} is not a representable operational generator"
-                )
-            ports = [("box", idx, i) for i in range(len(box.ins))]
-        in_map.update(((b, i), port) for i, port in enumerate(ports))
-        out_map.update(((b, j), ("box", idx, j)) for j in range(len(box.outs)))
+        fixed = isinstance(p, optheory.OpProc)
+        causal_ins = box.ins if fixed else box.ins[1:]
+        m = rep.xi.get((causal_ins, box.outs))
+        if m is None:
+            raise MissingXi(f"no xi entry for the signature of box {box.name!r}")
+        if fixed and p.name not in m.dom:
+            raise CarrierMismatch(f"xi domain does not list procedure {p.name!r}")
+        if not fixed and m.dom != box.ins[0].carrier:
+            raise CarrierMismatch("xi domain must equal the procedure alphabet")
+        ins_img = tuple(map(rep.image, causal_ins))
+        outs_img = tuple(map(rep.image, box.outs))
+        known = inferential_system(m.dom) if fixed else box.ins[0]
+        xi = embedded(
+            m, in_types=(known,), out_types=(hom_system(ins_img, outs_img),), name="xi"
+        )
+        kb = knowledge_box(ins_img, outs_img)
+        if fixed:
+            point = state_box(substoch.point_state(m.dom, p.name), name=f"[{p.name}]")
+            return layered(ins_img, (point, *ins_img), (xi, *ins_img), (kb,))
+        return layered((known, *ins_img), (xi, *ins_img), (kb,))
 
-    for src, dst in d_op.wires:
-        nsrc = src if src[0] == "in" else out_map[(src[1], src[2])]
-        ndst = dst if dst[0] == "out" else in_map[(dst[1], dst[2])]
-        wires.append((nsrc, ndst))
-    return Diagram(
-        tuple(new_boxes),
-        tuple(wires),
-        tuple(rep.image(t) for t in d_op.input_types),
-        tuple(rep.image(t) for t in d_op.output_types),
-    )
+    return substitute(d_op, image, rep.image)
 
 
 def is_leibnizian(rep, pairs, pm=None):

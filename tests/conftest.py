@@ -21,9 +21,11 @@ from ci_engine.diagrams import (
     inferential_system,
 )
 from ci_engine.fstheory import (
+    RealistRep,
     bundle_carrier,
     effect_box,
     embedded,
+    hom_system,
     ignore,
     knowledge_box,
     prop_gain,
@@ -238,6 +240,21 @@ def close_inputs(d, states):
     return diagrams.Diagram(tuple(boxes), tuple(wires), (), d.output_types)
 
 
+def relist_boxes(d, order):
+    """``d`` with its boxes listed in ``order``, the wiring unchanged."""
+    renumber = {b: i for i, b in enumerate(order)}
+
+    def moved(end):
+        return ("box", renumber[end[1]], end[2]) if end[0] == "box" else end
+
+    return diagrams.Diagram(
+        tuple(d.boxes[b] for b in order),
+        tuple((moved(src), moved(dst)) for src, dst in d.wires),
+        d.input_types,
+        d.output_types,
+    )
+
+
 def rand_classical_pm(rng):
     """A few named procedures over one or two small classical systems."""
     a = causal_system(rand_carrier(rng, 2, 3))
@@ -259,6 +276,17 @@ def rand_classical_pm(rng):
             )
         )
     return optheory.PredictionMap(tuple(decls)), a, b
+
+
+def rand_classical_rep(rng, pm):
+    """A realist representation of a classical model: each system is its
+    own ontic system, and each procedure signature gets random
+    stochastic xi onto the hom codes between its systems."""
+    xi = {}
+    for sig in dict.fromkeys((d.ins, d.outs) for d in pm.decls):
+        codes = hom_system(*sig).carrier
+        xi[sig] = rand_substoch(rng, pm.alphabet(*sig), codes, stochastic=True)
+    return RealistRep({}, xi)
 
 
 def rand_closed_classical_diagram(rng):

@@ -9,8 +9,9 @@ exact routines use Fraction arithmetic directly.  The exceptions are
 the reference for the order of its rays, which reads and reduces its rows
 with the engine's own integer helpers; ``loads_reference``, the
 engine's former reader, which raises the engine's ``ParseError``; and the
-``*_reference`` joins of whole diagrams, the engine's former hand-wired
-ones, which build the engine's ``Diagram`` from the engine's boxes.
+``*_reference`` joins of whole diagrams and ``apply_representation_reference``,
+the engine's former hand-wired ones, which build the engine's ``Diagram``
+from the engine's boxes.
 """
 
 import itertools
@@ -22,12 +23,30 @@ from math import gcd
 import numpy as np
 from scipy.optimize import linprog
 
-from ci_engine.diagrams import Diagram
-from ci_engine.errors import ConfigError, ParseError, SignatureMismatch, TypeMismatch
+from ci_engine.diagrams import Diagram, inferential_system
+from ci_engine.errors import (
+    CarrierMismatch,
+    ConfigError,
+    MissingXi,
+    ParseError,
+    SignatureMismatch,
+    TypeMismatch,
+)
 from ci_engine.exactlp import _dot, _ints, _kernel
 from ci_engine.fileformat import _split_header
-from ci_engine.fstheory import ignore, prop_gain
-from ci_engine.optheory import op_knowledge_box, procedure_box
+from ci_engine.fstheory import (
+    GenEmbedded,
+    GenIgnore,
+    GenPropGain,
+    embedded,
+    hom_system,
+    ignore,
+    knowledge_box,
+    prop_gain,
+    state_box,
+)
+from ci_engine.optheory import OpKnowledge, OpProc, op_knowledge_box, procedure_box
+from ci_engine.substoch import point_state
 
 _TOL = 1e-9
 
@@ -838,6 +857,87 @@ def bell_template_reference(pm):
         + ((("box", 3, 1), ("out", 0)), (("box", 4, 1), ("out", 1))),
         (kb_a.ins[0], kb_b.ins[0]),
         (pg_a.outs[1], pg_b.outs[1]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Realist images, wired box by box through port maps
+
+
+def apply_representation_reference(rep, d_op):
+    """The realist image of an operational diagram, its boxes in the
+    order of ``d_op``'s: each box's image is appended and its ports
+    recorded in ``in_map``/``out_map``, then ``d_op``'s wires are
+    re-pointed through those maps."""
+    new_boxes = []
+    wires = []
+    in_map = {}
+    out_map = {}
+
+    def add(box):
+        new_boxes.append(box)
+        return len(new_boxes) - 1
+
+    for b, box in enumerate(d_op.boxes):
+        p = box.payload
+        if isinstance(p, (OpKnowledge, OpProc)):
+            fixed = isinstance(p, OpProc)
+            causal_ins = box.ins if fixed else box.ins[1:]
+            m = rep.xi.get((causal_ins, box.outs))
+            if m is None:
+                raise MissingXi(
+                    f"no xi entry for the signature of box {box.name!r}"
+                )
+            if fixed and p.name not in m.dom:
+                raise CarrierMismatch(
+                    f"xi domain does not list procedure {p.name!r}"
+                )
+            if not fixed and m.dom != box.ins[0].carrier:
+                raise CarrierMismatch(
+                    "xi domain must equal the procedure alphabet"
+                )
+            ins_img = tuple(rep.image(t) for t in causal_ins)
+            outs_img = tuple(rep.image(t) for t in box.outs)
+            if fixed:
+                pt = add(
+                    state_box(point_state(m.dom, p.name), name=f"[{p.name}]")
+                )
+            ad = add(
+                embedded(
+                    m,
+                    in_types=(inferential_system(m.dom) if fixed else box.ins[0],),
+                    out_types=(hom_system(ins_img, outs_img),),
+                    name="xi",
+                )
+            )
+            idx = add(knowledge_box(ins_img, outs_img))
+            if fixed:
+                wires.append((("box", pt, 0), ("box", ad, 0)))
+            wires.append((("box", ad, 0), ("box", idx, 0)))
+            ports = [] if fixed else [("box", ad, 0)]
+            ports += [("box", idx, i + 1) for i in range(len(causal_ins))]
+        else:
+            if isinstance(p, (GenPropGain, GenEmbedded)):
+                idx = add(box)
+            elif isinstance(p, GenIgnore):
+                idx = add(ignore(rep.image(p.system)))
+            else:
+                raise TypeMismatch(
+                    f"box {box.name!r} is not a representable operational generator"
+                )
+            ports = [("box", idx, i) for i in range(len(box.ins))]
+        in_map.update(((b, i), port) for i, port in enumerate(ports))
+        out_map.update(((b, j), ("box", idx, j)) for j in range(len(box.outs)))
+
+    for src, dst in d_op.wires:
+        nsrc = src if src[0] == "in" else out_map[(src[1], src[2])]
+        ndst = dst if dst[0] == "out" else in_map[(dst[1], dst[2])]
+        wires.append((nsrc, ndst))
+    return Diagram(
+        tuple(new_boxes),
+        tuple(wires),
+        tuple(rep.image(t) for t in d_op.input_types),
+        tuple(rep.image(t) for t in d_op.output_types),
     )
 
 

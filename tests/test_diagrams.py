@@ -25,6 +25,7 @@ from ci_engine.diagrams import (
     insert_into_clamp,
     layered,
     permutation,
+    substitute,
 )
 from ci_engine.errors import (
     CycleDetected,
@@ -35,7 +36,15 @@ from ci_engine.errors import (
 from ci_engine.fstheory import effect_box, embedded, ignore, prop_gain, state_box
 
 import oracles
-from conftest import SEED, rand_clamp, rand_fs_diagram, rand_prop, rand_state, rand_substoch
+from conftest import (
+    SEED,
+    rand_clamp,
+    rand_fs_diagram,
+    rand_prop,
+    rand_state,
+    rand_substoch,
+    relist_boxes,
+)
 
 BIT = causal_system((0, 1))
 HBIT = inferential_system((0, 1))
@@ -103,8 +112,10 @@ _TOP = effect_box(substoch.top((0, 1)))
         ((), (_TOP,), "one source per input and one sink per output"),
         ((state_box(substoch.point_state((0, 1, 2), 0)),), (_TOP,), "source 0 does not produce the boundary type"),
         ((state_box(substoch.point_state((0, 1), 0)),), (effect_box(substoch.top((0, 1, 2))),), "sink 0 does not consume the boundary type"),
+        ((from_box(state_box(substoch.point_state((0, 1, 2), 0))),), (_TOP,), "source 0 does not produce the boundary type"),
+        ((state_box(substoch.point_state((0, 1), 0)),), (identity((HBIT,)),), "sink 0 does not consume the boundary type"),
     ],
-    ids=["count", "source", "sink"],
+    ids=["count", "source", "sink", "diagram-source", "diagram-sink"],
 )
 def test_close_boundary_refuses_caps_of_other_types(sources, sinks, message):
     with pytest.raises(SignatureMismatch) as err:
@@ -209,6 +220,17 @@ def test_close_boundary_caps_everything():
     assert closed.output_types == ()
     val = fstheory.denote(closed)
     assert val.dom == ("*",) and val.cod == ("*",)
+
+
+def test_a_diagram_cap_closes_as_its_box_does():
+    rng = random.Random(SEED + 6)
+    d = from_box(embedded(rand_substoch(rng, (0, 1), (0, 1)), in_types=(HBIT,), out_types=(HBIT,)))
+    source = state_box(rand_state(rng, (0, 1)))
+    sink = effect_box(rand_prop(rng, (0, 1)))
+    boxed = close_boundary(d, (source,), (sink,))
+    drawn = close_boundary(d, (from_box(source),), (from_box(sink),))
+    assert diagrams_equal(drawn, boxed)
+    assert fstheory.denote(drawn) == fstheory.denote(boxed)
 
 
 def rand_prop_full():
@@ -521,3 +543,62 @@ def test_the_joins_match_their_hand_wired_references(seed):
         oracles.compose_sequential_reference(clamp.x, middle), clamp.y
     )
     _assert_same_join(insert_into_clamp(clamp, first), held, range(len(held.boxes)))
+
+
+# ---------------------------------------------------------------------------
+# Substitution of boxes by boxes or diagrams
+
+
+def _same(t):
+    return t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_identity_images_copy_the_diagram(seed):
+    d = rand_fs_diagram(random.Random(seed), max_boxes=5)
+    # boxes listed in reverse are out of topological order when any two are wired
+    for listed in (d, relist_boxes(d, range(len(d.boxes))[::-1])):
+        for image in (_same, from_box):
+            copy = substitute(listed, image, _same)
+            assert diagrams_equal(copy, d)
+            assert sorted(map(id, copy.boxes)) == sorted(map(id, d.boxes))
+
+
+def test_an_identity_image_joins_the_wires_through_it():
+    rng = random.Random(SEED + 7)
+    source = state_box(rand_state(rng, (0, 1)))
+    step = embedded(rand_substoch(rng, (0, 1), (0, 1)), in_types=(HBIT,), out_types=(HBIT,), name="step")
+    sink = effect_box(rand_prop(rng, (0, 1)))
+    cross = Box("cross", (HBIT, BIT), (BIT, HBIT))
+
+    def unwired(box):
+        if box.name == "step":
+            return identity(box.ins)
+        if box.name == "cross":
+            return permutation(box.ins, (1, 0))
+        return box
+
+    d = layered((), (source,), (step,), (sink,))
+    assert diagrams_equal(substitute(d, unwired, _same), layered((), (source,), (sink,)))
+    assert substitute(from_box(step), unwired, _same) == identity((HBIT,))
+    crossed = layered((BIT,), (source, BIT), (step, BIT), (cross,), (ignore(BIT), sink))
+    assert diagrams_equal(
+        substitute(crossed, unwired, _same),
+        layered((BIT,), (source, BIT), (1, 0), (ignore(BIT), sink)),
+    )
+
+
+@pytest.mark.parametrize(
+    "image, system_image",
+    [
+        (lambda box: from_box(prop_gain(BIT)), _same),
+        (lambda box: box, lambda t: BIT if t == HBIT else t),
+    ],
+    ids=["image", "system-image"],
+)
+def test_an_image_of_another_signature_is_refused(image, system_image):
+    d = _wire_box()
+    with pytest.raises(SignatureMismatch) as err:
+        substitute(d, image, system_image)
+    assert str(err.value) == f"the image of box {d.boxes[0].name!r} has another signature"

@@ -3,11 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ci_engine import diagrams, errors, fstheory, funcdyn, optheory, substoch
+from ci_engine import diagrams, errors, fileformat, fstheory, funcdyn, optheory, substoch
 from ci_engine.diagrams import (
     Diagram,
     causal_system,
@@ -45,12 +48,16 @@ from ci_engine.fstheory import (
 from conftest import (
     SEED,
     rand_carrier,
+    rand_classical_pm,
+    rand_classical_rep,
     rand_fs_diagram,
     rand_prop,
     rand_state,
     rand_substoch,
+    relist_boxes,
 )
 from oracles import (
+    apply_representation_reference,
     ignore_array_reference,
     knowledge_array_reference,
     prop_gain_array_reference,
@@ -369,6 +376,83 @@ def test_missing_xi_is_reported():
     rep = RealistRep({bit: (0, 1)}, {})
     with pytest.raises(MissingXi):
         apply_representation(rep, _measure_after(pm, bit, "id"))
+
+
+def _op_pieces(rng, pm, a, b):
+    """Small open operational diagrams over the classical model ``pm``:
+    fixed procedures as boxes and as point knowledge, open knowledge of
+    the procedures, learning, ignoring, a bare wire and an embedded box."""
+    pieces = [identity((a,))]
+    for decl in pm.decls:
+        pieces.append(from_box(optheory.procedure_box(pm, decl.name)))
+        pieces.append(optheory.procedure_diagram(pm, decl.name))
+        pieces.append(from_box(optheory.op_knowledge_box(pm, decl.ins, decl.outs)))
+    for t in (a, b):
+        pieces += [from_box(prop_gain(t)), from_box(ignore(t))]
+    record = fstheory.record_system(b)
+    m = rand_substoch(rng, b.carrier, b.carrier)
+    pieces.append(from_box(embedded(m, in_types=(record,), out_types=(record,))))
+    return pieces
+
+
+def _rand_op_diagram(rng, pm, a, b):
+    pieces = _op_pieces(rng, pm, a, b)
+    d = rng.choice(pieces)
+    for _ in range(rng.randint(0, 2)):
+        fits = [p for p in pieces if p.input_types == d.output_types]
+        if fits and rng.random() < 0.6:
+            d = compose_sequential(d, rng.choice(fits))
+        else:
+            d = compose_parallel(d, rng.choice(pieces))
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_the_image_matches_the_hand_wired_reference(seed):
+    rng = random.Random(seed)
+    pm, a, b = rand_classical_pm(rng)
+    rep = rand_classical_rep(rng, pm)
+    d = _rand_op_diagram(rng, pm, a, b)
+    image = apply_representation(rep, d)
+    reference = apply_representation_reference(rep, d)
+    assert diagrams.diagrams_equal(image, reference)
+    assert denote(image) == denote(reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_the_image_of_a_composite_is_the_composite_of_the_images(seed):
+    rng = random.Random(seed)
+    pm, a, b = rand_classical_pm(rng)
+    rep = rand_classical_rep(rng, pm)
+    pieces = _op_pieces(rng, pm, a, b)
+    first, other = rng.choice(pieces), rng.choice(pieces)
+    fits = [p for p in pieces if p.input_types == first.output_types]
+    second = rng.choice(fits or [identity(first.output_types)])
+
+    def image(d):
+        return apply_representation(rep, d)
+
+    assert diagrams.diagrams_equal(
+        image(compose_sequential(first, second)),
+        compose_sequential(image(first), image(second)),
+    )
+    assert diagrams.diagrams_equal(
+        image(compose_parallel(first, other)),
+        compose_parallel(image(first), image(other)),
+    )
+
+
+def test_a_loaded_diagram_with_its_boxes_listed_in_reverse_has_the_same_image():
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    d, pm = fileformat.load_diagram((data / "coin_dynamics.diagram").read_text())
+    rep = fileformat.load_rep((data / "bit_flip.rep").read_text(), pm)
+    reverse = relist_boxes(d, range(len(d.boxes))[::-1])
+    image = apply_representation(rep, reverse)
+    assert diagrams.diagrams_equal(image, apply_representation(rep, d))
+    assert diagrams.diagrams_equal(image, apply_representation_reference(rep, reverse))
+    assert predict(image) == optheory.predict_closed(d, pm)
 
 
 def test_leibnizian_on_equivalent_pair():
