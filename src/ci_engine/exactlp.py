@@ -14,22 +14,27 @@ there: ``x_j = scale_j * x'_j / scale_b``.  So a 0/1 incidence stays
 side, carry their denominators.
 
 The Phase-I simplex, nullspaces and the start cone of the ray
-enumerator all pivot with one fraction-free step (Bareiss, Math. Comp.
-22, 1968).  Row ``i`` holds ``ds[i]`` times row ``i`` of the rational
-tableau, ``ds[i] > 0`` being the scale of the last pivot that changed
-it; a row with a zero in the pivot column does not change and is left
-as it is.  Every division is exact, because the scale of the last pivot
-times the tableau is integer, and Fractions appear only in the results.
+enumerator all pivot with one fraction-free step (Edmonds, J. Res. NBS
+71B, 1967; Bareiss, Math. Comp. 22, 1968): a table holding ``d`` times
+the rational tableau, pivoted on an entry ``p > 0`` (a negative pivot's
+row is negated first), holds ``p`` times the new tableau once every
+other row ``v`` becomes ``(p * v - f * w) / d``, ``f`` being its entry
+in the pivot column and ``w`` the pivot row.  Every division is exact,
+because ``d`` times the tableau is integer, and Fractions appear only
+in the results.
 
-The simplex tableau is one 2-D ndarray, and each step rewrites the rows
-with a nonzero in the pivot column at once (``_pivot_array``).  It is
-int64 while a bound allows: before each step, and before the pivot row
-is lifted to the current scale, the largest value the step can form is
-bounded from the largest entries, and at 2^62 the table moves to Python
-ints (object dtype) for the rest of the solve, so no value ever wraps.
-The ratio test compares Python ints.  The small eliminations of the
-other routines pivot Python-int lists (``_pivot``), where numpy's cost
-per call would outweigh its speed.
+The simplex tableau is one 2-D ndarray at one common scale ``d``, and
+each step rewrites the whole table at once (``_pivot_array``).  It is
+int64 while a bound allows: before each step, ``p * M + M * M``, ``M``
+being the largest absolute entry, bounds every value the step forms,
+and at 2^62 the table moves to Python ints (object dtype) for the rest
+of the solve, so no value ever wraps.  The ratio test compares Python
+ints.  The small eliminations of the other routines pivot Python-int
+lists (``_pivot``), where numpy's cost per call would outweigh its
+speed.  There row ``i`` holds ``ds[i]`` times row ``i`` of the tableau,
+``ds[i]`` being the scale of the last pivot that changed it, so a row
+with a zero in the pivot column is left as it is: rescaling the rows a
+step does not touch would cost a Python list a quarter of its step.
 
 Extreme rays, and through them the vertices of ``polytope_vertices``,
 come from the double-description method on Python-int rays, with the
@@ -120,52 +125,31 @@ def _rref(rows, ncols):
     return pivots, d
 
 
-def _pivot_array(tab, ds, r, c, d):
-    """``_pivot`` on a 2-D ndarray ``tab``, the row scales ``ds`` being a
-    list of Python ints; returns ``tab, p``.
+def _pivot_array(tab, r, c, d):
+    """One step on the 2-D ndarray ``tab``, which holds ``d`` times the
+    tableau; returns ``tab, p``, the table then holding ``p`` times the
+    tableau pivoted on ``(r, c)``.
 
-    An int64 ``tab`` moves to Python ints (object dtype) before any step
-    that could take a value to 2^62: lifting the pivot row ``w`` needs
-    ``max|w| * d`` below it, and rewriting the rows ``rows`` with a
-    nonzero ``f`` in column ``c`` needs ``p * max|rows| + max|f| * max|w|``
-    below it, which bounds every product, difference and quotient of the
-    step.
+    Row ``r``, negated if its pivot is negative, is the new ``w``; every
+    other row becomes ``(p * row - f * w) // d``, ``f`` being its entry in
+    column ``c``.  With ``M`` the largest absolute entry, ``p * M + M * M``
+    bounds every product, difference and quotient of the step, and an
+    int64 ``tab`` moves to Python ints (object dtype) before it when that
+    bound reaches 2^62.
     """
-    w = tab[r]
-    s = ds[r]
-    if s != d:
-        if tab.dtype != object and _maxabs(w) * d >= _INT64_SAFE:
+    p = int(tab[r, c])
+    if tab.dtype != object:
+        big = _maxabs(tab)
+        if (abs(p) + big) * big >= _INT64_SAFE:
             tab = tab.astype(object)
-            w = tab[r]
-        w[:] = w * d // s
-    p = int(w[c])
-    if p < 0:
-        p = -p
-        w *= -1
-    ds[r] = p
-    hit = tab[:, c] != 0
-    hit[r] = False
-    idx = hit.nonzero()[0]
-    if idx.size:
-        rows = tab.take(idx, axis=0)
-        f = rows[:, c].copy()
-        if tab.dtype != object and (
-            p * _maxabs(rows) + max(map(abs, f.tolist())) * _maxabs(w) >= _INT64_SAFE
-        ):
-            tab, rows, f = tab.astype(object), rows.astype(object), f.astype(object)
-            w = tab[r]
-        rows *= p
-        rows -= f[:, None] * w
-        idx_list = idx.tolist()
-        scales = [ds[i] for i in idx_list]
-        # one scale, as in almost every step, divides fastest as a scalar
-        if min(scales) == max(scales):
-            rows //= scales[0]
-        else:
-            rows //= np.array(scales, dtype=tab.dtype)[:, None]
-        tab[idx] = rows
-        for i in idx_list:
-            ds[i] = p
+    w = tab[r].copy() if p > 0 else -tab[r]
+    p = abs(p)
+    fw = tab[:, c, None] * w
+    tab *= p
+    tab -= fw
+    if d != 1:
+        tab //= d
+    tab[r] = w
     return tab, p
 
 
@@ -201,7 +185,7 @@ def feasible_nonneg(a_rows, b):
         raise DimensionMismatch("rhs length must match the row count")
     b, scale_b = integers(b)
     # Columns: n originals, m artificials, the rhs.  The artificial block is
-    # the identity, so every row starts at scale 1.  Rows with a negative
+    # the identity, so the table starts at scale 1.  Rows with a negative
     # rhs are negated; the last row, the column sums less 1 per artificial,
     # is the Phase-I objective for the artificials' sum.  The table is int64
     # when that row, which bounds every entry in size, stays below 2^62 (read
@@ -221,7 +205,7 @@ def feasible_nonneg(a_rows, b):
     body[:, -1] = rhs
     tab[m, :n] = body[:, :n].sum(axis=0)
     tab[m, -1] = sum(rhs)
-    basis, d, ds = [n + i for i in range(m)], 1, [1] * (m + 1)
+    basis, d = [n + i for i in range(m)], 1
 
     while True:
         positive = (tab[m, : n + m] > 0).nonzero()[0]
@@ -229,30 +213,30 @@ def feasible_nonneg(a_rows, b):
             break
         entering = int(positive[0])
         col, rhs = tab[:m, entering].tolist(), tab[:m, -1].tolist()
-        rows = [i for i in range(m) if col[i] > 0]
+        rows = [i for i, v in enumerate(col) if v > 0]
         if not rows:
             raise Degenerate("phase-I objective unbounded; invariant broken")
-        # ratio test by cross-multiplication in Python ints, which no row
-        # scale changes, ties to the smallest basic variable
+        # ratio test by cross-multiplication in Python ints, which the
+        # scale does not change, ties to the smallest basic variable
         leaving = rows[0]
         for i in rows[1:]:
             cross = rhs[i] * col[leaving] - rhs[leaving] * col[i]
             if cross < 0 or cross == 0 and basis[i] < basis[leaving]:
                 leaving = i
-        tab, d = _pivot_array(tab, ds, leaving, entering, d)
+        tab, d = _pivot_array(tab, leaving, entering, d)
         basis[leaving] = entering
 
-    obj, s = tab[m].tolist(), ds[m]
+    obj = tab[m].tolist()
     if obj[-1] > 0:
         # y = c_B B^{-1}; the artificial block of the objective row is y - 1.
-        return "infeasible", [Fraction((obj[n + i] + s) * flip[i], s) for i in range(m)]
+        return "infeasible", [Fraction((obj[n + i] + d) * flip[i], d) for i in range(m)]
 
     # Artificials still basic sit at zero, so x reads off the basis as is.
     rhs = tab[:m, -1].tolist()
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(scales[j] * rhs[i], ds[i] * scale_b)
+            x[j] = Fraction(scales[j] * rhs[i], d * scale_b)
     return "feasible", x
 
 

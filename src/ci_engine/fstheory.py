@@ -810,7 +810,11 @@ def apply_representation(rep, d_op):
         causal_ins = box.ins if fixed else box.ins[1:]
         m = rep.xi.get((causal_ins, box.outs))
         if m is None:
-            raise MissingXi(f"no xi entry for the signature of box {box.name!r}")
+            sig = " -> ".join(
+                "[" + ", ".join(f"{t.kind} {t.carrier}" for t in ts) + "]"
+                for ts in (causal_ins, box.outs)
+            )
+            raise MissingXi(f"no xi entry for the signature {sig} of box {box.name!r}")
         if fixed and p.name not in m.dom:
             raise CarrierMismatch(f"xi domain does not list procedure {p.name!r}")
         if not fixed and m.dom != box.ins[0].carrier:

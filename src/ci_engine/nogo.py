@@ -521,7 +521,8 @@ def fs_compatible(corr, s):
     hits (one per context, row-major as ``as_vector``), plus an all-ones
     row for the total weight.  Float tables are rationalized first; the
     certificate records the exact table actually tested.  Both verdicts
-    are re-verified by direct arithmetic before being returned: a
+    are re-verified in integers before being returned, the table and
+    the certificate each read as numerators over one denominator: a
     member's nonzero weights are recombined cell by cell, and a facet's
     bound is its largest sum over any strategy's cells.
     """
@@ -530,27 +531,34 @@ def fs_compatible(corr, s):
     target = rationalize(corr)
     _, cells, a_rows = _strategies(s)
     q = target.as_vector()
+    qn, qd = integers(q)
     m = len(q)
     status, payload = feasible_nonneg(a_rows, [*q, 1])
     if status == "feasible":
         w = tuple(payload)
-        recombined = [_ZERO] * m
-        for wi, cs in zip(w, cells):
+        wn, wd = integers(w)
+        recombined = [0] * m
+        for wi, cs in zip(wn, cells):
             if wi:
                 for i in cs:
                     recombined[i] += wi
-        if recombined != list(q) or sum(w) != 1 or any(wi < 0 for wi in w):
+        # recombined / wd == qn / qd, cell by cell
+        if (
+            any(r * qd != v * wd for r, v in zip(recombined, qn))
+            or sum(wn) != wd
+            or any(wi < 0 for wi in wn)
+        ):
             raise EngineError("membership weights failed re-verification")
         return Member(w, target)
     facet = tuple(payload[:m])
-    # a strategy pays the facet's entries on its cells: sum integer
-    # numerators over the facet's one denominator
-    nums, den = integers(facet)
-    bound = Fraction(max(sum(nums[i] for i in cs) for cs in cells), den)
-    violation = _dot(facet, q) - bound
-    if violation <= 0:
+    # a strategy pays the facet's entries on its cells, at most top / fd;
+    # the table pays sum(fn * qn) / (fd * qd)
+    fn, fd = integers(facet)
+    top = max(sum(fn[i] for i in cs) for cs in cells)
+    gap = sum(f * v for f, v in zip(fn, qn)) - top * qd
+    if gap <= 0:
         raise EngineError("separating facet failed re-verification")
-    return NonMember(facet, bound, violation, target)
+    return NonMember(facet, Fraction(top, fd), Fraction(gap, fd * qd), target)
 
 
 def chsh_value(corr):

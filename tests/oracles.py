@@ -885,8 +885,10 @@ def apply_representation_reference(rep, d_op):
             causal_ins = box.ins if fixed else box.ins[1:]
             m = rep.xi.get((causal_ins, box.outs))
             if m is None:
+                ins = ", ".join(f"{t.kind} {t.carrier}" for t in causal_ins)
+                outs = ", ".join(f"{t.kind} {t.carrier}" for t in box.outs)
                 raise MissingXi(
-                    f"no xi entry for the signature of box {box.name!r}"
+                    f"no xi entry for the signature [{ins}] -> [{outs}] of box {box.name!r}"
                 )
             if fixed and p.name not in m.dom:
                 raise CarrierMismatch(

@@ -1,5 +1,6 @@
 """Exact rational linear algebra and Phase-I feasibility."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -258,17 +259,17 @@ def _eager_pivot(rows, r, c, d):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from((1, 2**28, 2**40)), st.booleans())
 def test_lazy_row_scales_match_the_global_scale_step(seed, size, python_ints):
-    # random pivots on random integer tableaux: every row lifted from its
-    # own scale to the current d equals the eager step's row, exactly, and
-    # a row with a zero in the pivot column is left as it is.  The ndarray
-    # step takes the same path as the list step; with entries near 2^28 or
-    # 2^40 its int64 table moves to Python ints on the way.
+    # random pivots, negative ones included, on random integer tableaux:
+    # the ndarray step equals the eager step row for row, and every list
+    # row lifted from its own scale to the current d equals it too, a row
+    # with a zero in the pivot column being left as it is by the list
+    # step.  With entries near 2^28 or 2^40 the int64 table moves to
+    # Python ints on the way.
     rng = random.Random(seed)
     m, n = rng.randint(1, 5), rng.randint(1, 6)
     eager = [[rng.choice((0, 0, rng.randint(-9, 9) * size)) for _ in range(n)] for _ in range(m)]
     lazy, ds, d = [list(row) for row in eager], [1] * m, 1
     tab = np.array(eager, dtype=object if python_ints else np.int64).reshape(m, n)
-    tab_ds = [1] * m
     for _ in range(rng.randint(1, 8)):
         spots = [(r, c) for r in range(m) for c in range(n) if eager[r][c]]
         if not spots:
@@ -276,14 +277,14 @@ def test_lazy_row_scales_match_the_global_scale_step(seed, size, python_ints):
         r, c = rng.choice(spots)
         untouched = [(i, lazy[i]) for i in range(m) if i != r and not lazy[i][c]]
         d_eager = _eager_pivot(eager, r, c, d)
-        tab, d_tab = exactlp._pivot_array(tab, tab_ds, r, c, d)
+        tab, d_tab = exactlp._pivot_array(tab, r, c, d)
         d = exactlp._pivot(lazy, ds, r, c, d)
         assert d == d_tab == d_eager > 0
         assert all(lazy[i] is row for i, row in untouched)
         assert all(s > 0 and v * d % s == 0 for row, s in zip(lazy, ds) for v in row)
         assert [[v * d // s for v in row] for row, s in zip(lazy, ds)] == eager
-        assert tab.tolist() == lazy and tab_ds == ds
-        assert tab.dtype == object or all(abs(v) < 2**62 for row in lazy for v in row)
+        assert tab.tolist() == eager
+        assert tab.dtype == object or all(abs(v) < 2**62 for row in eager for v in row)
 
 
 def _spy_pivots(monkeypatch):
@@ -291,9 +292,9 @@ def _spy_pivots(monkeypatch):
     steps = []
     real = exactlp._pivot_array
 
-    def spy(tab, ds, r, c, d):
+    def spy(tab, r, c, d):
         before = tab.dtype
-        tab, p = real(tab, ds, r, c, d)
+        tab, p = real(tab, r, c, d)
         steps.append((before, tab.dtype))
         return tab, p
 
@@ -302,20 +303,28 @@ def _spy_pivots(monkeypatch):
 
 
 def test_pivot_step_moves_to_python_ints_at_the_bound():
-    # pivot (0, 0): p = max|w| = 2^31 and f = 1, so the bound is
-    # 2^31 * max|row 1| + 2^31, which reaches 2^62 exactly at 2^31 - 1
-    for last, dtype in ((2**31 - 2, np.int64), (2**31 - 1, object), (2**33, object)):
-        tab = np.array([[2**31, 1], [1, last]], dtype=np.int64)
-        tab, p = exactlp._pivot_array(tab, [1, 1], 0, 0, 1)
-        assert (p, tab.dtype) == (2**31, dtype)
-        # 2^31 * 2^33 would wrap int64; the Python ints hold the exact row
-        assert tab.tolist() == [[2**31, 1], [0, 2**31 * last - 1]]
-    # lifting a pivot row from scale 1 to d = 2^40 needs max|w| * d below 2^62
-    for top, dtype in ((2**22 - 1, np.int64), (2**22, object)):
-        tab = np.array([[top, 1], [0, 1]], dtype=np.int64)
-        tab, p = exactlp._pivot_array(tab, [1, 1], 0, 0, 2**40)
-        assert (p, tab.dtype) == (top * 2**40, dtype)
-        assert tab.tolist() == [[top * 2**40, 2**40], [0, 1]]
+    # pivot (0, 0) with p = 1 and M = last: the bound p * M + M * M is
+    # 2^62 - 2^31 at last = 2^31 - 1, and 2^62 + 2^31 at 2^31, the first M
+    # to reach 2^62 (no p <= M makes it 2^62 exactly)
+    for last, dtype in ((2**31 - 1, np.int64), (2**31, object)):
+        tab = np.array([[1, 1], [1, last]], dtype=np.int64)
+        tab, p = exactlp._pivot_array(tab, 0, 0, 1)
+        assert (p, tab.dtype) == (1, dtype)
+        assert tab.tolist() == [[1, 1], [0, last - 1]]
+    # with p = M the bound is 2 M^2, below 2^62 up to M = isqrt(2^61)
+    edge = math.isqrt(2**61)
+    for top, dtype in ((edge, np.int64), (edge + 1, object)):
+        tab = np.array([[top, 1], [1, top]], dtype=np.int64)
+        tab, p = exactlp._pivot_array(tab, 0, 0, 1)
+        assert (p, tab.dtype) == (top, dtype)
+        assert tab.tolist() == [[top, 1], [0, top * top - 1]]
+    # beyond the bound: 2^31 * 2^33 would wrap int64, and the Python ints
+    # hold the exact rows, at scale 1 and divided by a scale d = 2^31
+    for d in (1, 2**31):
+        tab = np.array([[2**31, 1], [2**31, 2**33]], dtype=np.int64)
+        tab, p = exactlp._pivot_array(tab, 0, 0, d)
+        assert (p, tab.dtype) == (2**31, object)
+        assert tab.tolist() == [[2**31, 1], [0, (2**64 - 2**31) // d]]
 
 
 def test_bell_4422_lp_stays_on_int64(monkeypatch):

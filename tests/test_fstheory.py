@@ -372,10 +372,21 @@ def test_a_procedure_box_has_the_image_of_point_knowledge_of_it(name):
 
 
 def test_missing_xi_is_reported():
+    # the refusal names the signature it looked up, causal inputs to
+    # outputs by kind and carrier, and the box, as the reference does
     pm, bit = _coin_model()
-    rep = RealistRep({bit: (0, 1)}, {})
-    with pytest.raises(MissingXi):
-        apply_representation(rep, _measure_after(pm, bit, "id"))
+    xi = _coin_rep(pm, bit).xi
+    d = _measure_after(pm, bit, "id")
+    for entries, sig in (
+        ({}, "[] -> [causal (0, 1)]"),
+        ({((), (bit,)): xi[(), (bit,)]}, "[causal (0, 1)] -> [causal (0, 1)]"),
+    ):
+        rep = RealistRep({bit: (0, 1)}, entries)
+        want = f"no xi entry for the signature {sig} of box 'do'"
+        for apply in (apply_representation, apply_representation_reference):
+            with pytest.raises(MissingXi) as raised:
+                apply(rep, d)
+            assert str(raised.value) == want
 
 
 def _op_pieces(rng, pm, a, b):

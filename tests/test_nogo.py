@@ -516,6 +516,79 @@ def test_bogus_separating_facet_is_not_returned(monkeypatch):
         with pytest.raises(EngineError, match="separating facet failed re-verification"):
             fs_compatible(corr, s)
 
+
+def _mixture(s, picks, ks):
+    """The table of the deterministic strategies ``picks`` at weights k / sum(k)."""
+    vecs = [local_vertices(s)[i].as_vector() for i in picks]
+    total = sum(ks)
+    q = [sum(F(k, total) * vec[i] for k, vec in zip(ks, vecs)) for i in range(len(vecs[0]))]
+    width = len(s.outcomes())
+    return Correlation(s, [q[i : i + width] for i in range(0, len(q), width)])
+
+
+@pytest.mark.parametrize("shift", ["one-up", "one-down", "one-up-one-down"])
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: (Bell(2, 3, 2, 2), _mixture(Bell(2, 3, 2, 2), (3, 17, 30), (2, 3, 4))),
+        lambda: (Bell(4, 4, 2, 2), Correlation(Bell(4, 4, 2, 2), [[F(1, 4)] * 4] * 16)),
+    ],
+    ids=["2322-mixture", "4422-uniform"],
+)
+def test_weights_moved_by_one_unit_fail_reverification(monkeypatch, table, shift):
+    # the LP's own weights, over their common denominator den, with entries
+    # moved by 1/den: "one-up-one-down" keeps the sum at 1 and every weight
+    # nonnegative, so the cell-by-cell recombination alone refuses it
+    s, corr = table()
+    w = feasible_nonneg(nogo._strategies(s)[2], [*corr.as_vector(), 1])[1]
+    den = math.lcm(*(v.denominator for v in w))
+    support = [i for i, v in enumerate(w) if v]
+    up = next(i for i in range(len(w)) if i != support[0])
+    moves = {
+        "one-up": {up: 1},
+        "one-down": {support[0]: -1},
+        "one-up-one-down": {up: 1, support[0]: -1},
+    }[shift]
+    bad = [v + F(moves.get(i, 0), den) for i, v in enumerate(w)]
+    assert min(bad) >= 0 and (sum(bad) == 1) == (shift == "one-up-one-down")
+    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("feasible", bad))
+    with pytest.raises(EngineError, match="membership weights failed re-verification"):
+        fs_compatible(corr, s)
+    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("feasible", w))
+    assert fs_compatible(corr, s).weights == tuple(w)
+
+
+@pytest.mark.parametrize(
+    "s, table",
+    [(chsh_scenario(), pr_box().table), (Bell(2, 3, 2, 2), _pr_block_table(Bell(2, 3, 2, 2)))],
+    ids=["2222-pr", "2322-pr-block"],
+)
+def test_a_facet_with_one_entry_raised_to_the_edge_fails_reverification(monkeypatch, s, table):
+    # raising the facet's entry at a cell the table leaves empty by k lifts
+    # the strategies through that cell by k; at k = the table's payment
+    # less their best sum the bound meets the payment, violation 0, and
+    # half a violation short of that the facet still separates, with the
+    # bound and violation it must then have
+    corr = Correlation(s, table)
+    _, cells, rows = nogo._strategies(s)
+    y = feasible_nonneg(rows, [*corr.as_vector(), 1])[1]
+    got = fs_compatible(corr, s)
+    pays = got.bound + got.violation
+    i = corr.as_vector().index(0)
+    through = max(sum(got.facet[j] for j in cs) for cs in cells if i in cs)
+
+    def raised(k):
+        bad = [*y[:i], y[i] + k, *y[i + 1 :]]
+        monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("infeasible", bad))
+        return fs_compatible(corr, s)
+
+    with pytest.raises(EngineError, match="separating facet failed re-verification"):
+        raised(pays - through)
+    half = got.violation / 2
+    short = raised(pays - through - half)
+    assert (short.bound, short.violation) == (pays - half, half)
+
+
 def test_chsh_values():
     assert chsh_value(pr_box()) == 4
     verts = local_vertices(chsh_scenario())
