@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import mul
 
 import numpy as np
 
@@ -194,7 +195,10 @@ class Correlation:
     Rows follow ``scenario.contexts()`` and columns ``scenario.outcomes()``.
     Exact tables must normalize exactly; float tables within 1e-9.
     ``is_exact`` says which: every entry an exact number, read as a
-    Fraction, or every entry read as a float.
+    Fraction, or every entry read as a float.  An exact context is read
+    once by ``tensornet.integers``: its numerators must be nonnegative and
+    sum to their common denominator.  Fraction entries are kept as given;
+    other exact entries become Fractions.
     """
 
     scenario: object
@@ -215,12 +219,16 @@ class Correlation:
             raise DimensionMismatch("one table column per joint outcome")
         exact = all(is_exact_number(v) for row in rows for v in row)
         if exact:
-            rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
             for row in rows:
-                if any(v < 0 for v in row):
+                # one read per context: numerators over their least common denominator
+                nums, den = integers(row)
+                if min(nums) < 0:
                     raise ValidationError("negative probability")
-                if sum(row) != 1:
+                if sum(nums) != den:
                     raise ValidationError("a context does not normalize")
+            rows = tuple(
+                tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
+            )
         else:
             for row in rows:
                 try:
@@ -301,9 +309,9 @@ def _strategy_nodes(s):
 
 def _strategies(s):
     """The scenario's deterministic strategies as one table, cached per
-    scenario: ``(hits, cells, incidence)``.  The strategy count is checked
-    against the cap on every call, before any strategy is enumerated or
-    read from the cache.
+    scenario: ``(hits, cells, incidence)``.  The strategy count, cached per
+    scenario beside the table, is checked against the current cap on every
+    call, before any strategy is enumerated or read from the cache.
 
     ``hits`` lists the strategies of ``local_vertices``, in its order, each
     as the tuple of its outcome index (into ``s.outcomes()``) in each
@@ -314,13 +322,19 @@ def _strategies(s):
     handed out as the tuple of its rows, a sequence of rows like any other
     LP input.
     """
-    _, observed, card, parents = _strategy_nodes(s)
-    count = math.prod(
-        card[n] ** math.prod(card[p] for p in ps) for n, ps in zip(observed, parents)
-    )
+    count = _strategy_count(s)
     if over_cap(count):
         raise CapExceeded(f"{count} deterministic strategies exceed the cap")
     return _strategy_table(s)
+
+
+@lru_cache(maxsize=8)
+def _strategy_count(s):
+    """The number of response-function tuples, duplicates included."""
+    _, observed, card, parents = _strategy_nodes(s)
+    return math.prod(
+        card[n] ** math.prod(card[p] for p in ps) for n, ps in zip(observed, parents)
+    )
 
 
 @lru_cache(maxsize=8)
@@ -504,13 +518,6 @@ def rationalize(corr):
             raise ValidationError("a context rationalized to zero mass")
         rows.append(tuple(Fraction(k, total) for k in ks))
     return Correlation(corr.scenario, tuple(rows))
-
-
-def _dot(u, v):
-    """Exact dot product of rational vectors: integer products summed over
-    one common denominator and reduced once."""
-    (a, da), (b, db) = integers(u), integers(v)
-    return Fraction(sum(x * y for x, y in zip(a, b)), da * db)
 
 
 def fs_compatible(corr, s):
@@ -942,11 +949,19 @@ def _ratvec(v):
     # snapping floats at denominator 1e12 errs below 1e-12, three orders
     # inside the pairing slack, and keeps exact pivots tractable
     return tuple(
-        x
-        if isinstance(x, Fraction)
-        else Fraction(x).limit_denominator(10**12)
-        for x in v
+        x if is_exact_number(x) else Fraction(x).limit_denominator(10**12) for x in v
     )
+
+
+def _pairings(effects, states):
+    """The exact table of ``e · w``, effects by row and states by column.
+    Each vector is read once by ``tensornet.integers``; each entry is an
+    integer sum of products over the two denominators, reduced once."""
+    ws = [integers(w) for w in states]
+    return [
+        [Fraction(sum(map(mul, a, b)), da * db) for b, db in ws]
+        for a, da in map(integers, effects)
+    ]
 
 
 def _dependences(vectors):
@@ -1058,7 +1073,7 @@ def simplex_embed(frag, lambda_max=16):
 
     # The pairing table, unit row first.  Operational equivalences are
     # the dependences of its rows and of its columns.
-    targets = [[_dot(e, w) for w in states] for e in effects_all]
+    targets = _pairings(effects_all, states)
     flat_targets = [t for row in targets for t in row]
     state_deps = _dependences(list(zip(*targets)))
     # an exact embedding factors the table, so it has at least rank states
@@ -1179,11 +1194,9 @@ def simplex_embed(frag, lambda_max=16):
         state_images.append(tuple(img))
 
     slack = _PAIRING_SLACK if not exact else 0
-    for e_idx in range(ne):
-        for s_idx in range(ns):
-            got = _dot(effect_images_all[e_idx], state_images[s_idx])
-            if abs(got - targets[e_idx][s_idx]) > slack:
-                raise EngineError("embedding failed pairing re-verification")
+    got = _pairings(effect_images_all, state_images)
+    if any(abs(g - t) > slack for gs, ts in zip(got, targets) for g, t in zip(gs, ts)):
+        raise EngineError("embedding failed pairing re-verification")
     return Feasible(
         len(slots),
         tuple(state_images),

@@ -32,19 +32,23 @@ from .caps import over_cap
 from .errors import CapExceeded, DimensionMismatch
 
 _INT64_SAFE = 1 << 62
+_EXACT_TYPES = (int, Fraction)
 
 
 def is_exact_number(v):
     """An int or a Fraction, never a bool: a number the engine reads as it is."""
     # bool has no subclasses, so a type test is an isinstance test
-    return isinstance(v, (int, Fraction)) and type(v) is not bool
+    return isinstance(v, _EXACT_TYPES) and type(v) is not bool
 
 
 def integers(values):
     """The numbers as Python ints over one positive denominator, the least
     common one: ``(ints, den)`` with ``values[i] == ints[i] / den``.  Exact
     numbers are read as they are; anything else goes through ``Fraction(v)``."""
-    values = [v if is_exact_number(v) else Fraction(v) for v in values]
+    # a plain int or Fraction is exact without the subclass and bool tests
+    values = [
+        v if type(v) in _EXACT_TYPES or is_exact_number(v) else Fraction(v) for v in values
+    ]
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den

@@ -31,6 +31,7 @@ from ci_engine.errors import (
     ParseError,
     SignatureMismatch,
     TypeMismatch,
+    ValidationError,
 )
 from ci_engine.exactlp import _dot, _ints, _kernel
 from ci_engine.fileformat import _split_header
@@ -510,6 +511,20 @@ def rationalize_reference(table, den=10**6):
             raise ValueError("a context rationalized to zero mass")
         rows.append(tuple(v / total for v in vals))
     return tuple(rows)
+
+
+def correlation_rows_reference(rows):
+    """The rows of an exact table as Fractions, checked context by context
+    in Fractions: each entry nonnegative, then the row's Fraction sum equal
+    to 1.  This was the exact branch of ``nogo.Correlation.__post_init__``
+    before it read each context once as integers."""
+    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    for row in rows:
+        if any(v < 0 for v in row):
+            raise ValidationError("negative probability")
+        if sum(row) != 1:
+            raise ValidationError("a context does not normalize")
+    return rows
 
 
 def chsh_of_table(table, exact=False):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ci_engine import nogo, optheory, substoch
+from ci_engine import nogo, optheory, substoch, tensornet
 from ci_engine.exactlp import feasible_nonneg, nullspace, verify_certificate
 from ci_engine.errors import (
     CapExceeded,
@@ -98,6 +99,72 @@ def test_correlation_must_normalize_exactly():
     bad = [[F(1, 2), F(1, 2), F(0), F(1, 4)]] + [[F(1), 0, 0, 0]] * 3
     with pytest.raises(ValidationError):
         Correlation(s, bad)
+
+
+class _Level(int):
+    """An int subclass: an exact number that is not a plain int."""
+
+
+@st.composite
+def _exact_rows(draw):
+    """A scenario and exact rows, each on a denominator k: most sum to 1,
+    some to 1 - 1/k or 1 + 1/k, some hold a negative entry.  An integer
+    entry comes as an int, an int subclass or a Fraction; the rest are
+    Fractions."""
+    s = draw(st.sampled_from((chsh_scenario(), Instrumental(2, 2, 2))))
+    n_out = len(s.outcomes())
+    faults = draw(
+        st.dictionaries(
+            st.integers(0, len(s.contexts()) - 1),
+            st.sampled_from(["under", "over", "negative", "negative-over"]),
+            max_size=2,
+        )
+    )
+    rows = []
+    for r in range(len(s.contexts())):
+        k = draw(st.integers(1, 6))
+        fault = faults.get(r, "")
+        total = k - 1 if fault == "under" else k + 1 if "over" in fault else k
+        cut = st.integers(0, total)
+        cuts = sorted(draw(st.lists(cut, min_size=n_out - 1, max_size=n_out - 1)))
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        if "negative" in fault:
+            j = draw(st.integers(0, n_out - 2))
+            nums[-1] += nums[j] + 1
+            nums[j] = -1
+        row = []
+        for n in nums:
+            v = F(n, k)
+            if v.denominator == 1:
+                v = draw(st.sampled_from([int(v), _Level(v), v]))
+            row.append(v)
+        rows.append(tuple(row))
+    return s, tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_rows())
+@example((chsh_scenario(), pr_box().table))
+@example((chsh_scenario(), ((_Level(1), 0, F(0), 0),) * 4))
+def test_exact_rows_are_accepted_and_refused_as_by_the_fraction_rule(case):
+    s, rows = case
+    try:
+        want = oracles.correlation_rows_reference(rows)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            Correlation(s, rows)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    c = Correlation(s, rows)
+    assert c.is_exact and c.table == want
+    assert all(type(v) is Fraction for row in c.table for v in row)
+    # a Fraction entry is kept as given
+    assert all(
+        got is v
+        for row, got_row in zip(rows, c.table)
+        for v, got in zip(row, got_row)
+        if type(v) is Fraction
+    )
 
 
 def test_float_correlation_gets_tolerance():
@@ -228,6 +295,15 @@ def test_membership_checks_the_strategy_cap_before_the_lp(monkeypatch):
     with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
         fs_compatible(corr, s)
     assert enumerators == []
+
+def test_a_cached_scenario_does_not_rebuild_its_nodes(monkeypatch):
+    # the strategy count is cached beside the table, so a warm call reads
+    # both without walking the scenario's DAG again
+    s = Bell(2, 3, 2, 2)
+    table = nogo._strategies(s)
+    monkeypatch.setattr(nogo, "_strategy_nodes", None)
+    assert nogo._strategies(Bell(2, 3, 2, 2)) is table
+
 
 def test_the_strategy_cap_holds_after_the_cache_is_filled(monkeypatch):
     # prepare-measure (2, 2, 4, 2): 1024 strategies, a member at the
@@ -654,6 +730,56 @@ def test_rationalize_matches_the_fraction_reference(case):
     assert rationalize(corr).table == oracles.rationalize_reference(corr.table)
 
 
+def _seeded_float_tables(s, rng):
+    """Float tables of the scenario: Born tables of random two-qubit models
+    (Bell only), random normalized rows, and float images of local
+    mixtures with dyadic weights, which round to themselves."""
+    tables = []
+    if isinstance(s, Bell):
+        for _ in range(4):
+            _, _, pm, _ = rand_quantum_bell(rng, s.n_x, s.n_y)
+            tables.append(model_correlations(pm).table)
+    n_out = len(s.outcomes())
+    for _ in range(3):
+        rows = [[rng.random() for _ in range(n_out)] for _ in s.contexts()]
+        tables.append([[v / sum(row) for v in row] for row in rows])
+    verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+    weights = (F(1, 2), F(1, 4), F(1, 4))
+    for _ in range(3):
+        picks = rng.sample(verts, 3)
+        tables.append(
+            [
+                [float(sum(w * t[r][c] for w, t in zip(weights, picks))) for c in range(n_out)]
+                for r in range(len(s.contexts()))
+            ]
+        )
+    return tables
+
+
+def test_float_membership_matches_the_rounded_fraction_vertex_path():
+    # float tables are rationalized, then decided: the same verdict and
+    # certificate as the Fraction LP over whole vertex tables on the
+    # Fraction rounding of the table
+    rng = random.Random(SEED)
+    verdicts = set()
+    for s in (Bell(2, 2, 2, 2), Bell(2, 3, 2, 2), Instrumental(2, 2, 2)):
+        verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+        for table in _seeded_float_tables(s, rng):
+            corr = Correlation(s, table)
+            assert not corr.is_exact
+            rounded = oracles.rationalize_reference(corr.table)
+            got = fs_compatible(corr, s)
+            want = oracles.fs_compatible_fraction(rounded, verts)
+            assert got.correlation.table == rounded
+            verdicts.add(want[0])
+            if want[0] == "member":
+                assert isinstance(got, Member) and got.weights == want[1]
+            else:
+                assert isinstance(got, NonMember)
+                assert (got.facet, got.bound, got.violation) == want[1:]
+    assert verdicts == {"member", "nonmember"}
+
+
 def test_no_signalling_check_flags_signalling():
     s = chsh_scenario()
     good = pr_box()
@@ -1018,6 +1144,28 @@ def test_an_exact_embedding_at_the_table_rank_takes_one_lp(monkeypatch, frag, si
     res = simplex_embed(frag)
     assert isinstance(res, Feasible) and res.size == size
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [hexagon_fragment, qubit_stabilizer_fragment])
+def test_an_embedding_reads_each_vector_once(monkeypatch, make):
+    # the pairing table reads each state and effect once, and the pairing
+    # re-verification each image once, not once per partner
+    frag = make()
+    reads = []
+
+    def counting(values):
+        values = tuple(values)
+        reads.append(values)
+        return tensornet.integers(values)
+
+    monkeypatch.setattr(nogo, "integers", counting)
+    res = simplex_embed(frag)
+    vectors = [*frag.states, *frag.effects, frag.unit]
+    if isinstance(res, Feasible):
+        vectors += [*res.state_images, *res.effect_images, res.unit_image]
+    wanted = Counter(map(tuple, vectors))
+    assert all(v in reads for v in frag.states)
+    assert all(reads.count(v) <= n for v, n in wanted.items())
 
 
 def test_exactness_is_recorded_once():

@@ -1,5 +1,6 @@
 """Tensor-network contraction against direct index-sum references."""
 
+import enum
 import itertools
 import math
 import random
@@ -151,9 +152,32 @@ def test_integers_reads_numbers_over_their_least_common_denominator(values):
     assert math.gcd(den, *ints) == 1
 
 
-def test_integers_reads_other_numbers_through_fraction():
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Ratio(Fraction):
+    pass
+
+
+def test_integers_reads_other_numbers_through_fraction(monkeypatch):
     assert tensornet.integers([True, 0.5, np.int64(3), Fraction(1, 3)]) == ([6, 3, 18, 2], 6)
     assert tensornet.integers([]) == ([], 1)
+    # an IntEnum member and a Fraction subclass are exact numbers, read as
+    # they are; a bool and a numpy int still go through Fraction(v)
+    converted = []
+
+    def spy(v):
+        converted.append(v)
+        return Fraction(v)
+
+    monkeypatch.setattr(tensornet, "Fraction", spy)
+    exact = [_Level.HIGH, _Ratio(1, 3), 2, Fraction(1, 2)]
+    ints, den = tensornet.integers(exact)
+    assert (ints, den) == ([18, 2, 12, 3], 6) and all(type(n) is int for n in ints)
+    assert converted == []
+    assert tensornet.integers([True, np.int64(3)]) == ([1, 3], 1)
+    assert converted == [True, np.int64(3)] and type(converted[1]) is np.int64
 
 
 def test_cap_limits_intermediate_size(monkeypatch):
