@@ -18,6 +18,7 @@ axis of plain probabilities.
 """
 
 import math
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
@@ -51,6 +52,7 @@ from .fstheory import (
 from .tensornet import contract
 
 _KRAUS_TOL = 1e-9
+_LETTERS = string.ascii_letters
 _PROB_TOL = 1e-9
 _EQUIV_TOL = Fraction(1, 10**9)
 
@@ -141,12 +143,7 @@ def _validate_kraus(decl):
             raise CarrierMismatch(
                 f"procedure {decl.name!r}: classical label arity mismatch"
             )
-        for lab, t in zip(c_out, c_outs):
-            if lab not in t.carrier:
-                raise CarrierMismatch(
-                    f"procedure {decl.name!r}: label {lab!r} not in carrier"
-                )
-        for lab, t in zip(c_in, c_ins):
+        for lab, t in zip(c_out + c_in, c_outs + c_ins):
             if lab not in t.carrier:
                 raise CarrierMismatch(
                     f"procedure {decl.name!r}: label {lab!r} not in carrier"
@@ -321,47 +318,44 @@ def _classical_tensor(pm):
     return tensor
 
 
-def _vec_axes(block, out_dims, in_dims):
-    """(Do,Do,Di,Di) superoperator block to per-register d*d axes."""
-    shape = tuple(out_dims) * 2 + tuple(in_dims) * 2
-    t = block.reshape(shape)
-    p, q = len(out_dims), len(in_dims)
-    perm = []
-    for a in range(p):
-        perm += [a, a + p]
-    for b in range(q):
-        perm += [2 * p + b, 2 * p + q + b]
-    t = t.transpose(perm)
-    return t.reshape(tuple(d * d for d in out_dims) + tuple(d * d for d in in_dims))
-
-
 def _port_axis(t):
     return t.size if t.classical else _qdim(t) ** 2
 
 
+def _branch_index(types, labels):
+    """Where one classical branch sits: each classical port at its label, each quantum port whole."""
+    labels = iter(labels)
+    return tuple(t.carrier.index(next(labels)) if t.classical else slice(None) for t in types)
+
+
 def _proc_tensor(decl):
-    """One procedure as a hybrid superoperator tensor, outputs first."""
-    ch = decl.channel
-    out_axes = tuple(_port_axis(t) for t in decl.outs)
-    in_axes = tuple(_port_axis(t) for t in decl.ins)
-    q_out = _quantum_dims(decl.outs)
-    q_in = _quantum_dims(decl.ins)
-    d_out = math.prod(q_out)
-    d_in = math.prod(q_in)
-    arr = np.zeros(out_axes + in_axes, dtype=complex)
-    for (c_out, c_in), mats in ch.kraus.items():
-        block = np.zeros((d_out, d_out, d_in, d_in), dtype=complex)
+    """One procedure as a hybrid superoperator tensor, outputs first.
+
+    A branch's block is the sum of ``m (x) conj(m)`` over its Kraus
+    matrices ``m``, in their given order, with each quantum register of
+    ``m`` beside the same register of ``conj(m)``, so that the pair is
+    one axis of size d*d; the block sits at the branch's classical
+    labels, and a missing branch is zero.  The tensor's cells are
+    checked against the cap before it is allocated.
+    """
+    q = _quantum_dims(decl.outs) + _quantum_dims(decl.ins)
+    shape = tuple(_port_axis(t) for t in decl.outs + decl.ins)
+    fstheory._check_cells(math.prod(shape))
+    # one letter per register of m, then one per register of conj(m); a
+    # register of dimension 1 takes none, and the cap leaves at most 11
+    # larger ones, so the 52 letters suffice
+    r = [d for d in q if d > 1]
+    regs, conjs = _LETTERS[: len(r)], _LETTERS[len(r) : 2 * len(r)]
+    spec = f"{regs},{conjs}->{''.join(a + b for a, b in zip(regs, conjs))}"
+    pairs = [d for d in r for _ in range(2)]
+    arr = np.zeros(shape, dtype=complex)
+    for (c_out, c_in), mats in decl.channel.kraus.items():
+        block = np.zeros(pairs, dtype=complex)
         for m in mats:
-            block += np.einsum("im,jn->ijmn", m, m.conj())
-        vecd = _vec_axes(block, q_out, q_in)
-        idx = []
-        ci = iter(c_out)
-        for t in decl.outs:
-            idx.append(t.carrier.index(next(ci)) if t.classical else slice(None))
-        ci = iter(c_in)
-        for t in decl.ins:
-            idx.append(t.carrier.index(next(ci)) if t.classical else slice(None))
-        arr[tuple(idx)] = vecd
+            m = m.reshape(r)
+            block += np.einsum(spec, m, m.conj())
+        at = _branch_index(decl.outs, c_out) + _branch_index(decl.ins, c_in)
+        arr[at] = block.reshape([d * d for d in q])
     return arr
 
 
@@ -369,6 +363,8 @@ def _quantum_tensor(pm):
     def tensor(box):
         p = box.payload
         if isinstance(p, OpKnowledge):
+            # the stack holds alphabet x procedure cells
+            fstheory._check_cells(math.prod(_port_axis(t) for t in box.outs + box.ins))
             tensors = [_proc_tensor(pm.decl(nm)) for nm in p.alphabet]
             return np.stack(tensors, axis=len(p.out_systems))
         if isinstance(p, OpProc):

@@ -1,7 +1,8 @@
 """Generic tensor contraction for diagram evaluation.
 
-Each wire of a diagram becomes a tensor index and each box becomes a
-tensor whose axes follow the box's ports, outputs first then inputs.
+Each wire of a diagram becomes a tensor index, labelled by the wire's
+position in the diagram's wire list, and each box becomes a tensor
+whose axes follow the box's ports, outputs first then inputs.
 Contracting the network yields a single tensor with one axis per open
 boundary port, outputs first then inputs, each side in boundary order.
 
@@ -21,7 +22,6 @@ materialized as identity tensors so that the result always has the full
 set of boundary axes.
 """
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -133,39 +133,30 @@ def tensordot(a, b, axes):
 def contract(diagram, box_tensor, wire_size, eye=None):
     """Contract ``diagram`` to one tensor.
 
-    ``box_tensor(box)`` must return a Scaled tensor or an ndarray with
-    axes ordered as the box's output ports followed by its input ports;
-    ``wire_size(t)`` gives the axis length for a wire of type ``t``.
-    ``eye(n)`` builds the pass-through identity: Scaled by default, an
-    ndarray factory such as ``np.eye`` for float or complex networks.
-    No pairwise step may produce more than ``enumeration_cap()`` cells.
+    Each axis is labelled by its wire's position ``k`` in
+    ``diagram.wires``, and both ends of a wire carry that label, so an
+    axis shared by two nodes is a wire between them; a wire from a
+    boundary input straight to a boundary output is an identity node
+    whose input end is labelled ``-1 - k``.  ``box_tensor(box)`` must
+    return a Scaled tensor or an ndarray with axes ordered as the box's
+    output ports followed by its input ports; ``wire_size(t)`` gives the
+    axis length for a wire of type ``t``.  ``eye(n)`` builds the
+    pass-through identity: Scaled by default, an ndarray factory such as
+    ``np.eye`` for float or complex networks.  No pairwise step may
+    produce more than ``enumeration_cap()`` cells.
     """
     if eye is None:
         eye = scaled_eye
-    fresh = itertools.count().__next__
-    n_in = len(diagram.input_types)
-    n_out = len(diagram.output_types)
-    open_in = [None] * n_in
-    open_out = [None] * n_out
-    box_out_label = {}
-    box_in_label = {}
+    # producer ends (boundary inputs, box outputs) and consumer ends
+    # (boundary outputs, box inputs) to their wire's label
+    src_label = {}
+    dst_label = {}
     nodes = []
-    for src, dst in diagram.wires:
+    for k, (src, dst) in enumerate(diagram.wires):
+        src_label[src] = dst_label[dst] = k
         if src[0] == "in" and dst[0] == "out":
-            a, b = fresh(), fresh()
-            open_out[dst[1]] = a
-            open_in[src[1]] = b
-            nodes.append([eye(wire_size(diagram.input_types[src[1]])), [a, b]])
-            continue
-        label = fresh()
-        if src[0] == "in":
-            open_in[src[1]] = label
-        else:
-            box_out_label[(src[1], src[2])] = label
-        if dst[0] == "out":
-            open_out[dst[1]] = label
-        else:
-            box_in_label[(dst[1], dst[2])] = label
+            src_label[src] = -1 - k
+            nodes.append([eye(wire_size(diagram.input_types[src[1]])), [k, -1 - k]])
     for b, box in enumerate(diagram.boxes):
         arr = box_tensor(box)
         if not isinstance(arr, Scaled):
@@ -176,8 +167,8 @@ def contract(diagram, box_tensor, wire_size, eye=None):
                 f"tensor for box {box.name!r} has shape {arr.shape}, "
                 f"ports require {expected}"
             )
-        labels = [box_out_label[(b, j)] for j in range(len(box.outs))]
-        labels += [box_in_label[(b, i)] for i in range(len(box.ins))]
+        labels = [src_label[("box", b, j)] for j in range(len(box.outs))]
+        labels += [dst_label[("box", b, i)] for i in range(len(box.ins))]
         nodes.append([arr, labels])
 
     while len(nodes) > 1:
@@ -202,13 +193,10 @@ def contract(diagram, box_tensor, wire_size, eye=None):
             )
         ai, li = nodes[i]
         aj, lj = nodes[j]
-        if shared:
-            common = sorted(shared)
-            axes = ([li.index(s) for s in common], [lj.index(s) for s in common])
-            labels = [s for s in li if s not in shared] + [s for s in lj if s not in shared]
-        else:
-            axes = 0
-            labels = li + lj
+        # wire order; with no shared wire, an outer product
+        common = sorted(shared)
+        axes = ([li.index(s) for s in common], [lj.index(s) for s in common])
+        labels = [s for s in li if s not in shared] + [s for s in lj if s not in shared]
         if isinstance(ai, Scaled):
             merged = tensordot(ai, aj, axes)
         else:
@@ -221,5 +209,6 @@ def contract(diagram, box_tensor, wire_size, eye=None):
         arr, labels = eye(1).reshape(()), []
     else:
         arr, labels = nodes[0]
-    want = [open_out[k] for k in range(n_out)] + [open_in[k] for k in range(n_in)]
+    want = [dst_label[("out", k)] for k in range(len(diagram.output_types))]
+    want += [src_label[("in", k)] for k in range(len(diagram.input_types))]
     return arr.transpose([labels.index(lab) for lab in want])

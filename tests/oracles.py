@@ -8,10 +8,12 @@ exact routines use Fraction arithmetic directly.  The exceptions are
 ``cone_extreme_rays_subsets``, the engine's former subset search kept as
 the reference for the order of its rays, which reads and reduces its rows
 with the engine's own integer helpers; ``loads_reference``, the
-engine's former reader, which raises the engine's ``ParseError``; and the
+engine's former reader, which raises the engine's ``ParseError``; the
 ``*_reference`` joins of whole diagrams and ``apply_representation_reference``,
 the engine's former hand-wired ones, which build the engine's ``Diagram``
-from the engine's boxes.
+from the engine's boxes; and ``proc_tensor_reference``, the engine's
+former superoperator construction, which reads the engine's procedure
+declarations.
 """
 
 import itertools
@@ -703,6 +705,59 @@ def contract_fractions(diagram, box_tensor, wire_size):
         return np.full((), Fraction(1), dtype=object)
     arr, names = nodes[0]
     return arr.transpose([names.index(lab) for lab in open_out + open_in])
+
+
+# ---------------------------------------------------------------------------
+# Quantum procedure tensors
+
+
+def _vec_axes(block, out_dims, in_dims):
+    """(Do,Do,Di,Di) superoperator block to per-register d*d axes."""
+    shape = tuple(out_dims) * 2 + tuple(in_dims) * 2
+    t = block.reshape(shape)
+    p, q = len(out_dims), len(in_dims)
+    perm = []
+    for a in range(p):
+        perm += [a, a + p]
+    for b in range(q):
+        perm += [2 * p + b, 2 * p + q + b]
+    t = t.transpose(perm)
+    return t.reshape(tuple(d * d for d in out_dims) + tuple(d * d for d in in_dims))
+
+
+def proc_tensor_reference(decl):
+    """The engine's former ``optheory._proc_tensor``: one (Do, Do, Di, Di)
+    block per classical branch, permuted to per-register d*d axes.
+
+    ``decl`` needs ``outs``, ``ins`` (types with ``classical`` and
+    ``carrier``, a quantum carrier with ``dim``) and ``channel.kraus``.
+    """
+
+    def axis(t):
+        return len(t.carrier) if t.classical else t.carrier.dim**2
+
+    ch = decl.channel
+    out_axes = tuple(axis(t) for t in decl.outs)
+    in_axes = tuple(axis(t) for t in decl.ins)
+    q_out = tuple(t.carrier.dim for t in decl.outs if not t.classical)
+    q_in = tuple(t.carrier.dim for t in decl.ins if not t.classical)
+    d_out = math.prod(q_out)
+    d_in = math.prod(q_in)
+    arr = np.zeros(out_axes + in_axes, dtype=complex)
+    for (c_out, c_in), mats in ch.kraus.items():
+        block = np.zeros((d_out, d_out, d_in, d_in), dtype=complex)
+        for m in mats:
+            block += np.einsum("im,jn->ijmn", m, m.conj())
+        vecd = _vec_axes(block, q_out, q_in)
+        idx = []
+        ci = iter(c_out)
+        for t in decl.outs:
+            idx.append(t.carrier.index(next(ci)) if t.classical else slice(None))
+        ci = iter(c_in)
+        for t in decl.ins:
+            idx.append(t.carrier.index(next(ci)) if t.classical else slice(None))
+        arr[tuple(idx)] = vecd
+    return arr
 
 
 # ---------------------------------------------------------------------------

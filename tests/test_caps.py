@@ -1,10 +1,24 @@
 """The enumeration cap and the predicate that every size check goes through."""
 
+import io
+
+import numpy as np
 import pytest
 
-from ci_engine import caps, fstheory
+from ci_engine import caps, cli, fileformat, fstheory
 from ci_engine.caps import enumeration_cap, over_cap
+from ci_engine.diagrams import layered, quantum_system
 from ci_engine.errors import CapExceeded
+from ci_engine.fstheory import ignore, state_box
+from ci_engine.optheory import (
+    PredictionMap,
+    ProcedureDecl,
+    QuantumProcess,
+    op_knowledge_box,
+    predict_closed,
+    procedure_box,
+)
+from ci_engine.substoch import point_state
 
 
 @pytest.mark.parametrize(
@@ -40,3 +54,44 @@ def test_the_contraction_cap_still_stops_the_axiom_battery(monkeypatch):
     assert str(info.value) == "intermediate tensor of size 1458 exceeds the cap"
     monkeypatch.delenv("CI_ENGINE_CAP")
     assert fstheory.verify_fs_axioms(3).ok
+
+
+def _channel_model(dim, alphabet):
+    """A state on one ``dim``-dimensional register, a channel from ``alphabet``
+    chosen by a point, then the trace."""
+    q = quantum_system("q", dim)
+    start = [[1.0]] + [[0.0]] * (dim - 1)
+    decls = [ProcedureDecl("prep", (), (q,), QuantumProcess({((), ()): (start,)}))]
+    decls += [
+        ProcedureDecl(name, (q,), (q,), QuantumProcess({((), ()): (np.eye(dim),)}))
+        for name in alphabet
+    ]
+    pm = PredictionMap(decls)
+    kb = op_knowledge_box(pm, (q,), (q,))
+    point = state_box(point_state(kb.ins[0].carrier, alphabet[0]))
+    d = layered((), (point, procedure_box(pm, "prep")), (kb,), (ignore(q),))
+    return d, pm
+
+
+def test_quantum_procedure_tensors_are_capped_before_allocation(monkeypatch, tmp_path):
+    # one 8-dimensional channel: 64 x 64 superoperator cells
+    d, pm = _channel_model(8, ("id",))
+    assert predict_closed(d, pm).entries == ((1,),)
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    with pytest.raises(CapExceeded, match="^generator tensor of 4096 cells exceeds the cap$"):
+        predict_closed(d, pm)
+    path = tmp_path / "channel.diagram"
+    path.write_bytes(fileformat.serialize_diagram(d, pm))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["eval", str(path)], out=out, err=err) == 2
+    assert err.getvalue() == "error: CapExceeded: generator tensor of 4096 cells exceeds the cap\n"
+
+
+def test_a_knowledge_box_is_capped_over_its_whole_alphabet(monkeypatch):
+    # two 5-dimensional channels: 625 cells each, 1250 stacked
+    d, pm = _channel_model(5, ("a", "b"))
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    with pytest.raises(CapExceeded, match="^generator tensor of 1250 cells exceeds the cap$"):
+        predict_closed(d, pm)
+    d, pm = _channel_model(5, ("a",))
+    assert predict_closed(d, pm).entries == ((1,),)

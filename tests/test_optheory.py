@@ -4,9 +4,12 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ci_engine import fstheory, nogo, optheory, substoch
 from ci_engine.diagrams import (
@@ -51,7 +54,7 @@ from conftest import (
     rand_closed_quantum_diagram,
     rand_substoch,
 )
-from oracles import born_bell_table, mat_apply
+from oracles import born_bell_table, mat_apply, proc_tensor_reference
 
 F = Fraction
 BIT = causal_system((0, 1))
@@ -123,6 +126,85 @@ def test_kraus_data_refuses_a_nonclassical_enumerated_port(side):
     ins, outs = ((port,), ()) if side == "ins" else ((), (port,))
     with pytest.raises(TypeMismatch, match="^not a quantum system$"):
         ProcedureDecl("p", ins, outs, QuantumProcess({((), ()): ([[1]],)}))
+
+
+@pytest.mark.parametrize(
+    "branch, message",
+    [
+        (((0, 1), (0,)), "classical label arity mismatch"),
+        (((0,), ()), "classical label arity mismatch"),
+        (((2,), (0,)), "label 2 not in carrier"),
+        (((0,), (5,)), "label 5 not in carrier"),
+        # the output label is checked first
+        (((2,), (5,)), "label 2 not in carrier"),
+    ],
+    ids=["arity-out", "arity-in", "bad-out", "bad-in", "both-bad"],
+)
+def test_kraus_branch_labels_must_fit_the_classical_ports(branch, message):
+    channel = QuantumProcess({((0,), (1,)): ([[0.5]],), branch: ([[0.5]],)})
+    with pytest.raises(CarrierMismatch, match=f"^procedure 'p': {message}$"):
+        ProcedureDecl("p", (BIT,), (BIT,), channel)
+
+
+@st.composite
+def _hybrid_decls(draw):
+    """A procedure on 0-3 quantum registers of dimension 1-3 per side, with
+    classical ports between them, and several Kraus branches, one empty."""
+
+    def ports(name):
+        dims = draw(st.lists(st.integers(1, 3), max_size=3))
+        out = [quantum_system(f"{name}{k}", d) for k, d in enumerate(dims)]
+        for n in draw(st.lists(st.integers(1, 3), max_size=2)):
+            out.insert(draw(st.integers(0, len(out))), causal_system(tuple(range(n))))
+        return tuple(out)
+
+    def labels(types):
+        return list(iproduct(*(t.carrier for t in types if t.classical)))
+
+    outs, ins = ports("o"), ports("i")
+    d_out = math.prod(t.carrier.dim for t in outs if not t.classical)
+    d_in = math.prod(t.carrier.dim for t in ins if not t.classical)
+    # at most 64^2 complex cells per branch
+    assume(d_out * d_in <= 64)
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    keys = list(iproduct(labels(outs), labels(ins)))
+    keys = rng.sample(keys, rng.randint(1, min(4, len(keys))))
+
+    def matrix():
+        cells = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d_out * d_in)]
+        return np.array(cells).reshape(d_out, d_in)
+
+    kraus = {
+        key: [matrix() for _ in range(0 if k == 0 and len(keys) > 1 else rng.randint(1, 3))]
+        for k, key in enumerate(keys)
+    }
+    # sum of |m|_F^2 bounds every sum of m^dagger m, so the family stays trace non-increasing
+    total = sum(np.sum(np.abs(m) ** 2) for mats in kraus.values() for m in mats)
+    scale = rng.uniform(0.5, 1) / math.sqrt(total)
+    return ProcedureDecl(
+        "p", ins, outs, QuantumProcess({k: [m * scale for m in v] for k, v in kraus.items()})
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hybrid_decls())
+def test_superoperators_match_the_former_block_construction_bit_for_bit(decl):
+    got = optheory._proc_tensor(decl)
+    want = proc_tensor_reference(decl)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_thirty_one_dimensional_registers_fit_the_superoperator():
+    # more registers than einsum has letters for pairs; dimension 1 takes none
+    ones = tuple(quantum_system(f"q{k}", 1) for k in range(15))
+    q = quantum_system("q", 2)
+    decl = ProcedureDecl(
+        "p", ones + (q,), (q,) + ones, QuantumProcess({((), ()): ([[0.5, 0], [0, 0.5j]],)})
+    )
+    got = optheory._proc_tensor(decl)
+    assert got.shape == (4,) + (1,) * 30 + (4,)
+    assert np.array_equal(got, proc_tensor_reference(decl))
 
 
 def test_prediction_map_alphabet_follows_decl_order():

@@ -13,10 +13,19 @@ from hypothesis import strategies as st
 
 import oracles
 from ci_engine import fstheory, funcdyn, optheory, tensornet
-from ci_engine.diagrams import CAUSAL, INFERENTIAL, Box, Diagram, inferential_system
+from ci_engine.diagrams import (
+    CAUSAL,
+    INFERENTIAL,
+    Box,
+    Diagram,
+    causal_system,
+    inferential_system,
+    layered,
+    quantum_system,
+)
 from ci_engine.errors import CapExceeded, DimensionMismatch
 from ci_engine.substoch import SubstochMap
-from conftest import rand_closed_classical_diagram, rand_fs_diagram
+from conftest import rand_closed_classical_diagram, rand_fs_diagram, rand_substoch
 
 SYS2 = inferential_system((0, 1))
 SYS3 = inferential_system((0, 1, 2))
@@ -273,6 +282,79 @@ def test_classical_predictions_match_the_fraction_reference(seed):
     d, pm = rand_closed_classical_diagram(random.Random(seed))
     want = _reference_matrix(d, lambda box: _fraction_tensor(box, pm))
     assert _same_fractions(optheory.predict_closed(d, pm).entries, want)
+
+
+def _map_box(rng, ins, outs):
+    dom, cod = fstheory.bundle_carrier(ins), fstheory.bundle_carrier(outs)
+    return fstheory.embedded(rand_substoch(rng, dom, cod), in_types=ins, out_types=outs)
+
+
+def _wiring_cases():
+    rng = random.Random(11)
+    m23, v3, v2, e2 = (
+        _map_box(rng, ins, outs)
+        for ins, outs in (((SYS2,), (SYS3,)), ((), (SYS3,)), ((), (SYS2,)), ((SYS2,), ()))
+    )
+    return {
+        # the second input runs straight to the first output
+        "pass-through": layered((SYS2, SYS3), (m23, SYS3), (1, 0)),
+        "wires only": layered((SYS2, SYS3, SYS2), (2, 0, 1)),
+        # three components: m23, v3, and the closed pair v2 -> e2
+        "disconnected": layered((SYS2,), (m23, v2, v3), (SYS3, e2, SYS3)),
+        "scalar": _net((), ()),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_wiring_cases()))
+def test_wirings_match_the_fraction_reference(case):
+    d = _wiring_cases()[case]
+    want = _reference_matrix(d, _fraction_tensor)
+    assert _same_fractions(fstheory.denote(d).entries, want)
+
+
+def test_closed_quantum_diagram_with_a_pass_through_matches_the_reference():
+    q, c = quantum_system("q", 2), causal_system((0, 1))
+    h = inferential_system(("u", "v", "w"))
+    # dyadic Kraus entries: every product and sum is exact, in any order
+    pm = optheory.PredictionMap(
+        (
+            optheory.ProcedureDecl(
+                "src", (), (q,), optheory.QuantumProcess({((), ()): ([[0.5], [0.5j]],)})
+            ),
+            optheory.ProcedureDecl(
+                "x",
+                (q,),
+                (c,),
+                optheory.QuantumProcess(
+                    {((0,), ()): ([[0.5, 0.5]],), ((1,), ()): ([[0.5, -0.5]],)}
+                ),
+            ),
+            optheory.ProcedureDecl(
+                "z",
+                (q,),
+                (c,),
+                optheory.QuantumProcess({((0,), ()): ([[1, 0]],), ((1,), ()): ([[0, 0.5j]],)}),
+            ),
+        )
+    )
+    kb = optheory.op_knowledge_box(pm, (q,), (c,))
+    pg = fstheory.prop_gain(c)
+    d = layered(
+        (kb.ins[0], h),
+        (kb.ins[0], optheory.procedure_box(pm, "src"), h),
+        (kb, h),
+        (pg, h),
+        (fstheory.ignore(c), pg.outs[1], h),
+    )
+    tensor = optheory._quantum_tensor(pm)
+    got = tensornet.contract(
+        d, tensor, optheory._port_axis, eye=lambda n: np.eye(n, dtype=complex)
+    )
+    want = oracles.contract_fractions(
+        d, lambda box: np.asarray(tensor(box), dtype=object), optheory._port_axis
+    )
+    assert got.shape == (2, 3, 2, 3) and np.abs(got).max() > 0
+    assert np.array_equal(got, want.astype(complex))
 
 
 # coprime denominators just above 2^31: numerators near them multiply
