@@ -10,7 +10,8 @@ Exit codes: 0 for a completed run (including a reported NonMember or
 Infeasible), 1 for a negative verdict (an ``--expect`` mismatch, a
 false ``equiv``, a failed axiom or representation check), 2 for input
 errors (unreadable files, parse errors, semantic errors from the
-engine).
+engine).  A reader that closes standard output early, as ``head`` does,
+changes neither the exit code nor standard error.
 
 The enumeration cap honours the ``CI_ENGINE_CAP`` environment variable,
 clamped to [10^3, 10^7].
@@ -18,6 +19,7 @@ clamped to [10^3, 10^7].
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 
@@ -453,7 +455,12 @@ def run(argv, out=None, err=None):
     records.append(
         {"cmd": args.command, "elapsed_ms": round(elapsed_ms, 3)}
     )
-    _emit(records, args.format, out)
+    try:
+        _emit(records, args.format, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader is gone: the rest, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return code
 
 

@@ -34,7 +34,6 @@ from .exactlp import (
     cone_extreme_rays,
     feasible_nonneg,
     nullspace,
-    polytope_vertices,
     verify_certificate,
 )
 from .fstheory import bundle_carrier, embedded, ignore, prop_gain, state_box
@@ -51,7 +50,6 @@ from .substoch import KnowledgeState, from_fn
 from .tensornet import _INT64_SAFE, integers, is_exact_number
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _FLOAT_TOL = 1e-9
 _RATIONALIZE_DEN = 10**6
 _PAIRING_SLACK = Fraction(1, 10**7)
@@ -309,18 +307,16 @@ def _strategy_nodes(s):
 
 def _strategies(s):
     """The scenario's deterministic strategies as one table, cached per
-    scenario: ``(hits, cells, incidence)``.  The strategy count, cached per
+    scenario: ``(hits, incidence)``.  The strategy count, cached per
     scenario beside the table, is checked against the current cap on every
     call, before any strategy is enumerated or read from the cache.
 
     ``hits`` lists the strategies of ``local_vertices``, in its order, each
     as the tuple of its outcome index (into ``s.outcomes()``) in each
-    context of ``s.contexts()``.  ``cells`` lists each strategy's (context,
-    outcome) cells, row-major as ``as_vector``.  ``incidence`` is the
-    membership LP's matrix: the 0/1 incidence of those cells, one row per
-    cell, and an all-ones row for the total weight.  It is read-only int64,
-    handed out as the tuple of its rows, a sequence of rows like any other
-    LP input.
+    context of ``s.contexts()``.  ``incidence`` is the membership LP's
+    matrix, a read-only 2-D int64 array: one column per strategy, the 0/1
+    incidence of the (context, outcome) cells it hits, row-major as
+    ``as_vector``, and a last all-ones row for the total weight.
     """
     count = _strategy_count(s)
     if over_cap(count):
@@ -360,12 +356,13 @@ def _strategy_table(s):
         seen[tuple(hits)] = None
     hits = tuple(seen)
     n_out = len(s.outcomes())
-    cells = np.array(hits, dtype=np.intp) + np.arange(len(contexts)) * n_out
-    incidence = np.zeros((len(contexts) * n_out + 1, len(cells)), dtype=np.int64)
-    incidence[cells, np.arange(len(cells))[:, None]] = 1
+    # each strategy's (context, outcome) rows, one per context
+    at = np.array(hits, dtype=np.intp) + np.arange(len(contexts)) * n_out
+    incidence = np.zeros((len(contexts) * n_out + 1, len(hits)), dtype=np.int64)
+    incidence[at, np.arange(len(hits))[:, None]] = 1
     incidence[-1] = 1
     incidence.setflags(write=False)
-    return hits, tuple(map(tuple, cells.tolist())), tuple(incidence)
+    return hits, incidence
 
 
 def local_vertices(s):
@@ -529,39 +526,37 @@ def fs_compatible(corr, s):
     row for the total weight.  Float tables are rationalized first; the
     certificate records the exact table actually tested.  Both verdicts
     are re-verified in integers before being returned, the table and
-    the certificate each read as numerators over one denominator: a
-    member's nonzero weights are recombined cell by cell, and a facet's
-    bound is its largest sum over any strategy's cells.
+    the certificate each read as numerators over one denominator: on the
+    cached incidence, a member's weights are recombined cell by cell, and
+    a facet's bound is its largest sum over any strategy's cells.
     """
     if corr.scenario != s:
         raise WrongScenario("correlation was built for another scenario")
     target = rationalize(corr)
-    _, cells, a_rows = _strategies(s)
+    hits, incidence = _strategies(s)
     q = target.as_vector()
     qn, qd = integers(q)
     m = len(q)
-    status, payload = feasible_nonneg(a_rows, [*q, 1])
+    status, payload = feasible_nonneg(tuple(incidence), [*q, 1])
+    cells = incidence[:m]
     if status == "feasible":
         w = tuple(payload)
         wn, wd = integers(w)
-        recombined = [0] * m
-        for wi, cs in zip(wn, cells):
-            if wi:
-                for i in cs:
-                    recombined[i] += wi
+        if min(wn) < 0 or sum(wn) != wd:
+            raise EngineError("membership weights failed re-verification")
+        # nonnegative weights summing to wd put at most wd on any cell
+        dtype = np.int64 if wd < _INT64_SAFE else object
+        recombined = (cells.astype(dtype, copy=False) @ np.array(wn, dtype=dtype)).tolist()
         # recombined / wd == qn / qd, cell by cell
-        if (
-            any(r * qd != v * wd for r, v in zip(recombined, qn))
-            or sum(wn) != wd
-            or any(wi < 0 for wi in wn)
-        ):
+        if any(r * qd != v * wd for r, v in zip(recombined, qn)):
             raise EngineError("membership weights failed re-verification")
         return Member(w, target)
     facet = tuple(payload[:m])
-    # a strategy pays the facet's entries on its cells, at most top / fd;
-    # the table pays sum(fn * qn) / (fd * qd)
+    # a strategy pays the facet's entries on its cells, one per context, at
+    # most top / fd; the table pays sum(fn * qn) / (fd * qd)
     fn, fd = integers(facet)
-    top = max(sum(fn[i] for i in cs) for cs in cells)
+    dtype = np.int64 if len(hits[0]) * max(map(abs, fn)) < _INT64_SAFE else object
+    top = max((np.array(fn, dtype=dtype) @ cells.astype(dtype, copy=False)).tolist())
     gap = sum(f * v for f, v in zip(fn, qn)) - top * qd
     if gap <= 0:
         raise EngineError("separating facet failed re-verification")
@@ -1039,11 +1034,12 @@ def simplex_embed(frag, lambda_max=16):
     Searches for linear maps sending states to probability vectors over
     a finite ontic set and effects to response vectors in [0, 1], the
     unit to all-ones, reproducing every pairing.  The search runs in
-    pairing-value coordinates: candidate ontic states are vertices of
-    the effect-consistent polytope, candidate distributions live in the
-    cone dual to the states, and one exact LP decides whether products
-    of the two reproduce the pairing table.  Rational fragments are
-    decided exactly; float fragments allow slack 1e-7 per pairing.
+    pairing-value coordinates: responses and distributions are both the
+    integer extreme rays of cones cut out by the pairing table's
+    dependences, of its rows and of its columns, and one exact LP
+    decides whether products of the two reproduce the pairing table.
+    Rational fragments are decided exactly; float fragments allow slack
+    1e-7 per pairing.
 
     What is decided is the operational quotient, as in Schmid et al.,
     PRX Quantum 2, 010331 (2021): two mixtures are equivalent when every
@@ -1079,51 +1075,38 @@ def simplex_embed(frag, lambda_max=16):
     # an exact embedding factors the table, so it has at least rank states
     rank = ns - len(state_deps)
 
-    # Response candidates: value vectors on the listed effects that keep
-    # the dependences of the table's rows, pay 1 on the unit, and stay
-    # inside [0, 1].
-    eq_rows = [list(dep) for dep in _dependences(targets)]
-    eq_rhs = [_ZERO] * len(eq_rows)
-    eq_rows.append([_ONE] + [_ZERO] * (ne - 1))
-    eq_rhs.append(_ONE)
-    ineq_rows = []
-    ineq_rhs = []
+    # Response candidates: value vectors x on the listed effects that keep
+    # the dependences of the table's rows, with x_unit - x_k >= 0, x_k >= 0
+    # per effect k, then x_unit >= 0; each ray has x_unit = ray[0] > 0.
+    bounds = []
     for k in range(1, ne):
-        row = [_ZERO] * ne
-        row[k] = _ONE
-        ineq_rows.append(list(row))
-        ineq_rhs.append(_ONE)
-        row = [_ZERO] * ne
-        row[k] = -_ONE
-        ineq_rows.append(list(row))
-        ineq_rhs.append(_ZERO)
-    candidates = polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs)
+        upper, lower = [0] * ne, [0] * ne
+        upper[0], upper[k], lower[k] = 1, -1, 1
+        bounds += [upper, lower]
+    bounds.append([1] + [0] * (ne - 1))
+    responses = cone_extreme_rays(bounds, _dependences(targets))
 
     # Distribution candidates: nonnegative value vectors on the listed
     # states that keep the dependences of the table's columns.
-    cone_rows = [[_ONE if j == k else _ZERO for j in range(ns)] for k in range(ns)]
+    cone_rows = [[int(j == k) for j in range(ns)] for k in range(ns)]
     rays = cone_extreme_rays(cone_rows, state_deps)
 
-    # The LP's columns, one per candidate-ray product, built once as an
-    # integer array.  Candidate i is read over its own denominator dens[i],
-    # so the LP sees column (i, j) dens[i] times over, and its weight comes
-    # back divided by dens[i]; rays are primitive integer vectors already.
-    # products[i, k, j] is row k = (effect, state) of candidate i's column
-    # for ray j, in int64 when the largest product stays below 2^62.
-    read = [integers(c) for c in candidates]
-    dens = [den for _, den in read]
-    cn = [nums for nums, _ in read]
-    top = [max((abs(v) for row in m for v in row), default=0) for m in (cn, rays)]
+    # The LP's columns, one per response-ray product.  Response i stands at
+    # dens[i] times its value vector, so the weight of column (i, j) comes
+    # back divided by dens[i].  products[i, k, j] is row k = (effect, state)
+    # of column (i, j), in int64 when the largest product stays below 2^62.
+    dens = [r[0] for r in responses]
+    top = [max((abs(v) for row in m for v in row), default=0) for m in (responses, rays)]
     dtype = np.int64 if max(top[0], 1) * max(top[1], 1) < _INT64_SAFE else object
-    cn = np.array(cn, dtype=dtype).reshape(len(candidates), ne)
-    rn = np.array(rays, dtype=dtype).reshape(len(rays), ns)
-    products = (cn[:, :, None, None] * rn.T[None, None]).reshape(
-        len(candidates), ne * ns, len(rays)
+    xn = np.array(responses, dtype=dtype).reshape(len(responses), ne)
+    yn = np.array(rays, dtype=dtype).reshape(len(rays), ns)
+    products = (xn[:, :, None, None] * yn.T[None, None]).reshape(
+        len(responses), ne * ns, len(rays)
     )
 
     def solve(allowed, slack):
         cols = [(i, j) for i in allowed for j in range(len(rays))]
-        # row k lists candidate i's columns for every allowed i in turn
+        # row k lists response i's columns for every allowed i in turn
         rows = products[allowed].transpose(1, 0, 2).reshape(ne * ns, len(cols))
         rhs = flat_targets
         if slack:
@@ -1140,7 +1123,7 @@ def simplex_embed(frag, lambda_max=16):
 
     # exact rows first even for float fragments: when the snapped data is
     # exactly embeddable the slack formulation only doubles the work
-    all_idx = list(range(len(candidates)))
+    all_idx = list(range(len(responses)))
     use_slack = False
     sigma, witness = solve(all_idx, False)
     if sigma is None and not exact:
@@ -1179,7 +1162,7 @@ def simplex_embed(frag, lambda_max=16):
         )
 
     effect_images_all = [
-        tuple(candidates[i][e_idx] for i in slots) for e_idx in range(ne)
+        tuple(Fraction(responses[i][e_idx], dens[i]) for i in slots) for e_idx in range(ne)
     ]
     state_images = []
     for s_idx in range(ns):

@@ -32,6 +32,7 @@ from .caps import over_cap
 from .errors import CapExceeded, DimensionMismatch
 
 _INT64_SAFE = 1 << 62
+_MAX_AXES = 64  # numpy's limit on the axes of one ndarray, from numpy 2.0
 _EXACT_TYPES = (int, Fraction)
 
 
@@ -130,6 +131,11 @@ def tensordot(a, b, axes):
     return Scaled(num.reshape(out), a.den * b.den).reduced()
 
 
+def _check_axes(n, what):
+    if n > _MAX_AXES:
+        raise CapExceeded(f"{what} has {n} axes, above numpy's limit of {_MAX_AXES}")
+
+
 def contract(diagram, box_tensor, wire_size, eye=None):
     """Contract ``diagram`` to one tensor.
 
@@ -143,7 +149,8 @@ def contract(diagram, box_tensor, wire_size, eye=None):
     axis length for a wire of type ``t``.  ``eye(n)`` builds the
     pass-through identity: Scaled by default, an ndarray factory such as
     ``np.eye`` for float or complex networks.  No pairwise step may
-    produce more than ``enumeration_cap()`` cells.
+    produce more than ``enumeration_cap()`` cells, and no box or step
+    more than 64 axes, numpy's limit: either raises CapExceeded.
     """
     if eye is None:
         eye = scaled_eye
@@ -158,6 +165,7 @@ def contract(diagram, box_tensor, wire_size, eye=None):
             src_label[src] = -1 - k
             nodes.append([eye(wire_size(diagram.input_types[src[1]])), [k, -1 - k]])
     for b, box in enumerate(diagram.boxes):
+        _check_axes(len(box.outs) + len(box.ins), f"box {box.name!r}")
         arr = box_tensor(box)
         if not isinstance(arr, Scaled):
             arr = np.asarray(arr)
@@ -193,10 +201,11 @@ def contract(diagram, box_tensor, wire_size, eye=None):
             )
         ai, li = nodes[i]
         aj, lj = nodes[j]
+        labels = [s for s in li if s not in shared] + [s for s in lj if s not in shared]
+        _check_axes(len(labels), "an intermediate tensor")
         # wire order; with no shared wire, an outer product
         common = sorted(shared)
         axes = ([li.index(s) for s in common], [lj.index(s) for s in common])
-        labels = [s for s in li if s not in shared] + [s for s in lj if s not in shared]
         if isinstance(ai, Scaled):
             merged = tensordot(ai, aj, axes)
         else:

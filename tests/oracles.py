@@ -11,9 +11,11 @@ with the engine's own integer helpers; ``loads_reference``, the
 engine's former reader, which raises the engine's ``ParseError``; the
 ``*_reference`` joins of whole diagrams and ``apply_representation_reference``,
 the engine's former hand-wired ones, which build the engine's ``Diagram``
-from the engine's boxes; and ``proc_tensor_reference``, the engine's
+from the engine's boxes; ``proc_tensor_reference``, the engine's
 former superoperator construction, which reads the engine's procedure
-declarations.
+declarations; and ``response_vertices_reference``, the engine's former
+response candidates of a simplex embedding, which calls the engine's
+``polytope_vertices``.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from ci_engine.errors import (
     TypeMismatch,
     ValidationError,
 )
-from ci_engine.exactlp import _dot, _ints, _kernel
+from ci_engine.exactlp import _dot, _ints, _kernel, polytope_vertices
 from ci_engine.fileformat import _split_header
 from ci_engine.fstheory import (
     GenEmbedded,
@@ -250,6 +252,24 @@ def polytope_vertices_exact(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
         ) and x not in verts:
             verts.append(x)
     return verts
+
+
+def response_vertices_reference(deps, ne):
+    """The response candidates of a simplex embedding with ``ne`` effects,
+    the unit first, as vertices of a polytope: ``polytope_vertices`` on
+    Fraction box rows ``x_k <= 1`` and ``-x_k <= 0`` for each ``k >= 1``,
+    with the equalities ``deps . x = 0`` and ``x_unit = 1``."""
+    zero, one = Fraction(0), Fraction(1)
+    eq_rows = [list(dep) for dep in deps] + [[one] + [zero] * (ne - 1)]
+    eq_rhs = [zero] * len(deps) + [one]
+    ineq_rows, ineq_rhs = [], []
+    for k in range(1, ne):
+        for sign, bound in ((one, one), (-one, zero)):
+            row = [zero] * ne
+            row[k] = sign
+            ineq_rows.append(row)
+            ineq_rhs.append(bound)
+    return polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs)
 
 
 def cone_extreme_rays_exact(ineq_rows):

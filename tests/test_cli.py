@@ -2,7 +2,10 @@
 
 import argparse
 import io
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -118,6 +121,17 @@ def test_eval_state_and_effect_boxes_from_a_file(tmp_path):
     code, out, err = run("eval", str(path))
     assert (code, err) == (0, "")
     assert "entries: [[1/2]]" in out.splitlines()
+
+
+def test_eval_of_a_box_with_more_axes_than_numpy_allows_is_an_input_error(tmp_path):
+    one = diagrams.inferential_system((0,))
+    cod = fstheory.bundle_carrier((one,) * 65)
+    box = fstheory.embedded(substoch.SubstochMap(("*",), cod, ((1,),)), out_types=(one,) * 65)
+    path = tmp_path / "wide.diagram"
+    path.write_bytes(fileformat.serialize_diagram(diagrams.from_box(box)))
+    code, out, err = run("eval", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CapExceeded: box ") and "has 65 axes" in err
 
 
 def test_normal_form_emits_matrix_and_diagram():
@@ -664,3 +678,28 @@ def test_a_nonclassical_causal_port_with_kraus_data_exits_two(tmp_path):
     path.write_text(text.replace(old, old + "      classical: false\n", 1), encoding="utf-8")
     code, out, err = run("bell-check", "--quantum", str(path))
     assert (code, out, err) == (2, "", "error: TypeMismatch: not a quantum system\n")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["verify-axioms", "--max-carrier", "1"], 0),
+        (["bell-check", "--corr", "demos/data/pr_box.correlation", "--expect", "member"], 1),
+    ],
+    ids=["passing", "negative"],
+)
+def test_a_closed_stdout_keeps_the_exit_code_and_an_empty_stderr(argv, want):
+    # the read end of stdout is closed before the child has written a line,
+    # so every write of the report meets a broken pipe
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ci_engine.cli", *argv],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=120), err) == (want, b"")

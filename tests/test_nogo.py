@@ -8,12 +8,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ci_engine import nogo, optheory, substoch, tensornet
-from ci_engine.exactlp import feasible_nonneg, nullspace, verify_certificate
+from ci_engine.exactlp import cone_extreme_rays, feasible_nonneg, nullspace, verify_certificate
 from ci_engine.errors import (
     CapExceeded,
     ConfigError,
@@ -312,13 +313,11 @@ def test_the_strategy_cap_holds_after_the_cache_is_filled(monkeypatch):
     n_out = len(s.outcomes())
     corr = Correlation(s, [[F(1, n_out)] * n_out for _ in s.contexts()])
     assert isinstance(fs_compatible(corr, s), Member)
-    _, cells, rows = nogo._strategies(s)
-    assert len(cells) == 1024 and len(rows) == len(corr.as_vector()) + 1
+    hits, incidence = nogo._strategies(s)
+    assert len(hits) == 1024 and incidence.shape == (len(corr.as_vector()) + 1, 1024)
     # the cached incidence is read-only
     with pytest.raises(ValueError):
-        rows[0][0] = 5
-    with pytest.raises(ValueError):
-        rows[0].base[0, 0] = 5
+        incidence[0, 0] = 5
     assert nogo._strategies(s) is nogo._strategies(PrepareMeasure(2, 2, 4, 2))
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
     with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
@@ -616,7 +615,7 @@ def test_weights_moved_by_one_unit_fail_reverification(monkeypatch, table, shift
     # moved by 1/den: "one-up-one-down" keeps the sum at 1 and every weight
     # nonnegative, so the cell-by-cell recombination alone refuses it
     s, corr = table()
-    w = feasible_nonneg(nogo._strategies(s)[2], [*corr.as_vector(), 1])[1]
+    w = feasible_nonneg(tuple(nogo._strategies(s)[1]), [*corr.as_vector(), 1])[1]
     den = math.lcm(*(v.denominator for v in w))
     support = [i for i, v in enumerate(w) if v]
     up = next(i for i in range(len(w)) if i != support[0])
@@ -646,8 +645,10 @@ def test_a_facet_with_one_entry_raised_to_the_edge_fails_reverification(monkeypa
     # half a violation short of that the facet still separates, with the
     # bound and violation it must then have
     corr = Correlation(s, table)
-    _, cells, rows = nogo._strategies(s)
-    y = feasible_nonneg(rows, [*corr.as_vector(), 1])[1]
+    incidence = nogo._strategies(s)[1]
+    # each strategy's (context, outcome) cells, row-major as as_vector
+    cells = [np.flatnonzero(col[:-1]).tolist() for col in incidence.T]
+    y = feasible_nonneg(tuple(incidence), [*corr.as_vector(), 1])[1]
     got = fs_compatible(corr, s)
     pays = got.bound + got.violation
     i = corr.as_vector().index(0)
@@ -663,6 +664,37 @@ def test_a_facet_with_one_entry_raised_to_the_edge_fails_reverification(monkeypa
     half = got.violation / 2
     short = raised(pays - through - half)
     assert (short.bound, short.violation) == (pays - half, half)
+
+
+@pytest.mark.parametrize("p", [2**62 + 135, 2**64 + 13], ids=["2^62+135", "2^64+13"])
+def test_weights_over_a_prime_above_two_to_the_62_recombine_in_python_ints(p):
+    # a local mixture at weights k / p, p prime: some LP weight must carry p
+    # in its denominator, or the recombined table could not, so the weights'
+    # common denominator is past the int64 bound and they recombine in
+    # Python ints; past 2^64 no int64 could even hold them
+    s = chsh_scenario()
+    corr = _mixture(s, (0, 5, 10), (1, 2, p - 3))
+    got = fs_compatible(corr, s)
+    assert isinstance(got, Member)
+    assert math.lcm(*(w.denominator for w in got.weights)) >= p
+    assert sum(got.weights) == 1
+
+
+def test_a_facet_scaled_past_int64_keeps_its_bound_and_violation_in_scale(monkeypatch):
+    # the LP's own Farkas vector for the PR box times 2^70: the facet's
+    # numerators times the contexts pass 2^62, so its bound is taken in
+    # Python ints, and bound and violation scale with it
+    s = chsh_scenario()
+    corr = pr_box()
+    got = fs_compatible(corr, s)
+    y = feasible_nonneg(tuple(nogo._strategies(s)[1]), [*corr.as_vector(), 1])[1]
+    big = [v * 2**70 for v in y]
+    m = len(corr.as_vector())
+    assert len(s.contexts()) * max(map(abs, tensornet.integers(big[:m])[0])) >= 2**62
+    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("infeasible", big))
+    scaled = fs_compatible(corr, s)
+    assert scaled.facet == tuple(big[:m])
+    assert (scaled.bound, scaled.violation) == (got.bound * 2**70, got.violation * 2**70)
 
 
 def test_chsh_values():
@@ -1166,6 +1198,47 @@ def test_an_embedding_reads_each_vector_once(monkeypatch, make):
     wanted = Counter(map(tuple, vectors))
     assert all(v in reads for v in frag.states)
     assert all(reads.count(v) <= n for v, n in wanted.items())
+
+
+@st.composite
+def _pairing_tables(draw):
+    """A pairing table, unit row first, exact or of floats in [0, 1]."""
+    ne, ns = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    exact = draw(st.booleans())
+    entry = st.fractions(0, 1, max_denominator=6) if exact else st.floats(0, 1)
+    rows = [[1] * ns] + [[draw(entry) for _ in range(ns)] for _ in range(ne - 1)]
+    if ne > 2 and draw(st.booleans()):
+        # the complement of an earlier row: one more dependence, with the unit
+        rows[-1] = [1 - v for v in rows[draw(st.integers(1, ne - 2))]]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairing_tables())
+def test_response_rays_at_their_unit_value_are_the_polytope_vertices(table):
+    # a fragment whose states are the table's columns and whose effects are
+    # the unit vectors pairs to the table, snapped as simplex_embed reads
+    # floats; read at x_unit = 1, the response rays it enumerates first are
+    # the vertices of the response polytope, in value and in order
+    ne = len(table)
+    units = [tuple(int(i == k) for i in range(ne)) for k in range(ne)]
+    frag = GPTFragment(tuple(zip(*table)), tuple(units[1:]), units[0])
+
+    class Enumerated(Exception):
+        pass
+
+    def first_call(rows, eqs=()):
+        raise Enumerated(cone_extreme_rays(rows, eqs))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nogo, "cone_extreme_rays", first_call)
+        with pytest.raises(Enumerated) as stop:
+            simplex_embed(frag)
+    rays = stop.value.args[0]
+    assert all(r[0] > 0 and math.gcd(*r) == 1 for r in rays)
+    snapped = [list(nogo._ratvec(row)) for row in table]
+    want = oracles.response_vertices_reference(nogo._dependences(snapped), ne)
+    assert [[F(v, r[0]) for v in r] for r in rays] == want
 
 
 def test_exactness_is_recorded_once():

@@ -1,6 +1,7 @@
 """Tensor-network contraction against direct index-sum references."""
 
 import enum
+import functools
 import itertools
 import math
 import random
@@ -19,6 +20,9 @@ from ci_engine.diagrams import (
     Box,
     Diagram,
     causal_system,
+    compose_parallel,
+    compose_sequential,
+    from_box,
     inferential_system,
     layered,
     quantum_system,
@@ -196,6 +200,44 @@ def test_cap_limits_intermediate_size(monkeypatch):
         tensornet.contract(_product_network(7), lambda b: v, _sizes, eye=np.eye)
     got = tensornet.contract(_product_network(6), lambda b: v, _sizes, eye=np.eye)
     assert got.shape == (3,) * 6
+
+
+ONE_LABEL = inferential_system((0,))
+
+
+def _wide_embedding(n):
+    """A one-cell matrix as an embedded box with ``n`` one-label outputs."""
+    cod = fstheory.bundle_carrier((ONE_LABEL,) * n)
+    return fstheory.embedded(SubstochMap(("*",), cod, ((1,),)), out_types=(ONE_LABEL,) * n)
+
+
+def test_a_box_with_more_axes_than_numpy_allows_is_over_the_cap():
+    # numpy refuses an ndarray of 65 axes; the box is refused before its
+    # tensor is built, on either backend
+    with pytest.raises(CapExceeded, match="box 'm#.*' has 65 axes, above numpy's limit of 64"):
+        fstheory.denote(from_box(_wide_embedding(65)))
+    one = causal_system((0,))
+    decl = optheory.ProcedureDecl(
+        "src", (), (one,) * 65, optheory.QuantumProcess({((0,) * 65, ()): ([[1]],)})
+    )
+    pm = optheory.PredictionMap((decl,))
+    ignores = functools.reduce(compose_parallel, [from_box(fstheory.ignore(one))] * 65)
+    d = compose_sequential(from_box(optheory.procedure_box(pm, "src")), ignores)
+    with pytest.raises(CapExceeded, match="box 'src' has 65 axes"):
+        optheory.predict_closed(d, pm)
+
+
+def test_a_step_with_more_axes_than_numpy_allows_is_over_the_cap():
+    # 65 one-label states side by side: each box has one axis, their outer
+    # products 65 at the last step
+    states = functools.reduce(compose_parallel, [from_box(_wide_embedding(1))] * 65)
+    with pytest.raises(CapExceeded, match="an intermediate tensor has 65 axes"):
+        fstheory.denote(states)
+
+
+def test_a_box_with_as_many_axes_as_numpy_allows_contracts():
+    got = fstheory.denote(from_box(_wide_embedding(64)))
+    assert got.entries == ((1,),)
 
 
 # ---------------------------------------------------------------------------
