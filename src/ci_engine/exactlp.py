@@ -23,6 +23,18 @@ in the pivot column and ``w`` the pivot row.  Every division is exact,
 because ``d`` times the tableau is integer, and Fractions appear only
 in the results.
 
+Before Phase I, ``feasible_nonneg`` presolves: a row whose right-hand
+side is zero and whose nonzero entries share one sign forces every
+column it meets to zero (a forcing constraint; Andersen & Andersen, Math.
+Programming 71, 1995).  Such rows and the columns they meet are dropped,
+the simplex runs on the rest, and its answer is extended to the whole
+system exactly: ``x`` is zero on the dropped columns, and a Farkas ``y``
+takes one common value on the dropped rows, up to each row's sign, the
+least that keeps it a certificate, found by cross-multiplying Python
+ints.  Local mixtures, PR blocks and the zero pairings of the
+embedding LPs lose most of their degenerate pivots this way; an input
+without such a row reaches Phase I as it is.
+
 The simplex tableau is one 2-D ndarray at one common scale ``d``, and
 each step rewrites the whole table at once (``_pivot_array``).  It is
 int64 while a bound allows: before each step, ``p * M + M * M``, ``M``
@@ -170,6 +182,12 @@ def _int_matrix(a_rows):
     return a.reshape(len(ints), len(scales)), scales
 
 
+def _absmax(a):
+    """The largest absolute entry of an int64 or object ndarray, as a Python
+    int (read off its min and max: np.abs of -2^63 wraps)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 def feasible_nonneg(a_rows, b):
     """Solve ``A x = b, x >= 0`` exactly.
 
@@ -178,30 +196,106 @@ def feasible_nonneg(a_rows, b):
     ``("feasible", x)`` with a rational solution vector, or
     ``("infeasible", y)`` with a Farkas certificate: ``y . A <= 0``
     entrywise while ``y . b > 0``.
+
+    A forcing row, one whose right-hand side is zero and whose nonzero
+    entries share one sign, holds only at ``x_j = 0`` for each column
+    ``j`` it meets.  Such rows are dropped, with every column they meet
+    (Andersen & Andersen, Math. Programming 71, 1995), and Phase I runs on
+    the rest; ``x`` is zero at the dropped columns.  A Farkas ``y`` of the
+    rest is ``y`` on the kept rows, and ``-t`` on each dropped row (``t``
+    on a row with a negative entry), ``t`` being the least rational that
+    leaves every dropped column paying ``y . a_j <= 0``, or 0 when no
+    column was dropped.  An input without a forcing row goes to Phase I
+    as it is.
     """
     a, scales = _int_matrix(a_rows)
     m, n = a.shape
     if len(b) != m:
         raise DimensionMismatch("rhs length must match the row count")
     b, scale_b = integers(b)
+    drop, neg = [], []
+    if 0 in b:
+        zero = [i for i, v in enumerate(b) if not v]
+        forcing = a.take(zero, 0)
+        # a row without a negative entry is forcing; only the others need
+        # their largest entry
+        lo = forcing.min(axis=1, initial=0).tolist()
+        hi = forcing.max(axis=1, initial=0).tolist() if min(lo) < 0 else lo
+        for i, l, h in zip(zero, lo, hi):
+            if l >= 0 or h <= 0:
+                drop.append(i)
+                neg.append(l < 0)
+    if drop:
+        if len(drop) < len(zero):
+            forcing = a.take(drop, 0)
+        fixed = forcing.any(axis=0).tolist()
+        cols = [j for j, f in enumerate(fixed) if not f]
+        dropped = set(drop)
+        keep = [i for i in range(m) if i not in dropped]
+        feasible, v, d = _phase_one(a.take(keep, 0).take(cols, 1), [b[i] for i in keep])
+    else:
+        cols = range(n)
+        feasible, v, d = _phase_one(a, b)
+    if feasible:
+        x = [Fraction(0)] * n
+        for j, xj in v:
+            j = cols[j]
+            x[j] = Fraction(scales[j] * xj, d * scale_b)
+        return "feasible", x
+    if not drop:
+        return "infeasible", [Fraction(yi, d) for yi in v]
+    y = [0] * m
+    for i, yi in zip(keep, v):
+        y[i] = yi
+    t = Fraction(0)
+    if len(cols) < n:
+        # column j pays y . a_j = pays_j / d with y on the kept rows alone,
+        # and t * costs_j less with -t or t on the dropped rows; the least t
+        # is the largest pays_j / (costs_j * d) over the dropped columns, the
+        # ones with costs_j > 0, found by cross-multiplying Python ints
+        if a.dtype != object and (
+            len(keep) * max(map(abs, y)) + len(drop)
+        ) * _absmax(a) >= _INT64_SAFE:
+            a, forcing = a.astype(object), forcing.astype(object)
+        pays = (np.array(y, dtype=a.dtype) @ a).tolist()
+        costs = np.abs(forcing).sum(axis=0).tolist()
+        tn, td = None, 1
+        for c, s in zip(pays, costs):
+            if s and (tn is None or c * td > tn * s):
+                tn, td = c, s
+        t = Fraction(tn, td * d)
+    y = [Fraction(yi, d) for yi in y]
+    for i, g in zip(drop, neg):
+        y[i] = t if g else -t
+    return "infeasible", y
+
+
+def _phase_one(a, b):
+    """Phase I of the simplex on ``a x = b, x >= 0``, ``a`` being an int64
+    or object ndarray of integers and ``b`` a list of Python ints.
+
+    Returns ``(True, basic, d)``, a solution being ``v / d`` at column
+    ``j`` for each pair ``(j, v)`` of ``basic`` and 0 elsewhere, or
+    ``(False, y, d)`` with the Farkas certificate ``y / d``, ``y`` a list
+    of Python ints.
+    """
+    m, n = a.shape
     # Columns: n originals, m artificials, the rhs.  The artificial block is
     # the identity, so the table starts at scale 1.  Rows with a negative
     # rhs are negated; the last row, the column sums less 1 per artificial,
     # is the Phase-I objective for the artificials' sum.  The table is int64
-    # when that row, which bounds every entry in size, stays below 2^62 (read
-    # off a's min and max: np.abs of -2^63 wraps).
+    # when that row, which bounds every entry in size, stays below 2^62.
     flip = [-1 if v < 0 else 1 for v in b]
     rhs = [abs(v) for v in b]
-    fits = a.dtype != object and max(
-        m * max(int(a.max(initial=0)), -int(a.min(initial=0))), sum(rhs)
-    ) < _INT64_SAFE
+    fits = a.dtype != object and max(m * _absmax(a), sum(rhs)) < _INT64_SAFE
     tab = np.zeros((m + 1, n + m + 1), dtype=np.int64 if fits else object)
     body = tab[:m]
     body[:, :n] = a
     neg = [i for i, f in enumerate(flip) if f < 0]
     if neg:
         body[neg, :n] *= -1
-    body[:, n:-1] = np.eye(m, dtype=np.int64)
+    # the artificial identity: cell (i, n + i) is n + i * (n + m + 2) of the flat table
+    tab.flat[n : m * (n + m + 2) : n + m + 2] = 1
     body[:, -1] = rhs
     tab[m, :n] = body[:, :n].sum(axis=0)
     tab[m, -1] = sum(rhs)
@@ -229,15 +323,11 @@ def feasible_nonneg(a_rows, b):
     obj = tab[m].tolist()
     if obj[-1] > 0:
         # y = c_B B^{-1}; the artificial block of the objective row is y - 1.
-        return "infeasible", [Fraction((obj[n + i] + d) * flip[i], d) for i in range(m)]
+        return False, [(obj[n + i] + d) * flip[i] for i in range(m)], d
 
     # Artificials still basic sit at zero, so x reads off the basis as is.
     rhs = tab[:m, -1].tolist()
-    x = [Fraction(0)] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = Fraction(scales[j] * rhs[i], d * scale_b)
-    return "feasible", x
+    return True, [(j, v) for j, v in zip(basis, rhs) if j < n], d
 
 
 def verify_certificate(a_rows, b, y):

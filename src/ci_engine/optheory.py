@@ -359,16 +359,24 @@ def _proc_tensor(decl):
     return arr
 
 
-def _quantum_tensor(pm):
+def _quantum_tensor(pm, procs):
+    """The box tensors of the quantum backend, each procedure's
+    superoperator built once and kept in ``procs`` under its name."""
+
+    def proc(name):
+        if name not in procs:
+            procs[name] = _proc_tensor(pm.decl(name))
+        return procs[name]
+
     def tensor(box):
         p = box.payload
         if isinstance(p, OpKnowledge):
             # the stack holds alphabet x procedure cells
             fstheory._check_cells(math.prod(_port_axis(t) for t in box.outs + box.ins))
-            tensors = [_proc_tensor(pm.decl(nm)) for nm in p.alphabet]
+            tensors = [proc(nm) for nm in p.alphabet]
             return np.stack(tensors, axis=len(p.out_systems))
         if isinstance(p, OpProc):
-            return _proc_tensor(pm.decl(p.name))
+            return proc(p.name)
         if isinstance(p, GenIgnore) and isinstance(p.system.carrier, Abstract):
             d = _qdim(p.system)
             return np.eye(d, dtype=complex).reshape(d * d)
@@ -417,6 +425,12 @@ def predict_closed(d, pm):
     Classical backend: exact contraction.  Quantum backend: vectorized
     superoperator contraction, probabilities read on classical wires.
     """
+    return _predict(d, pm, {})
+
+
+def _predict(d, pm, procs):
+    """``predict_closed``, with the quantum superoperators taken from and
+    kept in ``procs``, which diagrams over the same model may share."""
     fstheory._require_closed(d)
     _resolve_boxes(d, pm)
     if pm.backend == "classical":
@@ -429,7 +443,7 @@ def predict_closed(d, pm):
         return fstheory._bundled_matrix(d, _classical_tensor(pm))
     arr = contract(
         d,
-        _quantum_tensor(pm),
+        _quantum_tensor(pm, procs),
         _port_axis,
         eye=lambda n: np.eye(n, dtype=complex),
     )
@@ -481,11 +495,13 @@ def point_atomic_table(d, pm):
 
     Every open inferential input is fed a point distribution and every
     open inferential output is asked an atomic proposition; each closed
-    probe is evaluated independently.
+    probe is evaluated independently, on procedure superoperators built
+    once per call.
     """
     fstheory._require_closed(d)
     dom = bundle_carrier(d.input_types)
     cod = bundle_carrier(d.output_types)
+    procs = {}
     rows = []
     for y in cod:
         y_parts = _unfold(y, len(d.output_types))
@@ -503,7 +519,7 @@ def point_atomic_table(d, pm):
                 for t, part in zip(d.input_types, x_parts)
             )
             closed = close_boundary(d, sources, sinks)
-            row.append(predict_closed(closed, pm).entries[0][0])
+            row.append(_predict(closed, pm, procs).entries[0][0])
         rows.append(tuple(row))
     return PointAtomicTable(dom, cod, tuple(rows))
 

@@ -182,12 +182,60 @@ def _fraction_rref(rows):
 
 
 def feasible_nonneg_fraction(a_rows, b):
+    """``A x = b, x >= 0`` in Fractions, with the engine's forcing-row presolve.
+
+    A row with ``b_i = 0`` whose nonzero entries share one sign is dropped
+    with every column it meets, and ``feasible_nonneg_fraction_unpresolved``
+    solves the rest.  ``x`` is zero at the dropped columns.  A Farkas ``y``
+    of the rest is extended by ``-t`` on each dropped row, ``t`` on one
+    with a negative entry, where ``t`` is the largest ratio, over the
+    dropped columns, of what the column pays on the kept rows to the sum
+    of its absolute entries on the dropped rows (0 with no such column).
+    So the engine's ``x`` and ``y`` can be compared vector for vector.
+    """
+    a = [[Fraction(v) for v in row] for row in a_rows]
+    b = [Fraction(v) for v in b]
+    m, n = len(a), len(a[0]) if a else 0
+    drop = [
+        i for i in range(m)
+        if b[i] == 0 and not (any(v > 0 for v in a[i]) and any(v < 0 for v in a[i]))
+    ]
+    if not drop:
+        return feasible_nonneg_fraction_unpresolved(a, b)
+    keep = [i for i in range(m) if i not in drop]
+    fixed = [j for j in range(n) if any(a[i][j] != 0 for i in drop)]
+    cols = [j for j in range(n) if j not in fixed]
+    if keep:
+        status, v = feasible_nonneg_fraction_unpresolved(
+            [[a[i][j] for j in cols] for i in keep], [b[i] for i in keep]
+        )
+    else:
+        status, v = "feasible", [Fraction(0)] * len(cols)
+    if status == "feasible":
+        x = [Fraction(0)] * n
+        for j, xj in zip(cols, v):
+            x[j] = xj
+        return status, x
+    y = dict(zip(keep, v))
+    t = max(
+        (
+            sum((y[i] * a[i][j] for i in keep), Fraction(0))
+            / sum(abs(a[i][j]) for i in drop)
+            for j in fixed
+        ),
+        default=Fraction(0),
+    )
+    for i in drop:
+        y[i] = t if any(v < 0 for v in a[i]) else -t
+    return status, [y[i] for i in range(m)]
+
+
+def feasible_nonneg_fraction_unpresolved(a_rows, b):
     """Phase-I simplex for ``A x = b, x >= 0`` on a dense Fraction tableau.
 
     Artificial basis, Bland's rule, ratio-test ties to the smallest basic
     variable.  Returns ``("feasible", x)`` or ``("infeasible", y)`` with
-    the Farkas vector read off the objective row, so the engine's pivot
-    path can be compared vector for vector, not only by its verdict.
+    the Farkas vector read off the objective row.
     """
     a = [[Fraction(v) for v in row] for row in a_rows]
     b = [Fraction(v) for v in b]
@@ -485,21 +533,21 @@ def prepare_measure_vertex_tables(n_x, n_a, n_y, n_b):
     )
 
 
-def fs_compatible_fraction(table, vertex_tables):
+def fs_compatible_fraction(table, vertex_tables, solve=feasible_nonneg_fraction):
     """Local-polytope membership of an exact table on Fraction vertex vectors.
 
     The membership LP built from whole vertex tables: one column per
     vertex (flattened row-major), one row per cell plus the all-ones row,
-    solved by ``feasible_nonneg_fraction`` and re-verified by full Fraction
-    dot products.  Returns ``("member", weights)`` or ``("nonmember",
-    facet, bound, violation)``.
+    solved by ``solve`` and re-verified by full Fraction dot products.
+    Returns ``("member", weights)`` or ``("nonmember", facet, bound,
+    violation)``.
     """
     vecs = [[Fraction(v) for row in vert for v in row] for vert in vertex_tables]
     q = [Fraction(v) for row in table for v in row]
     m = len(q)
     a_rows = [[vec[i] for vec in vecs] for i in range(m)]
     a_rows.append([Fraction(1)] * len(vecs))
-    status, payload = feasible_nonneg_fraction(a_rows, q + [Fraction(1)])
+    status, payload = solve(a_rows, q + [Fraction(1)])
     if status == "feasible":
         w = tuple(payload)
         recombined = [

@@ -1,5 +1,6 @@
 """Structural diagram layer: building, validation, composition, equality."""
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ci_engine import fstheory, substoch
+from ci_engine.caps import over_cap
 from ci_engine.diagrams import (
     INFERENTIAL,
     Box,
@@ -28,6 +30,7 @@ from ci_engine.diagrams import (
     substitute,
 )
 from ci_engine.errors import (
+    CapExceeded,
     CycleDetected,
     DanglingPort,
     SignatureMismatch,
@@ -494,7 +497,13 @@ def _assert_same_join(new, reference, order):
 
     assert set(new.wires) == {(moved(src), moved(dst)) for src, dst in reference.wires}
     assert diagrams_equal(new, reference)
-    assert fstheory.denote(new) == fstheory.denote(reference)
+    if over_cap(math.prod(t.size for t in new.input_types + new.output_types)):
+        # a denotation with more cells than the cap: both sides refuse it alike
+        for d in (new, reference):
+            with pytest.raises(CapExceeded):
+                fstheory.denote(d)
+    else:
+        assert fstheory.denote(new) == fstheory.denote(reference)
 
 
 def _consumer(rng, t):

@@ -24,6 +24,7 @@ from oracles import (
     cone_extreme_rays_exact,
     cone_extreme_rays_subsets,
     feasible_nonneg_fraction,
+    feasible_nonneg_fraction_unpresolved,
     lp_feasible_float,
     matrix_rank,
     polytope_vertices_exact,
@@ -202,9 +203,10 @@ _BIG_DENOMINATORS = (3**40, 5**28, 7**23, 11**19)
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**30), st.booleans(), st.booleans(), st.booleans())
 def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction, bell_shaped):
-    # the same status and the same x or Farkas y as the Fraction tableau,
-    # not only a certificate that checks out: this pins Bland's entering
-    # columns and the ratio-test ties
+    # the same status and the same x or Farkas y as the Fraction tableau
+    # after the same presolve, not only a certificate that checks out: this
+    # pins the forcing rows, Bland's entering columns and the ratio-test
+    # ties; the unpresolved tableau gives the same status
     rng = random.Random(seed)
     dens = (1, 2, 3) + (_BIG_DENOMINATORS if big else ())
 
@@ -233,6 +235,7 @@ def test_simplex_path_matches_the_fraction_reference(seed, big, by_construction,
         b.append(b[i] + k * b[j])
     got = feasible_nonneg(a, b)
     assert got == feasible_nonneg_fraction(a, b)
+    assert got[0] == feasible_nonneg_fraction_unpresolved(a, b)[0]
     if by_construction:
         assert got[0] == "feasible"
     if got[0] == "infeasible":
@@ -426,6 +429,88 @@ def test_bool_float_and_numpy_entries_convert_through_fraction():
     # a float is read as its binary value, not as the decimal it prints as
     assert feasible_nonneg([[0.1]], [1]) == ("feasible", [1 / F(0.1)])
     assert 1 / F(0.1) != 10
+
+
+def test_forcing_rows_drop_with_the_columns_they_meet():
+    # x0 + 2 x1 = 0 and -x2 = 0 fix x0, x1 and x2; x3 - x4 = 0 has both
+    # signs, so it stays and splits x0 + x3 + x4 = 2 evenly (had it fixed
+    # x3 and x4 too, no column would be left for the 2)
+    a = [[1, 2, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, 1, -1], [1, 0, 0, 1, 1]]
+    assert feasible_nonneg(a, [0, 0, 0, 2]) == ("feasible", [0, 0, 0, 1, 1])
+    # every column fixed: the kept row keeps y = 1, and t = 1 makes both
+    # columns pay exactly 0, with -t on the nonnegative dropped row and t
+    # on the nonpositive one
+    a, b = [[1, 1], [-2, 0], [3, 1]], [0, 0, 1]
+    assert feasible_nonneg(a, b) == ("infeasible", [-1, 1, 1])
+    assert verify_certificate(a, b, [-1, 1, 1])
+    # every row dropped: x = 0, also with no column left
+    assert feasible_nonneg([[1, 1], [-1, 0]], [0, 0]) == ("feasible", [0, 0])
+    assert feasible_nonneg([[0, 0]], [0]) == ("feasible", [0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**30),
+    st.booleans(),
+    st.sampled_from(("random", "solution", "zero", "all fixed")),
+)
+def test_forcing_rows_keep_the_status_and_certify_the_full_system(seed, binary, rhs):
+    # rows of each sign kind, each column over a denominator of its own,
+    # and right-hand sides with zeros: the status is the unpresolved
+    # reference's, x and y are the presolving reference's, every x solves
+    # the full system and every y certifies it
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    dens = [rng.choice((1, 2, 3, 5)) for _ in range(n)]
+
+    def row(kind):
+        mags = [rng.randint(0, 1) if binary else rng.randint(0, 3) for _ in range(n)]
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        if kind == "nonnegative":
+            signs = [1] * n
+        elif kind == "nonpositive":
+            signs = [-1] * n
+        elif kind == "mixed" and n > 1:
+            j, k = rng.sample(range(n), 2)
+            mags[j], mags[k], signs[j], signs[k] = 1, 1, 1, -1
+        return [F(s * v, den) for s, v, den in zip(signs, mags, dens)]
+
+    kinds = ("nonnegative", "nonpositive", "mixed", "any")
+    a = [row(rng.choice(kinds)) for _ in range(m)]
+    if rhs == "solution":
+        x0 = [F(rng.choice((0, 0, 1, 2)), rng.choice((1, 2))) for _ in range(n)]
+        b = [sum(r * v for r, v in zip(r_, x0)) for r_ in a]
+    elif rhs == "zero":
+        b = [F(0)] * m
+    else:
+        b = [F(0) if rng.random() < 0.5 else F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(m)]
+    if rhs == "all fixed":
+        a.append([F(1, den) for den in dens])
+        b.append(F(0))
+    got = feasible_nonneg(a, b)
+    assert got[0] == feasible_nonneg_fraction_unpresolved(a, b)[0]
+    assert got == feasible_nonneg_fraction(a, b)
+    if got[0] == "feasible":
+        x = got[1]
+        assert len(x) == n and min(x) >= 0
+        assert [sum(r * v for r, v in zip(r_, x)) for r_ in a] == b
+    else:
+        assert verify_certificate(a, b, got[1])
+    if rhs in ("solution", "zero"):
+        assert got[0] == "feasible"
+    if rhs == "zero" or rhs == "all fixed" and got[0] == "feasible":
+        assert not any(got[1])
+    if rhs == "all fixed":
+        assert (got[0] == "feasible") == (not any(b))
+
+
+def test_the_hexagon_embedding_is_infeasible_without_a_pivot(monkeypatch):
+    # every column of the hexagon's LP meets a zero pairing, so the
+    # presolve fixes them all and leaves Phase I nothing to enter
+    steps = _spy_pivots(monkeypatch)
+    assert isinstance(nogo.simplex_embed(nogo.hexagon_fragment()), nogo.Infeasible)
+    assert steps == []
+
 
 def _int_rows(rng, m, n, lo=-3, hi=3):
     return [[F(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m)]

@@ -508,12 +508,16 @@ def _exact_tables(draw):
 @example((Instrumental(2, 2, 2), _pr_block_table(Instrumental(2, 2, 2))))
 def test_membership_matches_the_fraction_vertex_path(case):
     # the same verdict and the same certificate as the LP over whole
-    # Fraction vertex tables, solved by the Fraction reference simplex
+    # Fraction vertex tables, solved by the presolving Fraction reference
+    # simplex; the unpresolved one gives the same verdict
     s, table = case
     got = fs_compatible(Correlation(s, table), s)
-    want = oracles.fs_compatible_fraction(
-        table, _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+    verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+    want = oracles.fs_compatible_fraction(table, verts)
+    plain = oracles.fs_compatible_fraction(
+        table, verts, solve=oracles.feasible_nonneg_fraction_unpresolved
     )
+    assert plain[0] == want[0]
     if want[0] == "member":
         assert isinstance(got, Member)
         assert got.weights == want[1]

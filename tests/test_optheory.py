@@ -5,6 +5,7 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ci_engine.errors import (
     UnresolvedProcedure,
     ValidationError,
 )
+from ci_engine.fileformat import load_model
 from ci_engine.fstheory import ignore, prop_gain, state_box
 from ci_engine.optheory import (
     PredictionMap,
@@ -417,7 +419,7 @@ def test_ignoring_one_half_of_the_singlet_leaves_a_fair_coin():
 def test_quantum_backend_reads_realist_generators_as_their_fractions():
     rng = random.Random(SEED + 9)
     pm = nogo.bell_prediction_map(*nogo.singlet_model(), nogo.chsh_scenario())
-    tensor = optheory._quantum_tensor(pm)
+    tensor = optheory._quantum_tensor(pm, {})
     boxes = [ignore(BIT), prop_gain(BIT)]
     for _ in range(20):
         den = rng.randrange(2**64, 2**80)
@@ -459,6 +461,28 @@ def test_point_atomic_reconstruction_quantum():
                     <= 1e-12
                 )
 
+
+
+def test_point_atomic_table_builds_each_superoperator_once(monkeypatch):
+    # the singlet template's 16 probes share its 5 procedures: one
+    # superoperator each per call, and the bits of a table that builds
+    # them again for every probe
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    pm = load_model((data / "singlet.model").read_text())
+    d = nogo.bell_template(pm)
+    real_predict, real_proc = optheory._predict, optheory._proc_tensor
+    with monkeypatch.context() as mp:
+        mp.setattr(optheory, "_predict", lambda d, pm, procs: real_predict(d, pm, {}))
+        per_probe = point_atomic_table(d, pm)
+    built = []
+
+    def spy(decl):
+        built.append(decl.name)
+        return real_proc(decl)
+
+    monkeypatch.setattr(optheory, "_proc_tensor", spy)
+    assert point_atomic_table(d, pm) == per_probe
+    assert sorted(built) == sorted(decl.name for decl in pm.decls)
 
 
 @pytest.mark.parametrize(

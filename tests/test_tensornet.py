@@ -388,7 +388,7 @@ def test_closed_quantum_diagram_with_a_pass_through_matches_the_reference():
         (pg, h),
         (fstheory.ignore(c), pg.outs[1], h),
     )
-    tensor = optheory._quantum_tensor(pm)
+    tensor = optheory._quantum_tensor(pm, {})
     got = tensornet.contract(
         d, tensor, optheory._port_axis, eye=lambda n: np.eye(n, dtype=complex)
     )
