@@ -347,15 +347,17 @@ def _cmd_rep_check(args):
         if not all(fstheory.causally_closed(dd) for pair in pairs for dd in pair):
             pairs_pm = None
         leib = fstheory.is_leibnizian(rep, pairs, pm=pairs_pm)
-        records.append(
-            {
-                "cmd": "rep-check",
-                "check": "leibnizian",
-                "passed": bool(leib),
-                "pairs": len(pairs),
-                "vetted": pairs_pm is not None,
-            }
-        )
+        rec = {
+            "cmd": "rep-check",
+            "check": "leibnizian",
+            "passed": bool(leib),
+            "pairs": len(pairs),
+            "vetted": pairs_pm is not None,
+        }
+        if not pairs:
+            # a pass over no pairs holds of any representation
+            rec["vacuous"] = True
+        records.append(rec)
         ok = ok and leib
 
     return (EXIT_OK if ok else EXIT_NEGATIVE), records

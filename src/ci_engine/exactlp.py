@@ -23,7 +23,13 @@ in the pivot column and ``w`` the pivot row.  Every division is exact,
 because ``d`` times the tableau is integer, and Fractions appear only
 in the results.
 
-Before Phase I, ``feasible_nonneg`` presolves: a row whose right-hand
+The LP has one integer core, ``_solve(a, b)``: an integer matrix and
+a list of Python ints in, ``x`` or a Farkas ``y`` out as Python ints
+over one denominator.  ``feasible_nonneg`` is its Fraction wrapper: it
+reads the input once as integers, calls the core, and forms Fractions
+from the answer alone.  ``nogo`` calls the core directly on the
+integers it has already read, and forms Fractions only for its
+verdicts.  Before Phase I the core presolves: a row whose right-hand
 side is zero and whose nonzero entries share one sign forces every
 column it meets to zero (a forcing constraint; Andersen & Andersen, Math.
 Programming 71, 1995).  Such rows and the columns they meet are dropped,
@@ -31,9 +37,9 @@ the simplex runs on the rest, and its answer is extended to the whole
 system exactly: ``x`` is zero on the dropped columns, and a Farkas ``y``
 takes one common value on the dropped rows, up to each row's sign, the
 least that keeps it a certificate, found by cross-multiplying Python
-ints.  Local mixtures, PR blocks and the zero pairings of the
-embedding LPs lose most of their degenerate pivots this way; an input
-without such a row reaches Phase I as it is.
+ints and kept as their ratio.  Local mixtures, PR blocks and the zero
+pairings of the embedding LPs lose most of their degenerate pivots this
+way; an input without such a row reaches Phase I as it is.
 
 The simplex tableau is one 2-D ndarray at one common scale ``d``, and
 each step rewrites the whole table at once (``_pivot_array``).  It is
@@ -66,6 +72,8 @@ import numpy as np
 from .caps import over_cap
 from .errors import CapExceeded, Degenerate, DimensionMismatch
 from .tensornet import _INT64_SAFE, _maxabs, integers
+
+_ZERO = Fraction(0)
 
 
 def _ints(rows):
@@ -195,7 +203,28 @@ def feasible_nonneg(a_rows, b):
     ndarray rows, or a 2-D signed-integer ndarray.  Returns
     ``("feasible", x)`` with a rational solution vector, or
     ``("infeasible", y)`` with a Farkas certificate: ``y . A <= 0``
-    entrywise while ``y . b > 0``.
+    entrywise while ``y . b > 0``.  The system is read once as integers
+    and solved by ``_solve``; Fractions are formed from its answer alone.
+    """
+    a, scales = _int_matrix(a_rows)
+    if len(b) != a.shape[0]:
+        raise DimensionMismatch("rhs length must match the row count")
+    b, scale_b = integers(b)
+    status, v, d = _solve(a, b)
+    if status == "infeasible":
+        return status, [Fraction(yi, d) for yi in v]
+    # x_j = scale_j * x'_j / scale_b, x' / d solving the scaled system
+    d *= scale_b
+    return status, [Fraction(s * xj, d) if xj else _ZERO for s, xj in zip(scales, v)]
+
+
+def _solve(a, b):
+    """``A x = b, x >= 0`` on integers: ``a`` an int64 or object ndarray of
+    Python ints, which is only read, and ``b`` a list of Python ints.
+
+    Returns ``("feasible", x, d)``, the solution being ``x / d``, or
+    ``("infeasible", y, d)``, the Farkas certificate being ``y / d``;
+    ``x`` and ``y`` are lists of Python ints and ``d > 0``.
 
     A forcing row, one whose right-hand side is zero and whose nonzero
     entries share one sign, holds only at ``x_j = 0`` for each column
@@ -205,14 +234,11 @@ def feasible_nonneg(a_rows, b):
     rest is ``y`` on the kept rows, and ``-t`` on each dropped row (``t``
     on a row with a negative entry), ``t`` being the least rational that
     leaves every dropped column paying ``y . a_j <= 0``, or 0 when no
-    column was dropped.  An input without a forcing row goes to Phase I
-    as it is.
+    column was dropped; ``t`` is kept as a ratio of ints, so ``y`` comes
+    back over one denominator.  An input without a forcing row goes to
+    Phase I as it is.
     """
-    a, scales = _int_matrix(a_rows)
     m, n = a.shape
-    if len(b) != m:
-        raise DimensionMismatch("rhs length must match the row count")
-    b, scale_b = integers(b)
     drop, neg = [], []
     if 0 in b:
         zero = [i for i, v in enumerate(b) if not v]
@@ -237,17 +263,16 @@ def feasible_nonneg(a_rows, b):
         cols = range(n)
         feasible, v, d = _phase_one(a, b)
     if feasible:
-        x = [Fraction(0)] * n
+        x = [0] * n
         for j, xj in v:
-            j = cols[j]
-            x[j] = Fraction(scales[j] * xj, d * scale_b)
-        return "feasible", x
+            x[cols[j]] = xj
+        return "feasible", x, d
     if not drop:
-        return "infeasible", [Fraction(yi, d) for yi in v]
+        return "infeasible", v, d
     y = [0] * m
     for i, yi in zip(keep, v):
         y[i] = yi
-    t = Fraction(0)
+    tn, td = 0, 1
     if len(cols) < n:
         # column j pays y . a_j = pays_j / d with y on the kept rows alone,
         # and t * costs_j less with -t or t on the dropped rows; the least t
@@ -259,15 +284,15 @@ def feasible_nonneg(a_rows, b):
             a, forcing = a.astype(object), forcing.astype(object)
         pays = (np.array(y, dtype=a.dtype) @ a).tolist()
         costs = np.abs(forcing).sum(axis=0).tolist()
-        tn, td = None, 1
+        tn = None
         for c, s in zip(pays, costs):
             if s and (tn is None or c * td > tn * s):
                 tn, td = c, s
-        t = Fraction(tn, td * d)
-    y = [Fraction(yi, d) for yi in y]
+        # y / d is y * td over td * d, and t is tn over it
+        y = [yi * td for yi in y]
     for i, g in zip(drop, neg):
-        y[i] = t if g else -t
-    return "infeasible", y
+        y[i] = tn if g else -tn
+    return "infeasible", y, td * d
 
 
 def _phase_one(a, b):

@@ -30,12 +30,7 @@ from .errors import (
     WeightError,
     WrongScenario,
 )
-from .exactlp import (
-    cone_extreme_rays,
-    feasible_nonneg,
-    nullspace,
-    verify_certificate,
-)
+from .exactlp import _kernel, _solve, cone_extreme_rays, verify_certificate
 from .fstheory import bundle_carrier, embedded, ignore, prop_gain, state_box
 from .funcdyn import Fn, copy_fn
 from .optheory import (
@@ -196,12 +191,16 @@ class Correlation:
     Fraction, or every entry read as a float.  An exact context is read
     once by ``tensornet.integers``: its numerators must be nonnegative and
     sum to their common denominator.  Fraction entries are kept as given;
-    other exact entries become Fractions.
+    other exact entries become Fractions.  An exact table keeps that
+    reading, over the least common denominator of the whole table, as
+    ``as_vector`` reads it: ``(numerators, denominator)``; a float table
+    keeps None.
     """
 
     scenario: object
     table: tuple
     is_exact: bool = field(init=False, repr=False, compare=False)
+    _reading: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the cards are capped before any context or outcome is enumerated
@@ -216,7 +215,9 @@ class Correlation:
         if any(len(row) != len(outs) for row in rows):
             raise DimensionMismatch("one table column per joint outcome")
         exact = all(is_exact_number(v) for row in rows for v in row)
+        reading = None
         if exact:
+            read = []
             for row in rows:
                 # one read per context: numerators over their least common denominator
                 nums, den = integers(row)
@@ -224,6 +225,10 @@ class Correlation:
                     raise ValidationError("negative probability")
                 if sum(nums) != den:
                     raise ValidationError("a context does not normalize")
+                read.append((nums, den))
+            # the contexts over the table's least common denominator
+            top = math.lcm(*(den for _, den in read))
+            reading = (tuple(v * (top // den) for nums, den in read for v in nums), top)
             rows = tuple(
                 tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
             )
@@ -243,6 +248,7 @@ class Correlation:
             rows = tuple(tuple(float(v) for v in row) for row in rows)
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "is_exact", exact)
+        object.__setattr__(self, "_reading", reading)
 
     def value(self, outcome, setting):
         ci = self.scenario.contexts().index(tuple(setting))
@@ -524,24 +530,25 @@ def fs_compatible(corr, s):
     order, each as the 0/1 incidence of the (context, outcome) cells it
     hits (one per context, row-major as ``as_vector``), plus an all-ones
     row for the total weight.  Float tables are rationalized first; the
-    certificate records the exact table actually tested.  Both verdicts
-    are re-verified in integers before being returned, the table and
-    the certificate each read as numerators over one denominator: on the
-    cached incidence, a member's weights are recombined cell by cell, and
-    a facet's bound is its largest sum over any strategy's cells.
+    certificate records the exact table actually tested.  The LP runs in
+    integers on the cached incidence and the table's kept reading, and
+    both verdicts are re-verified on its integers before any Fraction is
+    formed: a member's weights are recombined cell by cell, and a facet's
+    bound is its largest sum over any strategy's cells.
     """
     if corr.scenario != s:
         raise WrongScenario("correlation was built for another scenario")
     target = rationalize(corr)
     hits, incidence = _strategies(s)
-    q = target.as_vector()
-    qn, qd = integers(q)
-    m = len(q)
-    status, payload = feasible_nonneg(tuple(incidence), [*q, 1])
+    qn, qd = target._reading
+    m = len(qn)
+    # incidence . x / d = (qn, qd): the weights x / (d * qd) sum to 1
+    status, v, d = _solve(incidence, [*qn, qd])
     cells = incidence[:m]
     if status == "feasible":
-        w = tuple(payload)
-        wn, wd = integers(w)
+        wd = d * qd
+        g = math.gcd(wd, *v)
+        wn, wd = [x // g for x in v], wd // g
         if min(wn) < 0 or sum(wn) != wd:
             raise EngineError("membership weights failed re-verification")
         # nonnegative weights summing to wd put at most wd on any cell
@@ -550,16 +557,18 @@ def fs_compatible(corr, s):
         # recombined / wd == qn / qd, cell by cell
         if any(r * qd != v * wd for r, v in zip(recombined, qn)):
             raise EngineError("membership weights failed re-verification")
-        return Member(w, target)
-    facet = tuple(payload[:m])
-    # a strategy pays the facet's entries on its cells, one per context, at
-    # most top / fd; the table pays sum(fn * qn) / (fd * qd)
-    fn, fd = integers(facet)
+        return Member(tuple(Fraction(w, wd) if w else _ZERO for w in wn), target)
+    # the facet is y / d on the cells, in lowest terms fn / fd; a strategy
+    # pays the facet's entries on its cells, one per context, at most
+    # top / fd; the table pays sum(fn * qn) / (fd * qd)
+    g = math.gcd(d, *v[:m])
+    fn, fd = [y // g for y in v[:m]], d // g
     dtype = np.int64 if len(hits[0]) * max(map(abs, fn)) < _INT64_SAFE else object
     top = max((np.array(fn, dtype=dtype) @ cells.astype(dtype, copy=False)).tolist())
     gap = sum(f * v for f, v in zip(fn, qn)) - top * qd
     if gap <= 0:
         raise EngineError("separating facet failed re-verification")
+    facet = tuple(Fraction(f, fd) if f else _ZERO for f in fn)
     return NonMember(facet, Fraction(top, fd), Fraction(gap, fd * qd), target)
 
 
@@ -948,23 +957,24 @@ def _ratvec(v):
     )
 
 
+def _lowest(nums, den):
+    """``nums / den`` over the least common denominator of its entries."""
+    g = math.gcd(den, *nums)
+    return [v // g for v in nums], den // g
+
+
 def _pairings(effects, states):
-    """The exact table of ``e · w``, effects by row and states by column.
-    Each vector is read once by ``tensornet.integers``; each entry is an
-    integer sum of products over the two denominators, reduced once."""
+    """The exact table of ``e · w``, effects by row and states by column,
+    row-major, as Python ints over one denominator, the least common one.
+    Each vector is read once by ``tensornet.integers``."""
     ws = [integers(w) for w in states]
-    return [
-        [Fraction(sum(map(mul, a, b)), da * db) for b, db in ws]
-        for a, da in map(integers, effects)
-    ]
-
-
-def _dependences(vectors):
-    """Rational basis of the linear dependences among the vectors."""
-    if not vectors:
-        return []
-    coords = [[v[k] for v in vectors] for k in range(len(vectors[0]))]
-    return nullspace(coords)
+    es = [integers(e) for e in effects]
+    # every vector over its side's common denominator
+    wd = math.lcm(*(d for _, d in ws))
+    ed = math.lcm(*(d for _, d in es))
+    ws = [[v * (wd // d) for v in w] for w, d in ws]
+    es = [[v * (ed // d) for v in e] for e, d in es]
+    return _lowest([sum(map(mul, e, w)) for e in es for w in ws], ed * wd)
 
 
 def classical_bit_fragment():
@@ -1067,11 +1077,12 @@ def simplex_embed(frag, lambda_max=16):
     ne = len(effects_all)
     ns = len(states)
 
-    # The pairing table, unit row first.  Operational equivalences are
-    # the dependences of its rows and of its columns.
-    targets = _pairings(effects_all, states)
-    flat_targets = [t for row in targets for t in row]
-    state_deps = _dependences(list(zip(*targets)))
+    # The pairing table, unit row first, read once as integers over one
+    # denominator.  Operational equivalences are the dependences of its
+    # rows and of its columns, integer kernel vectors of the table and of
+    # its transpose.
+    flat_targets, den = _pairings(effects_all, states)
+    state_deps = _kernel([flat_targets[k : k + ns] for k in range(0, ne * ns, ns)])[1]
     # an exact embedding factors the table, so it has at least rank states
     rank = ns - len(state_deps)
 
@@ -1084,7 +1095,8 @@ def simplex_embed(frag, lambda_max=16):
         upper[0], upper[k], lower[k] = 1, -1, 1
         bounds += [upper, lower]
     bounds.append([1] + [0] * (ne - 1))
-    responses = cone_extreme_rays(bounds, _dependences(targets))
+    effect_deps = _kernel([flat_targets[j::ns] for j in range(ns)])[1]
+    responses = cone_extreme_rays(bounds, effect_deps)
 
     # Distribution candidates: nonnegative value vectors on the listed
     # states that keep the dependences of the table's columns.
@@ -1105,56 +1117,67 @@ def simplex_embed(frag, lambda_max=16):
     )
 
     def solve(allowed, slack):
+        """The weights of the allowed responses' columns as Python ints and
+        their one denominator, and None; or None and the Farkas data."""
         cols = [(i, j) for i in allowed for j in range(len(rays))]
         # row k lists response i's columns for every allowed i in turn
         rows = products[allowed].transpose(1, 0, 2).reshape(ne * ns, len(cols))
-        rhs = flat_targets
+        rhs, rhs_den = flat_targets, den
         if slack:
-            # an upper and a lower row per pairing, each with a slack
-            # column of its own, +1 on the upper row and -1 on the lower
+            # an upper and a lower row per pairing, t / den plus and minus
+            # the slack p / q, each with a slack column of its own, +1 on
+            # the upper row and -1 on the lower
             slacks = np.diag(np.tile([1, -1], ne * ns))
             rows = np.hstack([rows.repeat(2, axis=0), slacks])
-            rhs = [t + s for t in flat_targets for s in (_PAIRING_SLACK, -_PAIRING_SLACK)]
-        rows = tuple(rows)
-        status, payload = feasible_nonneg(rows, rhs)
+            p, q = _PAIRING_SLACK.numerator, _PAIRING_SLACK.denominator
+            rhs, rhs_den = _lowest(
+                [t * q + s * p * den for t in flat_targets for s in (1, -1)], den * q
+            )
+        status, v, d = _solve(rows, rhs)
         if status == "infeasible":
-            return None, (rows, rhs, payload)
-        return {(i, j): dens[i] * w for (i, j), w in zip(cols, payload)}, None
+            return None, (rows, rhs, v, d)
+        # the LP's x / d solves rows . x = rhs, so x / (d * rhs_den) the table
+        return ({(i, j): dens[i] * w for (i, j), w in zip(cols, v)}, d * rhs_den), None
 
     # exact rows first even for float fragments: when the snapped data is
     # exactly embeddable the slack formulation only doubles the work
     all_idx = list(range(len(responses)))
     use_slack = False
-    sigma, witness = solve(all_idx, False)
-    if sigma is None and not exact:
+    found, witness = solve(all_idx, False)
+    if found is None and not exact:
         use_slack = True
-        sigma, witness = solve(all_idx, True)
-    if sigma is None:
-        rows, rhs, y = witness
+        found, witness = solve(all_idx, True)
+    if found is None:
+        rows, rhs, y, d = witness
+        y = tuple(Fraction(v, d) for v in y)
+        # the rhs's positive scale leaves every sign of the check as it is
         if not verify_certificate(rows, rhs, y):
             raise EngineError("infeasibility witness failed re-verification")
-        return Infeasible(lambda_max, tuple(y))
+        return Infeasible(lambda_max, y)
+    sigma, sigma_den = found
 
     def support(sig):
+        """Each response's total weight, over the solution's one denominator."""
         mass = {}
         for (i, _j), w in sig.items():
             if w:
-                mass[i] = mass.get(i, _ZERO) + w
+                mass[i] = mass.get(i, 0) + w
         return mass
 
     # a slack solution factors the table only approximately, so only an
     # exact one stops at the rank
     least = 1 if use_slack else rank
-    allowed = set(support(sigma))
-    for i in sorted(allowed, key=lambda i: support(sigma)[i]):
+    mass = support(sigma)
+    allowed = set(mass)
+    for i in sorted(allowed, key=mass.__getitem__):
         if len(allowed) <= least:
             break
         trial = sorted(allowed - {i})
         cand, _ = solve(trial, use_slack)
         if cand is not None:
-            sigma = cand
+            sigma, sigma_den = cand
             allowed = set(support(sigma))
-    slots = sorted(support(sigma))
+    slots = sorted(allowed)
     if len(slots) > lambda_max:
         raise CapExceeded(
             f"smallest embedding found uses {len(slots)} ontic states, "
@@ -1168,17 +1191,22 @@ def simplex_embed(frag, lambda_max=16):
     for s_idx in range(ns):
         img = []
         for i in slots:
-            total = _ZERO
+            total = 0
             for j in range(len(rays)):
-                w = sigma.get((i, j), _ZERO)
+                w = sigma.get((i, j), 0)
                 if w:
                     total += w * rays[j][s_idx]
-            img.append(total)
+            img.append(Fraction(total, sigma_den))
         state_images.append(tuple(img))
 
-    slack = _PAIRING_SLACK if not exact else 0
-    got = _pairings(effect_images_all, state_images)
-    if any(abs(g - t) > slack for gs, ts in zip(got, targets) for g, t in zip(gs, ts)):
+    # |got / got_den - target / den| > slack, cross-multiplied in Python ints
+    slack = _PAIRING_SLACK if not exact else _ZERO
+    got, got_den = _pairings(effect_images_all, state_images)
+    room = slack.numerator * got_den * den
+    if any(
+        abs(g * den - t * got_den) * slack.denominator > room
+        for g, t in zip(got, flat_targets)
+    ):
         raise EngineError("embedding failed pairing re-verification")
     return Feasible(
         len(slots),

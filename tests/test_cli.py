@@ -539,6 +539,40 @@ def test_rep_check_pairs_with_an_open_causal_boundary_are_not_vetted(tmp_path):
     ]
 
 
+def test_rep_check_with_no_pairs_says_its_pass_is_vacuous(tmp_path):
+    code, out, err = _rep_check_with_pairs(tmp_path, lambda pm: ())
+    assert code == 0 and err == ""
+    leib = [r for r in records(out) if r.get("check") == "leibnizian"]
+    assert leib == [
+        {
+            "cmd": "rep-check",
+            "check": "leibnizian",
+            "passed": True,
+            "pairs": 0,
+            "vetted": True,
+            "vacuous": True,
+        }
+    ]
+    # the demo pairs file with its list emptied reads the same
+    text = (DATA / "prepare_then_sure_id.pairs").read_text()
+    start = text.index("  pairs: [")
+    emptied = tmp_path / "emptied.pairs"
+    emptied.write_text(text[:start] + "  pairs: []\n}\n")
+    code, out, err = run(
+        "rep-check",
+        "--rep",
+        str(DATA / "bit_flip.rep"),
+        "--diagram",
+        str(DATA / "coin_dynamics.diagram"),
+        "--leibniz-pairs",
+        str(emptied),
+        "--format",
+        "records",
+    )
+    assert code == 0 and err == ""
+    assert [r for r in records(out) if r.get("check") == "leibnizian"] == leib
+
+
 def test_rep_check_an_operationally_inequivalent_witness_exits_two(tmp_path):
     def pairs(pm):
         return ((_coin_measurement(pm, "id"), _coin_measurement(pm, "flip")),)

@@ -512,6 +512,49 @@ def test_the_hexagon_embedding_is_infeasible_without_a_pivot(monkeypatch):
     assert steps == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from(("small", "big rhs", "big matrix")))
+def test_the_integer_core_matches_feasible_nonneg_and_the_fraction_reference(seed, size):
+    # the integer entry point on integer systems with forcing rows: its x or
+    # y over its one denominator is what the Fraction wrapper returns and
+    # what the presolving Fraction reference returns.  A right-hand side
+    # past 2^62 takes the Python-int tableau; a matrix entry past 2^63 an
+    # object matrix from the start
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    big = 2**62 + rng.randint(1, 2**20)
+
+    def row(kind):
+        vals = [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)]
+        if kind == "mixed":
+            vals = [v * rng.choice((-1, 1)) for v in vals]
+        elif kind == "nonpositive":
+            vals = [-v for v in vals]
+        if size == "big matrix":
+            vals = [v * big * 2 if rng.random() < 0.3 else v for v in vals]
+        return vals
+
+    a = [row(rng.choice(("nonnegative", "nonpositive", "mixed"))) for _ in range(m)]
+    scale = big if size == "big rhs" else 1
+    if rng.random() < 0.5:
+        x0 = [rng.choice((0, 0, 1, 2)) * scale for _ in range(n)]
+        b = [sum(r * v for r, v in zip(r_, x0)) for r_ in a]
+    else:
+        b = [0 if rng.random() < 0.4 else rng.randint(-3, 3) * scale for _ in range(m)]
+    if size == "big rhs":
+        assume(max(map(abs, b)) >= 2**62)
+    try:
+        arr = np.array(a, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(a, dtype=object)
+    status, v, d = exactlp._solve(arr, b)
+    assert d > 0 and len(v) == (n if status == "feasible" else m)
+    got = status, [F(vi, d) for vi in v]
+    assert got == feasible_nonneg(a, b) == feasible_nonneg_fraction(a, b)
+    # the matrix is only read
+    assert arr.tolist() == a
+
+
 def _int_rows(rng, m, n, lo=-3, hi=3):
     return [[F(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m)]
 

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ci_engine import nogo, optheory, substoch, tensornet
+from ci_engine import exactlp, nogo, optheory, substoch, tensornet
 from ci_engine.exactlp import cone_extreme_rays, feasible_nonneg, nullspace, verify_certificate
 from ci_engine.errors import (
     CapExceeded,
@@ -280,7 +281,7 @@ def test_membership_checks_the_strategy_cap_before_the_lp(monkeypatch):
     corr = Correlation(s, [[F(1, n_out)] * n_out for _ in s.contexts()])
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
 
-    def no_lp(rows, rhs):
+    def no_lp(a, b):
         raise AssertionError("the LP ran although the strategies exceed the cap")
 
     # only the response enumerators call product with ``repeat``
@@ -291,7 +292,7 @@ def test_membership_checks_the_strategy_cap_before_the_lp(monkeypatch):
             enumerators.append(kwargs)
         return iproduct(*args, **kwargs)
 
-    monkeypatch.setattr(nogo, "feasible_nonneg", no_lp)
+    monkeypatch.setattr(nogo, "_solve", no_lp)
     monkeypatch.setattr(nogo, "iproduct", recording)
     with pytest.raises(CapExceeded, match="1024 deterministic strategies"):
         fs_compatible(corr, s)
@@ -566,6 +567,22 @@ def _negative_weights():
     return w
 
 
+def _lp_answering(status, payload):
+    """A stand-in for the membership LP's integer core, ``exactlp._solve``,
+    that answers ``payload``, the Fractions that ``feasible_nonneg`` would
+    return for the same table: a Farkas ``y`` as numerators over one
+    denominator, and weights ``w`` as the ``x / d`` that ``fs_compatible``
+    reads as ``x / (d * b[-1])``, ``b[-1]`` being the table's denominator."""
+
+    def core(a, b):
+        nums, den = tensornet.integers(payload)
+        if status == "feasible":
+            nums = [v * b[-1] for v in nums]
+        return status, nums, den
+
+    return core
+
+
 @pytest.mark.parametrize(
     "weights",
     [lambda: [F(1)] + [F(0)] * 15, _negative_weights],
@@ -575,7 +592,7 @@ def test_bogus_membership_weights_are_not_returned(monkeypatch, weights):
     s = chsh_scenario()
     uniform = Correlation(s, [[F(1, 4)] * 4 for _ in s.contexts()])
     w = weights()
-    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("feasible", w))
+    monkeypatch.setattr(nogo, "_solve", _lp_answering("feasible", w))
     with pytest.raises(EngineError, match="membership weights failed re-verification"):
         fs_compatible(uniform, s)
 
@@ -591,7 +608,7 @@ def test_bogus_separating_facet_is_not_returned(monkeypatch):
         (vertex, [-v for v in vertex.as_vector()]),
     ):
         y = facet + [F(0)]
-        monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs, y=y: ("infeasible", y))
+        monkeypatch.setattr(nogo, "_solve", _lp_answering("infeasible", y))
         with pytest.raises(EngineError, match="separating facet failed re-verification"):
             fs_compatible(corr, s)
 
@@ -630,10 +647,10 @@ def test_weights_moved_by_one_unit_fail_reverification(monkeypatch, table, shift
     }[shift]
     bad = [v + F(moves.get(i, 0), den) for i, v in enumerate(w)]
     assert min(bad) >= 0 and (sum(bad) == 1) == (shift == "one-up-one-down")
-    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("feasible", bad))
+    monkeypatch.setattr(nogo, "_solve", _lp_answering("feasible", bad))
     with pytest.raises(EngineError, match="membership weights failed re-verification"):
         fs_compatible(corr, s)
-    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("feasible", w))
+    monkeypatch.setattr(nogo, "_solve", _lp_answering("feasible", w))
     assert fs_compatible(corr, s).weights == tuple(w)
 
 
@@ -660,7 +677,7 @@ def test_a_facet_with_one_entry_raised_to_the_edge_fails_reverification(monkeypa
 
     def raised(k):
         bad = [*y[:i], y[i] + k, *y[i + 1 :]]
-        monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("infeasible", bad))
+        monkeypatch.setattr(nogo, "_solve", _lp_answering("infeasible", bad))
         return fs_compatible(corr, s)
 
     with pytest.raises(EngineError, match="separating facet failed re-verification"):
@@ -695,7 +712,7 @@ def test_a_facet_scaled_past_int64_keeps_its_bound_and_violation_in_scale(monkey
     big = [v * 2**70 for v in y]
     m = len(corr.as_vector())
     assert len(s.contexts()) * max(map(abs, tensornet.integers(big[:m])[0])) >= 2**62
-    monkeypatch.setattr(nogo, "feasible_nonneg", lambda rows, rhs: ("infeasible", big))
+    monkeypatch.setattr(nogo, "_solve", _lp_answering("infeasible", big))
     scaled = fs_compatible(corr, s)
     assert scaled.facet == tuple(big[:m])
     assert (scaled.bound, scaled.violation) == (got.bound * 2**70, got.violation * 2**70)
@@ -1172,11 +1189,11 @@ def test_an_exact_embedding_at_the_table_rank_takes_one_lp(monkeypatch, frag, si
     # can be dropped, so none is tried
     calls = []
 
-    def counting(rows, rhs):
-        calls.append(len(rows))
-        return feasible_nonneg(rows, rhs)
+    def counting(a, b):
+        calls.append(len(a))
+        return exactlp._solve(a, b)
 
-    monkeypatch.setattr(nogo, "feasible_nonneg", counting)
+    monkeypatch.setattr(nogo, "_solve", counting)
     res = simplex_embed(frag)
     assert isinstance(res, Feasible) and res.size == size
     assert len(calls) == 1
@@ -1241,8 +1258,34 @@ def test_response_rays_at_their_unit_value_are_the_polytope_vertices(table):
     rays = stop.value.args[0]
     assert all(r[0] > 0 and math.gcd(*r) == 1 for r in rays)
     snapped = [list(nogo._ratvec(row)) for row in table]
-    want = oracles.response_vertices_reference(nogo._dependences(snapped), ne)
+    # the dependences among the table's rows: the nullspace of its transpose
+    want = oracles.response_vertices_reference(nullspace(list(zip(*snapped))), ne)
     assert [[F(v, r[0]) for v in r] for r in rays] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 2)]), st.data())
+def test_an_exact_table_keeps_the_reading_of_its_vector(cards, data):
+    # contexts of ints and Fractions, each over a denominator of its own:
+    # the kept reading is the one integers gives the whole table, and the
+    # reading is neither compared nor printed
+    s = Bell(*cards)
+    width = len(s.outcomes())
+    table = []
+    for _ in s.contexts():
+        if data.draw(st.booleans()):
+            hit = data.draw(st.integers(0, width - 1))
+            table.append([int(i == hit) for i in range(width)])
+        else:
+            ks = data.draw(st.lists(st.integers(0, 6), min_size=width, max_size=width))
+            assume(sum(ks))
+            table.append([F(k, sum(ks)) for k in ks])
+    corr = Correlation(s, table)
+    nums, den = corr._reading
+    assert (list(nums), den) == tensornet.integers(corr.as_vector())
+    assert "_reading" not in repr(corr)
+    assert Correlation(s, [[F(v) for v in row] for row in table]) == corr
+    assert Correlation(s, [[float(v) for v in row] for row in table])._reading is None
 
 
 def test_exactness_is_recorded_once():
@@ -1289,12 +1332,46 @@ def test_classical_levels_embed_at_their_size(d):
 
 
 def test_bogus_infeasibility_witness_is_not_returned(monkeypatch):
-    def bogus(rows, rhs):
-        return "infeasible", [F(0)] * len(rows)
+    def bogus(a, b):
+        return "infeasible", [0] * len(a), 1
 
-    monkeypatch.setattr(nogo, "feasible_nonneg", bogus)
+    monkeypatch.setattr(nogo, "_solve", bogus)
     with pytest.raises(EngineError, match="witness"):
         simplex_embed(classical_bit_fragment(), lambda_max=4)
+
+
+@pytest.mark.parametrize(
+    "floated, delta, refused",
+    [
+        (False, F(1, 10**12), True),
+        (True, F(1, 10**9), False),
+        (True, F(1, 10**6), True),
+    ],
+    ids=["exact-by-1e-12", "float-by-1e-9", "float-by-1e-6"],
+)
+def test_weights_off_the_pairing_table_fail_reverification(monkeypatch, floated, delta, refused):
+    # the bit's LP solution with its first nonzero weight moved by delta:
+    # the images then miss the pairing table by a multiple of delta, which
+    # an exact fragment refuses outright and a float one beyond 1e-7
+    def moved(a, b):
+        status, x, d = exactlp._solve(a, b)
+        k = next(i for i, v in enumerate(x) if v)
+        x = [v * delta.denominator for v in x]
+        x[k] += delta.numerator * d
+        return status, x, d * delta.denominator
+
+    frag = classical_bit_fragment()
+    if floated:
+        frag = _floated(frag)
+    monkeypatch.setattr(nogo, "_solve", moved)
+    if refused:
+        with pytest.raises(EngineError, match="embedding failed pairing re-verification"):
+            simplex_embed(frag)
+    else:
+        res = simplex_embed(frag)
+        got = [sum(map(mul, e, w)) for e in res.effect_images for w in res.state_images]
+        want = [sum(map(mul, e, w)) for e in frag.effects for w in frag.states]
+        assert 0 < max(abs(g - t) for g, t in zip(got, want)) <= F(1, 10**7)
 
 
 @pytest.mark.parametrize(
