@@ -1,17 +1,12 @@
 """Exact rational linear programming and small linear algebra.
 
-Each input is read once as integers, each column over its own positive
-denominator: column ``j`` of the integers is ``scale_j`` times column
-``j`` of the input (``_ints``; a signed-integer ndarray is read as it
-is, at scale 1).  Positive column scaling leaves the Phase-I simplex on
-the same path: a column's reduced costs and tableau entries are scaled
-by positive factors, so Bland's entering column keeps its sign, every
-ratio of the ratio test is scaled by one common factor, so its ties
-stay ties, and the Farkas ``y`` is unchanged.  Only solutions and
-nullspace vectors depend on the scales, and each routine undoes them
-there: ``x_j = scale_j * x'_j / scale_b``.  So a 0/1 incidence stays
-0/1, and only the columns that hold fractions, such as a right-hand
-side, carry their denominators.
+Each input matrix is read once as integers over one positive
+denominator, the least common one, as ``tensornet.integers`` and
+``Scaled`` read numbers (``_ints``; a 2-D signed-integer ndarray is read
+as it is, over 1).  Scaling the whole matrix by a positive number
+changes neither the Phase-I path, nor its Farkas ``y``, nor a nullspace,
+nor a cone; only a solution ``x`` undoes the scales, of the matrix and
+of the right-hand side.
 
 The Phase-I simplex, nullspaces and the start cone of the ray
 enumerator all pivot with one fraction-free step (Edmonds, J. Res. NBS
@@ -77,19 +72,15 @@ _ZERO = Fraction(0)
 
 
 def _ints(rows):
-    """The rows of numbers as Python-int rows, and one scale per column.
-
-    Column ``j`` of the result is ``scales[j]`` times column ``j`` of the
-    input, ``scales[j]`` being the least common denominator of that
-    column, as ``tensornet.integers`` reads it.
-    """
+    """The rows of numbers as Python-int rows over one positive denominator,
+    the least common one, as ``tensornet.integers`` reads them: ``(ints,
+    den)``, the rows being ``ints / den``."""
     rows = [list(row) for row in rows]
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise DimensionMismatch("ragged matrix")
-    cols = [integers(col) for col in zip(*rows)]
-    ints = [[col[i] for col, _ in cols] for i in range(len(rows))]
-    return ints, [scale for _, scale in cols]
+    flat, den = integers([v for row in rows for v in row])
+    return [flat[i * width : (i + 1) * width] for i in range(len(rows))], den
 
 
 def _dot(u, v):
@@ -174,20 +165,17 @@ def _pivot_array(tab, r, c, d):
 
 
 def _int_matrix(a_rows):
-    """The rows as a 2-D int64 or object ndarray of ints, and one scale
-    per column.  A signed-integer ndarray, or a sequence of signed-integer
-    ndarray rows, is read at scale 1 as it is; any other rows go through
-    ``_ints``."""
-    if isinstance(a_rows, np.ndarray) or (len(a_rows) and isinstance(a_rows[0], np.ndarray)):
-        a = np.asarray(a_rows)
-        if a.ndim == 2 and a.dtype.kind == "i":
-            return a.astype(np.int64, copy=False), [1] * a.shape[1]
-    ints, scales = _ints(a_rows)
+    """The rows as a 2-D int64 or object ndarray of ints over one positive
+    denominator, and that denominator.  A 2-D signed-integer ndarray is
+    read as it is, over 1; any other rows go through ``_ints``."""
+    if isinstance(a_rows, np.ndarray) and a_rows.ndim == 2 and a_rows.dtype.kind == "i":
+        return a_rows.astype(np.int64, copy=False), 1
+    ints, den = _ints(a_rows)
     try:
         a = np.array(ints, dtype=np.int64)
     except OverflowError:
         a = np.array(ints, dtype=object)
-    return a.reshape(len(ints), len(scales)), scales
+    return a.reshape(len(ints), len(ints[0]) if ints else 0), den
 
 
 def _absmax(a):
@@ -199,23 +187,23 @@ def _absmax(a):
 def feasible_nonneg(a_rows, b):
     """Solve ``A x = b, x >= 0`` exactly.
 
-    ``A`` is a sequence of rows of numbers, a sequence of signed-integer
-    ndarray rows, or a 2-D signed-integer ndarray.  Returns
-    ``("feasible", x)`` with a rational solution vector, or
-    ``("infeasible", y)`` with a Farkas certificate: ``y . A <= 0``
-    entrywise while ``y . b > 0``.  The system is read once as integers
-    and solved by ``_solve``; Fractions are formed from its answer alone.
+    ``A`` is a sequence of rows of numbers or a 2-D signed-integer
+    ndarray.  Returns ``("feasible", x)`` with a rational solution
+    vector, or ``("infeasible", y)`` with a Farkas certificate:
+    ``y . A <= 0`` entrywise while ``y . b > 0``.  The system is read
+    once as integers and solved by ``_solve``; Fractions are formed from
+    its answer alone.
     """
-    a, scales = _int_matrix(a_rows)
+    a, scale_a = _int_matrix(a_rows)
     if len(b) != a.shape[0]:
         raise DimensionMismatch("rhs length must match the row count")
     b, scale_b = integers(b)
     status, v, d = _solve(a, b)
     if status == "infeasible":
         return status, [Fraction(yi, d) for yi in v]
-    # x_j = scale_j * x'_j / scale_b, x' / d solving the scaled system
+    # x = scale_a * x' / scale_b, x' / d solving the scaled system
     d *= scale_b
-    return status, [Fraction(s * xj, d) if xj else _ZERO for s, xj in zip(scales, v)]
+    return status, [Fraction(scale_a * xj, d) if xj else _ZERO for xj in v]
 
 
 def _solve(a, b):
@@ -359,7 +347,7 @@ def verify_certificate(a_rows, b, y):
     """Check a Farkas certificate by direct arithmetic."""
     if not 0 < len(y) == len(b) == len(a_rows):
         return False
-    # positive column scales leave the sign of every product with y as it is
+    # a positive scale leaves the sign of every product with y as it is
     cols = _int_matrix(a_rows)[0].T.tolist()
     y, rhs = integers(y)[0], integers(b)[0]
     return all(_dot(y, col) <= 0 for col in cols) and _dot(y, rhs) > 0
@@ -379,15 +367,11 @@ def _kernel(rows):
 def nullspace(a_rows):
     """A basis of the right nullspace, as rational row vectors, each 1 at
     its own free column and 0 at the others."""
-    rows, scales = _ints(a_rows)
+    rows = _ints(a_rows)[0]
     if not rows:
         return []
-    # a kernel vector v of the scaled rows is x = scales * v for the input
-    free, basis, d = _kernel(rows)
-    return [
-        [Fraction(s * v, d * scales[fc]) for s, v in zip(scales, vec)]
-        for fc, vec in zip(free, basis)
-    ]
+    _, basis, d = _kernel(rows)
+    return [[Fraction(v, d) for v in vec] for vec in basis]
 
 
 def polytope_vertices(eq_rows, eq_rhs, ineq_rows, ineq_rhs):
@@ -497,11 +481,10 @@ def cone_extreme_rays(ineq_rows, eq_rows=()):
     order in which a search over the subsets of ``k - 1`` inequalities,
     in ``combinations`` order, first finds them.
     """
-    # one scale per coordinate, shared by the inequalities and equalities;
-    # a ray y of the scaled rows is the ray scales * y of the input
-    rows, scales = _ints([*ineq_rows, *eq_rows])
+    # one scale for the inequalities and equalities, which moves no ray
+    rows = _ints([*ineq_rows, *eq_rows])[0]
     a, eqs = rows[: len(ineq_rows)], rows[len(ineq_rows) :]
-    n = len(scales)
+    n = len(rows[0]) if rows else 0
     basis = _kernel(eqs)[1] if eqs else [[int(i == j) for j in range(n)] for i in range(n)]
     k = len(basis)
     if k == 0:
@@ -519,7 +502,7 @@ def cone_extreme_rays(ineq_rows, eq_rows=()):
     found = []
     for y, zero in _double_description(reduced, k):
         tight = [i for i in range(len(reduced)) if zero >> i & 1]
-        x = _primitive([s * _dot(y, col) for s, col in zip(scales, cols)])
+        x = _primitive([_dot(y, col) for col in cols])
         found.append((tight, x))
     found.sort()
     return [x for _, x in found]

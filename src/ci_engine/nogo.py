@@ -30,7 +30,7 @@ from .errors import (
     WeightError,
     WrongScenario,
 )
-from .exactlp import _kernel, _solve, cone_extreme_rays, verify_certificate
+from .exactlp import _ints, _kernel, _solve, cone_extreme_rays, verify_certificate
 from .fstheory import bundle_carrier, embedded, ignore, prop_gain, state_box
 from .funcdyn import Fn, copy_fn
 from .optheory import (
@@ -97,7 +97,7 @@ class _Scenario:
             ("setting cardinalities", self.setting_cards, 1),
             ("latent cardinality", (getattr(self, "latent_card", 1),), 1),
         ):
-            if any(not isinstance(n, int) or n < least for n in cards):
+            if any(isinstance(n, bool) or not isinstance(n, int) or n < least for n in cards):
                 raise ConfigError(f"{what} must be at least {least}")
 
     @classmethod
@@ -188,11 +188,11 @@ class Correlation:
     Rows follow ``scenario.contexts()`` and columns ``scenario.outcomes()``.
     Exact tables must normalize exactly; float tables within 1e-9.
     ``is_exact`` says which: every entry an exact number, read as a
-    Fraction, or every entry read as a float.  An exact context is read
-    once by ``tensornet.integers``: its numerators must be nonnegative and
-    sum to their common denominator.  Fraction entries are kept as given;
-    other exact entries become Fractions.  An exact table keeps that
-    reading, over the least common denominator of the whole table, as
+    Fraction, or every entry read as a float.  An exact table is read
+    once by ``tensornet.integers``, over the least common denominator of
+    the whole table: each context's numerators must be nonnegative and sum
+    to that denominator.  Fraction entries are kept as given; other exact
+    entries become Fractions.  An exact table keeps that reading, as
     ``as_vector`` reads it: ``(numerators, denominator)``; a float table
     keeps None.
     """
@@ -217,18 +217,16 @@ class Correlation:
         exact = all(is_exact_number(v) for row in rows for v in row)
         reading = None
         if exact:
-            read = []
-            for row in rows:
-                # one read per context: numerators over their least common denominator
-                nums, den = integers(row)
-                if min(nums) < 0:
+            # one read of the table, each context then checked on it
+            nums, den = integers([v for row in rows for v in row])
+            width = len(outs)
+            for k in range(0, len(nums), width):
+                ctx = nums[k : k + width]
+                if min(ctx) < 0:
                     raise ValidationError("negative probability")
-                if sum(nums) != den:
+                if sum(ctx) != den:
                     raise ValidationError("a context does not normalize")
-                read.append((nums, den))
-            # the contexts over the table's least common denominator
-            top = math.lcm(*(den for _, den in read))
-            reading = (tuple(v * (top // den) for nums, den in read for v in nums), top)
+            reading = (tuple(nums), den)
             rows = tuple(
                 tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
             )
@@ -966,14 +964,10 @@ def _lowest(nums, den):
 def _pairings(effects, states):
     """The exact table of ``e · w``, effects by row and states by column,
     row-major, as Python ints over one denominator, the least common one.
-    Each vector is read once by ``tensornet.integers``."""
-    ws = [integers(w) for w in states]
-    es = [integers(e) for e in effects]
-    # every vector over its side's common denominator
-    wd = math.lcm(*(d for _, d in ws))
-    ed = math.lcm(*(d for _, d in es))
-    ws = [[v * (wd // d) for v in w] for w, d in ws]
-    es = [[v * (ed // d) for v in e] for e, d in es]
+    The states are read as one matrix by ``exactlp._ints``, the effects as
+    another."""
+    ws, wd = _ints(states)
+    es, ed = _ints(effects)
     return _lowest([sum(map(mul, e, w)) for e in es for w in ws], ed * wd)
 
 
@@ -1065,7 +1059,7 @@ def simplex_embed(frag, lambda_max=16):
     A feasible embedding larger than ``lambda_max`` after support
     minimization raises CapExceeded rather than guessing.
     """
-    if not isinstance(lambda_max, int) or lambda_max < 1:
+    if isinstance(lambda_max, bool) or not isinstance(lambda_max, int) or lambda_max < 1:
         raise ConfigError("lambda_max must be a positive integer")
     if lambda_max > 16:
         raise CapExceeded("lambda_max tops out at 16")

@@ -367,11 +367,10 @@ def cone_extreme_rays_subsets(ineq_rows, eq_rows=()):
     """
     if not ineq_rows:
         return []
-    # one scale per coordinate, shared by the inequalities and equalities;
-    # a ray y of the scaled rows is the ray scales * y of the input
-    rows, scales = _ints([*ineq_rows, *eq_rows])
+    # one scale for the inequalities and equalities, which moves no ray
+    rows = _ints([*ineq_rows, *eq_rows])[0]
     a, eqs = rows[: len(ineq_rows)], rows[len(ineq_rows) :]
-    n = len(scales)
+    n = len(rows[0])
     basis = _kernel(eqs)[1] if eqs else [[int(i == j) for j in range(n)] for i in range(n)]
     k = len(basis)
     if k == 0:
@@ -385,7 +384,7 @@ def cone_extreme_rays_subsets(ineq_rows, eq_rows=()):
             continue
         for y in (kernel[0], [-v for v in kernel[0]]):
             if all(_dot(row, y) >= 0 for row in reduced):
-                x = [s * _dot(y, col) for s, col in zip(scales, zip(*basis))]
+                x = [_dot(y, col) for col in zip(*basis)]
                 g = gcd(*x)
                 rays[tuple(v // g for v in x)] = None
                 break

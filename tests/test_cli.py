@@ -735,5 +735,6 @@ def test_a_closed_stdout_keeps_the_exit_code_and_an_empty_stderr(argv, want):
         stderr=subprocess.PIPE,
     )
     child.stdout.close()
-    err = child.stderr.read()
+    with child.stderr:
+        err = child.stderr.read()
     assert (child.wait(timeout=120), err) == (want, b"")

@@ -94,6 +94,15 @@ def test_rhs_length_checked():
         feasible_nonneg([[F(1)]], [F(1), F(2)])
 
 
+def test_ragged_rows_are_a_dimension_mismatch():
+    # ndarray rows as lists, rather than numpy's inhomogeneous-shape ValueError
+    for rows in ([[1, 2], [1]], [np.array([1, 2]), np.array([1])]):
+        with pytest.raises(DimensionMismatch, match="ragged matrix"):
+            feasible_nonneg(rows, [1, 1])
+        with pytest.raises(DimensionMismatch, match="ragged matrix"):
+            verify_certificate(rows, [1, 1], [1, 1])
+
+
 def test_solve_and_certificate_check_lengths():
     a = [[F(1), F(0)], [F(0), F(1)]]
     with pytest.raises(DimensionMismatch):
@@ -397,19 +406,19 @@ def test_int_and_fraction_entries_give_equal_results(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30))
 def test_an_int_ndarray_is_read_as_it_is(seed):
-    # an integer ndarray, or a sequence of integer ndarray rows, is read at
-    # scale 1 without a pass over its entries in Python
+    # a 2-D integer ndarray is read over 1 without a pass over its entries
+    # in Python; a sequence of integer ndarray rows is read as other rows are
     rng = random.Random(seed)
     m, n = rng.randint(1, 4), rng.randint(1, 5)
     rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
     b = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m)]
     want = feasible_nonneg(rows, b)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlp, "_ints", None)
-        for dtype in (np.int64, np.int32):
-            arr = np.array(rows, dtype=dtype)
+    for dtype in (np.int64, np.int32):
+        arr = np.array(rows, dtype=dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactlp, "_ints", None)
             assert feasible_nonneg(arr, b) == want
-            assert feasible_nonneg(tuple(arr), b) == want
+        assert feasible_nonneg(tuple(arr), b) == want
 
 
 def test_entries_beyond_the_bound_are_read_as_python_ints(monkeypatch):

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import mul
@@ -94,6 +93,11 @@ def test_scenario_cards_must_be_positive():
         Bell(0, 2, 2, 2)
     with pytest.raises(ConfigError):
         Triangle(2, 2, 2, 0)
+    # True would pass for a card of 1, then dump as a bool no file reader takes
+    with pytest.raises(ConfigError):
+        Bell(True, 2, 2, 2)
+    with pytest.raises(ConfigError):
+        Triangle(2, 2, 2, True)
 
 
 def test_correlation_must_normalize_exactly():
@@ -1201,24 +1205,24 @@ def test_an_exact_embedding_at_the_table_rank_takes_one_lp(monkeypatch, frag, si
 
 @pytest.mark.parametrize("make", [hexagon_fragment, qubit_stabilizer_fragment])
 def test_an_embedding_reads_each_vector_once(monkeypatch, make):
-    # the pairing table reads each state and effect once, and the pairing
-    # re-verification each image once, not once per partner
+    # the pairing table reads the states as one matrix and the effects, unit
+    # first, as another; the pairing re-verification reads the images so,
+    # and no number is read twice
     frag = make()
     reads = []
 
-    def counting(values):
-        values = tuple(values)
-        reads.append(values)
-        return tensornet.integers(values)
+    def counting(rows):
+        rows = tuple(map(tuple, rows))
+        reads.append(rows)
+        return exactlp._ints(rows)
 
-    monkeypatch.setattr(nogo, "integers", counting)
+    monkeypatch.setattr(nogo, "_ints", counting)
+    monkeypatch.setattr(nogo, "integers", None)
     res = simplex_embed(frag)
-    vectors = [*frag.states, *frag.effects, frag.unit]
+    sides = [frag.states, [frag.unit, *frag.effects]]
     if isinstance(res, Feasible):
-        vectors += [*res.state_images, *res.effect_images, res.unit_image]
-    wanted = Counter(map(tuple, vectors))
-    assert all(v in reads for v in frag.states)
-    assert all(reads.count(v) <= n for v, n in wanted.items())
+        sides += [res.state_images, [res.unit_image, *res.effect_images]]
+    assert reads == [tuple(map(tuple, side)) for side in sides]
 
 
 @st.composite
@@ -1308,6 +1312,8 @@ def test_lambda_bounds_checked():
         simplex_embed(frag, lambda_max=0)
     with pytest.raises(CapExceeded):
         simplex_embed(frag, lambda_max=17)
+    with pytest.raises(ConfigError):
+        simplex_embed(frag, lambda_max=True)
 
 
 def test_single_state_fragment_is_trivially_feasible():
