@@ -16,8 +16,11 @@ diagram as layers of boxes, whole diagrams, pass-through wires and
 permutations.  ``identity``, ``permutation`` and ``from_box`` are
 one-line cases of it, and so are the joins of whole diagrams:
 ``compose_sequential``, ``compose_parallel``, ``close_boundary`` and
-``insert_into_clamp``.  ``substitute`` replaces each box by a box or a
-diagram, inlined as ``layered`` inlines its items, and keeps the wiring.
+``insert_into_clamp``, and ``fstheory.reconstruct`` and
+``nogo.strategy_diagram`` draw with it.  ``substitute`` replaces each box
+by a box or a diagram, inlined as ``layered`` inlines its items, and
+keeps the wiring.  Outside the file reader, these two are the only
+places a ``Diagram`` is constructed.
 """
 
 import heapq

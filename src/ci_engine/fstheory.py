@@ -29,7 +29,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .diagrams import (
     INFERENTIAL,
     STAR,
     Box,
-    Diagram,
     causal_system,
     compose_parallel,
     from_box,
@@ -383,45 +382,29 @@ def reconstruct(nf):
 
     Causal inputs are learned (record into the matrix, causal branch
     ignored); causal outputs are re-prepared from the matrix through an
-    application box with no causal inputs.
+    application box with no causal inputs.  Drawn with ``layered`` as
+    six layers: learn, permute into the matrix's input order, apply the
+    matrix beside the ignores, recode, apply, permute to the boundary.
     """
-    s_ins = [nf.input_types[k] for k in nf.in_inferential]
-    s_ins += [record_system(nf.input_types[k]) for k in nf.in_causal]
-    s_outs = [nf.output_types[k] for k in nf.out_inferential]
-    s_outs += [record_system(nf.output_types[k]) for k in nf.out_causal]
-    boxes = []
-
-    def add(box):
-        boxes.append(box)
-        return len(boxes) - 1
-
-    s_idx = add(embedded(nf.matrix, in_types=tuple(s_ins), out_types=tuple(s_outs)))
-    wires = []
-    for pos, k in enumerate(nf.in_inferential):
-        wires.append((("in", k), ("box", s_idx, pos)))
-    base = len(nf.in_inferential)
-    for pos, k in enumerate(nf.in_causal):
-        t = nf.input_types[k]
-        pg = add(prop_gain(t))
-        ig = add(ignore(t))
-        wires += [
-            (("in", k), ("box", pg, 0)),
-            (("box", pg, 0), ("box", ig, 0)),
-            (("box", pg, 1), ("box", s_idx, base + pos)),
-        ]
-    for pos, k in enumerate(nf.out_inferential):
-        wires.append((("box", s_idx, pos), ("out", k)))
-    obase = len(nf.out_inferential)
-    for pos, k in enumerate(nf.out_causal):
-        t = nf.output_types[k]
-        rc = add(embedded(_recode_map(t.carrier), name="recode"))
-        kb = add(knowledge_box((), (t,)))
-        wires += [
-            (("box", s_idx, obase + pos), ("box", rc, 0)),
-            (("box", rc, 0), ("box", kb, 0)),
-            (("box", kb, 0), ("out", k)),
-        ]
-    return Diagram(tuple(boxes), tuple(wires), nf.input_types, nf.output_types)
+    ins, outs = nf.input_types, nf.output_types
+    kept = [outs[k] for k in nf.out_inferential]
+    s_ins = [ins[k] for k in nf.in_inferential] + [record_system(ins[k]) for k in nf.in_causal]
+    s_outs = kept + [record_system(outs[k]) for k in nf.out_causal]
+    # where each input's wire lands after learning; a learned one's record is next
+    at = list(accumulate([1 + (t.kind == CAUSAL) for t in ins], initial=0))
+    out_order = (*nf.out_inferential, *nf.out_causal)
+    return layered(
+        ins,
+        [prop_gain(t) if t.kind == CAUSAL else t for t in ins],
+        [at[k] for k in nf.in_inferential]
+        + [at[k] + 1 for k in nf.in_causal]
+        + [at[k] for k in nf.in_causal],
+        [embedded(nf.matrix, in_types=tuple(s_ins), out_types=tuple(s_outs))]
+        + [ignore(ins[k]) for k in nf.in_causal],
+        kept + [embedded(_recode_map(outs[k].carrier), name="recode") for k in nf.out_causal],
+        kept + [knowledge_box((), (outs[k],)) for k in nf.out_causal],
+        sorted(range(len(outs)), key=out_order.__getitem__),
+    )
 
 
 def quotient_normal_form(d):

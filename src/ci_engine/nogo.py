@@ -19,7 +19,7 @@ from operator import mul
 import numpy as np
 
 from .caps import enumeration_cap, over_cap
-from .diagrams import Diagram, causal_system, inferential_system, layered, quantum_system
+from .diagrams import causal_system, inferential_system, layered, quantum_system
 from .errors import (
     CapExceeded,
     ConfigError,
@@ -42,12 +42,12 @@ from .optheory import (
     procedure_box,
 )
 from .substoch import KnowledgeState, from_fn
-from .tensornet import _INT64_SAFE, integers, is_exact_number
+from .tensornet import _FLOAT_TOL, _INT64_SAFE, integers, is_exact_number
 
 _ZERO = Fraction(0)
-_FLOAT_TOL = 1e-9
 _RATIONALIZE_DEN = 10**6
 _PAIRING_SLACK = Fraction(1, 10**7)
+_BOOLS = (bool, np.bool_)  # neither exact nor a float entry
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,8 @@ class Correlation:
             )
         else:
             for row in rows:
+                if any(isinstance(v, _BOOLS) for v in row):
+                    raise ValidationError("a probability is a bool, not a number")
                 try:
                     vals = [float(v) for v in row]
                 except OverflowError:
@@ -401,6 +403,12 @@ def strategy_diagram(s, responses, latents):
     strategy's conditional distribution P(outcomes | settings), so this
     is the diagrammatic route to the tables that local_vertices builds
     combinatorially.
+
+    Drawn with ``layered``: the latent priors beside the setting wires,
+    then per observed node in DAG order a copy of each parent with a
+    consumer still to come (output 0 feeds this node), a permutation that
+    brings its parents to the front and its response; last a permutation
+    to the observed order.
     """
     dag = s.dag()
     setting_names, observed, latent_names = _dag_nodes(dag)
@@ -413,73 +421,44 @@ def strategy_diagram(s, responses, latents):
     cards.update((name, len(latents[name])) for name in latent_names)
     systems = {name: inferential_system(tuple(range(n))) for name, n in cards.items()}
 
-    boxes = []
-    producer = {}
-    for k, name in enumerate(setting_names):
-        producer[name] = ("in", k)
+    priors = []
     for name in latent_names:
         sigma = KnowledgeState(systems[name].carrier, latents[name])
         if sum(sigma.weights) != 1:
             raise WeightError("latent weights must sum to 1")
-        boxes.append(state_box(sigma, name=f"prior {name}"))
-        producer[name] = ("box", len(boxes) - 1, 0)
-    for name in observed:
+        priors.append(state_box(sigma, name=f"prior {name}"))
+    inputs = tuple(systems[n] for n in setting_names)
+    layers = [inputs + tuple(priors)]
+    names = list(setting_names + latent_names)  # the node of each open wire
+    for i, name in enumerate(observed):
         parents = dag[name]
         par_sys = tuple(systems[p] for p in parents)
-        dom = bundle_carrier(par_sys)
         cod = systems[name].carrier
-        fn = responses[name]
-        table = []
-        for vals in iproduct(*(systems[p].carrier for p in parents)):
-            out = fn(*vals)
-            if out not in cod:
-                raise ValidationError(
-                    f"response for {name} left the outcome carrier"
-                )
-            table.append(out)
-        boxes.append(
-            embedded(
-                from_fn(Fn(dom, cod, tuple(table))),
-                in_types=par_sys,
-                out_types=(systems[name],),
-                name=f"respond {name}",
-            )
-        )
-        producer[name] = ("box", len(boxes) - 1, 0)
-
-    consumers = {name: [] for name in producer}
-    for name in observed:
-        box_index = producer[name][1]
-        for port, parent in enumerate(dag[name]):
-            consumers[parent].append(("box", box_index, port))
-    for j, name in enumerate(observed):
-        consumers[name].append(("out", j))
-
-    wires = []
-    for name, src in producer.items():
-        sinks = consumers[name]
-        t = systems[name]
-        while len(sinks) > 1:
-            cp = embedded(
-                from_fn(copy_fn(t.carrier)),
-                in_types=(t,),
-                out_types=(t, t),
-                name=f"copy {name}",
-            )
-            boxes.append(cp)
-            k = len(boxes) - 1
-            wires.append((src, ("box", k, 0)))
-            wires.append((("box", k, 0), sinks[0]))
-            src = ("box", k, 1)
-            sinks = sinks[1:]
-        wires.append((src, sinks[0]))
-
-    return Diagram(
-        tuple(boxes),
-        tuple(wires),
-        tuple(systems[n] for n in setting_names),
-        tuple(systems[n] for n in observed),
-    )
+        table = tuple(responses[name](*v) for v in iproduct(*(t.carrier for t in par_sys)))
+        if any(out not in cod for out in table):
+            raise ValidationError(f"response for {name} left the outcome carrier")
+        m = from_fn(Fn(bundle_carrier(par_sys), cod, table))
+        respond = embedded(m, par_sys, (systems[name],), f"respond {name}")
+        # consumed later: every observed node by the boundary, and the later nodes' parents
+        later = set(observed).union(*(dag[m] for m in observed[i + 1 :]))
+        copies, wires = [], []  # a wire that feeds this node is (parent,)
+        for n in names:
+            t = systems[n]
+            if n in parents and n in later:
+                copies.append(embedded(from_fn(copy_fn(t.carrier)), (t,), (t, t), f"copy {n}"))
+                wires += [(n,), n]
+            else:
+                copies.append(t)
+                wires.append((n,) if n in parents else n)
+        rest = [k for k, n in enumerate(wires) if isinstance(n, str)]
+        names = [name] + [wires[k] for k in rest]
+        layers += [
+            copies,
+            [wires.index((p,)) for p in parents] + rest,
+            [respond] + [systems[n] for n in names[1:]],
+        ]
+    layers.append([names.index(n) for n in observed])
+    return layered(inputs, *layers)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +523,7 @@ def fs_compatible(corr, s):
     status, v, d = _solve(incidence, [*qn, qd])
     cells = incidence[:m]
     if status == "feasible":
-        wd = d * qd
-        g = math.gcd(wd, *v)
-        wn, wd = [x // g for x in v], wd // g
+        wn, wd = _lowest(v, d * qd)
         if min(wn) < 0 or sum(wn) != wd:
             raise EngineError("membership weights failed re-verification")
         # nonnegative weights summing to wd put at most wd on any cell
@@ -559,8 +536,7 @@ def fs_compatible(corr, s):
     # the facet is y / d on the cells, in lowest terms fn / fd; a strategy
     # pays the facet's entries on its cells, one per context, at most
     # top / fd; the table pays sum(fn * qn) / (fd * qd)
-    g = math.gcd(d, *v[:m])
-    fn, fd = [y // g for y in v[:m]], d // g
+    fn, fd = _lowest(v[:m], d)
     dtype = np.int64 if len(hits[0]) * max(map(abs, fn)) < _INT64_SAFE else object
     top = max((np.array(fn, dtype=dtype) @ cells.astype(dtype, copy=False)).tolist())
     gap = sum(f * v for f, v in zip(fn, qn)) - top * qd
@@ -899,6 +875,8 @@ class GPTFragment:
             states = tuple(tuple(Fraction(x) for x in v) for v in states)
             effects = tuple(tuple(Fraction(x) for x in v) for v in effects)
             unit = tuple(Fraction(x) for x in unit)
+        elif any(isinstance(x, _BOOLS) for x in entries):
+            raise ValidationError("a fragment holds a bool, not a number")
         tol = 0 if exact else _FLOAT_TOL
         try:
             # every comparison with NaN is false, so NaN is refused by name

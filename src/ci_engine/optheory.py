@@ -49,12 +49,9 @@ from .fstheory import (
     bundle_carrier,
     state_box,
 )
-from .tensornet import contract
+from .tensornet import _FLOAT_TOL, _TOL, contract
 
-_KRAUS_TOL = 1e-9
 _LETTERS = string.ascii_letters
-_PROB_TOL = 1e-9
-_EQUIV_TOL = Fraction(1, 10**9)
 
 
 # SystemType refuses a classical abstract carrier: ``t.classical`` is
@@ -157,7 +154,7 @@ def _validate_kraus(decl):
             # NaN fails every comparison, so it is caught here too; a
             # trace-non-increasing family has no entry above 1 in modulus,
             # and bounding them keeps M^dagger M from overflowing
-            bad = ~(np.abs(m) <= 1 + _KRAUS_TOL)
+            bad = ~(np.abs(m) <= 1 + _FLOAT_TOL)
             if bad.any():
                 raise ValidationError(
                     f"procedure {decl.name!r}: Kraus entry {m[bad][0]} is not "
@@ -173,7 +170,7 @@ def _validate_kraus(decl):
         if not ch.kraus:
             continue
         top = max(np.linalg.eigvalsh((total + total.conj().T) / 2)) if d_in else 0.0
-        if top > 1 + _KRAUS_TOL:
+        if top > 1 + _FLOAT_TOL:
             raise ValidationError(
                 f"procedure {decl.name!r} increases trace by {top - 1:.3g}"
             )
@@ -389,10 +386,10 @@ def _quantum_tensor(pm, procs):
 
 def _float_prob(v):
     # written as "not within", since every comparison with NaN is false
-    if not abs(v.imag if isinstance(v, complex) else 0.0) <= _PROB_TOL:
+    if not abs(v.imag if isinstance(v, complex) else 0.0) <= _FLOAT_TOL:
         raise ValidationError(f"non-real probability {v!r}")
     x = v.real if isinstance(v, complex) else float(v)
-    if not -_PROB_TOL <= x <= 1 + _PROB_TOL:
+    if not -_FLOAT_TOL <= x <= 1 + _FLOAT_TOL:
         raise ValidationError(f"probability {x} outside [0, 1]")
     return Fraction(min(max(x, 0.0), 1.0))
 
@@ -408,7 +405,7 @@ def _substoch_from_probs(dom, cod, grid):
         col = [grid[r][c] for r in range(len(cod))]
         col = [Fraction(v) if tensornet.is_exact_number(v) else _float_prob(v) for v in col]
         total = sum(col)
-        if total > 1 + Fraction(1, 10**9):
+        if total > 1 + _TOL:
             raise ValidationError(f"column {c} sums to {float(total)} > 1")
         if total > 1:
             col = [v / total for v in col]
@@ -461,7 +458,7 @@ def agree(p1, p2, backend):
     exact gap 1/10^9.
     """
     gap = substoch.max_gap(p1, p2)
-    return gap, gap <= (0 if backend == "classical" else _EQUIV_TOL)
+    return gap, gap <= (0 if backend == "classical" else _TOL)
 
 
 def op_equivalent(d1, d2, pm):

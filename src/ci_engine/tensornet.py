@@ -32,6 +32,9 @@ from .caps import over_cap
 from .errors import CapExceeded, DimensionMismatch
 
 _INT64_SAFE = 1 << 62
+# the one tolerance of rounded numbers: 10^-9, exact, and its double for floats
+_TOL = Fraction(1, 10**9)
+_FLOAT_TOL = float(_TOL)
 _MAX_AXES = 64  # numpy's limit on the axes of one ndarray, from numpy 2.0
 _EXACT_TYPES = (int, Fraction)
 

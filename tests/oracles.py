@@ -9,9 +9,10 @@ exact routines use Fraction arithmetic directly.  The exceptions are
 the reference for the order of its rays, which reads and reduces its rows
 with the engine's own integer helpers; ``loads_reference``, the
 engine's former reader, which raises the engine's ``ParseError``; the
-``*_reference`` joins of whole diagrams and ``apply_representation_reference``,
-the engine's former hand-wired ones, which build the engine's ``Diagram``
-from the engine's boxes; ``proc_tensor_reference``, the engine's
+``*_reference`` joins of whole diagrams, ``apply_representation_reference``,
+``reconstruct_reference`` and ``strategy_diagram_reference``, the engine's
+former hand-wired ones, which build the engine's ``Diagram`` from the
+engine's boxes; ``proc_tensor_reference``, the engine's
 former superoperator construction, which reads the engine's procedure
 declarations; and ``response_vertices_reference``, the engine's former
 response candidates of a simplex embedding, which calls the engine's
@@ -22,11 +23,13 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd
 
 import numpy as np
 from scipy.optimize import linprog
 
+from ci_engine import fstheory, nogo
 from ci_engine.diagrams import Diagram, inferential_system
 from ci_engine.errors import (
     CarrierMismatch,
@@ -36,6 +39,7 @@ from ci_engine.errors import (
     SignatureMismatch,
     TypeMismatch,
     ValidationError,
+    WeightError,
 )
 from ci_engine.exactlp import _dot, _ints, _kernel, polytope_vertices
 from ci_engine.fileformat import _split_header
@@ -43,15 +47,18 @@ from ci_engine.fstheory import (
     GenEmbedded,
     GenIgnore,
     GenPropGain,
+    bundle_carrier,
     embedded,
     hom_system,
     ignore,
     knowledge_box,
     prop_gain,
+    record_system,
     state_box,
 )
+from ci_engine.funcdyn import Fn, copy_fn
 from ci_engine.optheory import OpKnowledge, OpProc, op_knowledge_box, procedure_box
-from ci_engine.substoch import point_state
+from ci_engine.substoch import KnowledgeState, from_fn, point_state
 
 _TOL = 1e-9
 
@@ -994,6 +1001,150 @@ def bell_template_reference(pm):
         + ((("box", 3, 1), ("out", 0)), (("box", 4, 1), ("out", 1))),
         (kb_a.ins[0], kb_b.ins[0]),
         (pg_a.outs[1], pg_b.outs[1]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Normal forms and strategies, wired port by port
+
+
+def reconstruct_reference(nf):
+    """The learn/apply diagram denoting ``nf.matrix``, wired port by port:
+    the matrix box first, then each causal input's learn and ignore, then
+    each causal output's recode and apply.
+
+    Causal inputs are learned (record into the matrix, causal branch
+    ignored); causal outputs are re-prepared from the matrix through an
+    application box with no causal inputs.
+    """
+    s_ins = [nf.input_types[k] for k in nf.in_inferential]
+    s_ins += [record_system(nf.input_types[k]) for k in nf.in_causal]
+    s_outs = [nf.output_types[k] for k in nf.out_inferential]
+    s_outs += [record_system(nf.output_types[k]) for k in nf.out_causal]
+    boxes = []
+
+    def add(box):
+        boxes.append(box)
+        return len(boxes) - 1
+
+    s_idx = add(embedded(nf.matrix, in_types=tuple(s_ins), out_types=tuple(s_outs)))
+    wires = []
+    for pos, k in enumerate(nf.in_inferential):
+        wires.append((("in", k), ("box", s_idx, pos)))
+    base = len(nf.in_inferential)
+    for pos, k in enumerate(nf.in_causal):
+        t = nf.input_types[k]
+        pg = add(prop_gain(t))
+        ig = add(ignore(t))
+        wires += [
+            (("in", k), ("box", pg, 0)),
+            (("box", pg, 0), ("box", ig, 0)),
+            (("box", pg, 1), ("box", s_idx, base + pos)),
+        ]
+    for pos, k in enumerate(nf.out_inferential):
+        wires.append((("box", s_idx, pos), ("out", k)))
+    obase = len(nf.out_inferential)
+    for pos, k in enumerate(nf.out_causal):
+        t = nf.output_types[k]
+        rc = add(embedded(fstheory._recode_map(t.carrier), name="recode"))
+        kb = add(knowledge_box((), (t,)))
+        wires += [
+            (("box", s_idx, obase + pos), ("box", rc, 0)),
+            (("box", rc, 0), ("box", kb, 0)),
+            (("box", kb, 0), ("out", k)),
+        ]
+    return Diagram(tuple(boxes), tuple(wires), nf.input_types, nf.output_types)
+
+
+def strategy_diagram_reference(s, responses, latents):
+    """The scenario's causal template loaded with one classical strategy,
+    wired port by port: the priors, the responses in DAG order, then a
+    chain of copies for each node with more than one consumer.
+
+    ``responses`` maps each observed node to a callable on the values of
+    its dag() parents, in dag order; ``latents`` maps each latent node to
+    a tuple of rational weights.  denote() of the result is exactly the
+    strategy's conditional distribution P(outcomes | settings), so this
+    is the diagrammatic route to the tables that local_vertices builds
+    combinatorially.
+    """
+    dag = s.dag()
+    setting_names, observed, latent_names = nogo._dag_nodes(dag)
+    if set(responses) != set(observed):
+        raise ConfigError("one response per observed node")
+    if set(latents) != set(latent_names):
+        raise ConfigError("one weight tuple per latent node")
+
+    cards = dict(zip(setting_names + observed, s.setting_cards + s.outcome_cards))
+    cards.update((name, len(latents[name])) for name in latent_names)
+    systems = {name: inferential_system(tuple(range(n))) for name, n in cards.items()}
+
+    boxes = []
+    producer = {}
+    for k, name in enumerate(setting_names):
+        producer[name] = ("in", k)
+    for name in latent_names:
+        sigma = KnowledgeState(systems[name].carrier, latents[name])
+        if sum(sigma.weights) != 1:
+            raise WeightError("latent weights must sum to 1")
+        boxes.append(state_box(sigma, name=f"prior {name}"))
+        producer[name] = ("box", len(boxes) - 1, 0)
+    for name in observed:
+        parents = dag[name]
+        par_sys = tuple(systems[p] for p in parents)
+        dom = bundle_carrier(par_sys)
+        cod = systems[name].carrier
+        fn = responses[name]
+        table = []
+        for vals in iproduct(*(systems[p].carrier for p in parents)):
+            out = fn(*vals)
+            if out not in cod:
+                raise ValidationError(
+                    f"response for {name} left the outcome carrier"
+                )
+            table.append(out)
+        boxes.append(
+            embedded(
+                from_fn(Fn(dom, cod, tuple(table))),
+                in_types=par_sys,
+                out_types=(systems[name],),
+                name=f"respond {name}",
+            )
+        )
+        producer[name] = ("box", len(boxes) - 1, 0)
+
+    consumers = {name: [] for name in producer}
+    for name in observed:
+        box_index = producer[name][1]
+        for port, parent in enumerate(dag[name]):
+            consumers[parent].append(("box", box_index, port))
+    for j, name in enumerate(observed):
+        consumers[name].append(("out", j))
+
+    wires = []
+    for name, src in producer.items():
+        sinks = consumers[name]
+        t = systems[name]
+        while len(sinks) > 1:
+            cp = embedded(
+                from_fn(copy_fn(t.carrier)),
+                in_types=(t,),
+                out_types=(t, t),
+                name=f"copy {name}",
+            )
+            boxes.append(cp)
+            k = len(boxes) - 1
+            wires.append((src, ("box", k, 0)))
+            wires.append((("box", k, 0), sinks[0]))
+            src = ("box", k, 1)
+            sinks = sinks[1:]
+        wires.append((src, sinks[0]))
+
+    return Diagram(
+        tuple(boxes),
+        tuple(wires),
+        tuple(systems[n] for n in setting_names),
+        tuple(systems[n] for n in observed),
     )
 
 

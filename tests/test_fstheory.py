@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ci_engine import diagrams, errors, fileformat, fstheory, funcdyn, optheory, substoch
 from ci_engine.diagrams import (
+    CAUSAL,
     Diagram,
     causal_system,
     compose_parallel,
@@ -27,7 +28,9 @@ from ci_engine.errors import (
     SignatureMismatch,
 )
 from ci_engine.fstheory import (
+    NormalForm,
     RealistRep,
+    bundle_carrier,
     apply_representation,
     denote,
     effect_box,
@@ -54,6 +57,7 @@ from conftest import (
     rand_prop,
     rand_state,
     rand_substoch,
+    rand_system,
     relist_boxes,
 )
 from oracles import (
@@ -61,10 +65,12 @@ from oracles import (
     ignore_array_reference,
     knowledge_array_reference,
     prop_gain_array_reference,
+    reconstruct_reference,
 )
 
 BIT = causal_system((0, 1))
 F = Fraction
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def _apply_known(code, ins, outs):
@@ -203,6 +209,36 @@ def test_normal_form_agrees_with_denotation():
         assert rebuilt.input_types == d.input_types
         assert rebuilt.output_types == d.output_types
         assert denote(rebuilt) == m
+
+
+def _rand_normal_form(rng):
+    """A normal form over a random boundary of up to three systems a side,
+    causal and inferential interleaved, with a random matrix."""
+    ins, outs = (
+        tuple(rand_system(rng) for _ in range(rng.randint(0, 3))) for _ in range(2)
+    )
+
+    def split(types):
+        kinds = [t.kind == CAUSAL for t in types]
+        return tuple(k for k, c in enumerate(kinds) if not c), tuple(k for k, c in enumerate(kinds) if c)
+
+    (ii, ic), (oi, oc) = split(ins), split(outs)
+    dom = bundle_carrier([ins[k] for k in ii + ic])
+    cod = bundle_carrier([outs[k] for k in oi + oc])
+    return NormalForm(rand_substoch(rng, dom, cod), ins, outs, ii, ic, oi, oc)
+
+
+def test_reconstruct_matches_the_hand_wired_reference():
+    rng = random.Random(SEED + 7)
+    forms = [_rand_normal_form(rng) for _ in range(150)]
+    for name in ("omelette_constants", "omelette_reversible"):
+        d, _ = fileformat.load_diagram((DATA / f"{name}.diagram").read_text())
+        forms.append(normal_form(d))
+    for nf in forms:
+        rebuilt, reference = reconstruct(nf), reconstruct_reference(nf)
+        assert len(rebuilt.boxes) == len(reference.boxes)
+        assert diagrams.diagrams_equal(rebuilt, reference)
+        assert denote(rebuilt) == denote(reference) == nf.matrix
 
 
 def test_quotient_normal_form_factorizes():
@@ -456,9 +492,8 @@ def test_the_image_of_a_composite_is_the_composite_of_the_images(seed):
 
 
 def test_a_loaded_diagram_with_its_boxes_listed_in_reverse_has_the_same_image():
-    data = Path(__file__).resolve().parent.parent / "demos" / "data"
-    d, pm = fileformat.load_diagram((data / "coin_dynamics.diagram").read_text())
-    rep = fileformat.load_rep((data / "bit_flip.rep").read_text(), pm)
+    d, pm = fileformat.load_diagram((DATA / "coin_dynamics.diagram").read_text())
+    rep = fileformat.load_rep((DATA / "bit_flip.rep").read_text(), pm)
     reverse = relist_boxes(d, range(len(d.boxes))[::-1])
     image = apply_representation(rep, reverse)
     assert diagrams.diagrams_equal(image, apply_representation(rep, d))

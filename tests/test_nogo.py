@@ -21,9 +21,12 @@ from ci_engine.errors import (
     DimensionMismatch,
     EngineError,
     ValidationError,
+    WeightError,
     WrongScenario,
 )
+from ci_engine.diagrams import diagrams_equal
 from ci_engine.fileformat import load_fragment
+from ci_engine.fstheory import denote
 from ci_engine.nogo import (
     Bell,
     Correlation,
@@ -212,6 +215,16 @@ def test_a_non_finite_float_in_a_table_is_invalid(bad):
         Correlation(s, [[bad, 0.5, 0.5, 0.0]] + [[0.25] * 4] * 3)
 
 
+@pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_in_a_table_is_invalid(true):
+    # a bool is neither exact nor a float: read as 1.0 it would dump as true
+    s = chsh_scenario()
+    with pytest.raises(ValidationError, match="a bool, not a number"):
+        Correlation(s, [[true, 0.0, 0.0, 0.0]] + [[0.25] * 4] * 3)
+    with pytest.raises(ValidationError, match="a bool, not a number"):
+        Correlation(s, [[true, 0, 0, 0]] + [[F(1, 4)] * 4] * 3)
+
+
 def test_pr_box_values():
     c = pr_box()
     assert c.value((0, 0), (0, 0)) == F(1, 2)
@@ -373,8 +386,6 @@ def test_strategy_diagram_reproduces_the_table():
             {"A": lambda x, l, fa=fa: fa[(x, l)], "B": lambda y, l, fb=fb: fb[(y, l)]},
             {"L": lw},
         )
-        from ci_engine.fstheory import denote
-
         got = correlation_from_channel(s, denote(d))
         want = tabulate(
             s,
@@ -388,6 +399,58 @@ def test_strategy_diagram_reproduces_the_table():
             ),
         )
         assert got.table == want.table
+
+
+def rand_strategy(rng, s):
+    """Seeded random responses, as tables over their parents' values, and
+    latent weights of two or three values."""
+    dag = s.dag()
+    settings, observed, latents = nogo._dag_nodes(dag)
+    weights = {}
+    for name in latents:
+        w = [rng.randint(0, 4) for _ in range(rng.randint(2, 3))]
+        w[0] += 1
+        weights[name] = tuple(F(x, sum(w)) for x in w)
+    cards = dict(zip(settings + observed, s.setting_cards + s.outcome_cards))
+    cards.update((name, len(w)) for name, w in weights.items())
+    responses = {}
+    for name in observed:
+        values = iproduct(*(range(cards[p]) for p in dag[name]))
+        table = {v: rng.randrange(cards[name]) for v in values}
+        responses[name] = lambda *v, table=table: table[v]
+    return responses, weights
+
+
+@pytest.mark.parametrize("kind", list(nogo.SCENARIOS))
+def test_strategy_diagram_matches_the_hand_wired_reference(kind):
+    rng = random.Random(SEED)
+    cls = nogo.SCENARIOS[kind]
+    for _ in range(4):
+        s = cls(*(rng.randint(2, 3) for _ in cls.card_names()))
+        responses, weights = rand_strategy(rng, s)
+        d = strategy_diagram(s, responses, weights)
+        reference = oracles.strategy_diagram_reference(s, responses, weights)
+        assert len(d.boxes) == len(reference.boxes)
+        assert diagrams_equal(d, reference)
+        assert denote(d) == denote(reference)
+
+
+def test_strategy_diagram_refuses_what_the_hand_wired_reference_refuses():
+    s = chsh_scenario()
+
+    def a(x, l):
+        return x
+
+    half = (F(1, 2), F(1, 2))
+    for responses, latents, error, match in (
+        ({"A": a}, {"L": half}, ConfigError, "one response per observed node"),
+        ({"A": a, "B": a}, {}, ConfigError, "one weight tuple per latent node"),
+        ({"A": a, "B": a}, {"L": (F(1, 2), F(1, 3))}, WeightError, "must sum to 1"),
+        ({"A": a, "B": lambda y, l: 2}, {"L": half}, ValidationError, "B left the outcome"),
+    ):
+        for build in (strategy_diagram, oracles.strategy_diagram_reference):
+            with pytest.raises(error, match=match):
+                build(s, responses, latents)
 
 
 def rand_latent(rng):
@@ -977,6 +1040,20 @@ def test_fragment_validation():
         GPTFragment(((1, 0),), ((1,),), (1, 1))
     with pytest.raises(ValidationError):
         GPTFragment(((1, 0),), ((2, 0),), (1, 1))
+
+
+@pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_in_a_fragment_is_invalid(true):
+    # kept as given, the bools would dump as true/false, which load_fragment refuses
+    false = not true
+    for states, effects, unit in (
+        (((true, false), (false, true)), ((1, 0), (0, 1)), (1, 1)),
+        (((1, 0),), ((true, 0),), (1, 1)),
+        (((1, 0),), ((1, 0),), (true, 1)),
+        (((1.0, 0.0),), ((0.5, 0.0),), (true, 1.0)),
+    ):
+        with pytest.raises(ValidationError, match="a bool, not a number"):
+            GPTFragment(states, effects, unit)
 
 
 @pytest.mark.parametrize(
