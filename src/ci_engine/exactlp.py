@@ -178,12 +178,6 @@ def _int_matrix(a_rows):
     return a.reshape(len(ints), len(ints[0]) if ints else 0), den
 
 
-def _absmax(a):
-    """The largest absolute entry of an int64 or object ndarray, as a Python
-    int (read off its min and max: np.abs of -2^63 wraps)."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
 def feasible_nonneg(a_rows, b):
     """Solve ``A x = b, x >= 0`` exactly.
 
@@ -268,7 +262,7 @@ def _solve(a, b):
         # ones with costs_j > 0, found by cross-multiplying Python ints
         if a.dtype != object and (
             len(keep) * max(map(abs, y)) + len(drop)
-        ) * _absmax(a) >= _INT64_SAFE:
+        ) * _maxabs(a) >= _INT64_SAFE:
             a, forcing = a.astype(object), forcing.astype(object)
         pays = (np.array(y, dtype=a.dtype) @ a).tolist()
         costs = np.abs(forcing).sum(axis=0).tolist()
@@ -300,7 +294,7 @@ def _phase_one(a, b):
     # when that row, which bounds every entry in size, stays below 2^62.
     flip = [-1 if v < 0 else 1 for v in b]
     rhs = [abs(v) for v in b]
-    fits = a.dtype != object and max(m * _absmax(a), sum(rhs)) < _INT64_SAFE
+    fits = a.dtype != object and max(m * _maxabs(a), sum(rhs)) < _INT64_SAFE
     tab = np.zeros((m + 1, n + m + 1), dtype=np.int64 if fits else object)
     body = tab[:m]
     body[:, :n] = a

@@ -449,75 +449,66 @@ def _carrier(n):
     return tuple(range(n))
 
 
-def _axiom_sequential(mc):
-    count = 0
+# Each axiom is a generator over the carrier sizes: per counted instance it
+# yields None when the equation holds there and the failure detail when it
+# does not.  A check that is not counted yields only on failure.
+
+
+def _combined(name, ins, out, combine):
+    """The embedded box sending the hom codes of two functions, each typed by
+    an (input, output) system pair of ``ins``, to the code of ``combine``
+    applied to them, over the hom-set of the (inputs, outputs) pair ``out``."""
+    (s1, t1), (s2, t2) = ins
+    homs = (hom_system((s1,), (t1,)), hom_system((s2,), (t2,)))
+    dom = bundle_carrier(homs)
+    table = tuple(
+        funcdyn.hom_index(
+            combine(
+                funcdyn.hom_unindex(c1, s1.carrier, t1.carrier),
+                funcdyn.hom_unindex(c2, s2.carrier, t2.carrier),
+            )
+        )
+        for c1, c2 in dom
+    )
+    h = hom_system(*out)
+    fn = funcdyn.Fn(dom, h.carrier, table)
+    return embedded(substoch.from_fn(fn), in_types=homs, out_types=(h,), name=name)
+
+
+def _axiom_sequential(mc, seed):
     for n1, n2, n3 in iproduct(_sizes(mc), repeat=3):
-        a, b, c = (causal_system(_carrier(n)) for n in (n1, n2, n3))
-        ha, hb = hom_system((a,), (b,)), hom_system((b,), (c,))
-        hc = hom_system((a,), (c,))
-        if len(ha.carrier) * len(hb.carrier) * len(hc.carrier) > 25000:
+        # the sizes of Hom(a, b), Hom(b, c) and Hom(a, c)
+        if n2**n1 * n3**n2 * n3**n1 > 25000:
             continue
+        a, b, c = (causal_system(_carrier(n)) for n in (n1, n2, n3))
+        chain = _combined(
+            "chain", ((a, b), (b, c)), ((a,), (c,)), lambda f, g: funcdyn.compose(g, f)
+        )
+        ha, hb = chain.ins
         kb_ab, kb_bc = knowledge_box((a,), (b,)), knowledge_box((b,), (c,))
         lhs = layered((ha, hb, a), (1, 0, 2), (hb, kb_ab), (kb_bc,))
-        dom = bundle_carrier((ha, hb))
-        table = tuple(
-            funcdyn.hom_index(
-                funcdyn.compose(
-                    funcdyn.hom_unindex(h2, b.carrier, c.carrier),
-                    funcdyn.hom_unindex(h1, a.carrier, b.carrier),
-                )
-            )
-            for h1, h2 in dom
-        )
-        chain = embedded(
-            substoch.from_fn(funcdyn.Fn(dom, hc.carrier, table)),
-            in_types=(ha, hb),
-            out_types=(hc,),
-            name="chain",
-        )
         rhs = layered((ha, hb, a), (chain, a), (knowledge_box((a,), (c,)),))
-        if not inferentially_equivalent(lhs, rhs):
-            return False, f"failed at carrier sizes {(n1, n2, n3)}"
-        count += 1
-    return True, f"{count} size triples"
+        ok = inferentially_equivalent(lhs, rhs)
+        yield None if ok else f"failed at carrier sizes {(n1, n2, n3)}"
 
 
-def _axiom_parallel(mc):
-    count = 0
+def _axiom_parallel(mc, seed):
     for na, na2, nb, nb2 in iproduct(_sizes(mc), repeat=4):
         # fused hom-sets grow doubly fast; bits (256) stay exhaustive
         if (na2 * nb2) ** (na * nb) > 256:
             continue
         a, a2 = causal_system(_carrier(na)), causal_system(_carrier(na2))
         b, b2 = causal_system(_carrier(nb)), causal_system(_carrier(nb2))
-        ha, hb = hom_system((a,), (a2,)), hom_system((b,), (b2,))
-        hab = hom_system((a, b), (a2, b2))
+        pair = _combined("pair", ((a, a2), (b, b2)), ((a, b), (a2, b2)), funcdyn.product)
+        ha, hb = pair.ins
         lhs = layered(
             (ha, hb, a, b),
             (0, 2, 1, 3),
             (knowledge_box((a,), (a2,)), knowledge_box((b,), (b2,))),
         )
-        dom = bundle_carrier((ha, hb))
-        table = tuple(
-            funcdyn.hom_index(
-                funcdyn.product(
-                    funcdyn.hom_unindex(h1, a.carrier, a2.carrier),
-                    funcdyn.hom_unindex(h2, b.carrier, b2.carrier),
-                )
-            )
-            for h1, h2 in dom
-        )
-        pair = embedded(
-            substoch.from_fn(funcdyn.Fn(dom, hab.carrier, table)),
-            in_types=(ha, hb),
-            out_types=(hab,),
-            name="pair",
-        )
         rhs = layered((ha, hb, a, b), (pair, a, b), (knowledge_box((a, b), (a2, b2)),))
-        if not inferentially_equivalent(lhs, rhs):
-            return False, f"failed at carrier sizes {(na, na2, nb, nb2)}"
-        count += 1
-    return True, f"{count} size tuples"
+        ok = inferentially_equivalent(lhs, rhs)
+        yield None if ok else f"failed at carrier sizes {(na, na2, nb, nb2)}"
 
 
 def _random_substoch(rng, dom, cod):
@@ -530,9 +521,8 @@ def _random_substoch(rng, dom, cod):
     return substoch.SubstochMap(dom, cod, tuple(zip(*cols)))
 
 
-def _axiom_identity_embedding(mc, seed=20260814):
+def _axiom_identity_embedding(mc, seed):
     rng = random.Random(seed)
-    count = 0
     for n_in, n_out in iproduct(_sizes(mc), repeat=2):
         dom, cod = _carrier(n_in), _carrier(n_out)
         mats = [substoch.from_fn(f) for f in funcdyn.all_functions(dom, cod)[:4]]
@@ -540,25 +530,22 @@ def _axiom_identity_embedding(mc, seed=20260814):
         if n_in == n_out:
             mats.append(substoch.identity_map(dom))
         for s in mats:
-            if denote(from_box(embedded(s))) != s:
-                return False, f"failed on a {n_out}x{n_in} matrix"
-            count += 1
+            ok = denote(from_box(embedded(s))) == s
+            yield None if ok else f"failed on a {n_out}x{n_in} matrix"
         wire = inferential_system(dom)
         if denote(identity((wire,))) != substoch.identity_map(dom):
-            return False, f"bare inferential wire at size {n_in}"
-    return True, f"{count} matrices"
+            yield f"bare inferential wire at size {n_in}"
 
 
-def _axiom_true_trivial(mc):
+def _axiom_true_trivial(mc, seed):
     for n in _sizes(mc):
         a = causal_system(_carrier(n))
         lhs = layered((a,), (prop_gain(a),), (a, embedded(substoch.top_effect(a.carrier))))
-        if not inferentially_equivalent(lhs, identity((a,))):
-            return False, f"failed at carrier size {n}"
-    return True, f"{mc} sizes"
+        ok = inferentially_equivalent(lhs, identity((a,)))
+        yield None if ok else f"failed at carrier size {n}"
 
 
-def _axiom_repeat_learning(mc):
+def _axiom_repeat_learning(mc, seed):
     for n in _sizes(mc):
         a = causal_system(_carrier(n))
         rec = record_system(a)
@@ -570,48 +557,33 @@ def _axiom_repeat_learning(mc):
             name="copyrec",
         )
         rhs = layered((a,), (prop_gain(a),), (a, cp))
-        if not inferentially_equivalent(lhs, rhs):
-            return False, f"failed at carrier size {n}"
-    return True, f"{mc} sizes"
+        yield None if inferentially_equivalent(lhs, rhs) else f"failed at carrier size {n}"
 
 
-def _axiom_fuses(mc, generator):
-    """The generator on a pair of systems equals it on the fused system."""
-    count = 0
-    for na, nb in iproduct(_sizes(mc), repeat=2):
-        a, b = causal_system(_carrier(na)), causal_system(_carrier(nb))
-        lhs = denote(compose_parallel(from_box(generator(a)), from_box(generator(b))))
-        fused = causal_system(product_carrier(a.carrier, b.carrier))
-        rhs = denote(from_box(generator(fused)))
-        if lhs.entries != rhs.entries:
-            return False, f"failed at carrier sizes {(na, nb)}"
-        count += 1
-    return True, f"{count} size pairs"
+def _axiom_fuses(generator):
+    """The axiom that ``generator`` on a pair of systems equals it on the fused system."""
+
+    def check(mc, seed):
+        for na, nb in iproduct(_sizes(mc), repeat=2):
+            a, b = causal_system(_carrier(na)), causal_system(_carrier(nb))
+            lhs = denote(compose_parallel(from_box(generator(a)), from_box(generator(b))))
+            fused = causal_system(product_carrier(a.carrier, b.carrier))
+            rhs = denote(from_box(generator(fused)))
+            yield None if lhs.entries == rhs.entries else f"failed at carrier sizes {(na, nb)}"
+
+    return check
 
 
-def _axiom_parallel_learning(mc):
-    return _axiom_fuses(mc, prop_gain)
-
-
-def _axiom_ignore_splits(mc):
-    return _axiom_fuses(mc, ignore)
-
-
-def _axiom_ignorability(mc):
-    count = 0
+def _axiom_ignorability(mc, seed):
     for n1, n2 in iproduct(_sizes(mc), repeat=2):
         a, b = causal_system(_carrier(n1)), causal_system(_carrier(n2))
         h = hom_system((a,), (b,))
         lhs = layered((h, a), (knowledge_box((a,), (b,)),), (ignore(b),))
         rhs = layered((h, a), (embedded(substoch.top_effect(h.carrier)), ignore(a)))
-        if not inferentially_equivalent(lhs, rhs):
-            return False, f"failed at carrier sizes {(n1, n2)}"
-        count += 1
-    return True, f"{count} hom pairs"
+        yield None if inferentially_equivalent(lhs, rhs) else f"failed at carrier sizes {(n1, n2)}"
 
 
-def _axiom_propagation(mc):
-    count = 0
+def _axiom_propagation(mc, seed):
     for n1, n2 in iproduct(_sizes(mc), repeat=2):
         a, b = causal_system(_carrier(n1)), causal_system(_carrier(n2))
         h = hom_system((a,), (b,))
@@ -631,13 +603,10 @@ def _axiom_propagation(mc):
             name="evalrec",
         )
         rhs = layered((h, a), (cp, prop_gain(a)), (0, 2, 1, 3), (kb, ev))
-        if not inferentially_equivalent(lhs, rhs):
-            return False, f"failed at carrier sizes {(n1, n2)}"
-        count += 1
-    return True, f"{count} hom pairs"
+        yield None if inferentially_equivalent(lhs, rhs) else f"failed at carrier sizes {(n1, n2)}"
 
 
-def _axiom_causal_identity(mc):
+def _axiom_causal_identity(mc, seed):
     for n in _sizes(mc):
         a = causal_system(_carrier(n))
         nf = NormalForm(
@@ -649,13 +618,11 @@ def _axiom_causal_identity(mc):
             out_inferential=(),
             out_causal=(0,),
         )
-        if not inferentially_equivalent(identity((a,)), reconstruct(nf)):
-            return False, f"failed at carrier size {n}"
-    return True, f"{mc} sizes"
+        ok = inferentially_equivalent(identity((a,)), reconstruct(nf))
+        yield None if ok else f"failed at carrier size {n}"
 
 
-def _axiom_closure(mc):
-    count = 0
+def _axiom_closure(mc, seed):
     for n1, n2 in iproduct(_sizes(mc), repeat=2):
         if n2 < 2:
             continue
@@ -667,53 +634,55 @@ def _axiom_closure(mc):
         prepared = ((h, sigma), (h, knowledge_box((), (a,))), (knowledge_box((a,), (b,)),))
         closed = layered((h,), *prepared, (ignore(b),))
         if not denote(closed).is_stochastic():
-            return False, f"total closure not stochastic at {(n1, n2)}"
+            yield f"total closure not stochastic at {(n1, n2)}"
         pi = substoch.proposition(b.carrier, (b.carrier[0],))
         asked = layered(
             (h,), *prepared, (prop_gain(b),), (ignore(b), effect_box(pi, name="ask"))
         )
         m = denote(asked)
         if m.is_stochastic():
-            return False, f"proper question left stochastic at {(n1, n2)}"
-        if any(s > 1 for s in m.column_sums()):
-            return False, f"weight above one at {(n1, n2)}"
-        count += 1
-    return True, f"{count} hom pairs"
+            yield f"proper question left stochastic at {(n1, n2)}"
+        yield f"weight above one at {(n1, n2)}" if any(s > 1 for s in m.column_sums()) else None
 
 
 _AXIOM_CHECKS = (
-    ("sequential-knowledge-composition", _axiom_sequential),
-    ("parallel-knowledge-composition", _axiom_parallel),
-    ("identity-embedding", _axiom_identity_embedding),
-    ("true-proposition-is-trivial", _axiom_true_trivial),
-    ("repeated-learning-is-copy", _axiom_repeat_learning),
-    ("parallel-learning-merges", _axiom_parallel_learning),
-    ("composite-ignore-splits", _axiom_ignore_splits),
-    ("ignorability", _axiom_ignorability),
-    ("knowledge-propagates-through-dynamics", _axiom_propagation),
-    ("causal-identity-factorization", _axiom_causal_identity),
-    ("closure-detects-stochasticity", _axiom_closure),
+    ("sequential-knowledge-composition", _axiom_sequential, "size triples"),
+    ("parallel-knowledge-composition", _axiom_parallel, "size tuples"),
+    ("identity-embedding", _axiom_identity_embedding, "matrices"),
+    ("true-proposition-is-trivial", _axiom_true_trivial, "sizes"),
+    ("repeated-learning-is-copy", _axiom_repeat_learning, "sizes"),
+    ("parallel-learning-merges", _axiom_fuses(prop_gain), "size pairs"),
+    ("composite-ignore-splits", _axiom_fuses(ignore), "size pairs"),
+    ("ignorability", _axiom_ignorability, "hom pairs"),
+    ("knowledge-propagates-through-dynamics", _axiom_propagation, "hom pairs"),
+    ("causal-identity-factorization", _axiom_causal_identity, "sizes"),
+    ("closure-detects-stochasticity", _axiom_closure, "hom pairs"),
 )
 
-AXIOM_NAMES = tuple(name for name, _ in _AXIOM_CHECKS)
+AXIOM_NAMES = tuple(name for name, _, _ in _AXIOM_CHECKS)
 
 
 def verify_fs_axioms(max_carrier=3, seed=20260814):
     """Check each named rewrite axiom as an exact denotation equality.
 
     ``seed`` drives the random spot-check matrices of the embedding
-    axiom; every other check enumerates exhaustively.
+    axiom; every other check enumerates exhaustively.  Each axiom stops
+    at its first failure, whose detail it reports; one that holds
+    everywhere reports its count of instances.
     """
-    if max_carrier < 1:
-        raise TypeMismatch("max_carrier must be at least 1")
-    if max_carrier > 4:
-        raise CapExceeded("axiom verification is bounded at carrier size 4")
+    substoch._require_carrier_bound(
+        max_carrier, "axiom verification is bounded at carrier size 4"
+    )
     results = []
-    for name, check in _AXIOM_CHECKS:
-        if check is _axiom_identity_embedding:
-            results.append((name, *check(max_carrier, seed)))
+    for name, check, unit in _AXIOM_CHECKS:
+        count = 0
+        for failure in check(max_carrier, seed):
+            if failure is not None:
+                results.append((name, False, failure))
+                break
+            count += 1
         else:
-            results.append((name, *check(max_carrier)))
+            results.append((name, True, f"{count} {unit}"))
     return AxiomReport(max_carrier, tuple(results))
 
 

@@ -608,6 +608,15 @@ class BooleanLawReport:
         return tuple(out)
 
 
+def _require_carrier_bound(max_carrier, cap_message):
+    """The one guard on a battery's carrier bound: an int (never a bool)
+    from 1 to 4; above 4 raises CapExceeded with ``cap_message``."""
+    if type(max_carrier) is not int or max_carrier < 1:
+        raise TypeMismatch("max_carrier must be at least 1")
+    if max_carrier > 4:
+        raise CapExceeded(cap_message)
+
+
 def verify_boolean_laws(max_carrier=3, dots=None):
     """Exhaustively check the eight Boolean law families diagrammatically.
 
@@ -616,8 +625,7 @@ def verify_boolean_laws(max_carrier=3, dots=None):
     ``dots`` may replace a connective's truth table (for instance a
     corrupted OR) to demonstrate that the checker catches it.
     """
-    if max_carrier > 4:
-        raise CapExceeded("law verification is capped at carriers of size 4")
+    _require_carrier_bound(max_carrier, "law verification is capped at carriers of size 4")
     dots = dots or {}
     dot_matrix = {
         op: from_fn(dots.get(op, truth_dot(op)))

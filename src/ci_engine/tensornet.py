@@ -59,7 +59,9 @@ def integers(values):
 
 
 def _maxabs(num):
-    return int(np.maximum.reduce(np.abs(num), axis=None, initial=0))
+    """The largest absolute entry of an int64 or object ndarray, as a Python
+    int (read off its min and max: np.abs of -2^63 wraps)."""
+    return max(int(num.max(initial=0)), -int(num.min(initial=0)))
 
 
 def times(num, k):

@@ -275,11 +275,12 @@ def _ignore_first_label_dropped(n):
 
 
 @pytest.mark.parametrize(
-    "name, corrupt, failures",
+    "name, corrupt, max_carrier, failures",
     [
         (
             "_knowledge_array",
             lambda *sizes: np.roll(_knowledge_array(*sizes), 1, axis=0),
+            2,
             [
                 "FAIL sequential-knowledge-composition (failed at carrier sizes (1, 2, 2))",
                 "FAIL parallel-knowledge-composition (failed at carrier sizes (1, 2, 1, 2))",
@@ -290,6 +291,7 @@ def _ignore_first_label_dropped(n):
         (
             "_prop_gain_array",
             lambda n: np.roll(_prop_gain_array(n), 1, axis=1),
+            2,
             [
                 "FAIL parallel-learning-merges (failed at carrier sizes (2, 2))",
                 "FAIL knowledge-propagates-through-dynamics (failed at carrier sizes (1, 2))",
@@ -299,6 +301,7 @@ def _ignore_first_label_dropped(n):
         (
             "_ignore_array",
             _ignore_first_label_dropped,
+            2,
             [
                 "FAIL composite-ignore-splits (failed at carrier sizes (1, 2))",
                 "FAIL ignorability (failed at carrier sizes (1, 2))",
@@ -306,14 +309,72 @@ def _ignore_first_label_dropped(n):
                 "FAIL closure-detects-stochasticity (total closure not stochastic at (1, 2))",
             ],
         ),
+        # corrupted at size 3 only: each axiom passes its smaller instances
+        # first, and must report its first failure, not a count
+        (
+            "_prop_gain_array",
+            lambda n: np.roll(_prop_gain_array(n), 1, axis=1) if n == 3 else _prop_gain_array(n),
+            3,
+            [
+                "FAIL parallel-learning-merges (failed at carrier sizes (2, 3))",
+                "FAIL knowledge-propagates-through-dynamics (failed at carrier sizes (1, 3))",
+                "FAIL causal-identity-factorization (failed at carrier size 3)",
+            ],
+        ),
     ],
-    ids=["knowledge-output-rolled", "learning-record-rolled", "ignore-drops-a-label"],
+    ids=[
+        "knowledge-output-rolled",
+        "learning-record-rolled",
+        "ignore-drops-a-label",
+        "learning-record-rolled-at-size-three",
+    ],
 )
-def test_a_corrupted_generator_fails_the_axioms_that_use_it(monkeypatch, name, corrupt, failures):
+def test_a_corrupted_generator_fails_the_axioms_that_use_it(
+    monkeypatch, name, corrupt, max_carrier, failures
+):
     monkeypatch.setattr(fstheory, name, corrupt)
-    report = verify_fs_axioms(max_carrier=2)
+    report = verify_fs_axioms(max_carrier=max_carrier)
     assert not report.ok
     assert [line for line in report.lines() if line.startswith("FAIL")] == failures
+
+
+def test_the_driver_stops_an_axiom_at_its_first_failure(monkeypatch):
+    calls, drawn = [], []
+
+    def fails_third(mc, seed):
+        calls.append((mc, seed))
+        for k, detail in enumerate([None, None, "first failure", None, "second failure"]):
+            drawn.append(k)
+            yield detail
+
+    def holds(mc, seed):
+        calls.append((mc, seed))
+        yield from [None] * mc
+
+    battery = (("fails-third", fails_third, "things"), ("holds", holds, "sizes"))
+    monkeypatch.setattr(fstheory, "_AXIOM_CHECKS", battery)
+    report = verify_fs_axioms(max_carrier=2, seed=5)
+    assert report.results == (("fails-third", False, "first failure"), ("holds", True, "2 sizes"))
+    assert drawn == [0, 1, 2]
+    assert calls == [(2, 5), (2, 5)]
+
+
+def test_axiom_details_at_carrier_one():
+    report = verify_fs_axioms(max_carrier=1)
+    assert report.ok
+    assert [detail for _, _, detail in report.results] == [
+        "1 size triples",
+        "1 size tuples",
+        "5 matrices",
+        "1 sizes",
+        "1 sizes",
+        "1 size pairs",
+        "1 size pairs",
+        "1 hom pairs",
+        "1 hom pairs",
+        "1 sizes",
+        "0 hom pairs",
+    ]
 
 
 def test_axiom_checks_depend_on_seed_only_for_spot_checks():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ci_engine import funcdyn, substoch
-from ci_engine.errors import DimensionMismatch, TypeMismatch, WeightError
+from ci_engine import fstheory, funcdyn, substoch
+from ci_engine.errors import CapExceeded, DimensionMismatch, TypeMismatch, WeightError
 from ci_engine.substoch import (
     BOOL,
     KnowledgeState,
@@ -254,6 +254,30 @@ def test_corrupted_or_dot_is_caught():
     failed = {name for name, flag in report.passed if not flag}
     assert "identity" in failed or "complements" in failed
     assert report.failures
+
+
+@pytest.mark.parametrize("bound", [0, -1, True, False, 2.0, "2", None])
+@pytest.mark.parametrize(
+    "battery", [verify_boolean_laws, fstheory.verify_fs_axioms], ids=["laws", "axioms"]
+)
+def test_a_battery_refuses_a_carrier_bound_that_is_not_a_positive_int(battery, bound):
+    # a bound of 0 would pass every law family over no carrier at all
+    with pytest.raises(TypeMismatch, match="^max_carrier must be at least 1$"):
+        battery(bound)
+
+
+@pytest.mark.parametrize(
+    "battery, message",
+    [
+        (verify_boolean_laws, "law verification is capped at carriers of size 4"),
+        (fstheory.verify_fs_axioms, "axiom verification is bounded at carrier size 4"),
+    ],
+    ids=["laws", "axioms"],
+)
+def test_a_battery_is_capped_above_carrier_four(battery, message):
+    with pytest.raises(CapExceeded) as info:
+        battery(5)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

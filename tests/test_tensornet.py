@@ -155,6 +155,13 @@ def test_exact_numbers_are_ints_and_fractions_never_bools():
         assert not tensornet.is_exact_number(v)
 
 
+def test_maxabs_reads_int64_min_without_wrapping():
+    # np.abs(-2**63) wraps to -2**63, which would read as the smallest entry
+    assert tensornet._maxabs(np.array([-(2**63), 5])) == 2**63
+    assert tensornet._maxabs(np.array([[3, -7]], dtype=object)) == 7
+    assert tensornet._maxabs(np.zeros((0, 2), dtype=np.int64)) == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-(10**20), 10**20), max_size=8))
 def test_integers_reads_numbers_over_their_least_common_denominator(values):
