@@ -3,9 +3,11 @@ Bell scenarios: the local polytope, CHSH, and quantum violation
 ===============================================================
 
 Deterministic strategies over a shared latent variable span a polytope
-of correlations.  Membership is decided by an exact LP that returns a
-certificate either way: convex weights that recombine the table, or a
-separating facet that every vertex respects and the table violates.
+of correlations.  Membership comes with a certificate either way: convex
+weights that recombine the table, or a separating facet that every vertex
+respects and the table violates.  A table that violates a CHSH inequality
+is separated by it, bound 2, with no LP; any other is decided by an exact
+LP.
 """
 
 import math

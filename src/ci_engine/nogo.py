@@ -3,7 +3,10 @@
 Scenarios describe common-cause experiments; correlations are their
 conditional probability tables.  Membership in the classically realizable
 set is decided by exact rational LP over enumerated deterministic
-strategies, quantum tables come from the operational backend, and
+strategies, except that a Bell table violating a lifted CHSH inequality is
+separated by the most violated one, bound 2, with no LP; a NonMember thus
+carries that CHSH facet when there is one and the LP's Farkas facet
+otherwise.  Quantum tables come from the operational backend, and
 simplex embeddability of GPT fragments is decided by an exact cone
 decomposition LP.  Every positive or negative verdict carries data that
 re-verifies by direct arithmetic.
@@ -500,18 +503,89 @@ def rationalize(corr):
     return Correlation(corr.scenario, tuple(rows))
 
 
+def _chsh_facet(s, qn, qd):
+    """The most violated lifted CHSH facet of a Bell table, or None.
+
+    ``qn / qd`` is the table, row-major as ``as_vector``.  Only a Bell
+    scenario with at least two settings per wing has such facets.  Each
+    reads each wing's outcomes as one outcome, a0 or b0, against the rest
+    (a0 = 0 alone when the outcomes are binary, and so b0), so that the
+    correlator of a context is its mass on ``(a == a0) == (b == b0)`` less
+    the rest; it takes two settings per wing, x0 < x1 and y0 < y1, and adds
+    their four correlators with one of them negated, under either sign.
+    Each form is at most 2 on every local table; these liftings of CHSH are
+    facets of every Bell polytope (Pironio, J. Math. Phys. 46, 062112,
+    2005), and for (2,2,2,2) they are all the nontrivial ones (Fine, PRL
+    48, 291, 1982).
+
+    The forms run in the order a0, b0, x0, x1, y0, y1 (each ascending),
+    then the negated correlator, at (x0, y0), (x0, y1), (x1, y0) or
+    (x1, y1), then the sign, + first.  The form of largest value, the first
+    in that order on a tie, is returned as its integer entries (+1 or -1 on
+    the four contexts' cells, 0 elsewhere) when its value exceeds 2.  Every
+    sum is of Python ints, and beside the table's columns only the wing
+    marginals and one correlator per context are kept.
+    """
+    if not isinstance(s, Bell) or s.n_x < 2 or s.n_y < 2:
+        return None
+    n_x, n_y, n_a, n_b = s.n_x, s.n_y, s.n_a, s.n_b
+    width = n_a * n_b
+    pick_a = range(n_a if n_a > 2 else 1)
+    pick_b = range(n_b if n_b > 2 else 1)
+    # column[a * n_b + b] lists outcome (a, b)'s numerators, one per context;
+    # with the wing marginals ma[a0] and mb[b0] of a context its mass on
+    # a == a0 iff b == b0 is 2 q[a0, b0] + qd - ma[a0] - mb[b0], and its
+    # correlator twice that less qd, over qd
+    column = [qn[i::width] for i in range(width)]
+    mb = [[qd - 2 * m for m in map(sum, zip(*column[b::n_b]))] for b in pick_b]
+    best, form = 2 * qd, None
+    for a0 in pick_a:
+        ma = [2 * m for m in map(sum, zip(*column[a0 * n_b : a0 * n_b + n_b]))]
+        for b0 in pick_b:
+            cor = [4 * q - u + v for q, u, v in zip(column[a0 * n_b + b0], ma, mb[b0])]
+            for x0 in range(n_x):
+                for x1 in range(x0 + 1, n_x):
+                    r0, r1 = cor[x0 * n_y : x0 * n_y + n_y], cor[x1 * n_y : x1 * n_y + n_y]
+                    for y0 in range(n_y):
+                        for y1 in range(y0 + 1, n_y):
+                            es = (r0[y0], r0[y1], r1[y0], r1[y1])
+                            total = sum(es)
+                            for neg, e in enumerate(es):
+                                # the two signs of one sum tie only at 0
+                                value = abs(total - 2 * e)
+                                if value > best:
+                                    sign = 1 if total > 2 * e else -1
+                                    best, form = value, (a0, b0, x0, x1, y0, y1, neg, sign)
+    if form is None:
+        return None
+    a0, b0, x0, x1, y0, y1, neg, sign = form
+    fn = [0] * len(qn)
+    for i, c in enumerate((x0 * n_y + y0, x0 * n_y + y1, x1 * n_y + y0, x1 * n_y + y1)):
+        w = -sign if i == neg else sign
+        for a in range(n_a):
+            for b in range(n_b):
+                fn[c * width + a * n_b + b] = w if (a == a0) == (b == b0) else -w
+    return fn
+
+
 def fs_compatible(corr, s):
     """Exact membership of the table in the local polytope.
 
-    The LP's columns are the strategies of ``local_vertices``, in that
-    order, each as the 0/1 incidence of the (context, outcome) cells it
-    hits (one per context, row-major as ``as_vector``), plus an all-ones
-    row for the total weight.  Float tables are rationalized first; the
-    certificate records the exact table actually tested.  The LP runs in
-    integers on the cached incidence and the table's kept reading, and
-    both verdicts are re-verified on its integers before any Fraction is
+    Float tables are rationalized first; the certificate records the exact
+    table actually tested.  A Bell table with at least two settings per
+    wing is first read against its lifted CHSH facets (``_chsh_facet``):
+    when one is violated, the NonMember carries the most violated one, its
+    entries +1 and -1 on four contexts and its bound 2, and no LP runs.
+    Otherwise the exact LP decides.  Its columns are the strategies of
+    ``local_vertices``, in that order, each as the 0/1 incidence of the
+    (context, outcome) cells it hits (one per context, row-major as
+    ``as_vector``), plus an all-ones row for the total weight; a
+    NonMember then carries the LP's Farkas facet in lowest terms.  The LP
+    runs in integers on the cached incidence and the table's kept reading,
+    and both verdicts are re-verified on integers before any Fraction is
     formed: a member's weights are recombined cell by cell, and a facet's
-    bound is its largest sum over any strategy's cells.
+    bound, from either source, is its largest sum over any strategy's
+    cells, the table paying more than it.
     """
     if corr.scenario != s:
         raise WrongScenario("correlation was built for another scenario")
@@ -519,30 +593,34 @@ def fs_compatible(corr, s):
     hits, incidence = _strategies(s)
     qn, qd = target._reading
     m = len(qn)
-    # incidence . x / d = (qn, qd): the weights x / (d * qd) sum to 1
-    status, v, d = _solve(incidence, [*qn, qd])
     cells = incidence[:m]
-    if status == "feasible":
-        wn, wd = _lowest(v, d * qd)
-        if min(wn) < 0 or sum(wn) != wd:
-            raise EngineError("membership weights failed re-verification")
-        # nonnegative weights summing to wd put at most wd on any cell
-        dtype = np.int64 if wd < _INT64_SAFE else object
-        recombined = (cells.astype(dtype, copy=False) @ np.array(wn, dtype=dtype)).tolist()
-        # recombined / wd == qn / qd, cell by cell
-        if any(r * qd != v * wd for r, v in zip(recombined, qn)):
-            raise EngineError("membership weights failed re-verification")
-        return Member(tuple(Fraction(w, wd) if w else _ZERO for w in wn), target)
-    # the facet is y / d on the cells, in lowest terms fn / fd; a strategy
-    # pays the facet's entries on its cells, one per context, at most
-    # top / fd; the table pays sum(fn * qn) / (fd * qd)
-    fn, fd = _lowest(v[:m], d)
+    fn, fd = _chsh_facet(s, qn, qd), 1
+    if fn is None:
+        # incidence . x / d = (qn, qd): the weights x / (d * qd) sum to 1
+        status, v, d = _solve(incidence, [*qn, qd])
+        if status == "feasible":
+            wn, wd = _lowest(v, d * qd)
+            if min(wn) < 0 or sum(wn) != wd:
+                raise EngineError("membership weights failed re-verification")
+            # nonnegative weights summing to wd put at most wd on any cell
+            dtype = np.int64 if wd < _INT64_SAFE else object
+            recombined = (cells.astype(dtype, copy=False) @ np.array(wn, dtype=dtype)).tolist()
+            # recombined / wd == qn / qd, cell by cell
+            if any(r * qd != v * wd for r, v in zip(recombined, qn)):
+                raise EngineError("membership weights failed re-verification")
+            return Member(tuple(Fraction(w, wd) if w else _ZERO for w in wn), target)
+        fn, fd = _lowest(v[:m], d)
+    # the facet is fn / fd on the cells, in lowest terms; a strategy pays
+    # the facet's entries on its cells, one per context, at most top / fd;
+    # the table pays sum(fn * qn) / (fd * qd)
     dtype = np.int64 if len(hits[0]) * max(map(abs, fn)) < _INT64_SAFE else object
     top = max((np.array(fn, dtype=dtype) @ cells.astype(dtype, copy=False)).tolist())
-    gap = sum(f * v for f, v in zip(fn, qn)) - top * qd
+    gap = sum(map(mul, fn, qn)) - top * qd
     if gap <= 0:
         raise EngineError("separating facet failed re-verification")
-    facet = tuple(Fraction(f, fd) if f else _ZERO for f in fn)
+    # one Fraction per distinct entry: a CHSH facet has three
+    entry = {f: Fraction(f, fd) if f else _ZERO for f in set(fn)}
+    facet = tuple(map(entry.__getitem__, fn))
     return NonMember(facet, Fraction(top, fd), Fraction(gap, fd * qd), target)
 
 

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import funcdyn, tensornet
+from .caps import over_cap
 from .diagrams import STAR, product_carrier
 from .errors import (
     CapExceeded,
@@ -443,7 +444,11 @@ class PartialFn:
 
 
 def _table_matrix(f, cols):
-    """Entry (y, x) is 1 exactly when x is in ``cols`` and f(x) = y."""
+    """Entry (y, x) is 1 exactly when x is in ``cols`` and f(x) = y.  The
+    |cod| x |dom| cells are checked against the cap before any is allocated."""
+    cells = len(f.cod) * len(f.dom)
+    if over_cap(cells):
+        raise CapExceeded(f"matrix of {cells} cells exceeds the cap")
     row_of = {y: r for r, y in enumerate(f.cod)}
     num = np.zeros((len(f.cod), len(f.dom)), dtype=np.int64)
     num[[row_of[f.table[c]] for c in cols], cols] = 1

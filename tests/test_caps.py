@@ -5,11 +5,12 @@ import io
 import numpy as np
 import pytest
 
-from ci_engine import caps, cli, fileformat, fstheory
+from ci_engine import caps, cli, fileformat, fstheory, substoch
 from ci_engine.caps import enumeration_cap, over_cap
-from ci_engine.diagrams import layered, quantum_system
+from ci_engine.diagrams import causal_system, layered, quantum_system
 from ci_engine.errors import CapExceeded
-from ci_engine.fstheory import ignore, state_box
+from ci_engine.fstheory import denote, ignore, knowledge_box, state_box
+from ci_engine.funcdyn import copy_fn
 from ci_engine.optheory import (
     PredictionMap,
     ProcedureDecl,
@@ -18,7 +19,7 @@ from ci_engine.optheory import (
     predict_closed,
     procedure_box,
 )
-from ci_engine.substoch import point_state
+from ci_engine.substoch import from_fn, from_partial_fn, point_state
 
 
 @pytest.mark.parametrize(
@@ -48,12 +49,45 @@ def test_sizes_at_or_below_the_floor_skip_the_environment(monkeypatch):
 
 
 def test_the_contraction_cap_still_stops_the_axiom_battery(monkeypatch):
+    # the battery now meets the sequential axiom's 9 x 243 chain matrix
+    # before its first contraction past the cap; that contraction, the
+    # left side at carrier sizes (2, 3, 3), still stops at the cap
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
     with pytest.raises(CapExceeded) as info:
         fstheory.verify_fs_axioms(3)
+    assert str(info.value) == "matrix of 2187 cells exceeds the cap"
+    a, b, c = (causal_system(tuple(range(n))) for n in (2, 3, 3))
+    kb_ab, kb_bc = knowledge_box((a,), (b,)), knowledge_box((b,), (c,))
+    ha, hb = kb_ab.ins[0], kb_bc.ins[0]
+    lhs = layered((ha, hb, a), (1, 0, 2), (hb, kb_ab), (kb_bc,))
+    with pytest.raises(CapExceeded) as info:
+        denote(lhs)
     assert str(info.value) == "intermediate tensor of size 1458 exceeds the cap"
     monkeypatch.delenv("CI_ENGINE_CAP")
     assert fstheory.verify_fs_axioms(3).ok
+
+
+def test_a_function_matrix_is_capped_before_allocation(monkeypatch):
+    # copy on 32 points: 32 columns of 1024 rows each
+    f = copy_fn(range(32))
+    assert from_fn(f).num.shape == (1024, 32)
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("the matrix was allocated")
+
+    monkeypatch.setattr(substoch.np, "zeros", no_alloc)
+    for build in (from_fn, from_partial_fn):
+        with pytest.raises(CapExceeded, match="^matrix of 32768 cells exceeds the cap$"):
+            build(f)
+
+
+def test_the_axiom_battery_at_carrier_four_stops_before_its_largest_matrix():
+    # the propagation axiom's copy of the 256-point hom-set is 65536 x 256
+    # cells; it is refused under the default cap before it is allocated
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["verify-axioms", "--max-carrier", "4"], out=out, err=err) == 2
+    assert err.getvalue() == "error: CapExceeded: matrix of 16777216 cells exceeds the cap\n"
 
 
 def _channel_model(dim, alphabet):

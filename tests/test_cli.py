@@ -205,7 +205,9 @@ def test_seed_is_an_option_of_verify_axioms_only(capsys):
     assert code == 0
 
 
-def test_bell_check_correlation_file():
+def test_bell_check_correlation_file(monkeypatch):
+    # routed to the LP: its Farkas facet separates the PR box by 5
+    monkeypatch.setattr(nogo, "_chsh_facet", lambda s, qn, qd: None)
     code, out, _ = run(
         "bell-check",
         "--scenario",
@@ -222,6 +224,17 @@ def test_bell_check_correlation_file():
     assert rec["violation"] == F(5)
     assert rec["chsh"] == F(4)
     assert rec["no_signalling"] is True
+
+
+def test_bell_check_correlation_file_carries_the_chsh_facet():
+    code, out, _ = run(
+        "bell-check", "--corr", str(DATA / "pr_box.correlation"), "--format", "records"
+    )
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["verdict"] == "nonmember"
+    assert rec["facet"] == [1, -1, -1, 1] * 3 + [-1, 1, 1, -1]
+    assert (rec["bound"], rec["violation"], rec["chsh"]) == (2, 2, 4)
 
 
 def test_bell_check_expectation_mismatch_exits_one():

@@ -540,6 +540,26 @@ def _pr_block_table(s):
     )
 
 
+def _draw_mixture(draw, s, kind):
+    """A local mixture of the scenario's vertex tables at small integer
+    weights, with a PR block mixed in when ``kind`` is "pr-block"."""
+    n_out = len(s.outcomes())
+    verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
+    picks = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(picks), max_size=len(picks)))
+    if kind == "pr-block":
+        picks.append(_pr_block_table(s))
+        weights.append(draw(st.integers(1, 30)))
+    total = sum(weights)
+    return tuple(
+        tuple(
+            sum((F(w, total) * t[r][c] for w, t in zip(weights, picks)), F(0))
+            for c in range(n_out)
+        )
+        for r in range(len(s.contexts()))
+    )
+
+
 @st.composite
 def _exact_tables(draw):
     """A scenario and an exact table: a local mixture, a local mixture
@@ -554,20 +574,7 @@ def _exact_tables(draw):
             for _ in s.contexts()
         ]
         return s, tuple(tuple(F(v, sum(row)) for v in row) for row in rows)
-    verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
-    picks = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4))
-    weights = draw(st.lists(st.integers(1, 9), min_size=len(picks), max_size=len(picks)))
-    if kind == "pr-block":
-        picks.append(_pr_block_table(s))
-        weights.append(draw(st.integers(1, 30)))
-    total = sum(weights)
-    return s, tuple(
-        tuple(
-            sum((F(w, total) * t[r][c] for w, t in zip(weights, picks)), F(0))
-            for c in range(n_out)
-        )
-        for r in range(len(s.contexts()))
-    )
+    return s, _draw_mixture(draw, s, kind)
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,11 +582,13 @@ def _exact_tables(draw):
 @example((chsh_scenario(), pr_box().table))
 @example((Instrumental(2, 2, 2), _pr_block_table(Instrumental(2, 2, 2))))
 def test_membership_matches_the_fraction_vertex_path(case):
-    # the same verdict and the same certificate as the LP over whole
-    # Fraction vertex tables, solved by the presolving Fraction reference
-    # simplex; the unpresolved one gives the same verdict
+    # on the LP branch, the same verdict and the same certificate as the LP
+    # over whole Fraction vertex tables, solved by the presolving Fraction
+    # reference simplex; the unpresolved one gives the same verdict
     s, table = case
-    got = fs_compatible(Correlation(s, table), s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nogo, "_chsh_facet", _no_chsh_facet)
+        got = fs_compatible(Correlation(s, table), s)
     verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
     want = oracles.fs_compatible_fraction(table, verts)
     plain = oracles.fs_compatible_fraction(
@@ -592,6 +601,111 @@ def test_membership_matches_the_fraction_vertex_path(case):
     else:
         assert isinstance(got, NonMember)
         assert (got.facet, got.bound, got.violation) == want[1:]
+
+
+def _no_chsh_facet(s, qn, qd):
+    """A lifted-CHSH step that finds no facet, so every table goes to the LP."""
+    return None
+
+
+def _no_lp(a, b):
+    raise AssertionError("the membership LP ran")
+
+
+def _chsh_answering(form):
+    """A stand-in for the lifted-CHSH step that answers ``form``."""
+    return lambda s, qn, qd: list(form)
+
+
+_CHSH_SCENARIOS = (Bell(2, 2, 2, 2), Bell(2, 3, 2, 2), Bell(3, 3, 2, 2), Bell(2, 2, 3, 3))
+
+
+@st.composite
+def _bell_tables(draw, scenarios=_CHSH_SCENARIOS, floats=True):
+    """A Bell scenario and a table: a local mixture, a local mixture with a
+    PR block mixed in, or, when ``floats``, the float image of either,
+    which ``fs_compatible`` rationalizes."""
+    s = draw(st.sampled_from(scenarios))
+    table = _draw_mixture(draw, s, draw(st.sampled_from(["local", "pr-block"])))
+    if floats and draw(st.booleans()):
+        table = tuple(tuple(float(v) for v in row) for row in table)
+    return s, table
+
+
+def _lp_only(corr, s):
+    """The verdict with every table routed to the LP."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nogo, "_chsh_facet", _no_chsh_facet)
+        return fs_compatible(corr, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_bell_tables(), min_size=2, max_size=3))
+@example([(chsh_scenario(), pr_box().table), (Bell(2, 2, 3, 3), _pr_block_table(Bell(2, 2, 3, 3)))])
+def test_chsh_separation_keeps_every_verdict(cases):
+    # the lifted-CHSH step changes no verdict kind: the same as with the LP
+    # alone and as the scipy/HiGHS hull test on the exact table tested; each
+    # NonMember re-verifies against the vertex tables, and a table's
+    # certificate does not depend on the tables decided before it
+    got = []
+    for s, table in cases:
+        corr = Correlation(s, table)
+        verdict = fs_compatible(corr, s)
+        vecs = [v.as_vector() for v in local_vertices(s)]
+        q = verdict.correlation.as_vector()
+        assert type(verdict) is type(_lp_only(corr, s))
+        assert hull_member(vecs, [float(x) for x in q])[0] == isinstance(verdict, Member)
+        if isinstance(verdict, NonMember):
+            assert max(sum(map(mul, verdict.facet, vec)) for vec in vecs) == verdict.bound
+            pays = sum(map(mul, verdict.facet, q))
+            assert pays - verdict.bound == verdict.violation > 0
+        got.append(verdict)
+    again = [fs_compatible(Correlation(s, table), s) for s, table in reversed(cases)]
+    assert again[::-1] == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bell_tables(scenarios=(chsh_scenario(),), floats=False))
+@example((chsh_scenario(), pr_box().table))
+def test_a_nonlocal_chsh_table_is_separated_with_no_lp(case):
+    # Fine (1982): a no-signalling (2,2,2,2) table outside the local polytope
+    # violates a CHSH form, so only a member costs an LP
+    s, table = case
+    corr = Correlation(s, table)
+    assert no_signalling_check(corr)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        solve = nogo._solve
+        mp.setattr(nogo, "_solve", lambda a, b: calls.append(b) or solve(a, b))
+        verdict = fs_compatible(corr, s)
+    assert type(verdict) is type(_lp_only(corr, s))
+    assert len(calls) == isinstance(verdict, Member)
+
+
+def test_pr_boxes_and_the_singlet_are_separated_with_no_lp(monkeypatch):
+    # the eight PR boxes a xor b = (x xor u)(y xor v) xor w each reach 4 on
+    # one CHSH form; the singlet reaches 2 sqrt(2) on the standard one
+    monkeypatch.setattr(nogo, "_solve", _no_lp)
+    s = chsh_scenario()
+    rho, meas = singlet_model()
+    singlet = fs_compatible(quantum_correlations(rho, meas, s), s)
+    assert isinstance(singlet, NonMember) and singlet.bound == 2
+    assert singlet.facet == fs_compatible(pr_box(), s).facet == (1, -1, -1, 1) * 3 + (-1, 1, 1, -1)
+    facets = set()
+    for u, v, w in iproduct((0, 1), repeat=3):
+        corr = tabulate(s, lambda o, c: F(1, 2) * ((o[0] ^ o[1]) == ((c[0] ^ u) & (c[1] ^ v)) ^ w))
+        verdict = fs_compatible(corr, s)
+        assert (verdict.bound, verdict.violation) == (2, 2)
+        facets.add(verdict.facet)
+    assert len(facets) == 8
+    # a PR box on outcomes 1 and 2 of three: read as outcome 0 against the
+    # rest it is local, as outcome 1 against the rest it is not
+    s = Bell(2, 2, 3, 3)
+    corr = tabulate(
+        s, lambda o, c: F(1, 2) * (min(o) > 0 and ((o[0] - 1) ^ (o[1] - 1)) == (c[0] & c[1]))
+    )
+    verdict = fs_compatible(corr, s)
+    assert (verdict.bound, verdict.violation) == (2, 2)
 
 
 def test_bell_4422_verdicts_reverify():
@@ -664,18 +778,35 @@ def test_bogus_membership_weights_are_not_returned(monkeypatch, weights):
         fs_compatible(uniform, s)
 
 
-def test_bogus_separating_facet_is_not_returned(monkeypatch):
+def _bogus_facets():
     s = chsh_scenario()
     vertex = local_vertices(s)[0]
-    for corr, facet in (
-        (pr_box(), [F(0)] * 16),
+    return (
+        (pr_box(), [0] * 16),
         # a valid inequality that the vertex meets with equality
-        (vertex, list(vertex.as_vector())),
+        (vertex, [int(v) for v in vertex.as_vector()]),
         # one that the vertex satisfies strictly
-        (vertex, [-v for v in vertex.as_vector()]),
-    ):
-        y = facet + [F(0)]
+        (vertex, [-int(v) for v in vertex.as_vector()]),
+    )
+
+
+def test_bogus_separating_facet_is_not_returned(monkeypatch):
+    s = chsh_scenario()
+    monkeypatch.setattr(nogo, "_chsh_facet", _no_chsh_facet)
+    for corr, facet in _bogus_facets():
+        y = [F(v) for v in facet] + [F(0)]
         monkeypatch.setattr(nogo, "_solve", _lp_answering("infeasible", y))
+        with pytest.raises(EngineError, match="separating facet failed re-verification"):
+            fs_compatible(corr, s)
+
+
+def test_bogus_chsh_form_is_not_returned(monkeypatch):
+    # the same three facets from the lifted-CHSH step: the one re-verification
+    # refuses them there too, and no LP runs
+    s = chsh_scenario()
+    monkeypatch.setattr(nogo, "_solve", _no_lp)
+    for corr, facet in _bogus_facets():
+        monkeypatch.setattr(nogo, "_chsh_facet", _chsh_answering(facet))
         with pytest.raises(EngineError, match="separating facet failed re-verification"):
             fs_compatible(corr, s)
 
@@ -727,11 +858,12 @@ def test_weights_moved_by_one_unit_fail_reverification(monkeypatch, table, shift
     ids=["2222-pr", "2322-pr-block"],
 )
 def test_a_facet_with_one_entry_raised_to_the_edge_fails_reverification(monkeypatch, s, table):
-    # raising the facet's entry at a cell the table leaves empty by k lifts
-    # the strategies through that cell by k; at k = the table's payment
-    # less their best sum the bound meets the payment, violation 0, and
-    # half a violation short of that the facet still separates, with the
-    # bound and violation it must then have
+    # on the LP branch: raising the facet's entry at a cell the table
+    # leaves empty by k lifts the strategies through that cell by k; at
+    # k = the table's payment less their best sum the bound meets the
+    # payment, violation 0, and half a violation short of that the facet
+    # still separates, with the bound and violation it must then have
+    monkeypatch.setattr(nogo, "_chsh_facet", _no_chsh_facet)
     corr = Correlation(s, table)
     incidence = nogo._strategies(s)[1]
     # each strategy's (context, outcome) cells, row-major as as_vector
@@ -754,6 +886,41 @@ def test_a_facet_with_one_entry_raised_to_the_edge_fails_reverification(monkeypa
     assert (short.bound, short.violation) == (pays - half, half)
 
 
+@pytest.mark.parametrize(
+    "s, table",
+    [(chsh_scenario(), pr_box().table), (Bell(2, 3, 2, 2), _pr_block_table(Bell(2, 3, 2, 2)))],
+    ids=["2222-pr", "2322-pr-block"],
+)
+def test_a_chsh_form_with_one_entry_raised_to_the_edge_fails_reverification(monkeypatch, s, table):
+    # the twin on the lifted-CHSH branch: the step's own form, bound 2, with
+    # the entry at a cell the table leaves empty raised by k; the step
+    # answers integers, so the form is scaled by k's denominator, and bound
+    # and violation with it
+    monkeypatch.setattr(nogo, "_solve", _no_lp)
+    corr = Correlation(s, table)
+    incidence = nogo._strategies(s)[1]
+    cells = [np.flatnonzero(col[:-1]).tolist() for col in incidence.T]
+    form = nogo._chsh_facet(s, *corr._reading)
+    got = fs_compatible(corr, s)
+    assert got.facet == tuple(form) and got.bound == 2
+    pays = got.bound + got.violation
+    i = corr.as_vector().index(0)
+    through = max(sum(form[j] for j in cs) for cs in cells if i in cs)
+
+    def raised(k):
+        scale = k.denominator
+        bad = [f * scale for f in form]
+        bad[i] += k.numerator
+        monkeypatch.setattr(nogo, "_chsh_facet", _chsh_answering(bad))
+        return fs_compatible(corr, s), scale
+
+    with pytest.raises(EngineError, match="separating facet failed re-verification"):
+        raised(F(pays - through))
+    half = got.violation / 2
+    short, scale = raised(F(pays - through - half))
+    assert (short.bound, short.violation) == ((pays - half) * scale, half * scale)
+
+
 @pytest.mark.parametrize("p", [2**62 + 135, 2**64 + 13], ids=["2^62+135", "2^64+13"])
 def test_weights_over_a_prime_above_two_to_the_62_recombine_in_python_ints(p):
     # a local mixture at weights k / p, p prime: some LP weight must carry p
@@ -772,6 +939,7 @@ def test_a_facet_scaled_past_int64_keeps_its_bound_and_violation_in_scale(monkey
     # the LP's own Farkas vector for the PR box times 2^70: the facet's
     # numerators times the contexts pass 2^62, so its bound is taken in
     # Python ints, and bound and violation scale with it
+    monkeypatch.setattr(nogo, "_chsh_facet", _no_chsh_facet)
     s = chsh_scenario()
     corr = pr_box()
     got = fs_compatible(corr, s)
@@ -783,6 +951,22 @@ def test_a_facet_scaled_past_int64_keeps_its_bound_and_violation_in_scale(monkey
     scaled = fs_compatible(corr, s)
     assert scaled.facet == tuple(big[:m])
     assert (scaled.bound, scaled.violation) == (got.bound * 2**70, got.violation * 2**70)
+
+
+def test_a_chsh_form_scaled_past_int64_keeps_its_bound_and_violation_in_scale(monkeypatch):
+    # the twin on the lifted-CHSH branch: the PR box's form times 2^70
+    s = chsh_scenario()
+    corr = pr_box()
+    got = fs_compatible(corr, s)
+    assert (got.bound, got.violation) == (2, 2)
+    form = nogo._chsh_facet(s, *corr._reading)
+    big = [f * 2**70 for f in form]
+    assert len(s.contexts()) * max(map(abs, big)) >= 2**62
+    monkeypatch.setattr(nogo, "_chsh_facet", _chsh_answering(big))
+    monkeypatch.setattr(nogo, "_solve", _no_lp)
+    scaled = fs_compatible(corr, s)
+    assert scaled.facet == tuple(big)
+    assert (scaled.bound, scaled.violation) == (2 * 2**70, 2 * 2**70)
 
 
 def test_chsh_values():
