@@ -585,6 +585,9 @@ def _axiom_ignorability(mc, seed):
 
 def _axiom_propagation(mc, seed):
     for n1, n2 in iproduct(_sizes(mc), repeat=2):
+        # the hom-set is copied by an |H|^2 x |H| matrix: up to 100 functions
+        if n2**n1 > 100:
+            continue
         a, b = causal_system(_carrier(n1)), causal_system(_carrier(n2))
         h = hom_system((a,), (b,))
         rec_a, rec_b = record_system(a), record_system(b)

@@ -33,10 +33,16 @@ class Fn:
                 raise TypeMismatch(f"image {image!r} is not in the codomain")
 
     def __call__(self, x):
-        try:
-            return self.table[self.dom.index(x)]
-        except ValueError:
-            raise TypeMismatch(f"{x!r} is not in the domain") from None
+        return self.table[label_index(self.dom, x)]
+
+
+def label_index(carrier, x, where="domain"):
+    """The index of ``x`` in ``carrier``; TypeMismatch naming ``x`` when it
+    is not there."""
+    try:
+        return carrier.index(x)
+    except ValueError:
+        raise TypeMismatch(f"{x!r} is not in the {where}") from None
 
 
 def identity_fn(carrier):

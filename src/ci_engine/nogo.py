@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from itertools import product as iproduct
 from operator import mul
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .exactlp import _ints, _kernel, _solve, cone_extreme_rays, verify_certificate
 from .fstheory import bundle_carrier, embedded, ignore, prop_gain, state_box
-from .funcdyn import Fn, copy_fn
+from .funcdyn import Fn, copy_fn, label_index
 from .optheory import (
     PredictionMap,
     ProcedureDecl,
@@ -254,8 +255,8 @@ class Correlation:
         object.__setattr__(self, "_reading", reading)
 
     def value(self, outcome, setting):
-        ci = self.scenario.contexts().index(tuple(setting))
-        oi = self.scenario.outcomes().index(tuple(outcome))
+        ci = label_index(self.scenario.contexts(), tuple(setting), "scenario's contexts")
+        oi = label_index(self.scenario.outcomes(), tuple(outcome), "scenario's outcomes")
         return self.table[ci][oi]
 
     def as_vector(self):
@@ -503,69 +504,71 @@ def rationalize(corr):
     return Correlation(corr.scenario, tuple(rows))
 
 
+@lru_cache(maxsize=8)
+def _chsh_forms(s):
+    """Every CHSH form lifted to the Bell scenario, as the rows of one
+    read-only int64 matrix over the cells, row-major as ``as_vector``.
+
+    A form reads each wing's outcomes as one outcome, a0 or b0, against
+    the rest (a0 = 0 alone when binary, and so b0): a context's correlator
+    is its mass on ``(a == a0) == (b == b0)`` less the rest.  It adds the
+    correlators of two settings per wing, x0 < x1 and y0 < y1, one of the
+    four negated, under either sign: +1 or -1 on those contexts' cells, 0
+    elsewhere.  Each is at most 2 on every local table and a facet of every
+    Bell polytope (Pironio, J. Math. Phys. 46, 062112, 2005); for (2,2,2,2)
+    these are all the nontrivial facets (Fine, PRL 48, 291, 1982).
+
+    Rows run in the order a0, b0, x0, x1, y0, y1 (each ascending), then the
+    negated context, (x0, y0), (x0, y1), (x1, y0) or (x1, y1), then the
+    sign, + first.  The form count, never more than 1.125 times the strategy
+    count, is checked against the cap before the matrix is built.
+    """
+    n_x, n_y, n_a, n_b = s.n_x, s.n_y, s.n_a, s.n_b
+    pick_a = range(n_a if n_a > 2 else 1)
+    pick_b = range(n_b if n_b > 2 else 1)
+    count = 8 * len(pick_a) * len(pick_b) * math.comb(n_x, 2) * math.comb(n_y, 2)
+    if over_cap(count):
+        raise CapExceeded(f"{count} lifted CHSH forms exceed the cap")
+    # the sign of each outcome: +1 where a == a0 iff b == b0
+    outcome = [
+        [1 if (a == a0) == (b == b0) else -1 for a in range(n_a) for b in range(n_b)]
+        for a0, b0 in iproduct(pick_a, pick_b)
+    ]
+    # the sign of each context: four of them, one negated, under either sign
+    context = []
+    for xs, ys in iproduct(combinations(range(n_x), 2), combinations(range(n_y), 2)):
+        four = [x * n_y + y for x in xs for y in ys]
+        for neg, sign in iproduct(four, (1, -1)):
+            row = [(-sign if c == neg else sign) if c in four else 0 for c in range(n_x * n_y)]
+            context.append(row)
+    forms = np.einsum("pw,kc->pkcw", np.array(outcome, np.int64), np.array(context, np.int64))
+    forms = forms.reshape(count, -1)
+    forms.setflags(write=False)
+    return forms
+
+
+def _signed_sums(matrix, v):
+    """``matrix @ v`` for a matrix of 0/+-1 entries and a list of Python
+    ints, as Python ints: in int64 while sum |v| < 2^62, which bounds every
+    entry of the product, and in Python ints past it."""
+    dtype = np.int64 if sum(map(abs, v)) < _INT64_SAFE else object
+    return (matrix.astype(dtype, copy=False) @ np.array(v, dtype=dtype)).tolist()
+
+
 def _chsh_facet(s, qn, qd):
     """The most violated lifted CHSH facet of a Bell table, or None.
 
     ``qn / qd`` is the table, row-major as ``as_vector``.  Only a Bell
-    scenario with at least two settings per wing has such facets.  Each
-    reads each wing's outcomes as one outcome, a0 or b0, against the rest
-    (a0 = 0 alone when the outcomes are binary, and so b0), so that the
-    correlator of a context is its mass on ``(a == a0) == (b == b0)`` less
-    the rest; it takes two settings per wing, x0 < x1 and y0 < y1, and adds
-    their four correlators with one of them negated, under either sign.
-    Each form is at most 2 on every local table; these liftings of CHSH are
-    facets of every Bell polytope (Pironio, J. Math. Phys. 46, 062112,
-    2005), and for (2,2,2,2) they are all the nontrivial ones (Fine, PRL
-    48, 291, 1982).
-
-    The forms run in the order a0, b0, x0, x1, y0, y1 (each ascending),
-    then the negated correlator, at (x0, y0), (x0, y1), (x1, y0) or
-    (x1, y1), then the sign, + first.  The form of largest value, the first
-    in that order on a tie, is returned as its integer entries (+1 or -1 on
-    the four contexts' cells, 0 elsewhere) when its value exceeds 2.  Every
-    sum is of Python ints, and beside the table's columns only the wing
-    marginals and one correlator per context are kept.
+    scenario with at least two settings per wing has such facets, the rows
+    of ``_chsh_forms``.  The form of largest value, the first row on a tie,
+    is returned as its integer entries when its value exceeds 2.
     """
     if not isinstance(s, Bell) or s.n_x < 2 or s.n_y < 2:
         return None
-    n_x, n_y, n_a, n_b = s.n_x, s.n_y, s.n_a, s.n_b
-    width = n_a * n_b
-    pick_a = range(n_a if n_a > 2 else 1)
-    pick_b = range(n_b if n_b > 2 else 1)
-    # column[a * n_b + b] lists outcome (a, b)'s numerators, one per context;
-    # with the wing marginals ma[a0] and mb[b0] of a context its mass on
-    # a == a0 iff b == b0 is 2 q[a0, b0] + qd - ma[a0] - mb[b0], and its
-    # correlator twice that less qd, over qd
-    column = [qn[i::width] for i in range(width)]
-    mb = [[qd - 2 * m for m in map(sum, zip(*column[b::n_b]))] for b in pick_b]
-    best, form = 2 * qd, None
-    for a0 in pick_a:
-        ma = [2 * m for m in map(sum, zip(*column[a0 * n_b : a0 * n_b + n_b]))]
-        for b0 in pick_b:
-            cor = [4 * q - u + v for q, u, v in zip(column[a0 * n_b + b0], ma, mb[b0])]
-            for x0 in range(n_x):
-                for x1 in range(x0 + 1, n_x):
-                    r0, r1 = cor[x0 * n_y : x0 * n_y + n_y], cor[x1 * n_y : x1 * n_y + n_y]
-                    for y0 in range(n_y):
-                        for y1 in range(y0 + 1, n_y):
-                            es = (r0[y0], r0[y1], r1[y0], r1[y1])
-                            total = sum(es)
-                            for neg, e in enumerate(es):
-                                # the two signs of one sum tie only at 0
-                                value = abs(total - 2 * e)
-                                if value > best:
-                                    sign = 1 if total > 2 * e else -1
-                                    best, form = value, (a0, b0, x0, x1, y0, y1, neg, sign)
-    if form is None:
-        return None
-    a0, b0, x0, x1, y0, y1, neg, sign = form
-    fn = [0] * len(qn)
-    for i, c in enumerate((x0 * n_y + y0, x0 * n_y + y1, x1 * n_y + y0, x1 * n_y + y1)):
-        w = -sign if i == neg else sign
-        for a in range(n_a):
-            for b in range(n_b):
-                fn[c * width + a * n_b + b] = w if (a == a0) == (b == b0) else -w
-    return fn
+    forms = _chsh_forms(s)
+    values = _signed_sums(forms, qn)
+    best = max(values)
+    return forms[values.index(best)].tolist() if best > 2 * qd else None
 
 
 def fs_compatible(corr, s):
@@ -590,7 +593,7 @@ def fs_compatible(corr, s):
     if corr.scenario != s:
         raise WrongScenario("correlation was built for another scenario")
     target = rationalize(corr)
-    hits, incidence = _strategies(s)
+    incidence = _strategies(s)[1]
     qn, qd = target._reading
     m = len(qn)
     cells = incidence[:m]
@@ -602,19 +605,15 @@ def fs_compatible(corr, s):
             wn, wd = _lowest(v, d * qd)
             if min(wn) < 0 or sum(wn) != wd:
                 raise EngineError("membership weights failed re-verification")
-            # nonnegative weights summing to wd put at most wd on any cell
-            dtype = np.int64 if wd < _INT64_SAFE else object
-            recombined = (cells.astype(dtype, copy=False) @ np.array(wn, dtype=dtype)).tolist()
-            # recombined / wd == qn / qd, cell by cell
-            if any(r * qd != v * wd for r, v in zip(recombined, qn)):
+            # the weights recombined over wd equal qn / qd, cell by cell
+            if any(r * qd != v * wd for r, v in zip(_signed_sums(cells, wn), qn)):
                 raise EngineError("membership weights failed re-verification")
             return Member(tuple(Fraction(w, wd) if w else _ZERO for w in wn), target)
         fn, fd = _lowest(v[:m], d)
     # the facet is fn / fd on the cells, in lowest terms; a strategy pays
     # the facet's entries on its cells, one per context, at most top / fd;
     # the table pays sum(fn * qn) / (fd * qd)
-    dtype = np.int64 if len(hits[0]) * max(map(abs, fn)) < _INT64_SAFE else object
-    top = max((np.array(fn, dtype=dtype) @ cells.astype(dtype, copy=False)).tolist())
+    top = max(_signed_sums(cells.T, fn))
     gap = sum(map(mul, fn, qn)) - top * qd
     if gap <= 0:
         raise EngineError("separating facet failed re-verification")

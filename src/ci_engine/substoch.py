@@ -166,7 +166,7 @@ class KnowledgeState:
         object.__setattr__(self, "weights", weights)
 
     def __call__(self, x):
-        return self.weights[self.carrier.index(x)]
+        return self.weights[funcdyn.label_index(self.carrier, x, "carrier")]
 
     def as_map(self):
         return SubstochMap(STAR, self.carrier, tuple((w,) for w in self.weights))
@@ -249,7 +249,7 @@ class Proposition:
         object.__setattr__(self, "carrier", carrier)
 
     def __contains__(self, label):
-        return bool(self.mask >> self.carrier.index(label) & 1)
+        return bool(self.mask >> funcdyn.label_index(self.carrier, label, "carrier") & 1)
 
     def members(self):
         return tuple(
@@ -416,10 +416,10 @@ class PartialFn:
         object.__setattr__(self, "table", table)
 
     def defined_at(self, x):
-        return self.table[self.dom.index(x)] is not None
+        return self(x) is not None
 
     def __call__(self, x):
-        return self.table[self.dom.index(x)]
+        return self.table[funcdyn.label_index(self.dom, x)]
 
     def defined_set(self):
         mask = 0

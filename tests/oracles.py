@@ -616,6 +616,66 @@ def chsh_of_table(table, exact=False):
     return total
 
 
+def chsh_facet_reference(n_x, n_y, n_a, n_b, qn, qd):
+    """The most violated lifted CHSH form of the Bell (n_x, n_y, n_a, n_b)
+    table ``qn / qd`` (row-major, contexts then outcomes), or None: the
+    engine's former loops over the forms, in Python ints.
+
+    A form reads each wing's outcomes as one outcome, a0 or b0, against the
+    rest (a0 = 0 alone when binary, and so b0), takes two settings per wing,
+    x0 < x1 and y0 < y1, and adds their four correlators with one negated,
+    under either sign.  Forms run in the order a0, b0, x0, x1, y0, y1, the
+    negated correlator, the sign (+ first); the first of largest value is
+    returned as its +-1/0 entries when its value exceeds 2.
+    """
+    if n_x < 2 or n_y < 2:
+        return None
+    width = n_a * n_b
+    pick_a = range(n_a if n_a > 2 else 1)
+    pick_b = range(n_b if n_b > 2 else 1)
+    # column[a * n_b + b] lists outcome (a, b)'s numerators, one per context;
+    # with the wing marginals ma[a0] and mb[b0] of a context its mass on
+    # a == a0 iff b == b0 is 2 q[a0, b0] + qd - ma[a0] - mb[b0], and its
+    # correlator twice that less qd, over qd
+    column = [qn[i::width] for i in range(width)]
+    mb = [[qd - 2 * m for m in map(sum, zip(*column[b::n_b]))] for b in pick_b]
+    best, form = 2 * qd, None
+    for a0 in pick_a:
+        ma = [2 * m for m in map(sum, zip(*column[a0 * n_b : a0 * n_b + n_b]))]
+        for b0 in pick_b:
+            cor = [4 * q - u + v for q, u, v in zip(column[a0 * n_b + b0], ma, mb[b0])]
+            for x0 in range(n_x):
+                for x1 in range(x0 + 1, n_x):
+                    r0, r1 = cor[x0 * n_y : x0 * n_y + n_y], cor[x1 * n_y : x1 * n_y + n_y]
+                    for y0 in range(n_y):
+                        for y1 in range(y0 + 1, n_y):
+                            es = (r0[y0], r0[y1], r1[y0], r1[y1])
+                            total = sum(es)
+                            for neg, e in enumerate(es):
+                                # the two signs of one sum tie only at 0
+                                value = abs(total - 2 * e)
+                                if value > best:
+                                    sign = 1 if total > 2 * e else -1
+                                    best, form = value, (a0, b0, x0, x1, y0, y1, neg, sign)
+    return None if form is None else chsh_form_reference(n_x, n_y, n_a, n_b, form)
+
+
+def chsh_form_reference(n_x, n_y, n_a, n_b, form):
+    """The +-1/0 entries, row-major, of the lifted CHSH form ``(a0, b0, x0,
+    x1, y0, y1, neg, sign)`` of the Bell (n_x, n_y, n_a, n_b) scenario:
+    ``neg`` indexes the negated context among (x0, y0), (x0, y1), (x1, y0)
+    and (x1, y1)."""
+    a0, b0, x0, x1, y0, y1, neg, sign = form
+    width = n_a * n_b
+    fn = [0] * (n_x * n_y * width)
+    for i, c in enumerate((x0 * n_y + y0, x0 * n_y + y1, x1 * n_y + y0, x1 * n_y + y1)):
+        w = -sign if i == neg else sign
+        for a in range(n_a):
+            for b in range(n_b):
+                fn[c * width + a * n_b + b] = w if (a == a0) == (b == b0) else -w
+    return fn
+
+
 def born_bell_table(rho, a_effects, b_effects):
     """P(a, b | x, y) = tr(rho (A ox B)) computed with dense numpy.
 

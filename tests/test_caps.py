@@ -82,12 +82,15 @@ def test_a_function_matrix_is_capped_before_allocation(monkeypatch):
             build(f)
 
 
-def test_the_axiom_battery_at_carrier_four_stops_before_its_largest_matrix():
-    # the propagation axiom's copy of the 256-point hom-set is 65536 x 256
-    # cells; it is refused under the default cap before it is allocated
+def test_the_axiom_battery_passes_at_carrier_four():
+    # the propagation axiom skips the one hom-set of more than 100 functions,
+    # Hom(4, 4) with 256, whose copy would be a 65536 x 256 matrix
     out, err = io.StringIO(), io.StringIO()
-    assert cli.run(["verify-axioms", "--max-carrier", "4"], out=out, err=err) == 2
-    assert err.getvalue() == "error: CapExceeded: matrix of 16777216 cells exceeds the cap\n"
+    assert cli.run(["verify-axioms", "--max-carrier", "4"], out=out, err=err) == 0
+    assert err.getvalue() == ""
+    report = fstheory.verify_fs_axioms(4)
+    assert report.ok
+    assert report.results[8] == ("knowledge-propagates-through-dynamics", True, "15 hom pairs")
 
 
 def _channel_model(dim, alphabet):

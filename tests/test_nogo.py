@@ -20,6 +20,7 @@ from ci_engine.errors import (
     ConfigError,
     DimensionMismatch,
     EngineError,
+    TypeMismatch,
     ValidationError,
     WeightError,
     WrongScenario,
@@ -231,6 +232,14 @@ def test_pr_box_values():
     assert c.value((0, 1), (0, 0)) == 0
     assert c.value((0, 1), (1, 1)) == F(1, 2)
     assert c.value((0, 0), (1, 1)) == 0
+
+
+def test_a_label_outside_the_scenario_is_a_type_mismatch():
+    c = pr_box()
+    with pytest.raises(TypeMismatch, match=r"^\(0, 2\) is not in the scenario's outcomes$"):
+        c.value((0, 2), (0, 0))
+    with pytest.raises(TypeMismatch, match=r"^\(2, 0\) is not in the scenario's contexts$"):
+        c.value((0, 0), (2, 0))
 
 
 def test_correlation_from_channel_round_trip():
@@ -706,6 +715,86 @@ def test_pr_boxes_and_the_singlet_are_separated_with_no_lp(monkeypatch):
     )
     verdict = fs_compatible(corr, s)
     assert (verdict.bound, verdict.violation) == (2, 2)
+
+
+_FORM_SCENARIOS = _CHSH_SCENARIOS + (Bell(3, 3, 3, 3),)
+
+
+@st.composite
+def _chsh_readings(draw):
+    """A Bell table as ``fs_compatible`` reads it, ``(s, qn, qd)``: an exact
+    local mixture, one with a PR block mixed in, or the rationalized float
+    image of either, its numerators and denominator scaled past 2^62 when
+    drawn so, where the forms' values are summed in Python ints."""
+    s, table = draw(_bell_tables(scenarios=_FORM_SCENARIOS))
+    qn, qd = rationalize(Correlation(s, table))._reading
+    k = draw(st.sampled_from([1, 2**62 + 135]))
+    return s, [v * k for v in qn], qd * k
+
+
+@settings(max_examples=50, deadline=None)
+@given(_chsh_readings())
+@example((chsh_scenario(), *pr_box()._reading))
+@example((chsh_scenario(), [v * 2**64 for v in pr_box()._reading[0]], 2 * 2**64))
+@example((Bell(3, 3, 3, 3), *Correlation(Bell(3, 3, 3, 3), _pr_block_table(Bell(3, 3, 3, 3)))._reading))
+def test_the_chsh_forms_find_the_facet_of_the_reference_loops(case):
+    # the most violated form, the first in the documented order on a tie,
+    # or None, as the former loops over the forms found it
+    s, qn, qd = case
+    want = oracles.chsh_facet_reference(*dataclasses.astuple(s), qn, qd)
+    assert nogo._chsh_facet(s, qn, qd) == want
+
+
+@pytest.mark.parametrize(
+    "cards",
+    [(2, 2, 2, 2), (2, 3, 2, 2), (3, 3, 2, 2), (2, 2, 3, 3), (3, 2, 4, 2), (4, 2, 2, 3), (3, 3, 3, 3)],
+)
+def test_the_chsh_forms_are_distinct_rows_of_local_bound_two(cards):
+    s = Bell(*cards)
+    n_x, n_y, n_a, n_b = cards
+    forms = nogo._chsh_forms(s)
+    # 8 forms per choice of a0, b0, x0 < x1 and y0 < y1
+    count = 8 * (n_a if n_a > 2 else 1) * (n_b if n_b > 2 else 1)
+    count *= math.comb(n_x, 2) * math.comb(n_y, 2)
+    assert forms.shape == (count, n_x * n_y * n_a * n_b) and forms.dtype == np.int64
+    assert len({tuple(row) for row in forms.tolist()}) == count
+    # in the documented order: a0, b0, x0, x1, y0, y1, the negated context, the sign
+    order = [
+        (a0, b0, x0, x1, y0, y1, neg, sign)
+        for a0 in range(n_a if n_a > 2 else 1)
+        for b0 in range(n_b if n_b > 2 else 1)
+        for x0 in range(n_x)
+        for x1 in range(x0 + 1, n_x)
+        for y0 in range(n_y)
+        for y1 in range(y0 + 1, n_y)
+        for neg in range(4)
+        for sign in (1, -1)
+    ]
+    assert forms.tolist() == [oracles.chsh_form_reference(*cards, form) for form in order]
+    # +-1 on every cell of four contexts, 0 on every cell of the others
+    per_context = np.abs(forms.reshape(count, n_x * n_y, n_a * n_b))
+    assert set(np.unique(per_context.min(axis=2) + per_context.max(axis=2))) <= {0, 2}
+    assert (per_context.max(axis=2).sum(axis=1) == 4).all()
+    # each form's largest sum over the deterministic strategies is 2
+    incidence = nogo._strategies(s)[1]
+    assert ((forms @ incidence[:-1]).max(axis=1) == 2).all()
+    # cached per scenario and read-only
+    assert nogo._chsh_forms(Bell(*cards)) is forms
+    with pytest.raises(ValueError):
+        forms[0, 0] = 5
+
+
+def test_the_chsh_forms_are_capped_before_allocation(monkeypatch):
+    # Bell (6,6,2,2): 8 * 15 * 15 = 1800 forms over 144 cells; with numpy
+    # gone from the module, any array built before the check would fail
+    s = Bell(6, 6, 2, 2)
+    nogo._chsh_forms.cache_clear()
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    monkeypatch.setattr(nogo, "np", None)
+    with pytest.raises(CapExceeded, match="^1800 lifted CHSH forms exceed the cap$"):
+        nogo._chsh_forms(s)
+    monkeypatch.undo()
+    assert nogo._chsh_forms(s).shape == (1800, 144)
 
 
 def test_bell_4422_verdicts_reverify():

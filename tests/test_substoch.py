@@ -284,6 +284,32 @@ def test_a_battery_is_capped_above_carrier_four(battery, message):
 # Partial functions and pullbacks
 
 
+def test_a_knowledge_state_at_a_label_outside_its_carrier_is_a_type_mismatch():
+    sigma = KnowledgeState((0, 1), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(TypeMismatch, match="^2 is not in the carrier$"):
+        sigma(2)
+
+
+def test_a_proposition_asked_for_a_label_outside_its_carrier_is_a_type_mismatch():
+    prop = Proposition((0, 1), 0b01)
+    assert 0 in prop and 1 not in prop
+    with pytest.raises(TypeMismatch, match="^'x' is not in the carrier$"):
+        "x" in prop
+
+
+def test_a_partial_function_at_a_label_outside_its_domain_is_a_type_mismatch():
+    f = PartialFn((0, 1), ("*",), ("*", None))
+    with pytest.raises(TypeMismatch, match="^2 is not in the domain$"):
+        f(2)
+
+
+def test_a_partial_function_asked_where_it_is_defined_outside_its_domain_is_a_type_mismatch():
+    f = PartialFn((0, 1), ("*",), ("*", None))
+    assert f.defined_at(0) and not f.defined_at(1)
+    with pytest.raises(TypeMismatch, match="^2 is not in the domain$"):
+        f.defined_at(2)
+
+
 def _partials(dom, cod):
     for raw in all_partial_functions_raw(dom, cod):
         yield PartialFn(dom, cod, tuple(raw.get(x) for x in dom))
