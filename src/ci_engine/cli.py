@@ -127,10 +127,11 @@ def _parse_scenario(text):
     cls = nogo.SCENARIOS.get(tag)
     if cls is None:
         raise CliError(f"unknown scenario {text!r}; try {_SCENARIO_HELP}")
-    try:
-        cards = [int(c) for c in rest.split(",")]
-    except ValueError:
-        raise CliError(f"scenario cards must be integers: {rest!r}") from None
+    cards = rest.split(",")
+    # ASCII digits only, as in the file format: no sign, space, "_" or other script
+    if not all(c.isascii() and c.isdigit() for c in cards):
+        raise CliError(f"scenario cards must be integers: {rest!r}")
+    cards = [int(c) for c in cards]
     n = len(cls.card_names())
     if len(cards) != n and not (len(cards) == n + 1 and hasattr(cls, "latent_card")):
         raise CliError(f"{text!r} does not match {_scenario_form(cls)}")

@@ -423,24 +423,6 @@ def quotient_normal_form(d):
 # Rewrite-axiom verification
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """Pass/fail per named axiom, with instance counts in the detail."""
-
-    max_carrier: int
-    results: tuple
-
-    @property
-    def ok(self):
-        return all(passed for _, passed, _ in self.results)
-
-    def lines(self):
-        return tuple(
-            f"{'PASS' if passed else 'FAIL'} {name} ({detail})"
-            for name, passed, detail in self.results
-        )
-
-
 def _sizes(max_carrier):
     return range(1, max_carrier + 1)
 
@@ -449,9 +431,8 @@ def _carrier(n):
     return tuple(range(n))
 
 
-# Each axiom is a generator over the carrier sizes: per counted instance it
-# yields None when the equation holds there and the failure detail when it
-# does not.  A check that is not counted yields only on failure.
+# Each axiom is a check of ``substoch.run_battery``: a generator over the
+# carrier sizes that yields None or the failure detail per instance.
 
 
 def _combined(name, ins, out, combine):
@@ -673,20 +654,9 @@ def verify_fs_axioms(max_carrier=3, seed=20260814):
     at its first failure, whose detail it reports; one that holds
     everywhere reports its count of instances.
     """
-    substoch._require_carrier_bound(
-        max_carrier, "axiom verification is bounded at carrier size 4"
+    return substoch.run_battery(
+        _AXIOM_CHECKS, max_carrier, "axiom verification is bounded at carrier size 4", seed
     )
-    results = []
-    for name, check, unit in _AXIOM_CHECKS:
-        count = 0
-        for failure in check(max_carrier, seed):
-            if failure is not None:
-                results.append((name, False, failure))
-                break
-            count += 1
-        else:
-            results.append((name, True, f"{count} {unit}"))
-    return AxiomReport(max_carrier, tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,6 @@ def rationalize(corr):
     return Correlation(corr.scenario, tuple(rows))
 
 
-@lru_cache(maxsize=8)
 def _chsh_forms(s):
     """Every CHSH form lifted to the Bell scenario, as the rows of one
     read-only int64 matrix over the cells, row-major as ``as_vector``.
@@ -521,14 +520,21 @@ def _chsh_forms(s):
     Rows run in the order a0, b0, x0, x1, y0, y1 (each ascending), then the
     negated context, (x0, y0), (x0, y1), (x1, y0) or (x1, y1), then the
     sign, + first.  The form count, never more than 1.125 times the strategy
-    count, is checked against the cap before the matrix is built.
+    count, is checked against the current cap on every call, before the
+    matrix, cached per scenario, is built or read from the cache.
     """
+    count = 8 * math.comb(s.n_x, 2) * math.comb(s.n_y, 2)
+    count *= (s.n_a if s.n_a > 2 else 1) * (s.n_b if s.n_b > 2 else 1)
+    if over_cap(count):
+        raise CapExceeded(f"{count} lifted CHSH forms exceed the cap")
+    return _chsh_form_table(s)
+
+
+@lru_cache(maxsize=8)
+def _chsh_form_table(s):
     n_x, n_y, n_a, n_b = s.n_x, s.n_y, s.n_a, s.n_b
     pick_a = range(n_a if n_a > 2 else 1)
     pick_b = range(n_b if n_b > 2 else 1)
-    count = 8 * len(pick_a) * len(pick_b) * math.comb(n_x, 2) * math.comb(n_y, 2)
-    if over_cap(count):
-        raise CapExceeded(f"{count} lifted CHSH forms exceed the cap")
     # the sign of each outcome: +1 where a == a0 iff b == b0
     outcome = [
         [1 if (a == a0) == (b == b0) else -1 for a in range(n_a) for b in range(n_b)]
@@ -542,7 +548,7 @@ def _chsh_forms(s):
             row = [(-sign if c == neg else sign) if c in four else 0 for c in range(n_x * n_y)]
             context.append(row)
     forms = np.einsum("pw,kc->pkcw", np.array(outcome, np.int64), np.array(context, np.int64))
-    forms = forms.reshape(count, -1)
+    forms = forms.reshape(-1, n_x * n_y * n_a * n_b)
     forms.setflags(write=False)
     return forms
 

@@ -12,7 +12,8 @@ Everything here is exact; no floats and no tolerances.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -499,11 +500,61 @@ def pullback_effect(f, pi):
 
 
 # ---------------------------------------------------------------------------
+# Self-check batteries
+
+
+@dataclass(frozen=True)
+class BatteryReport:
+    """Pass/fail per named check, with the instance count or the first
+    failure in the detail."""
+
+    max_carrier: int
+    results: tuple
+
+    @property
+    def ok(self):
+        return all(passed for _, passed, _ in self.results)
+
+    def lines(self):
+        return tuple(
+            f"{'PASS' if passed else 'FAIL'} {name} ({detail})"
+            for name, passed, detail in self.results
+        )
+
+
+def run_battery(checks, max_carrier, cap_message, *args):
+    """Run each ``(name, check, unit)`` row of ``checks`` into a BatteryReport.
+
+    ``check(max_carrier, *args)`` is a generator that yields, per counted
+    instance, None when its equation holds there and the failure detail
+    when it does not; a check that is not counted yields only on failure.
+    Each check stops at its first failure, whose detail it reports; one
+    that holds everywhere reports its count of instances in ``unit``.
+    ``max_carrier`` must be an int (never a bool) from 1 to 4; above 4
+    raises CapExceeded with ``cap_message``.
+    """
+    if type(max_carrier) is not int or max_carrier < 1:
+        raise TypeMismatch("max_carrier must be at least 1")
+    if max_carrier > 4:
+        raise CapExceeded(cap_message)
+    results = []
+    for name, check, unit in checks:
+        count = 0
+        for failure in check(max_carrier, *args):
+            if failure is not None:
+                results.append((name, False, failure))
+                break
+            count += 1
+        else:
+            results.append((name, True, f"{count} {unit}"))
+    return BatteryReport(max_carrier, tuple(results))
+
+
+# ---------------------------------------------------------------------------
 # Boolean-algebra law verification
 
-_VAR_A, _VAR_B, _VAR_C = ("var", 0), ("var", 1), ("var", 2)
-_TOP = ("top",)
-_BOT = ("bot",)
+# The two sides of a law are expressions: a leaf names a variable ("a",
+# "b", "c") or a constant ("top", "bot"); a node is (connective, operands).
 
 
 def _or(l, r):
@@ -515,70 +566,64 @@ def _and(l, r):
 
 
 def _not(e):
-    return ("not", e)
+    return ("NOT", e)
 
 
 _LAW_FAMILIES = (
     (
         "associativity",
         (
-            (_or(_VAR_A, _or(_VAR_B, _VAR_C)), _or(_or(_VAR_A, _VAR_B), _VAR_C)),
-            (_and(_VAR_A, _and(_VAR_B, _VAR_C)), _and(_and(_VAR_A, _VAR_B), _VAR_C)),
+            (_or("a", _or("b", "c")), _or(_or("a", "b"), "c")),
+            (_and("a", _and("b", "c")), _and(_and("a", "b"), "c")),
         ),
     ),
     (
         "commutativity",
         (
-            (_or(_VAR_A, _VAR_B), _or(_VAR_B, _VAR_A)),
-            (_and(_VAR_A, _VAR_B), _and(_VAR_B, _VAR_A)),
+            (_or("a", "b"), _or("b", "a")),
+            (_and("a", "b"), _and("b", "a")),
         ),
     ),
     (
         "identity",
         (
-            (_or(_VAR_A, _BOT), _VAR_A),
-            (_and(_VAR_A, _TOP), _VAR_A),
+            (_or("a", "bot"), "a"),
+            (_and("a", "top"), "a"),
         ),
     ),
     (
         "complements",
         (
-            (_or(_VAR_A, _not(_VAR_A)), _TOP),
-            (_and(_VAR_A, _not(_VAR_A)), _BOT),
+            (_or("a", _not("a")), "top"),
+            (_and("a", _not("a")), "bot"),
         ),
     ),
     (
         "distributivity",
         (
-            (
-                _and(_VAR_A, _or(_VAR_B, _VAR_C)),
-                _or(_and(_VAR_A, _VAR_B), _and(_VAR_A, _VAR_C)),
-            ),
-            (
-                _or(_VAR_A, _and(_VAR_B, _VAR_C)),
-                _and(_or(_VAR_A, _VAR_B), _or(_VAR_A, _VAR_C)),
-            ),
+            (_and("a", _or("b", "c")), _or(_and("a", "b"), _and("a", "c"))),
+            (_or("a", _and("b", "c")), _and(_or("a", "b"), _or("a", "c"))),
         ),
     ),
     (
         "idempotence",
         (
-            (_or(_VAR_A, _VAR_A), _VAR_A),
-            (_and(_VAR_A, _VAR_A), _VAR_A),
+            (_or("a", "a"), "a"),
+            (_and("a", "a"), "a"),
         ),
     ),
     (
         "annihilation",
         (
-            (_or(_VAR_A, _TOP), _TOP),
-            (_and(_VAR_A, _BOT), _BOT),
+            (_or("a", "top"), "top"),
+            (_and("a", "bot"), "bot"),
         ),
     ),
     (
         "absorption",
         (
-            (_or(_VAR_A, _and(_VAR_A, _VAR_B)), _VAR_A),
-            (_and(_VAR_A, _or(_VAR_A, _VAR_B)), _VAR_A),
+            (_or("a", _and("a", "b")), "a"),
+            (_and("a", _or("a", "b")), "a"),
         ),
     ),
 )
@@ -586,40 +631,22 @@ _LAW_FAMILIES = (
 LAW_FAMILY_NAMES = tuple(name for name, _ in _LAW_FAMILIES)
 
 
-def _expr_vars(expr):
-    if expr[0] == "var":
-        return {expr[1]}
-    if expr[0] in ("top", "bot"):
-        return set()
-    if expr[0] == "not":
-        return _expr_vars(expr[1])
-    return _expr_vars(expr[1]) | _expr_vars(expr[2])
+def _variables(expr):
+    if isinstance(expr, str):
+        return set() if expr in ("top", "bot") else {expr}
+    return set().union(*map(_variables, expr[1:]))
 
 
-@dataclass(frozen=True)
-class BooleanLawReport:
-    max_carrier: int
-    passed: tuple
-    failures: tuple
-
-    @property
-    def ok(self):
-        return all(flag for _, flag in self.passed)
-
-    def lines(self):
-        out = []
-        for name, flag in self.passed:
-            out.append(f"{'PASS' if flag else 'FAIL'} {name}")
-        return tuple(out)
-
-
-def _require_carrier_bound(max_carrier, cap_message):
-    """The one guard on a battery's carrier bound: an int (never a bool)
-    from 1 to 4; above 4 raises CapExceeded with ``cap_message``."""
-    if type(max_carrier) is not int or max_carrier < 1:
-        raise TypeMismatch("max_carrier must be at least 1")
-    if max_carrier > 4:
-        raise CapExceeded(cap_message)
+def _law_instances(identities, max_carrier, evaluate):
+    """A law family's check: each identity at every assignment of subsets
+    (as carrier bitmasks) to its variables, over carriers of size 1 up."""
+    for size in range(1, max_carrier + 1):
+        for lhs, rhs in identities:
+            names = sorted(_variables(lhs) | _variables(rhs))
+            for masks in iproduct(range(1 << size), repeat=len(names)):
+                env = dict(zip(names, masks), top=(1 << size) - 1, bot=0)
+                held = evaluate(lhs, size, env) == evaluate(rhs, size, env)
+                yield None if held else f"carrier size {size}, masks {masks}"
 
 
 def verify_boolean_laws(max_carrier=3, dots=None):
@@ -627,72 +654,41 @@ def verify_boolean_laws(max_carrier=3, dots=None):
 
     Every expression is evaluated as a wiring of copy dots, question
     matrices, and truth-table dots; the subset shortcut is never used.
-    ``dots`` may replace a connective's truth table (for instance a
-    corrupted OR) to demonstrate that the checker catches it.
+    ``dots`` may replace the truth table of AND, OR, XOR, IMPLIES or NOT
+    (for instance a corrupted OR) to demonstrate that the checker catches
+    it; any other key is refused.  Each family reports its count of
+    assignments, or its first failing one.
     """
-    _require_carrier_bound(max_carrier, "law verification is capped at carriers of size 4")
-    dots = dots or {}
-    dot_matrix = {
-        op: from_fn(dots.get(op, truth_dot(op)))
-        for op in _CONNECTIVE_TABLES
-    }
-    not_matrix = from_fn(dots.get("NOT", not_dot()))
+    fns = {op: truth_dot(op) for op in _CONNECTIVE_TABLES} | {"NOT": not_dot()}
+    for op, fn in (dots or {}).items():
+        if op not in fns:
+            raise TypeMismatch(f"unknown connective {op!r}")
+        fns[op] = fn
+    dot = {op: from_fn(fn) for op, fn in fns.items()}
 
-    results = {name: True for name in LAW_FAMILY_NAMES}
-    failures = []
+    # one memo per call, shared by every family and carrier size
+    @cache
+    def leaf(size, mask):
+        return question_matrix(Proposition(tuple(range(size)), mask))
 
-    for size in range(1, max_carrier + 1):
-        carrier = tuple(range(size))
-        copy_m = from_fn(funcdyn.copy_fn(carrier))
-        top_m = question_matrix(top(carrier))
-        bot_m = question_matrix(bottom(carrier))
-        leaf = {mask: question_matrix(Proposition(carrier, mask))
-                for mask in range(1 << size)}
-        cache = {}
+    @cache
+    def wire(op, *operands):
+        asked = operands[0]
+        if len(operands) > 1:
+            # a binary connective asks both questions of one copied system
+            copy_m = from_fn(funcdyn.copy_fn(asked.dom))
+            asked = compose_seq(compose_par(*operands), copy_m)
+        return compose_seq(dot[op], asked)
 
-        def evaluate(expr, assign):
-            if expr[0] == "var":
-                return leaf[assign[expr[1]]]
-            if expr[0] == "top":
-                return top_m
-            if expr[0] == "bot":
-                return bot_m
-            if expr[0] == "not":
-                child = evaluate(expr[1], assign)
-                key = ("not", child.entries)
-                if key not in cache:
-                    cache[key] = compose_seq(not_matrix, child)
-                return cache[key]
-            op, l, r = expr
-            left = evaluate(l, assign)
-            right = evaluate(r, assign)
-            key = (op, left.entries, right.entries)
-            if key not in cache:
-                cache[key] = compose_seq(
-                    dot_matrix[op],
-                    compose_seq(compose_par(left, right), copy_m),
-                )
-            return cache[key]
+    def evaluate(expr, size, env):
+        if isinstance(expr, str):
+            return leaf(size, env[expr])
+        return wire(expr[0], *(evaluate(e, size, env) for e in expr[1:]))
 
-        for family, identities in _LAW_FAMILIES:
-            for lhs, rhs in identities:
-                nvars = len(_expr_vars(lhs) | _expr_vars(rhs))
-                total = (1 << size) ** max(nvars, 1)
-                for code in range(total):
-                    assign = []
-                    c = code
-                    for _ in range(max(nvars, 1)):
-                        c, mask = divmod(c, 1 << size)
-                        assign.append(mask)
-                    if evaluate(lhs, assign) != evaluate(rhs, assign):
-                        results[family] = False
-                        failures.append(
-                            f"{family}: carrier size {size}, masks {tuple(assign)}"
-                        )
-                        break
-
-    return BooleanLawReport(
-        max_carrier,
-        tuple((name, results[name]) for name in LAW_FAMILY_NAMES),
-        tuple(failures),
+    checks = (
+        (name, partial(_law_instances, identities), "assignments")
+        for name, identities in _LAW_FAMILIES
+    )
+    return run_battery(
+        checks, max_carrier, "law verification is capped at carriers of size 4", evaluate
     )

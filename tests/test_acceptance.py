@@ -56,8 +56,8 @@ def test_a01_boolean_law_families_hold_diagrammatically():
     report = substoch.verify_boolean_laws(max_carrier=3)
     assert set(substoch.LAW_FAMILY_NAMES) == EIGHT_FAMILIES
     assert report.max_carrier == 3
-    assert report.failures == ()
-    assert {name for name, _ in report.passed} == EIGHT_FAMILIES
+    assert {name for name, _, _ in report.results} == EIGHT_FAMILIES
+    assert all(passed for _, passed, _ in report.results)
     assert report.ok
 
 

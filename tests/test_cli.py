@@ -416,6 +416,17 @@ def test_malformed_scenario_spec_exits_two(spec):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "cards", ["+2,2,2,2", " 2,2,2,2", "2 ,2,2,2", "\uff12,2,2,2", "2_0,2,2,2", "-2,2,2,2", "2,,2,2", ""]
+)
+def test_scenario_cards_are_ascii_digits_only(cards):
+    code, out, err = run(
+        "bell-check", "--scenario", f"bell:{cards}", "--corr", str(DATA / "pr_box.correlation")
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: scenario cards must be integers: {cards!r}\n"
+
+
 def test_simplex_embed_bit_fragment():
     code, out, _ = run(
         "simplex-embed",

@@ -788,13 +788,17 @@ def test_the_chsh_forms_are_capped_before_allocation(monkeypatch):
     # Bell (6,6,2,2): 8 * 15 * 15 = 1800 forms over 144 cells; with numpy
     # gone from the module, any array built before the check would fail
     s = Bell(6, 6, 2, 2)
-    nogo._chsh_forms.cache_clear()
+    nogo._chsh_form_table.cache_clear()
     monkeypatch.setenv("CI_ENGINE_CAP", "1000")
     monkeypatch.setattr(nogo, "np", None)
     with pytest.raises(CapExceeded, match="^1800 lifted CHSH forms exceed the cap$"):
         nogo._chsh_forms(s)
     monkeypatch.undo()
     assert nogo._chsh_forms(s).shape == (1800, 144)
+    # the count is checked before the cache lookup: once built, still refused
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    with pytest.raises(CapExceeded, match="^1800 lifted CHSH forms exceed the cap$"):
+        nogo._chsh_forms(s)
 
 
 def test_bell_4422_verdicts_reverify():

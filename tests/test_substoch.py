@@ -239,21 +239,45 @@ def test_product_proposition_is_the_subset_product():
 def test_boolean_laws_hold_up_to_three():
     report = verify_boolean_laws(max_carrier=3)
     assert report.ok
-    assert len(report.passed) == len(substoch.LAW_FAMILY_NAMES)
-    assert report.failures == ()
+    assert len(report.results) == len(substoch.LAW_FAMILY_NAMES)
+    assert all(passed for _, passed, _ in report.results)
 
 
-def test_corrupted_or_dot_is_caught():
+def test_boolean_laws_hold_at_carrier_four():
+    report = verify_boolean_laws(max_carrier=4)
+    assert report.ok and report.max_carrier == 4
+    # two identities over 2^s subsets per variable, s = 1..4: for one, two
+    # and three variables 2 * 30, 2 * 340 and 2 * 4680 assignments
+    counts = (9360, 680, 60, 60, 9360, 60, 60, 680)
+    assert report.results == tuple(
+        (name, True, f"{n} assignments") for name, n in zip(substoch.LAW_FAMILY_NAMES, counts)
+    )
+
+
+def _corrupted_or():
     dom = tuple(itertools.product(BOOL, BOOL))
     bad_table = tuple(
         "y" if pair == ("n", "n") else truth_dot("OR")(pair) for pair in dom
     )
-    bad_or = funcdyn.Fn(dom, BOOL, bad_table)
-    report = verify_boolean_laws(max_carrier=2, dots={"OR": bad_or})
+    return funcdyn.Fn(dom, BOOL, bad_table)
+
+
+def test_corrupted_or_dot_is_caught():
+    report = verify_boolean_laws(max_carrier=2, dots={"OR": _corrupted_or()})
     assert not report.ok
-    failed = {name for name, flag in report.passed if not flag}
-    assert "identity" in failed or "complements" in failed
-    assert report.failures
+    # each failing family reports its first failing assignment only
+    assert [r for r in report.results if not r[1]] == [
+        ("identity", False, "carrier size 1, masks (0,)"),
+        ("distributivity", False, "carrier size 1, masks (0, 0, 0)"),
+        ("idempotence", False, "carrier size 1, masks (0,)"),
+        ("absorption", False, "carrier size 1, masks (0, 0)"),
+    ]
+
+
+@pytest.mark.parametrize("key", ["or", "Or", "NAND", ""])
+def test_an_unknown_dot_is_refused(key):
+    with pytest.raises(TypeMismatch, match=f"^unknown connective {key!r}$"):
+        verify_boolean_laws(max_carrier=2, dots={key: _corrupted_or()})
 
 
 @pytest.mark.parametrize("bound", [0, -1, True, False, 2.0, "2", None])
