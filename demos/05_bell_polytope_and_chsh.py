@@ -40,7 +40,7 @@ print("\nsinglet CHSH:", round(value, 9),
       "(2*sqrt(2) =", round(2 * math.sqrt(2), 9), ")")
 print("no signalling:", nogo.no_signalling_check(corr))
 
-# Float tables are rationalized before the LP, so the verdict is exact
+# Float tables are rationalized before they are decided, so the verdict is exact
 # about a nearby rational table, stated in the certificate itself.
 q_verdict = nogo.fs_compatible(corr, s)
 print("verdict:", type(q_verdict).__name__)

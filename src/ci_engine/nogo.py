@@ -198,7 +198,8 @@ class Correlation:
     to that denominator.  Fraction entries are kept as given; other exact
     entries become Fractions.  An exact table keeps that reading, as
     ``as_vector`` reads it: ``(numerators, denominator)``; a float table
-    keeps None.
+    keeps None.  A table rounded from floats (``rationalize``) is built
+    from its reading, under the same checks, with no Fraction read back.
     """
 
     scenario: object
@@ -207,29 +208,14 @@ class Correlation:
     _reading: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the cards are capped before any context or outcome is enumerated
-        cells = math.prod(self.scenario.setting_cards) * math.prod(self.scenario.outcome_cards)
-        if over_cap(cells):
-            raise CapExceeded(f"the scenario's table has more than {enumeration_cap()} cells")
-        ctxs = self.scenario.contexts()
-        outs = self.scenario.outcomes()
         rows = tuple(tuple(row) for row in self.table)
-        if len(rows) != len(ctxs):
-            raise DimensionMismatch("one table row per setting context")
-        if any(len(row) != len(outs) for row in rows):
-            raise DimensionMismatch("one table column per joint outcome")
+        width = _table_width(self.scenario, rows)
         exact = all(is_exact_number(v) for row in rows for v in row)
         reading = None
         if exact:
             # one read of the table, each context then checked on it
             nums, den = integers([v for row in rows for v in row])
-            width = len(outs)
-            for k in range(0, len(nums), width):
-                ctx = nums[k : k + width]
-                if min(ctx) < 0:
-                    raise ValidationError("negative probability")
-                if sum(ctx) != den:
-                    raise ValidationError("a context does not normalize")
+            _require_contexts(_rows_of(nums, width), den)
             reading = (tuple(nums), den)
             rows = tuple(
                 tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
@@ -254,6 +240,22 @@ class Correlation:
         object.__setattr__(self, "is_exact", exact)
         object.__setattr__(self, "_reading", reading)
 
+    @classmethod
+    def _of_reading(cls, scenario, nums, den):
+        """The exact table ``nums / den``, row-major as ``as_vector``, checked
+        as ``__post_init__`` checks an exact table's reading."""
+        width = math.prod(scenario.outcome_cards)
+        ctxs = _rows_of(nums, width)
+        _table_width(scenario, ctxs)
+        _require_contexts(ctxs, den)
+        rows = _rows_of(_fractions(nums, den), width)
+        corr = object.__new__(cls)
+        object.__setattr__(corr, "scenario", scenario)
+        object.__setattr__(corr, "table", rows)
+        object.__setattr__(corr, "is_exact", True)
+        object.__setattr__(corr, "_reading", (tuple(nums), den))
+        return corr
+
     def value(self, outcome, setting):
         ci = label_index(self.scenario.contexts(), tuple(setting), "scenario's contexts")
         oi = label_index(self.scenario.outcomes(), tuple(outcome), "scenario's outcomes")
@@ -261,6 +263,40 @@ class Correlation:
 
     def as_vector(self):
         return tuple(v for row in self.table for v in row)
+
+
+def _table_width(scenario, rows):
+    """The scenario's joint outcome count, once its cells are within the cap
+    and ``rows`` has one row per setting context, each of that many entries."""
+    n_ctx, width = math.prod(scenario.setting_cards), math.prod(scenario.outcome_cards)
+    if over_cap(n_ctx * width):
+        raise CapExceeded(f"the scenario's table has more than {enumeration_cap()} cells")
+    if len(rows) != n_ctx:
+        raise DimensionMismatch("one table row per setting context")
+    if any(len(row) != width for row in rows):
+        raise DimensionMismatch("one table column per joint outcome")
+    return width
+
+
+def _rows_of(cells, width):
+    """The row-major ``cells`` as a tuple of rows of ``width`` entries."""
+    return tuple(cells[k : k + width] for k in range(0, len(cells), width))
+
+
+def _require_contexts(ctxs, den):
+    """Each context's numerators over ``den`` are a distribution: nonnegative
+    and summing to ``den``."""
+    for ctx in ctxs:
+        if min(ctx) < 0:
+            raise ValidationError("negative probability")
+        if sum(ctx) != den:
+            raise ValidationError("a context does not normalize")
+
+
+def _fractions(nums, den):
+    """``nums / den`` as a tuple of Fractions, one formed per distinct numerator."""
+    entry = {n: Fraction(n, den) if n else _ZERO for n in set(nums)}
+    return tuple(map(entry.__getitem__, nums))
 
 
 def tabulate(scenario, fn):
@@ -490,18 +526,24 @@ class NonMember:
 
 def rationalize(corr):
     """Exact stand-in for a float table: round at denominator 10^6,
-    then renormalize each context so the LP sees a true distribution."""
+    then renormalize each context so the verdict is about a true
+    distribution.  The rounded table is built from its integer reading,
+    each context's rounded integers over the least common multiple of the
+    contexts' totals, in lowest terms; an exact table is returned as is."""
     if corr.is_exact:
         return corr
-    rows = []
+    rows, totals = [], []
     for row in corr.table:
         # k / 10^6 over the row's total K / 10^6 is k / K
         ks = [max(round(v * _RATIONALIZE_DEN), 0) for v in row]
         total = sum(ks)
         if total == 0:
             raise ValidationError("a context rationalized to zero mass")
-        rows.append(tuple(Fraction(k, total) for k in ks))
-    return Correlation(corr.scenario, tuple(rows))
+        rows.append(ks)
+        totals.append(total)
+    den = math.lcm(*totals)
+    nums = [k * (den // total) for ks, total in zip(rows, totals) for k in ks]
+    return Correlation._of_reading(corr.scenario, *_lowest(nums, den))
 
 
 def _chsh_forms(s):
@@ -614,7 +656,7 @@ def fs_compatible(corr, s):
             # the weights recombined over wd equal qn / qd, cell by cell
             if any(r * qd != v * wd for r, v in zip(_signed_sums(cells, wn), qn)):
                 raise EngineError("membership weights failed re-verification")
-            return Member(tuple(Fraction(w, wd) if w else _ZERO for w in wn), target)
+            return Member(_fractions(wn, wd), target)
         fn, fd = _lowest(v[:m], d)
     # the facet is fn / fd on the cells, in lowest terms; a strategy pays
     # the facet's entries on its cells, one per context, at most top / fd;
@@ -623,10 +665,7 @@ def fs_compatible(corr, s):
     gap = sum(map(mul, fn, qn)) - top * qd
     if gap <= 0:
         raise EngineError("separating facet failed re-verification")
-    # one Fraction per distinct entry: a CHSH facet has three
-    entry = {f: Fraction(f, fd) if f else _ZERO for f in set(fn)}
-    facet = tuple(map(entry.__getitem__, fn))
-    return NonMember(facet, Fraction(top, fd), Fraction(gap, fd * qd), target)
+    return NonMember(_fractions(fn, fd), Fraction(top, fd), Fraction(gap, fd * qd), target)
 
 
 def chsh_value(corr):

@@ -393,6 +393,15 @@ def rand_quantum_bell(rng, n_x=2, n_y=2):
     return rho, (meas_a, meas_b), pm, s
 
 
+def rand_float_rows(rng, s):
+    """Float rows of the scenario's table, each of random entries divided by
+    their float sum.  Seeded with 17 on Bell(2, 2, 3, 3), the contexts round
+    at 10^6 to different totals, so the rounded table's denominator is their
+    least common multiple, 78 bits wide."""
+    rows = [[rng.random() for _ in s.outcomes()] for _ in s.contexts()]
+    return [[v / sum(row) for v in row] for row in rows]
+
+
 def rand_closed_quantum_diagram(rng):
     """Bell template over a random model, settings fixed by points."""
     rho, meas, pm, s = rand_quantum_bell(rng)

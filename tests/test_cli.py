@@ -3,6 +3,7 @@
 import argparse
 import io
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from ci_engine import cli, diagrams, fileformat, fstheory, funcdyn, nogo, optheory, substoch
+
+from conftest import rand_float_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -266,6 +269,23 @@ def test_bell_check_quantum_model():
     assert abs(rec["chsh"] - 2.8284271) < 1e-6
     assert rec["no_signalling"] is True
     assert rec["exact_input"] is False
+
+
+def test_bell_check_float_table_record(tmp_path):
+    # the seeded float rows round to different totals, so the table is
+    # decided on a 78-bit reading; no CHSH form is violated, so by the LP
+    s = nogo.Bell(2, 2, 3, 3)
+    path = tmp_path / "seeded.correlation"
+    path.write_text(fileformat.dump_correlation(nogo.Correlation(s, rand_float_rows(random.Random(17), s))))
+    code, out, err = run("bell-check", "--corr", str(path), "--expect", "nonmember", "--format", "records")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].replace(f'"{path}"', '"<file>"') == (
+        '{cmd: bell-check, file: "<file>", scenario: {type: bell, cards: [2, 2, 3, 3]}, '
+        "exact_input: false, verdict: nonmember, facet: [1/1, 1/1, 1/1, 1/1, 1/1, 1/1, "
+        "-4/1, -4/1, -4/1, -4/1, -4/1, -4/1, -4/1, -4/1, -4/1, 1/1, 1/1, 1/1, 1/1, 1/1, "
+        "1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1, 1/1], "
+        "bound: -1/1, violation: 135052335283/100000200000, no_signalling: false}"
+    )
 
 
 def _shared_trit_model():

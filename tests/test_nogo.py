@@ -64,7 +64,7 @@ from ci_engine.nogo import (
 from ci_engine.optheory import predict_closed
 
 import oracles
-from conftest import SEED, rand_quantum_bell
+from conftest import SEED, rand_float_rows, rand_quantum_bell
 from oracles import (
     born_bell_table,
     chsh_of_table,
@@ -1098,7 +1098,13 @@ def test_rationalize_renormalizes_each_context():
 @st.composite
 def _float_tables(draw):
     """A Bell table of float rows that normalize within 1e-9, some entries
-    zero or a hair below it, some rounding to a half at denominator 10^6."""
+    zero or a hair below it, some rounding to a half at denominator 10^6;
+    or the seeded rows of ``rand_float_rows`` on Bell(2, 2, 3, 3), whose
+    contexts round to different totals."""
+    seed = draw(st.none() | st.integers(0, 2**32))
+    if seed is not None:
+        s = Bell(2, 2, 3, 3)
+        return s, rand_float_rows(random.Random(seed), s)
     s = draw(st.sampled_from([Bell(2, 2, 2, 2), Bell(2, 3, 3, 2)]))
     n_out = len(s.outcomes())
     cell = st.one_of(
@@ -1119,12 +1125,50 @@ def _float_tables(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_float_tables())
+@example((Bell(2, 2, 3, 3), rand_float_rows(random.Random(17), Bell(2, 2, 3, 3))))
 def test_rationalize_matches_the_fraction_reference(case):
-    # integer numerators over their row total give the Fractions that
-    # rounding each entry and dividing by the Fraction total gave
+    # integer numerators over the lcm of the row totals give the Fractions
+    # that rounding each entry and dividing by the Fraction total gave, and
+    # the reading that ``integers`` gives of those Fractions
     s, rows = case
     corr = Correlation(s, rows)
-    assert rationalize(corr).table == oracles.rationalize_reference(corr.table)
+    want = oracles.rationalize_reference(corr.table)
+    got = rationalize(corr)
+    assert got.table == want
+    assert all(type(v) is Fraction for row in got.table for v in row)
+    assert got.is_exact
+    nums, den = tensornet.integers([v for row in want for v in row])
+    assert got._reading == (tuple(nums), den)
+
+
+def test_rationalize_reads_each_number_once(monkeypatch):
+    # the rounded table is built from its integer reading: nothing reads
+    # Fractions back into integers on the way to the verdict
+    rng = random.Random(SEED + 9)
+    s = Bell(2, 3, 2, 2)
+    cases = []
+    for table in _seeded_float_tables(s, rng):
+        corr = Correlation(s, table)
+        cases.append((corr, fs_compatible(corr, s)))
+    assert {type(v) for _, v in cases} == {Member, NonMember}
+
+    def no_read_back(values):
+        raise AssertionError("a rounded table was read back into integers")
+
+    monkeypatch.setattr(nogo, "integers", no_read_back)
+    for corr, verdict in cases:
+        assert fs_compatible(corr, s) == verdict
+
+
+def test_a_rounded_table_is_capped_as_a_built_one(monkeypatch):
+    # Bell(6, 6, 6, 6) has 1296 cells, within the default cap
+    s = Bell(6, 6, 6, 6)
+    corr = Correlation(s, rand_float_rows(random.Random(SEED), s))
+    assert rationalize(corr).is_exact
+    monkeypatch.setenv("CI_ENGINE_CAP", "1000")
+    with pytest.raises(CapExceeded) as err:
+        rationalize(corr)
+    assert str(err.value) == "the scenario's table has more than 1000 cells"
 
 
 def _seeded_float_tables(s, rng):
@@ -1136,10 +1180,9 @@ def _seeded_float_tables(s, rng):
         for _ in range(4):
             _, _, pm, _ = rand_quantum_bell(rng, s.n_x, s.n_y)
             tables.append(model_correlations(pm).table)
-    n_out = len(s.outcomes())
     for _ in range(3):
-        rows = [[rng.random() for _ in range(n_out)] for _ in s.contexts()]
-        tables.append([[v / sum(row) for v in row] for row in rows])
+        tables.append(rand_float_rows(rng, s))
+    n_out = len(s.outcomes())
     verts = _VERTEX_REFERENCES[type(s)](*dataclasses.astuple(s))
     weights = (F(1, 2), F(1, 4), F(1, 4))
     for _ in range(3):
